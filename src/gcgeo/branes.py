@@ -231,15 +231,7 @@ def _polynomial_kernel(s_chart: Chart, rows, ncols: int, samples, degree_bound: 
             prod = _poly_of(s_chart, e) * entry
             for ee, coeff in prod.terms.items():
                 eq_rows.setdefault((r, ee), {})[u] = coeff
-    mat = [
-        [eq_rows[key].get(u, ZERO) for u in range(len(unknowns))]
-        for key in sorted(eq_rows)
-    ]
-    ker = (
-        linalg.kernel(mat)
-        if mat
-        else [[ONE if i == j else ZERO for j in range(len(unknowns))] for i in range(len(unknowns))]
-    )
+    ker = linalg.kernel(list(eq_rows.values()), len(unknowns))
     gens = []
     for k in ker:
         comps = [s_chart.zero() for _ in range(ncols)]

@@ -53,27 +53,21 @@ class WitnessReport:
 
 
 def _flatten_rows(forms, rhs_form):
-    """Index (mask, monomial) rows of a linear system of form identities."""
-    keys = set()
-    for f in forms:
+    """Sparse rows and right-hand sides of sum_u x_u forms[u] = rhs_form.
+
+    There is one row {u: coefficient} per (mask, monomial) that occurs.
+    """
+    rows = {}
+    for u, f in enumerate(forms):
         for mask, c in f.terms.items():
-            for e in c.terms:
-                keys.add((mask, e))
+            for e, x in c.terms.items():
+                rows.setdefault((mask, e), {})[u] = x
+    rhs = {}
     for mask, c in rhs_form.terms.items():
-        for e in c.terms:
-            keys.add((mask, e))
-    keys = sorted(keys)
-    mat = []
-    rhs = []
-    for (mask, e) in keys:
-        row = []
-        for f in forms:
-            c = f.terms.get(mask)
-            row.append(c.terms.get(e, ZERO) if c is not None else ZERO)
-        mat.append(row)
-        c = rhs_form.terms.get(mask)
-        rhs.append(c.terms.get(e, ZERO) if c is not None else ZERO)
-    return keys, mat, rhs
+        for e, x in c.terms.items():
+            rows.setdefault((mask, e), {})
+            rhs[(mask, e)] = x
+    return list(rows.values()), [rhs.get(key, ZERO) for key in rows]
 
 
 def _default_samples(chart: Chart):
@@ -140,8 +134,8 @@ def check_spinor_integrability(
         for e in monos:
             columns.append(action.map_coeffs(lambda c: _poly_of(chart, e) * c))
             unknown_slots.append((slot, e))
-    keys, mat, rhs = _flatten_rows(columns, target)
-    sol = linalg.solve(mat, rhs)
+    rows, rhs = _flatten_rows(columns, target)
+    sol = linalg.solve(rows, rhs, len(columns))
     if sol is not None:
         vec = [chart.zero() for _ in range(m)]
         cov = [chart.zero() for _ in range(m)]
@@ -372,6 +366,8 @@ def modular_vector_field(
     m = chart.dim
     if schouten(chart, beta_mv, beta_mv):
         raise ValueError("bivector is not Poisson: [beta, beta] != 0")
+    if not volume:
+        raise ValueError("volume form is zero")
     vol = chart.lift_form(volume)
     phi = vol
     cur = vol
@@ -403,23 +399,20 @@ def modular_vector_field(
         for e in monos:
             columns.append(action.map_coeffs(lambda c: _poly_of(chart, e) * c))
             slots.append((slot, e))
-    keys, mat, rhs = _flatten_rows(columns, target)
-    sol = linalg.solve(mat, rhs)
+    rows, rhs = _flatten_rows(columns, target)
+    sol, rank = linalg.solve_with_rank(rows, rhs, len(columns))
     if sol is None:
         raise ValueError(f"no polynomial modular field up to degree {degree_bound}")
-    if len(linalg.kernel(mat)) != 0:
+    if rank != len(columns):
         raise AssertionError("modular field is not unique on this ansatz")
     vec = [chart.zero() for _ in range(m)]
     for c, (slot, e) in zip(sol, slots):
         if c:
             vec[slot] = vec[slot] + Poly(chart.names, {tuple(e): c})
     x = GenVector(m, vec, [chart.zero()] * m)
-    lie = lie_derivative_form(chart, vec, phi)
-    if log_factor is not None:
-        # L_X of e^f phi = e^f (X(f) phi + L_X phi); only the bracket law is
-        # asserted by callers, so skip the volume-preservation check here.
-        pass
-    elif lie:
+    # with a log factor, L_X (e^f phi) = e^f (X(f) phi + L_X phi): only the
+    # bracket law holds, so the spinor is checked only without one
+    if log_factor is None and lie_derivative_form(chart, vec, phi):
         raise AssertionError("modular field does not preserve the spinor")
     return x
 

@@ -45,7 +45,10 @@ def _tokenize(s: str, location: str):
             raise JobError(f"cannot read scalar {s!r} at offset {pos}", location)
         pos = m.end()
         if m.group("num"):
-            out.append(("num", Fraction(m.group("num"))))
+            try:
+                out.append(("num", Fraction(m.group("num"))))
+            except ZeroDivisionError:
+                raise JobError(f"zero denominator in scalar {s!r}", location) from None
         elif m.group("name"):
             out.append(("name", m.group("name")))
         else:

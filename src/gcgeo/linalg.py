@@ -1,8 +1,18 @@
 """Exact linear algebra over gaussian rationals, plus generic ring matrices.
 
-Matrices are plain lists of lists.  Row reduction, kernels and solves are only
-defined over the GaussRat field; products, transposes and identity checks work
-for any scalar ring (GaussRat or Poly) by duck typing.
+Matrices are plain lists of lists.  Products, transposes and identity checks
+work for any scalar ring (GaussRat or Poly) by duck typing.
+
+Row reduction, kernels, solves, ranks and inverses are defined over the
+GaussRat field and share one Gauss-Jordan core, `_eliminate`, which works on
+sparse rows {column: nonzero GaussRat} and never visits a zero entry.  `rref`,
+`rank`, `inverse`, `row_space_basis` and the `span_*` tests take dense rows
+and return what a dense elimination returns.  `kernel`, `solve` and
+`solve_with_rank` also take a list of dict rows plus a column count, which is
+how the polynomial-ansatz solvers pass their tall, almost empty systems.
+
+`det` (GaussRat) and the ring functions `ring_det` and `adjugate_inverse`
+(Laplace expansion, for Poly entries) keep their own dense loops.
 """
 
 from __future__ import annotations
@@ -52,14 +62,6 @@ def mat_vec(a, v):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
 
@@ -86,88 +88,145 @@ def is_antisymmetric(a) -> bool:
     return all(a[i][j] == -a[j][i] for i in range(n) for j in range(i, n))
 
 
-def conj_matrix(a):
-    return [[x.conj() for x in row] for row in a]
-
-
 # ---------------------------------------------------------------------------
 # field operations (GaussRat entries only)
 # ---------------------------------------------------------------------------
 
+def _rows(m, ncols=None):
+    """Fresh sparse rows {column: nonzero GaussRat} of m, and the column count.
+
+    m is a list of dense rows, or, when ncols is given, a list of dicts
+    {column: scalar} over ncols columns.
+    """
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+        return [{j: g for j, g in enumerate(map(as_gauss, row)) if g} for row in m], ncols
+    return [{j: as_gauss(x) for j, x in row.items() if x} for row in m], ncols
+
+
+def _eliminate(rows):
+    """Gauss-Jordan elimination over sparse rows, which it consumes.
+
+    Returns {pivot column: tail}: the reduced row echelon form of the rows,
+    pivot row by pivot row, where a tail holds the row's nonzero entries
+    other than its leading 1.  Rows are added one at a time to the reduced
+    form of the rows before them.  An added row is cleared at the pivot
+    columns it has an entry in; if anything is left, its leading column
+    becomes a new pivot and is cleared from the pivot rows that have an entry
+    there.  Every update touches only the nonzero entries of the row it
+    subtracts.  The reduced row echelon form is unique, so the result does
+    not depend on the order of the rows.
+    """
+    tails = {}
+    for r in rows:
+        for c in [c for c in r if c in tails]:
+            _axpy(r, -r.pop(c), tails[c])
+        if not r:
+            continue
+        c = min(r)
+        inv = ONE / r.pop(c)
+        r = {j: x * inv for j, x in r.items()}
+        for t in tails.values():
+            f = t.pop(c, None)
+            if f is not None:
+                _axpy(t, -f, r)
+        tails[c] = r
+    return tails
+
+
+def _axpy(r, f, t):
+    """r += f * t on sparse rows, dropping entries that cancel."""
+    for j, y in t.items():
+        x = r.get(j)
+        if x is None:
+            r[j] = f * y
+        else:
+            x = x + f * y
+            if x:
+                r[j] = x
+            else:
+                del r[j]
+
+
 def rref(m):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    a = [[as_gauss(x) for x in row] for row in m]
-    nrow = len(a)
-    ncol = len(a[0]) if nrow else 0
-    piv_cols = []
-    r = 0
-    for c in range(ncol):
-        pr = None
-        for i in range(r, nrow):
-            if a[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = ONE / a[r][c]
-        a[r] = [x * inv if x else x for x in a[r]]
-        for i in range(nrow):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrow:
-            break
-    return a, piv_cols
+    rows, ncols = _rows(m)
+    tails = _eliminate(rows)
+    piv = sorted(tails)
+    red = []
+    for c in piv:
+        row = [ZERO] * ncols
+        row[c] = ONE
+        for j, x in tails[c].items():
+            row[j] = x
+        red.append(row)
+    red += [[ZERO] * ncols for _ in range(len(m) - len(piv))]
+    return red, piv
 
 
 def rank(m) -> int:
-    if not m:
-        return 0
-    return len(rref(m)[1])
+    return len(_eliminate(_rows(m)[0]))
 
 
-def kernel(m):
-    """Basis of the right kernel of m, as a list of vectors."""
-    nrow = len(m)
-    ncol = len(m[0]) if nrow else 0
-    if nrow == 0:
-        return [ [ONE if i == j else ZERO for j in range(ncol)] for i in range(ncol) ]
-    red, piv = rref(m)
-    free = [c for c in range(ncol) if c not in piv]
-    basis = []
-    for f in free:
-        v = [ZERO] * ncol
+def kernel(m, ncols=None):
+    """Basis of the right kernel of m, as a list of vectors.
+
+    m is dense, or a list of dict rows over ncols columns.  There is one
+    vector per non-pivot column f, with a 1 at f and 0 at the other
+    non-pivot columns.
+    """
+    rows, ncols = _rows(m, ncols)
+    tails = _eliminate(rows)
+    basis = {f: [ZERO] * ncols for f in range(ncols) if f not in tails}
+    for f, v in basis.items():
         v[f] = ONE
-        for r, c in enumerate(piv):
-            v[c] = -red[r][f]
-        basis.append(v)
-    return basis
+    for c, tail in tails.items():
+        for f, x in tail.items():
+            basis[f][c] = -x
+    return list(basis.values())
 
 
-def solve(m, b):
+def solve_with_rank(m, b, ncols=None):
+    """(x, rank of m): one exact solution of m x = b, or None if inconsistent.
+
+    m is dense, or a list of dict rows over ncols columns.  The solution
+    sets every free variable to 0; it is the only one when the rank equals
+    the number of columns.
+    """
+    rows, ncols = _rows(m, ncols)
+    for row, y in zip(rows, b):
+        y = as_gauss(y)
+        if y:
+            row[ncols] = y
+    tails = _eliminate(rows)
+    if ncols in tails:
+        return None, len(tails) - 1
+    x = [ZERO] * ncols
+    for c, tail in tails.items():
+        x[c] = tail.get(ncols, ZERO)
+    return x, len(tails)
+
+
+def solve(m, b, ncols=None):
     """One exact solution of m x = b, or None if inconsistent."""
-    nrow = len(m)
-    ncol = len(m[0]) if nrow else 0
-    aug = [list(row) + [bb] for row, bb in zip(m, b)]
-    red, piv = rref(aug)
-    if ncol in piv:
-        return None
-    x = [ZERO] * ncol
-    for r, c in enumerate(piv):
-        x[c] = red[r][ncol]
-    return x
+    return solve_with_rank(m, b, ncols)[0]
 
 
 def inverse(m):
     n = len(m)
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(m)]
-    red, piv = rref(aug)
-    if piv != list(range(n)):
+    rows, _ = _rows(m)
+    for i, row in enumerate(rows):
+        row[n + i] = ONE
+    tails = _eliminate(rows)
+    if sorted(tails) != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    out = []
+    for i in range(n):
+        row = [ZERO] * n
+        for j, x in tails[i].items():
+            row[j - n] = x
+        out.append(row)
+    return out
 
 
 def det(m) -> GaussRat:

@@ -73,6 +73,10 @@ class TestScalarGrammar:
         with pytest.raises(JobError, match="unknown variable"):
             parse_scalar("q + 1", ("x",))
 
+    def test_zero_denominator_located(self):
+        with pytest.raises(JobError, match="doc.form.0..*zero denominator"):
+            parse_scalar("2 + 1/0", (), "doc.form[0]")
+
 
 class TestFormsRoundTrip:
     def test_round_trip(self):
@@ -169,6 +173,21 @@ class TestCommands:
         p.write_text(json.dumps(doc))
         code, out = run_cli(["null-space", str(p)], capsys)
         assert code == 2
+
+    def test_zero_denominator_exit_2(self, tmp_path, capsys):
+        doc = {
+            "schema_version": 1,
+            "command": "mukai",
+            "dim": 4,
+            "form_a": [{"coeff": "1/0", "basis": [1, 2]}],
+            "form_b": [{"coeff": "1", "basis": [3, 4]}],
+        }
+        p = tmp_path / "zero_den.json"
+        p.write_text(json.dumps(doc))
+        code, out = run_cli(["mukai", str(p)], capsys)
+        assert code == 2
+        error = json.loads(out)["counterexample"]["error"]
+        assert "form_a[0].coeff" in error and "zero denominator" in error
 
     def test_mathematical_fail_exit_1(self, tmp_path, capsys):
         doc = {

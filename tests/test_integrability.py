@@ -359,6 +359,11 @@ class TestModular:
         with pytest.raises(ValueError, match="Poisson"):
             modular_vector_field(ch, bad, vol)
 
+    def test_zero_volume_rejected(self):
+        beta = MixedForm(2, {0b11: R2.var("x")}, "mv")
+        with pytest.raises(ValueError, match="volume form is zero"):
+            modular_vector_field(R2, beta, MixedForm.zero(2))
+
 
 class TestHamiltonian:
     def test_symplectic_formula(self):
