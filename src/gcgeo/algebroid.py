@@ -95,23 +95,7 @@ class LiePair:
             out.append(acc)
         return out
 
-    # -- multisection evaluation ---------------------------------------------
-    def eval_multisection(self, mu: dict, args):
-        """Evaluate a Lambda^k L* multisection on k sections of L.
-
-        mu maps ascending L-frame index masks to Poly values; args are
-        arbitrary sections whose L-components are taken first.
-        """
-        comps = [self.l_components(u) for u in args]
-        k = len(args)
-        acc = self.chart.zero()
-        for mask, val in mu.items():
-            idx = _mask_indices(mask)
-            if len(idx) != k:
-                raise ValueError("multisection degree does not match argument count")
-            acc = acc + val * _antisym_product(comps, idx, self.chart)
-        return acc
-
+    # -- Cartan differential ---------------------------------------------------
     def d_l(self, mu: dict, k: int) -> dict:
         """Cartan differential of a Lambda^k L* multisection, as (k+1)-components."""
         chart = self.chart
@@ -154,20 +138,6 @@ class LiePair:
             acc = acc + c * _component(mu, args, chart)
         return acc
 
-    # -- algebroid structure on R ---------------------------------------------
-    def r_bracket_components(self, i: int, j: int):
-        """[r_i, r_j]_H expanded in the R frame (requires R involutive)."""
-        br = courant_bracket(self.chart, self.frame_r[i], self.frame_r[j], self.h)
-        comps = self.r_components(br)
-        # validate: the L-part must vanish for a genuine Lie algebroid frame
-        lpart = self.l_components(br)
-        if any(lpart):
-            raise ValueError("complement frame is not involutive")
-        return comps
-
-    def r_anchor(self, i: int):
-        return self.frame_r[i].vec
-
 
 def _component(mu: dict, indices, chart: Chart) -> Poly:
     """Antisymmetric component lookup for arbitrary index order."""
@@ -185,29 +155,6 @@ def _component(mu: dict, indices, chart: Chart) -> Poly:
         mask |= 1 << i
     val = mu.get(mask, chart.zero())
     return val if sign > 0 else -val
-
-
-def _antisym_product(comps, idx, chart: Chart) -> Poly:
-    """det of the k x k matrix comps[a][idx[b]] (Leibniz over small k)."""
-    k = len(idx)
-    if k == 0:
-        return chart.one()
-    if k == 1:
-        return comps[0][idx[0]]
-    from itertools import permutations
-
-    acc = chart.zero()
-    for perm in permutations(range(k)):
-        sign = 1
-        for a in range(k):
-            for b in range(a + 1, k):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        t = comps[0][idx[perm[0]]]
-        for row in range(1, k):
-            t = t * comps[row][idx[perm[row]]]
-        acc = acc + t if sign > 0 else acc - t
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +301,7 @@ def maurer_cartan(pair: LiePair, eps: dict) -> MCReport:
             + courant_bracket(chart, ex, ey, pair.h).pair(z)
             + courant_bracket(chart, ex, ey, pair.h).pair(ez)
         )
-        quad = quad if isinstance(quad, Poly) else Poly.const(chart.names, quad)
+        quad = chart.lift(quad)
         lin = linear.get(mask, chart.zero())
         res = lin + quad
         if quad:
@@ -381,8 +328,7 @@ def eps_from_bivector(pair: LiePair, beta_mv) -> dict:
     images = []
     for l in pair.frame_l:
         contr = beta_mv.contract([c for c in l.covec])
-        vec = [contr.coeff(1 << t) for t in range(m)]
-        vec = [c if isinstance(c, Poly) else Poly.const(chart.names, c) for c in vec]
+        vec = [chart.lift(contr.coeff(1 << t)) for t in range(m)]
         images.append(GenVector(m, vec, [chart.zero()] * m))
     out = {}
     for i in range(m):
@@ -410,7 +356,7 @@ def complex_pair(chart: Chart, h: ClosedThreeForm | None = None) -> LiePair:
             GenVector(
                 m,
                 [chart.zero()] * m,
-                [_liftc(chart, dz.coeff(1 << i)) for i in range(m)],
+                [chart.lift(dz.coeff(1 << i)) for i in range(m)],
             )
         )
         dzb = chart.dzbar(k)
@@ -418,11 +364,7 @@ def complex_pair(chart: Chart, h: ClosedThreeForm | None = None) -> LiePair:
             GenVector(
                 m,
                 [chart.zero()] * m,
-                [_liftc(chart, dzb.coeff(1 << i)) for i in range(m)],
+                [chart.lift(dzb.coeff(1 << i)) for i in range(m)],
             )
         )
     return LiePair(chart, tuple(frame_l), tuple(frame_r), h)
-
-
-def _liftc(chart: Chart, c):
-    return c if isinstance(c, Poly) else Poly.const(chart.names, c)

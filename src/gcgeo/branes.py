@@ -17,7 +17,7 @@ from .clifford import GenVector
 from .charts import Chart
 from .fields import ClosedThreeForm, DiracFrame, d, involutivity_tensor
 from .gcs import GCStructure
-from .integrability import monomials_up_to, _poly_of
+from .integrability import ansatz_polys, ansatz_system
 from . import linalg
 
 
@@ -142,9 +142,7 @@ class SubmanifoldData:
         s_chart = self.chart_s()
         out = []
         for j in sorted(self.graph):
-            acc = vec_comps[j]
-            if not isinstance(acc, Poly):
-                acc = Poly.const(s_chart.names, acc)
+            acc = s_chart.lift(vec_comps[j])
             for a, name in enumerate(s_chart.names):
                 dg = self.graph[j].diff(name)
                 if dg:
@@ -184,9 +182,7 @@ def generalized_tangent(sub: SubmanifoldData) -> GeneralizedTangent:
         for b in range(ds):
             c = ix_f.coeff(1 << b)
             if c:
-                cov[sub.param_indices[b]] = (
-                    c if isinstance(c, Poly) else Poly.const(s_chart.names, c)
-                )
+                cov[sub.param_indices[b]] = s_chart.lift(c)
         sections.append(GenVector(m, lift, cov))
     for conormal in sub.conormals():
         sections.append(GenVector(m, [s_chart.zero()] * m, conormal))
@@ -209,37 +205,15 @@ def _polynomial_kernel(s_chart: Chart, rows, ncols: int, samples, degree_bound: 
     """
     target_dim = ncols
     for p in samples:
-        mat_p = [
-            [as_gauss(x.eval(p)) if isinstance(x, Poly) else as_gauss(x) for x in row]
-            for row in rows
-        ]
-        kdim = ncols - linalg.rank(mat_p) if rows else ncols
+        kdim = ncols - linalg.rank(linalg.eval_matrix(rows, p)) if rows else ncols
         if p is samples[0]:
             target_dim = kdim
         elif kdim != target_dim:
             raise ValueError("rank jump across sample points: non-smooth pullback")
-    monos = monomials_up_to(s_chart, degree_bound)
-    unknowns = [(c, e) for c in range(ncols) for e in monos]
-    eq_rows = {}
-    for r, row in enumerate(rows):
-        for u, (c, e) in enumerate(unknowns):
-            entry = row[c]
-            if not entry:
-                continue
-            if not isinstance(entry, Poly):
-                entry = Poly.const(s_chart.names, entry)
-            prod = _poly_of(s_chart, e) * entry
-            for ee, coeff in prod.terms.items():
-                eq_rows.setdefault((r, ee), {})[u] = coeff
-    ker = linalg.kernel(list(eq_rows.values()), len(unknowns))
-    gens = []
-    for k in ker:
-        comps = [s_chart.zero() for _ in range(ncols)]
-        for coeff, (c, e) in zip(k, unknowns):
-            if coeff:
-                comps[c] = comps[c] + Poly(s_chart.names, {tuple(e): coeff})
-        gens.append(comps)
-    return gens, target_dim
+    slots = [{r: row[c] for r, row in enumerate(rows)} for c in range(ncols)]
+    eq_rows, _, unknowns = ansatz_system(s_chart, slots, degree_bound)
+    ker = linalg.kernel(eq_rows, len(unknowns))
+    return [ansatz_polys(s_chart, k, unknowns, ncols) for k in ker], target_dim
 
 
 @dataclass(frozen=True)
@@ -278,10 +252,7 @@ def pullback_dirac(
         cov_form = sub.pull_form(
             MixedForm(m, {1 << i: c for i, c in enumerate(acc.covec) if c})
         )
-        cov_s = [
-            c if isinstance(c, Poly) else Poly.const(s_chart.names, c)
-            for c in (cov_form.coeff(1 << a) for a in range(ds))
-        ]
+        cov_s = [s_chart.lift(cov_form.coeff(1 << a)) for a in range(ds)]
         projected.append(GenVector(ds, vec_s, cov_s))
     chosen = []
     for p in samples:
@@ -421,11 +392,10 @@ def brane_check(
                     sigma_basic = False
         if not sub.graph and sub.f2:
             f_map = map_from_two_form(sub.f2)
-            omega_lift = [[_lift(s_chart, x) for x in row] for row in b_block]
-            winv = linalg.adjugate_inverse(omega_lift)
+            winv = linalg.adjugate_inverse(s_chart.lift_matrix(b_block))
             jnew = [
                 [-x for x in row]
-                for row in linalg.mat_mul(winv, [[_lift(s_chart, x) for x in row] for row in f_map])
+                for row in linalg.mat_mul(winv, s_chart.lift_matrix(f_map))
             ]
             space_j = tuple(tuple(row) for row in jnew)
             jsq = linalg.mat_mul(jnew, jnew)
@@ -487,7 +457,3 @@ def brane_check(
         ell_frame_samples=tuple(ell_samples),
         characteristic_samples=tuple(char_samples),
     )
-
-
-def _lift(s_chart: Chart, x):
-    return x if isinstance(x, Poly) else Poly.const(s_chart.names, x)

@@ -116,12 +116,6 @@ class Chart:
             acc = acc + t
         return acc
 
-    def diff_z(self, f: Poly, k: int) -> Poly:
-        a, b = self.complex_pairs[k]
-        fa = f.diff(self.names[a])
-        fb = f.diff(self.names[b])
-        return HALF * fa + GaussRat(0, "-1/2") * fb
-
     def diff_zbar(self, f: Poly, k: int) -> Poly:
         a, b = self.complex_pairs[k]
         fa = f.diff(self.names[a])
@@ -129,10 +123,6 @@ class Chart:
         return HALF * fa + GaussRat(0, "1/2") * fb
 
     # -- section helpers ------------------------------------------------------
-    def zero_section(self) -> GenVector:
-        z = [self.zero()] * self.dim
-        return GenVector(self.dim, z, z)
-
     def coordinate_vector(self, i: int) -> GenVector:
         vec = [self.zero()] * self.dim
         vec[i] = self.one()
@@ -143,16 +133,16 @@ class Chart:
         cov[i] = self.one()
         return GenVector(self.dim, [self.zero()] * self.dim, cov)
 
+    def lift(self, c) -> Poly:
+        """Coerce a constant scalar into the chart ring; a Poly is kept as is."""
+        return c if isinstance(c, Poly) else Poly.const(self.names, c)
+
     def lift_form(self, phi: MixedForm) -> MixedForm:
         """Coerce constant coefficients into the chart ring."""
-        return phi.map_coeffs(
-            lambda c: c if isinstance(c, Poly) else Poly.const(self.names, c)
-        )
+        return phi.map_coeffs(self.lift)
 
     def lift_section(self, v: GenVector) -> GenVector:
-        lift = lambda c: c if isinstance(c, Poly) else Poly.const(self.names, c)
-        return GenVector(self.dim, [lift(c) for c in v.vec], [lift(c) for c in v.covec])
+        return GenVector(self.dim, map(self.lift, v.vec), map(self.lift, v.covec))
 
     def lift_matrix(self, mat):
-        lift = lambda c: c if isinstance(c, Poly) else Poly.const(self.names, c)
-        return [[lift(c) for c in row] for row in mat]
+        return [[self.lift(c) for c in row] for row in mat]

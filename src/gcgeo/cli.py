@@ -1,7 +1,8 @@
 """File-driven command line: parse a JSON job, dispatch, emit a certificate.
 
-Exit codes: 0 = pass, 1 = mathematical fail, 2 = input or usage error
-(including malformed documents, capacity limits, and exhausted degree bounds).
+Exit codes: 0 = pass, 1 = mathematical fail, 2 = every outcome that is not a
+decided verdict (malformed documents, invalid structures or isotropics,
+capacity limits, and exhausted degree bounds).
 """
 
 from __future__ import annotations
@@ -11,12 +12,11 @@ import sys
 import time
 
 from . import __version__
-from .forms import MixedForm, CapacityError, mukai_coeff
-from .clifford import GenVector, BlockTransform
+from .forms import MixedForm, mukai_coeff
+from .clifford import BlockTransform
 from .charts import Chart
 from .isotropics import (
     NotIsotropic,
-    NotPure,
     canonical_form,
     null_space,
     pure_spinor_line,
@@ -82,10 +82,13 @@ def _chart_of(doc) -> Chart:
     return parse_chart(doc["chart"])
 
 
-def _dim_of(doc) -> int:
-    if "dim" not in doc:
-        raise JobError("document needs dim", "dim")
-    return int(doc["dim"])
+def _int_of(doc, key: str) -> int:
+    if key not in doc:
+        raise JobError(f"document needs {key}", key)
+    try:
+        return int(doc[key])
+    except (TypeError, ValueError):
+        raise JobError(f"{key} must be an integer, got {doc[key]!r}", key) from None
 
 
 def _twist_of(doc, chart: Chart) -> ClosedThreeForm | None:
@@ -139,7 +142,7 @@ def _canonical_cert(iso) -> dict:
 
 @command("check-isotropic")
 def cmd_check_isotropic(doc, opts):
-    dim = _dim_of(doc)
+    dim = _int_of(doc, "dim")
     try:
         iso = canonical_form(_vectors_of(doc, dim), dim)
     except NotIsotropic as e:
@@ -149,7 +152,7 @@ def cmd_check_isotropic(doc, opts):
 
 @command("canonical-form")
 def cmd_canonical_form(doc, opts):
-    dim = _dim_of(doc)
+    dim = _int_of(doc, "dim")
     try:
         iso = canonical_form(_vectors_of(doc, dim), dim)
     except NotIsotropic as e:
@@ -159,7 +162,7 @@ def cmd_canonical_form(doc, opts):
 
 @command("spinor-of")
 def cmd_spinor_of(doc, opts):
-    dim = _dim_of(doc)
+    dim = _int_of(doc, "dim")
     try:
         iso = canonical_form(_vectors_of(doc, dim), dim)
     except NotIsotropic as e:
@@ -170,7 +173,7 @@ def cmd_spinor_of(doc, opts):
 
 @command("null-space")
 def cmd_null_space(doc, opts):
-    dim = _dim_of(doc)
+    dim = _int_of(doc, "dim")
     phi = parse_form(doc.get("form"), dim, (), "form", "form")
     if not phi:
         raise JobError("the zero form has no null space", "form")
@@ -184,7 +187,7 @@ def cmd_null_space(doc, opts):
 
 @command("mukai")
 def cmd_mukai(doc, opts):
-    dim = _dim_of(doc)
+    dim = _int_of(doc, "dim")
     a = parse_form(doc.get("form_a"), dim, (), "form", "form_a")
     b = parse_form(doc.get("form_b"), dim, (), "form", "form_b")
     return Report("mukai", "pass", certificate={"pairing": scalar_str(mukai_coeff(a, b))})
@@ -214,7 +217,7 @@ def _transform_of(doc, dim: int) -> BlockTransform:
 
 @command("transform")
 def cmd_transform(doc, opts):
-    dim = _dim_of(doc)
+    dim = _int_of(doc, "dim")
     try:
         iso = canonical_form(_vectors_of(doc, dim), dim)
     except NotIsotropic as e:
@@ -225,7 +228,7 @@ def cmd_transform(doc, opts):
 
 @command("tensor")
 def cmd_tensor(doc, opts):
-    dim = _dim_of(doc)
+    dim = _int_of(doc, "dim")
     l1 = canonical_form(_vectors_of(doc, dim, "vectors_a"), dim)
     l2 = canonical_form(_vectors_of(doc, dim, "vectors_b"), dim)
     return Report("tensor", "pass", certificate=_canonical_cert(tensor_product(l1, l2)))
@@ -317,10 +320,7 @@ def cmd_darboux(doc, opts):
 def cmd_grading(doc, opts):
     s = _structure_of(doc)
     phi = parse_form(doc.get("form"), s.dim, (), "form", "form")
-    k = doc.get("k")
-    if k is None:
-        raise JobError("grading needs the eigenvalue index k", "k")
-    comp = grading_project(s, phi, int(k))
+    comp = grading_project(s, phi, _int_of(doc, "k"))
     return Report("grading", "pass", certificate={"component": form_json(comp)})
 
 
@@ -658,9 +658,9 @@ def main(argv=None) -> int:
     try:
         doc = load_document(args.job)
         report = run_job(args.command, doc, args)
-    except JobError as e:
-        report = Report(args.command, "error", counterexample={"error": str(e)})
-    except (CapacityError, NotPure) as e:
+    except ValueError as e:
+        # JobError, CapacityError, NotPure, NotIsotropic and InvalidStructure
+        # are all ValueErrors: every undecided outcome exits 2
         report = Report(args.command, "error", counterexample={"error": str(e)})
     report.timing_ms = (time.perf_counter() - t0) * 1000.0
     if report.seed is None and getattr(args, "seed", None) is not None:

@@ -13,9 +13,7 @@ and from shear maps via forms.two_form_from_map / map_from_two_form.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import GaussRat, ONE, ZERO, HALF, sqrt_exact
+from .scalars import ONE, ZERO, HALF, sqrt_exact
 from .forms import MixedForm, covector_form, two_form_from_map, check_dim
 from . import linalg
 
@@ -126,10 +124,6 @@ class GenVector:
             if c:
                 bits.append(f"({c!r})*e{i+1}")
         return " + ".join(bits) if bits else "0"
-
-
-def pairing_matrix(vectors):
-    return [[u.pair(v) for v in vectors] for u in vectors]
 
 
 def endo_dual_action(a, phi: MixedForm) -> MixedForm:
@@ -291,16 +285,7 @@ class BlockTransform:
         if self.kind == "B":
             return (-two_form_from_map(self.mat, "form")).exp_wedge().wedge(phi)
         if self.kind == "beta":
-            b = two_form_from_map(self.mat, "mv")
-            acc = phi
-            cur = phi
-            k = 1
-            while True:
-                cur = cur.contract_mv(b).scale(GaussRat(Fraction(1, k)))
-                if not cur:
-                    return acc
-                acc = acc + cur
-                k += 1
+            return phi.exp_contract(two_form_from_map(self.mat, "mv"))
         root = sqrt_exact(linalg.det(self.mat))
         return gl_pullback_inverse(self.mat, phi).scale(root)
 

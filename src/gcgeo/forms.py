@@ -234,19 +234,26 @@ class MixedForm:
         return acc
 
     # -- exponentials -----------------------------------------------------------
+    def _exp_series(self, step) -> "MixedForm":
+        """self + step(self) + step(step(self))/2! + ... for a nilpotent step."""
+        acc = cur = self
+        k = 1
+        while True:
+            cur = step(cur).scale(GaussRat(Fraction(1, k)))
+            if not cur:
+                return acc
+            acc = acc + cur
+            k += 1
+
     def exp_wedge(self) -> "MixedForm":
         """Wedge exponential 1 + a + a^2/2! + ... for even-degree nilpotents."""
         if self.terms and any(m.bit_count() % 2 for m in self.terms):
             raise ValueError("wedge exponential needs even degrees")
-        acc = MixedForm.one(self.dim, self.variance)
-        cur = MixedForm.one(self.dim, self.variance)
-        k = 1
-        while True:
-            cur = cur.wedge(self).scale(GaussRat(Fraction(1, k)))
-            if not cur.terms:
-                return acc
-            acc = acc + cur
-            k += 1
+        return MixedForm.one(self.dim, self.variance)._exp_series(lambda c: c.wedge(self))
+
+    def exp_contract(self, mv: "MixedForm") -> "MixedForm":
+        """e^{i_P} applied to this form: phi + i_P phi + i_P i_P phi / 2! + ..."""
+        return self._exp_series(lambda c: c.contract_mv(mv))
 
     # -- involutions -------------------------------------------------------------
     def reversal(self) -> "MixedForm":

@@ -349,16 +349,7 @@ def _std_two_form_from_adapted(pairs, cinv, m):
         mprime[i][j] = ONE
         mprime[j][i] = -ONE
         comp = linalg.mat_mul(cit, linalg.mat_mul(mprime, cinv))
-        form = MixedForm(
-            m,
-            {
-                (1 << a) | (1 << b): comp[a][b]
-                for a in range(m)
-                for b in range(a + 1, m)
-                if comp[a][b]
-            },
-        )
-        out.append(form)
+        out.append(two_form_from_map(linalg.transpose(comp)))
     return out
 
 
@@ -412,7 +403,6 @@ def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
     b2 = (a2 + a2.conj()).scale(HALF)
     om2 = (a2 - a2.conj()).scale(GaussRat(0, Fraction(-1, 2)))
     n = s.half_dim
-    check = om2
     power = MixedForm.one(m)
     for _ in range(n - k):
         power = power.wedge(om2)
@@ -520,15 +510,7 @@ def darboux_point(s: GCStructure) -> DarbouxData:
             sel[j][i] = aprime[j][i]
         cit = linalg.transpose(cinv)
         std = linalg.mat_mul(cit, linalg.mat_mul(sel, cinv))
-        return MixedForm(
-            m,
-            {
-                (1 << a) | (1 << b): std[a][b]
-                for a in range(m)
-                for b in range(a + 1, m)
-                if std[a][b]
-            },
-        )
+        return two_form_from_map(linalg.transpose(std))
 
     a200 = block_form([(i, j) for i in range(nd) for j in range(i + 1, nd)])
     a101 = block_form(

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import add
 
-from .scalars import GaussRat, Poly, ONE, ZERO, as_gauss
+from .scalars import Poly, ZERO, as_gauss
 from .forms import MixedForm, map_from_two_form
 from .clifford import GenVector
 from .charts import Chart
@@ -39,8 +40,40 @@ def monomials_up_to(chart: Chart, bound: int):
     return out
 
 
-def _poly_of(chart: Chart, exps) -> Poly:
-    return Poly(chart.names, {tuple(exps): ONE})
+def ansatz_system(chart: Chart, slots, degree_bound: int, target=None):
+    """Sparse rows of sum_{(s, e)} u_{s,e} x^e slots[s] = target, by coefficients.
+
+    slots[s] and target map keys (form masks, matrix rows) to scalars or Polys.
+    Unknown (s, e) multiplies slot s by the monomial x^e; unknowns run
+    slot-major, then in monomials_up_to order.  There is one row
+    {unknown: coefficient} per (key, exponent) that occurs, and rhs holds the
+    target's coefficient for each row.  Returns (rows, rhs, unknowns).
+    """
+    monos = monomials_up_to(chart, degree_bound)
+    unknowns = [(s, e) for s in range(len(slots)) for e in monos]
+    rows = {}
+    u = 0
+    for slot in slots:
+        terms = [(key, chart.lift(c).terms) for key, c in slot.items()]
+        for e in monos:
+            for key, cterms in terms:
+                for t, x in cterms.items():
+                    rows.setdefault((key, tuple(map(add, e, t))), {})[u] = x
+            u += 1
+    rhs = {}
+    for key, c in (target or {}).items():
+        for t, x in chart.lift(c).terms.items():
+            rows.setdefault((key, t), {})
+            rhs[(key, t)] = x
+    return list(rows.values()), [rhs.get(k, ZERO) for k in rows], unknowns
+
+
+def ansatz_polys(chart: Chart, coeffs, unknowns, nslots: int):
+    """The nslots polynomials sum_e coeffs[(s, e)] x^e of an ansatz solution."""
+    terms = [{} for _ in range(nslots)]
+    for c, (s, e) in zip(coeffs, unknowns):
+        terms[s][e] = c
+    return [Poly(chart.names, t) for t in terms]
 
 
 @dataclass(frozen=True)
@@ -50,24 +83,6 @@ class WitnessReport:
     degree_bound: int
     detail: str
     counterexample: dict | None = None
-
-
-def _flatten_rows(forms, rhs_form):
-    """Sparse rows and right-hand sides of sum_u x_u forms[u] = rhs_form.
-
-    There is one row {u: coefficient} per (mask, monomial) that occurs.
-    """
-    rows = {}
-    for u, f in enumerate(forms):
-        for mask, c in f.terms.items():
-            for e, x in c.terms.items():
-                rows.setdefault((mask, e), {})[u] = x
-    rhs = {}
-    for mask, c in rhs_form.terms.items():
-        for e, x in c.terms.items():
-            rows.setdefault((mask, e), {})
-            rhs[(mask, e)] = x
-    return list(rows.values()), [rhs.get(key, ZERO) for key in rows]
 
 
 def _default_samples(chart: Chart):
@@ -120,34 +135,16 @@ def check_spinor_integrability(
                 default=0,
             )
         degree_bound = pdeg + hdeg + 1
-    monos = monomials_up_to(chart, degree_bound)
-    columns = []
-    unknown_slots = []
-    for slot in range(2 * m):
-        base = (
-            GenVector.basis_vector(m, slot)
-            if slot < m
-            else GenVector.basis_covector(m, slot - m)
-        )
-        base = chart.lift_section(base)
-        action = base.act(phi)
-        for e in monos:
-            columns.append(action.map_coeffs(lambda c: _poly_of(chart, e) * c))
-            unknown_slots.append((slot, e))
-    rows, rhs = _flatten_rows(columns, target)
-    sol = linalg.solve(rows, rhs, len(columns))
+    frame = [chart.coordinate_vector(i) for i in range(m)] + [
+        chart.coordinate_covector(i) for i in range(m)
+    ]
+    rows, rhs, unknowns = ansatz_system(
+        chart, [u.act(phi).terms for u in frame], degree_bound, target.terms
+    )
+    sol = linalg.solve(rows, rhs, len(unknowns))
     if sol is not None:
-        vec = [chart.zero() for _ in range(m)]
-        cov = [chart.zero() for _ in range(m)]
-        for c, (slot, e) in zip(sol, unknown_slots):
-            if not c:
-                continue
-            term = Poly(chart.names, {tuple(e): c})
-            if slot < m:
-                vec[slot] = vec[slot] + term
-            else:
-                cov[slot - m] = cov[slot - m] + term
-        w = GenVector(m, vec, cov)
+        polys = ansatz_polys(chart, sol, unknowns, 2 * m)
+        w = GenVector(m, polys[:m], polys[m:])
         if target - w.act(phi):
             raise AssertionError("solver produced an invalid witness")
         return WitnessReport(
@@ -278,27 +275,14 @@ def deform_by_bivector(
     omega = MixedForm.one(m)
     for k in range(chart.n_complex):
         omega = omega.wedge(chart.dz(k))
-    spinor = omega
-    cur = omega
-    kk = 1
-    from fractions import Fraction
-
-    while True:
-        cur = cur.contract_mv(beta_mv).scale(GaussRat(Fraction(1, kk)))
-        if not cur:
-            break
-        spinor = spinor + cur
-        kk += 1
+    spinor = omega.exp_contract(beta_mv)
     # explicit eigenbundle frame: T_{0,1} plus the graph of beta over T*_{1,0}
     sections = [chart.lift_section(chart.del_zbar(k)) for k in range(chart.n_complex)]
     for k in range(chart.n_complex):
         dzk = chart.dz(k)
-        cov = [dzk.coeff(1 << i) for i in range(m)]
-        cov = [c if isinstance(c, Poly) else Poly.const(chart.names, c) for c in cov]
-        lifted = MixedForm(m, {1 << i: c for i, c in enumerate(cov) if c}, "form")
-        vec_part = beta_mv.contract([c for c in cov])
-        vec = [vec_part.coeff(1 << i) for i in range(m)]
-        vec = [c if isinstance(c, Poly) else Poly.const(chart.names, c) for c in vec]
+        cov = [chart.lift(dzk.coeff(1 << i)) for i in range(m)]
+        vec_part = beta_mv.contract(cov)
+        vec = [chart.lift(vec_part.coeff(1 << i)) for i in range(m)]
         sections.append(GenVector(m, vec, cov))
     frame = DiracFrame(chart, tuple(sections))
     return DeformationResult(structure=s, spinor=spinor, frame=frame, beta_mv=beta_mv)
@@ -368,18 +352,7 @@ def modular_vector_field(
         raise ValueError("bivector is not Poisson: [beta, beta] != 0")
     if not volume:
         raise ValueError("volume form is zero")
-    vol = chart.lift_form(volume)
-    phi = vol
-    cur = vol
-    from fractions import Fraction
-
-    k = 1
-    while True:
-        cur = cur.contract_mv(beta_mv).scale(GaussRat(Fraction(1, k)))
-        if not cur:
-            break
-        phi = phi + cur
-        k += 1
+    phi = chart.lift_form(volume).exp_contract(beta_mv)
     target = d_twisted(chart, phi, None)
     if log_factor is not None:
         df = MixedForm(
@@ -390,25 +363,18 @@ def modular_vector_field(
         pdeg = max((c.total_degree() for c in phi.terms.values()), default=0)
         fdeg = log_factor.total_degree() if log_factor is not None else 0
         degree_bound = pdeg + fdeg + 1
-    monos = monomials_up_to(chart, degree_bound)
-    columns = []
-    slots = []
-    for slot in range(m):
-        base = chart.lift_section(GenVector.basis_vector(m, slot))
-        action = base.act(phi)
-        for e in monos:
-            columns.append(action.map_coeffs(lambda c: _poly_of(chart, e) * c))
-            slots.append((slot, e))
-    rows, rhs = _flatten_rows(columns, target)
-    sol, rank = linalg.solve_with_rank(rows, rhs, len(columns))
+    rows, rhs, unknowns = ansatz_system(
+        chart,
+        [chart.coordinate_vector(i).act(phi).terms for i in range(m)],
+        degree_bound,
+        target.terms,
+    )
+    sol, rank = linalg.solve_with_rank(rows, rhs, len(unknowns))
     if sol is None:
         raise ValueError(f"no polynomial modular field up to degree {degree_bound}")
-    if rank != len(columns):
+    if rank != len(unknowns):
         raise AssertionError("modular field is not unique on this ansatz")
-    vec = [chart.zero() for _ in range(m)]
-    for c, (slot, e) in zip(sol, slots):
-        if c:
-            vec[slot] = vec[slot] + Poly(chart.names, {tuple(e): c})
+    vec = ansatz_polys(chart, sol, unknowns, m)
     x = GenVector(m, vec, [chart.zero()] * m)
     # with a log factor, L_X (e^f phi) = e^f (X(f) phi + L_X phi): only the
     # bracket law holds, so the spinor is checked only without one

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import ONE, ZERO, as_gauss
-from .forms import MixedForm, check_dim
+from .forms import MixedForm, check_dim, two_form_from_map
 from .clifford import GenVector, BlockTransform
 from . import linalg
 
@@ -201,16 +201,7 @@ def pure_spinor_line(iso: MaxIsotropic) -> MixedForm:
     theta = _ann_basis(iso.delta_basis, dim)
     neg_eps = [[-x for x in row] for row in iso.eps]
     bcomp = _extension_of_eps(iso.delta_basis, neg_eps, dim)
-    bform = MixedForm(
-        dim,
-        {
-            (1 << i) | (1 << j): bcomp[i][j]
-            for i in range(dim)
-            for j in range(i + 1, dim)
-            if bcomp[i][j]
-        },
-    )
-    phi = bform.exp_wedge()
+    phi = two_form_from_map(linalg.transpose(bcomp)).exp_wedge()
     for th in theta:
         phi = phi.wedge(MixedForm(dim, {1 << i: c for i, c in enumerate(th) if c}))
     return phi
@@ -242,13 +233,6 @@ def max_isotropic_from_spinor(phi: MixedForm) -> MaxIsotropic:
     return canonical_form(vecs, phi.dim)
 
 
-def is_pure(phi: MixedForm) -> bool:
-    try:
-        return null_space(phi)[1]
-    except ValueError:
-        return False
-
-
 def graph_over_cotangent(iso: MaxIsotropic):
     """Dual description L(F, gamma) plus a bivector witness.
 
@@ -264,16 +248,7 @@ def graph_over_cotangent(iso: MaxIsotropic):
     f_basis = swapped.delta_basis
     gamma = swapped.eps
     bcomp = _extension_of_eps(f_basis, [list(r) for r in gamma], dim)
-    beta_mv = MixedForm(
-        dim,
-        {
-            (1 << i) | (1 << j): bcomp[i][j]
-            for i in range(dim)
-            for j in range(i + 1, dim)
-            if bcomp[i][j]
-        },
-        "mv",
-    )
+    beta_mv = two_form_from_map(linalg.transpose(bcomp), "mv")
     return list(f_basis), [list(r) for r in gamma], beta_mv
 
 

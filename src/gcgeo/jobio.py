@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -191,7 +191,10 @@ def parse_form(doc, dim: int, names=(), variance="form", location="form") -> Mix
         if not isinstance(basis, list):
             raise JobError("basis must be a list of 1-based indices", where)
         coeff = parse_scalar(term["coeff"], names, where + ".coeff")
-        acc = acc + MixedForm.blade(dim, [int(i) - 1 for i in basis], coeff, variance)
+        try:
+            acc = acc + MixedForm.blade(dim, [int(i) - 1 for i in basis], coeff, variance)
+        except (TypeError, ValueError) as e:
+            raise JobError(str(e), where + ".basis") from None
     return acc
 
 
@@ -349,4 +352,9 @@ def load_document(path: str) -> dict:
         raise JobError(f"malformed JSON at line {e.lineno} column {e.colno}: {e.msg}", path)
     if not isinstance(doc, dict):
         raise JobError("document must be a JSON object", path)
+    if doc.get("schema_version") != 1:
+        raise JobError(
+            f"schema_version must be 1, got {doc.get('schema_version')!r}",
+            f"{path}: schema_version",
+        )
     return doc

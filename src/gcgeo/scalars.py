@@ -188,10 +188,6 @@ class GaussRat:
     def __hash__(self):
         return hash((self.a, self.b, self.q))
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     # -- constant-polynomial interface -------------------------------------
     # lets mixed GaussRat/Poly coefficient collections share one code path
     def diff(self, name: str) -> "GaussRat":
@@ -514,11 +510,3 @@ def as_gauss(x) -> GaussRat:
     if g is NotImplemented:
         raise TypeError(f"not a scalar: {x!r}")
     return g
-
-
-def conj_scalar(x):
-    return x.conj()
-
-
-def scalar_is_zero(x) -> bool:
-    return not x

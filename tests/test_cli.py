@@ -189,6 +189,43 @@ class TestCommands:
         error = json.loads(out)["counterexample"]["error"]
         assert "form_a[0].coeff" in error and "zero denominator" in error
 
+    @pytest.mark.parametrize(
+        "filename,change,where",
+        [
+            ("grading_symplectic_plus1.json", {"matrix": [["1", "0"], ["0", "1"]]}, ""),
+            ("tensor_graphs_add.json", {"vectors_b": [
+                {"vec": ["1", "0"], "covec": ["1", "0"]},
+                {"vec": ["0", "1"], "covec": ["0", "0"]},
+            ]}, ""),
+            ("mukai_even_m4.json", {"dim": "x"}, "dim: "),
+            ("grading_symplectic_plus1.json", {"k": "a"}, "k: "),
+            ("mukai_even_m4.json", {"form_b": [{"coeff": "1", "basis": [3, 5]}]},
+             "form_b[0].basis: "),
+        ],
+        ids=["j-squared", "non-isotropic", "dim", "k", "basis-index"],
+    )
+    def test_invalid_input_exit_2(self, filename, change, where, tmp_path, capsys):
+        with open(case(filename)) as f:
+            doc = {**json.load(f), **change}
+        p = tmp_path / filename
+        p.write_text(json.dumps(doc))
+        code = main([doc["command"], str(p)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        error = json.loads(captured.out)["counterexample"]["error"]
+        assert error and error.startswith(where)
+
+    def test_schema_version_required(self, tmp_path, capsys):
+        with open(case("mukai_even_m4.json")) as f:
+            doc = json.load(f)
+        for version in (None, 2):
+            doc["schema_version"] = version
+            p = tmp_path / "unversioned.json"
+            p.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+            code, out = run_cli(["mukai", str(p)], capsys)
+            assert code == 2
+            assert "schema_version" in json.loads(out)["counterexample"]["error"]
+
     def test_mathematical_fail_exit_1(self, tmp_path, capsys):
         doc = {
             "schema_version": 1,

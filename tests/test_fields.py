@@ -102,6 +102,19 @@ class TestCourantBracket:
         res = run_axiom_suite(R3, cases=6, seed=11)
         assert res.passed, res.failures
 
+    def test_broken_jacobi_fails_c1_and_jacobi(self, monkeypatch):
+        from gcgeo import suites
+
+        bracket = suites.courant_bracket
+        # adding the second argument to every bracket breaks the Jacobi identity
+        monkeypatch.setattr(
+            suites, "courant_bracket", lambda ch, a, b, h=None: bracket(ch, a, b, h) + b
+        )
+        res = run_axiom_suite(R3, cases=2, seed=11, check_anomaly=False)
+        failed = {(f["identity"], f["case"]) for f in res.failures}
+        assert {("C1", 0), ("jacobi", 0), ("C1", 1), ("jacobi", 1)} <= failed
+        assert res.checked[:6] == ["C1", "C2", "C3", "C4", "C5", "jacobi"]
+
     def test_derived_suite_small(self):
         res = run_derived_bracket_suite(R3, cases=4, seed=11)
         assert res.passed, res.failures

@@ -212,6 +212,23 @@ class TestExpWedge:
         assert e.degree_part(2) == b
         assert e.degree_part(4) == blade(m, 1, 2, 3, 4)
 
+    @given(forms(dim=4, terms=4), forms(dim=4, terms=4, variance="mv"))
+    @settings(max_examples=40, deadline=None)
+    def test_exp_contract_is_the_series(self, phi, mv):
+        from math import factorial
+
+        from gcgeo.clifford import BlockTransform
+
+        beta = mv.degree_part(2)
+        series = MixedForm.zero(4)
+        power = phi
+        for k in range(3):  # i_beta lowers degree by 2, so i_beta^3 = 0 on 4-forms
+            series = series + power.scale(GaussRat(Fraction(1, factorial(k))))
+            power = power.contract_mv(beta)
+        assert not power
+        assert phi.exp_contract(beta) == series
+        assert BlockTransform.from_bivector(beta).spinor(phi) == series
+
     def test_reversal_signs(self):
         m = 4
         f = MixedForm.one(m) + blade(m, 1) + blade(m, 1, 2) + blade(m, 1, 2, 3) + MixedForm.top(m)

@@ -26,6 +26,8 @@ from gcgeo.gcs import (
     validate_gc,
 )
 from gcgeo.integrability import (
+    ansatz_polys,
+    ansatz_system,
     check_spinor_integrability,
     deform_by_bivector,
     deform_graph_pointwise,
@@ -124,6 +126,28 @@ class TestWitnessSolver:
             assert not (d(C2, phi) if False else (h.form.wedge(phi) - rep.witness.act(phi)))
         else:
             assert rep.verdict in ("fail", "inconclusive")
+
+
+class TestAnsatzSystem:
+    def test_hand_checked_system(self):
+        # u . (x, 2) over monomials {1, x, y}: columns run slot-major, the
+        # constant slot 2 is lifted into the chart ring, and zero entries vanish
+        x, y = R2.coord(0), R2.coord(1)
+        two = GaussRat(2)
+        slots = [{"a": x}, {"b": two, "a": ZERO}]
+        target = {"a": GaussRat(3) * x * y, "b": GaussRat(4) * y}
+        rows, rhs, unknowns = ansatz_system(R2, slots, 1, target)
+        monos = [(0, 0), (1, 0), (0, 1)]
+        assert unknowns == [(s, e) for s in range(2) for e in monos]
+        assert rows == [{0: ONE}, {1: ONE}, {2: ONE}, {3: two}, {4: two}, {5: two}]
+        assert rhs == [ZERO, ZERO, GaussRat(3), ZERO, ZERO, GaussRat(4)]
+        sol = linalg.solve(rows, rhs, len(unknowns))
+        assert ansatz_polys(R2, sol, unknowns, 2) == [GaussRat(3) * y, two * y]
+
+    def test_target_only_rows(self):
+        rows, rhs, _ = ansatz_system(R2, [{0: R2.coord(0)}], 0, {1: R2.one()})
+        assert rows == [{0: ONE}, {}] and rhs == [ZERO, ONE]
+        assert linalg.solve(rows, rhs, 1) is None
 
 
 class TestNijenhuis:
