@@ -56,6 +56,7 @@ from .jobio import (
     matrix_json,
     parse_chart,
     parse_form,
+    parse_int,
     parse_matrix,
     parse_point,
     parse_scalar,
@@ -85,10 +86,7 @@ def _chart_of(doc) -> Chart:
 def _int_of(doc, key: str) -> int:
     if key not in doc:
         raise JobError(f"document needs {key}", key)
-    try:
-        return int(doc[key])
-    except (TypeError, ValueError):
-        raise JobError(f"{key} must be an integer, got {doc[key]!r}", key) from None
+    return parse_int(doc[key], key)
 
 
 def _twist_of(doc, chart: Chart) -> ClosedThreeForm | None:
@@ -104,6 +102,8 @@ def _twist_of(doc, chart: Chart) -> ClosedThreeForm | None:
 def _samples_of(doc, chart: Chart, default=None):
     if "samples" not in doc:
         return default
+    if not isinstance(doc["samples"], list):
+        raise JobError("samples must be a list of points", "samples")
     return [parse_point(p, chart, f"samples[{i}]") for i, p in enumerate(doc["samples"])]
 
 
@@ -116,9 +116,12 @@ def _vectors_of(doc, dim: int, key="vectors"):
 
 
 def _frame_of(doc, chart: Chart, key="dirac_frame") -> DiracFrame:
+    frame_doc = doc.get(key, [])
+    if not isinstance(frame_doc, list):
+        raise JobError(f"{key} must be a list of sections", key)
     secs = [
         chart.lift_section(parse_section(v, chart.dim, chart.names, f"{key}[{i}]"))
-        for i, v in enumerate(doc.get(key, []))
+        for i, v in enumerate(frame_doc)
     ]
     try:
         return DiracFrame(chart, tuple(secs))
@@ -349,7 +352,7 @@ def cmd_check_integrable(doc, opts):
         witness = parse_section(doc["witness"], chart.dim, chart.names, "witness")
     bound = opts.degree_bound
     if bound is None and "degree_bound" in doc:
-        bound = int(doc["degree_bound"])
+        bound = parse_int(doc["degree_bound"], "degree_bound")
     rep = check_spinor_integrability(
         chart, phi, h, witness=witness, degree_bound=bound,
         samples=_samples_of(doc, chart),
@@ -409,10 +412,10 @@ def cmd_maurer_cartan(doc, opts):
         raise JobError("eps must be a list of {coeff, basis:[i,j]} over the L frame", "eps")
     eps = {}
     for idx, term in enumerate(eps_doc):
-        basis = term.get("basis")
+        basis = term.get("basis") if isinstance(term, dict) else None
         if not isinstance(basis, list) or len(basis) != 2:
             raise JobError("eps terms need basis [i, j]", f"eps[{idx}]")
-        i, j = int(basis[0]) - 1, int(basis[1]) - 1
+        i, j = (parse_int(x, f"eps[{idx}].basis") - 1 for x in basis)
         c = parse_scalar(term.get("coeff"), chart.names, f"eps[{idx}].coeff")
         sign = 1
         if i == j:
@@ -447,10 +450,10 @@ def cmd_deform(doc, opts):
         raise JobError("beta must list {coeff, pair:[a,b]} holomorphic components", "beta")
     comps = {}
     for idx, term in enumerate(beta_doc):
-        ab = term.get("pair")
+        ab = term.get("pair") if isinstance(term, dict) else None
         if not isinstance(ab, list) or len(ab) != 2:
             raise JobError("beta terms need pair [a, b]", f"beta[{idx}]")
-        comps[(int(ab[0]) - 1, int(ab[1]) - 1)] = parse_scalar(
+        comps[tuple(parse_int(x, f"beta[{idx}].pair") - 1 for x in ab)] = parse_scalar(
             term.get("coeff"), chart.names, f"beta[{idx}].coeff"
         )
     from .gcs import j_complex, standard_complex_endo
@@ -542,10 +545,18 @@ def _submanifold_of(doc, chart: Chart) -> SubmanifoldData:
     spec = doc.get("submanifold")
     if not isinstance(spec, dict):
         raise JobError("document needs a submanifold object", "submanifold")
-    params = tuple(int(i) - 1 for i in spec.get("params", []))
+    params_doc = spec.get("params", [])
+    if not isinstance(params_doc, list):
+        raise JobError("params must be a list of coordinate indices", "submanifold.params")
+    params = tuple(parse_int(i, "submanifold.params") - 1 for i in params_doc)
+    if not all(0 <= i < chart.dim for i in params):
+        raise JobError(f"params must lie in 1..{chart.dim}", "submanifold.params")
     s_names = tuple(chart.names[i] for i in params)
+    graph_doc = spec.get("graph", {})
+    if not isinstance(graph_doc, dict):
+        raise JobError("graph must map coordinate names to polynomials", "submanifold.graph")
     graph = {}
-    for name, poly in spec.get("graph", {}).items():
+    for name, poly in graph_doc.items():
         if name not in chart.names:
             raise JobError(f"unknown graphed coordinate {name!r}", "submanifold.graph")
         graph[chart.names.index(name)] = parse_scalar(poly, s_names, f"submanifold.graph.{name}")
@@ -589,8 +600,8 @@ def cmd_brane_check(doc, opts):
 @command("axiom-suite")
 def cmd_axiom_suite(doc, opts):
     chart = parse_chart(doc["chart"]) if "chart" in doc else None
-    cases = opts.cases or int(doc.get("cases", 100))
-    seed = opts.seed if opts.seed is not None else int(doc.get("seed", 0))
+    cases = opts.cases or parse_int(doc.get("cases", 100), "cases")
+    seed = opts.seed if opts.seed is not None else parse_int(doc.get("seed", 0), "seed")
     res = run_axiom_suite(chart, cases=cases, seed=seed)
     if res.passed:
         return Report(

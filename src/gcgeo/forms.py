@@ -13,6 +13,7 @@ from fractions import Fraction
 from .scalars import GaussRat, ONE, ZERO
 
 MAX_DIM = 12
+_ODD_INDICES = sum(1 << i for i in range(1, MAX_DIM, 2))
 
 
 class CapacityError(ValueError):
@@ -324,15 +325,28 @@ class MixedForm:
 
 def mukai_pair(s: MixedForm, t: MixedForm) -> "MixedForm":
     """Mukai pairing [reversal(s) ^ t]_top as a top-degree form."""
-    s._check_peer(t)
-    top = (1 << s.dim) - 1
-    c = s.reversal().wedge(t).coeff(top)
-    return MixedForm(s.dim, {top: c}, s.variance)
+    return MixedForm(s.dim, {(1 << s.dim) - 1: mukai_coeff(s, t)}, s.variance)
 
 
 def mukai_coeff(s: MixedForm, t: MixedForm):
+    """Top coefficient of reversal(s) ^ t, in O(terms).
+
+    Only a blade of s and the complementary blade of t reach the top degree.
+    A degree-k blade with indices I pairs with the reversal sign
+    (-1)^{k(k-1)/2} times the merge sign (-1)^{sum(I) - k(k-1)/2}, that is
+    with (-1)^{sum(I)}: the parity of the odd indices in I.
+    """
+    s._check_peer(t)
     top = (1 << s.dim) - 1
-    return s.reversal().wedge(t).coeff(top)
+    acc = ZERO
+    for mask, c in s.terms.items():
+        d = t.terms.get(top ^ mask)
+        if d is None:
+            continue
+        acc = acc - c * d if (mask & _ODD_INDICES).bit_count() & 1 else acc + c * d
+        if not acc:
+            acc = ZERO
+    return acc
 
 
 def covector_form(dim: int, coeffs, variance="form") -> MixedForm:

@@ -105,11 +105,9 @@ def canonical_form(vectors, dim: int) -> MaxIsotropic:
                     f"basis vectors {i} and {j} have inner product {p!r}, not 0"
                 )
     rows = [[as_gauss(c) for c in v.coords()] for v in vecs]
-    if linalg.rank(rows) != dim:
-        raise NotIsotropic(
-            f"spanning set has rank {linalg.rank(rows)}, expected {dim}"
-        )
     red, piv = linalg.rref(rows)
+    if len(piv) != dim:
+        raise NotIsotropic(f"spanning set has rank {len(piv)}, expected {dim}")
     lifts = []
     ann = []
     for r, c in zip(red, piv):
@@ -214,14 +212,23 @@ def null_space(phi: MixedForm):
     if phi.variance != "form":
         raise ValueError("null spaces are defined for forms")
     dim = phi.dim
-    nmask = 1 << dim
-    cols = []
-    for i in range(dim):
-        cols.append(GenVector.basis_vector(dim, i).act(phi))
-    for i in range(dim):
-        cols.append(GenVector.basis_covector(dim, i).act(phi))
-    mat = [[as_gauss(col.coeff(mask)) for col in cols] for mask in range(nmask)]
-    ker = linalg.kernel(mat)
+    terms = {mask: as_gauss(c) for mask, c in phi.terms.items()}
+
+    def row(target):
+        # v . phi = i_X phi + xi ^ phi reaches blade `target` from the blade
+        # target ^ e_i of phi: by contraction (column i) when i is not in
+        # target, by wedge (column dim + i) when it is; the sign is the same
+        out = {}
+        for i in range(dim):
+            bit = 1 << i
+            c = terms.get(target ^ bit)
+            if c is not None:
+                col = dim + i if target & bit else i
+                out[col] = -c if (target & (bit - 1)).bit_count() & 1 else c
+        return out
+
+    targets = {mask ^ (1 << i) for mask in terms for i in range(dim)}
+    ker = linalg.kernel(map(row, targets), 2 * dim)
     vectors = [GenVector.from_coords(v) for v in ker]
     return vectors, len(vectors) == dim
 

@@ -159,6 +159,14 @@ def parse_scalar(s, names=(), location="scalar"):
     return p
 
 
+def parse_int(x, location) -> int:
+    """An integer given as a JSON number or a numeric string."""
+    try:
+        return int(x)
+    except (TypeError, ValueError):
+        raise JobError(f"must be an integer, got {x!r}", location) from None
+
+
 def scalar_str(x) -> str:
     if isinstance(x, Poly):
         return poly_str(x)
@@ -169,14 +177,20 @@ def parse_chart(doc, location="chart") -> Chart:
     if not isinstance(doc, dict):
         raise JobError("chart must be an object", location)
     if "complex_dim" in doc:
-        return Chart.complex_plane(int(doc["complex_dim"]))
+        return Chart.complex_plane(parse_int(doc["complex_dim"], f"{location}.complex_dim"))
     names = doc.get("vars")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise JobError("chart.vars must be a list of names", location)
-    pairs = tuple(
-        (int(a) - 1, int(b) - 1) for a, b in doc.get("complex_pairs", [])
-    )
-    return Chart(tuple(names), pairs)
+    pairs_doc = doc.get("complex_pairs", [])
+    if not isinstance(pairs_doc, list):
+        raise JobError("complex_pairs must be a list of [a, b] pairs", f"{location}.complex_pairs")
+    pairs = []
+    for i, ab in enumerate(pairs_doc):
+        where = f"{location}.complex_pairs[{i}]"
+        if not isinstance(ab, list) or len(ab) != 2:
+            raise JobError("a complex pair is [a, b]", where)
+        pairs.append(tuple(parse_int(x, where) - 1 for x in ab))
+    return Chart(tuple(names), tuple(pairs))
 
 
 def parse_form(doc, dim: int, names=(), variance="form", location="form") -> MixedForm:
@@ -228,6 +242,8 @@ def parse_section(doc, dim: int, names=(), location="section") -> GenVector:
         raise JobError("section must be {vec: [...], covec: [...]}", location)
     vec = doc.get("vec", ["0"] * dim)
     covec = doc.get("covec", ["0"] * dim)
+    if not isinstance(vec, list) or not isinstance(covec, list):
+        raise JobError("section vec and covec must be lists of scalars", location)
     if len(vec) != dim or len(covec) != dim:
         raise JobError(f"section components must have length {dim}", location)
     return GenVector(

@@ -4,18 +4,27 @@ Matrices are plain lists of lists.  Products, transposes and identity checks
 work for any scalar ring (GaussRat or Poly) by duck typing.
 
 Row reduction, kernels, solves, ranks and inverses are defined over the
-GaussRat field and share one Gauss-Jordan core, `_eliminate`, which works on
-sparse rows {column: nonzero GaussRat} and never visits a zero entry.  `rref`,
+GaussRat field and share one Gauss-Jordan core, `_eliminate`.  It works on
+sparse rows {column: (a, b)} of gaussian integers a + bi: each input row is
+scaled by the lcm of its denominators, a row is reduced by a pivot row with
+integer multiply-and-subtract steps, and each pivot row is kept primitive by
+one gcd over its integers when it is made or changed.  No entry is normalised
+inside the loop; `GaussRat._raw` runs once per entry of the result.  The core
+never visits a zero entry, and rows are read as it consumes them.  `rref`,
 `rank`, `inverse`, `row_space_basis` and the `span_*` tests take dense rows
 and return what a dense elimination returns.  `kernel`, `solve` and
-`solve_with_rank` also take a list of dict rows plus a column count, which is
-how the polynomial-ansatz solvers pass their tall, almost empty systems.
+`solve_with_rank` also take dict rows plus a column count, which is how the
+polynomial-ansatz solvers and `isotropics.null_space` pass their tall, almost
+empty systems.
 
 `det` (GaussRat) and the ring functions `ring_det` and `adjugate_inverse`
 (Laplace expansion, for Poly entries) keep their own dense loops.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from math import gcd, lcm
 
 from .scalars import GaussRat, ONE, ZERO, as_gauss
 
@@ -92,66 +101,129 @@ def is_antisymmetric(a) -> bool:
 # field operations (GaussRat entries only)
 # ---------------------------------------------------------------------------
 
-def _rows(m, ncols=None):
-    """Fresh sparse rows {column: nonzero GaussRat} of m, and the column count.
+def _row(entries):
+    """Gaussian-integer row {column: (a, b)} spanning the same line.
 
-    m is a list of dense rows, or, when ncols is given, a list of dicts
-    {column: scalar} over ncols columns.
+    entries are (column, scalar) pairs; the nonzero scalars are scaled by the
+    lcm of their denominators, so each becomes a + bi with a, b integers.
+    """
+    gs = [(j, g) for j, g in ((j, as_gauss(x)) for j, x in entries) if g]
+    lc = lcm(*(g.q for _, g in gs))
+    return {j: (g.a * (lc // g.q), g.b * (lc // g.q)) for j, g in gs}
+
+
+def _entries(m, ncols=None):
+    """The (column, scalar) pairs of each row of m, and the column count.
+
+    m is a list of dense rows, or, when ncols is given, an iterable of dicts
+    {column: scalar} over ncols columns.  Rows are read as they are consumed.
     """
     if ncols is None:
-        ncols = len(m[0]) if m else 0
-        return [{j: g for j, g in enumerate(map(as_gauss, row)) if g} for row in m], ncols
-    return [{j: as_gauss(x) for j, x in row.items() if x} for row in m], ncols
+        return (enumerate(row) for row in m), len(m[0]) if m else 0
+    return (row.items() for row in m), ncols
+
+
+def _rows(m, ncols=None):
+    """Integer sparse rows of m (see `_row`), and the column count."""
+    entries, ncols = _entries(m, ncols)
+    return map(_row, entries), ncols
 
 
 def _eliminate(rows):
-    """Gauss-Jordan elimination over sparse rows, which it consumes.
+    """Fraction-free Gauss-Jordan elimination over integer sparse rows.
 
-    Returns {pivot column: tail}: the reduced row echelon form of the rows,
-    pivot row by pivot row, where a tail holds the row's nonzero entries
-    other than its leading 1.  Rows are added one at a time to the reduced
-    form of the rows before them.  An added row is cleared at the pivot
-    columns it has an entry in; if anything is left, its leading column
-    becomes a new pivot and is cleared from the pivot rows that have an entry
-    there.  Every update touches only the nonzero entries of the row it
-    subtracts.  The reduced row echelon form is unique, so the result does
-    not depend on the order of the rows.
+    rows are {column: (a, b)} maps of nonzero gaussian integers a + bi, each
+    standing for the line it spans; they are consumed.  Returns {pivot
+    column: (p, tail)}: the reduced row echelon form, pivot row by pivot
+    row, where the row is (p at the pivot column + tail) / p, p is a
+    positive integer and the tail holds the other nonzero entries.
+
+    Rows are added one at a time to the reduced form of the rows before
+    them.  An added row r is cleared at the pivot columns it has entries in
+    by r <- L r - sum (L / p) r[c] tail_c, with L the lcm of those pivots'
+    p, so no division happens.  If anything is left, its leading column
+    becomes a new pivot: the row is multiplied by the conjugate of its
+    leading entry, which makes that entry a positive integer, and the pivot
+    is cleared from the pivot rows that have an entry there by the same
+    integer step.  A pivot row is divided by the gcd of its integers each
+    time it is made or changed, so it is primitive; its p is then the lcm
+    of the denominators of the reduced row, and entries do not grow with
+    the number of rows.  The reduced row echelon form is unique, so the
+    result does not depend on the order of the rows.
     """
-    tails = {}
+    pivots = {}
     for r in rows:
-        for c in [c for c in r if c in tails]:
-            _axpy(r, -r.pop(c), tails[c])
+        hits = [(c, *pivots[c]) for c in r if c in pivots]
+        if hits:
+            r = _reduce(r, hits)
         if not r:
             continue
         c = min(r)
-        inv = ONE / r.pop(c)
-        r = {j: x * inv for j, x in r.items()}
-        for t in tails.values():
-            f = t.pop(c, None)
-            if f is not None:
-                _axpy(t, -f, r)
-        tails[c] = r
-    return tails
+        a, b = r.pop(c)
+        if b:
+            r = {j: (x * a + y * b, y * a - x * b) for j, (x, y) in r.items()}
+        elif a < 0:
+            r = {j: (-x, -y) for j, (x, y) in r.items()}
+        p, r = _primitive(a * a + b * b if b else abs(a), r)
+        for d, (q, t) in pivots.items():
+            if c in t:
+                pivots[d] = _primitive(p * q, _reduce(t, [(c, p, r)]))
+        pivots[c] = p, r
+    return pivots
 
 
-def _axpy(r, f, t):
-    """r += f * t on sparse rows, dropping entries that cancel."""
-    for j, y in t.items():
-        x = r.get(j)
-        if x is None:
-            r[j] = f * y
-        else:
-            x = x + f * y
-            if x:
-                r[j] = x
-            else:
-                del r[j]
+def _reduce(r, hits):
+    """L r - sum of (L / p) r[c] tail over the pivot rows (c, p, tail) in hits.
+
+    L is the lcm of their p, so the result is an integer row with no entry
+    at their pivot columns.
+    """
+    lc = lcm(*(p for _, p, _ in hits))
+    drop = {c for c, _, _ in hits}
+    out = {j: (lc * x, lc * y) for j, (x, y) in r.items() if j not in drop}
+    for c, p, t in hits:
+        k = lc // p
+        x, y = r[c]
+        _addmul(out, (-k * x, -k * y), t)
+    return out
+
+
+def _addmul(out, f, t):
+    """out += f t on integer sparse rows, dropping entries that cancel."""
+    fa, fb = f
+    for j, (x, y) in t.items():
+        u, v = fa * x - fb * y, fa * y + fb * x
+        cur = out.get(j)
+        if cur is not None:
+            u += cur[0]
+            v += cur[1]
+            if not (u or v):
+                del out[j]
+                continue
+        out[j] = (u, v)
+
+
+def _primitive(p, t):
+    """(p, t) divided by the gcd of p and every integer in t."""
+    g = gcd(p, *(z for xy in t.values() for z in xy))
+    if g > 1:
+        p //= g
+        t = {j: (x // g, y // g) for j, (x, y) in t.items()}
+    return p, t
+
+
+def _reduced(rows):
+    """{pivot column: tail}: the reduced rows, tails as GaussRat entries."""
+    return {
+        c: {j: GaussRat._raw(x, y, p) for j, (x, y) in t.items()}
+        for c, (p, t) in _eliminate(rows).items()
+    }
 
 
 def rref(m):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
     rows, ncols = _rows(m)
-    tails = _eliminate(rows)
+    tails = _reduced(rows)
     piv = sorted(tails)
     red = []
     for c in piv:
@@ -171,12 +243,12 @@ def rank(m) -> int:
 def kernel(m, ncols=None):
     """Basis of the right kernel of m, as a list of vectors.
 
-    m is dense, or a list of dict rows over ncols columns.  There is one
+    m is dense, or an iterable of dict rows over ncols columns.  There is one
     vector per non-pivot column f, with a 1 at f and 0 at the other
     non-pivot columns.
     """
     rows, ncols = _rows(m, ncols)
-    tails = _eliminate(rows)
+    tails = _reduced(rows)
     basis = {f: [ZERO] * ncols for f in range(ncols) if f not in tails}
     for f, v in basis.items():
         v[f] = ONE
@@ -193,12 +265,13 @@ def solve_with_rank(m, b, ncols=None):
     sets every free variable to 0; it is the only one when the rank equals
     the number of columns.
     """
-    rows, ncols = _rows(m, ncols)
-    for row, y in zip(rows, b):
-        y = as_gauss(y)
-        if y:
-            row[ncols] = y
-    tails = _eliminate(rows)
+    entries, ncols = _entries(m, ncols)
+    b = list(b)
+    rows = (
+        _row(chain(e, [(ncols, b[i])] if i < len(b) else []))
+        for i, e in enumerate(entries)
+    )
+    tails = _reduced(rows)
     if ncols in tails:
         return None, len(tails) - 1
     x = [ZERO] * ncols
@@ -214,10 +287,8 @@ def solve(m, b, ncols=None):
 
 def inverse(m):
     n = len(m)
-    rows, _ = _rows(m)
-    for i, row in enumerate(rows):
-        row[n + i] = ONE
-    tails = _eliminate(rows)
+    rows = (_row(chain(enumerate(row), [(n + i, ONE)])) for i, row in enumerate(m))
+    tails = _reduced(rows)
     if sorted(tails) != list(range(n)):
         raise ValueError("matrix is singular")
     out = []

@@ -18,3 +18,8 @@ def gauss_rats(draw, span=3, den=2):
 @st.composite
 def small_masks(draw, dim):
     return draw(st.integers(0, (1 << dim) - 1))
+
+
+def wide_gauss_rats():
+    """Numerators up to 10^6 and denominators up to 50, so rows carry content."""
+    return gauss_rats(10**6, 50)

@@ -226,6 +226,47 @@ class TestCommands:
             assert code == 2
             assert "schema_version" in json.loads(out)["counterexample"]["error"]
 
+    @pytest.mark.parametrize(
+        "filename,path,value,where",
+        [
+            ("maurer_cartan_cubic.json", ("eps",), [5], "eps[0]: "),
+            ("maurer_cartan_cubic.json", ("eps", 0, "basis", 0), [], "eps[0].basis: "),
+            ("deform_z1.json", ("beta",), ["x"], "beta[0]: "),
+            ("pullback_graph_b.json", ("dirac_frame", 0, "vec"), 5, "dirac_frame[0]: "),
+            ("pullback_graph_b.json", ("dirac_frame",), 5, "dirac_frame: "),
+            ("pullback_graph_b.json", ("chart", "complex_pairs"), 5, "chart.complex_pairs: "),
+            ("pullback_graph_b.json", ("chart", "complex_pairs"), [[1]],
+             "chart.complex_pairs[0]: "),
+            ("deform_z1.json", ("chart", "complex_dim"), [], "chart.complex_dim: "),
+            ("brane_lagrangian.json", ("submanifold", "params"), 5, "submanifold.params: "),
+            ("brane_lagrangian.json", ("submanifold", "params"), [1, 9], "submanifold.params: "),
+            ("brane_lagrangian.json", ("submanifold", "graph"), [], "submanifold.graph: "),
+            ("axiom_suite_r3.json", ("cases",), [], "cases: "),
+            ("axiom_suite_r3.json", ("seed",), {}, "seed: "),
+            ("type_map_grid.json", ("samples",), 3, "samples: "),
+            ("type_jump_c2.json", ("degree_bound",), [], "degree_bound: "),
+        ],
+        ids=[
+            "eps-term", "eps-index", "beta-term", "section-vec", "frame", "complex-pairs",
+            "complex-pair", "complex-dim", "params", "params-range", "graph", "cases",
+            "seed", "samples", "degree-bound",
+        ],
+    )
+    def test_odd_json_shape_exit_2(self, filename, path, value, where, tmp_path, capsys):
+        with open(case(filename)) as f:
+            doc = json.load(f)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        p = tmp_path / filename
+        p.write_text(json.dumps(doc))
+        code = main([doc["command"], str(p)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        error = json.loads(captured.out)["counterexample"]["error"]
+        assert error and error.startswith(where)
+
     def test_mathematical_fail_exit_1(self, tmp_path, capsys):
         doc = {
             "schema_version": 1,

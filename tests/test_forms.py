@@ -17,6 +17,8 @@ from gcgeo.forms import (
     two_form_from_map,
 )
 
+from conftest import gauss_rats
+
 
 def blade(dim, *idx, coeff=ONE, variance="form"):
     return MixedForm.blade(dim, [i - 1 for i in idx], coeff, variance)
@@ -260,3 +262,57 @@ class TestCapacityBoundary:
         b = MixedForm.blade(m, [1, 2, 3])
         assert a.wedge(b).min_degree() == 6
         assert mukai_coeff(MixedForm.one(m), MixedForm.top(m)) == ONE
+
+
+def mukai_by_wedge(s, t):
+    """Reference: the top coefficient of the full wedge reversal(s) ^ t."""
+    return s.reversal().wedge(t).coeff((1 << s.dim) - 1)
+
+
+@st.composite
+def mukai_pairs(draw, coeffs=gauss_rats(), max_dim=8):
+    """(s, t) of one dimension, with some blades of t complementary to s.
+
+    Degrees are mixed, all odd, or all even.
+    """
+    dim = draw(st.integers(1, max_dim))
+    top = (1 << dim) - 1
+    parity = draw(st.sampled_from(["mixed", "odd", "even"]))
+    masks = st.integers(0, top).filter(
+        lambda m: parity == "mixed" or m.bit_count() % 2 == (parity == "odd")
+    )
+    s_masks = draw(st.lists(masks, max_size=12, unique=True))
+    t_masks = set(draw(st.lists(masks, max_size=6)))
+    t_masks |= {top ^ m for m in s_masks if draw(st.booleans())}
+    s = MixedForm(dim, {m: draw(coeffs) for m in s_masks})
+    t = MixedForm(dim, {m: draw(coeffs) for m in sorted(t_masks)})
+    return s, t
+
+
+class TestMukaiFromComplements:
+    @settings(max_examples=150, deadline=None)
+    @given(mukai_pairs())
+    def test_equals_the_wedge(self, st_pair):
+        s, t = st_pair
+        got = mukai_coeff(s, t)
+        assert got == mukai_by_wedge(s, t) and type(got) is GaussRat
+        assert mukai_coeff(t, s) == mukai_by_wedge(t, s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_poly_coefficients(self, data):
+        from gcgeo.charts import Chart
+        from gcgeo.randgen import Rng
+
+        chart = Chart.real("x", "y")
+        rng = Rng(data.draw(st.integers(0, 10**6)))
+        coeffs = st.builds(lambda: rng.poly(chart, 2, 2, complex_ok=True))
+        s, t = data.draw(mukai_pairs(coeffs, max_dim=5))
+        got, want = mukai_coeff(s, t), mukai_by_wedge(s, t)
+        assert got == want and type(got) is type(want)
+
+    def test_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            mukai_coeff(MixedForm.one(3), MixedForm.one(4))
+        with pytest.raises(ValueError, match="variance"):
+            mukai_coeff(MixedForm.one(3), MixedForm.one(3, "mv"))

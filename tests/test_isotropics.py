@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcgeo.scalars import GaussRat, IUNIT, ONE, ZERO
 from gcgeo.forms import MixedForm, map_from_two_form, mukai_coeff
@@ -27,6 +29,7 @@ from gcgeo.isotropics import (
 from gcgeo.randgen import Rng
 from gcgeo import linalg
 
+from conftest import gauss_rats
 from test_forms import blade
 
 
@@ -389,3 +392,50 @@ class TestTensorProductMore:
             lhs = tensor_product(transform(l1, t1), transform(l2, t2))
             rhs = transform(tensor_product(l1, l2), t12)
             assert lhs.equals(rhs)
+
+
+def null_space_matrix(phi):
+    """The dense 2^m x 2m matrix of v -> v . phi in the basis e_1..e_m, e^1..e^m."""
+    dim = phi.dim
+    cols = [GenVector.basis_vector(dim, i).act(phi) for i in range(dim)]
+    cols += [GenVector.basis_covector(dim, i).act(phi) for i in range(dim)]
+    return [[col.coeff(mask) for col in cols] for mask in range(1 << dim)]
+
+
+def dense_null_space(phi):
+    """Reference: the kernel of null_space_matrix(phi)."""
+    vectors = [GenVector.from_coords(v) for v in linalg.kernel(null_space_matrix(phi))]
+    return vectors, len(vectors) == phi.dim
+
+
+@st.composite
+def spinor_like_forms(draw):
+    """Pure spinors of random L, sparse forms, and forms missing degrees."""
+    kind = draw(st.sampled_from(["pure", "pure+noise", "sparse", "gapped"]))
+    rng = Rng(draw(st.integers(0, 10**6)))
+    if kind.startswith("pure"):
+        m = draw(st.integers(1, 6))
+        phi = pure_spinor_line(rng.isotropic(m, steps=2))
+        if kind == "pure+noise":
+            phi = phi + rng.form(m, terms=draw(st.integers(1, 3)))
+        return phi
+    m = draw(st.integers(1, 8))
+    degrees = set(range(m + 1))
+    if kind == "gapped":
+        degrees -= draw(st.sets(st.integers(0, m), min_size=1, max_size=m))
+    masks = [mask for mask in range(1 << m) if mask.bit_count() in degrees]
+    if not masks:
+        masks = [0]
+    chosen = draw(st.lists(st.sampled_from(masks), min_size=1, max_size=10, unique=True))
+    return MixedForm(m, {mask: draw(gauss_rats()) for mask in chosen})
+
+
+class TestNullSpaceRows:
+    @settings(max_examples=120, deadline=None)
+    @given(spinor_like_forms())
+    def test_matches_dense_construction(self, phi):
+        if not phi:
+            return
+        vecs, pure = null_space(phi)
+        want_vecs, want_pure = dense_null_space(phi)
+        assert vecs == want_vecs and pure == want_pure

@@ -1,7 +1,9 @@
 """Exact linear algebra: the sparse-row elimination against independent oracles.
 
 Matrices are drawn dense, sparse (at most 10 % fill), tall, wide, square,
-with zero rows and columns, and empty.  `rref` is compared with sympy and
+with zero rows and columns, and empty; entries are small, or have
+numerators up to 10^6 and denominators up to 50, so that the integer rows
+of the elimination carry content to remove.  `rref` is compared with sympy and
 with the plain dense Gauss-Jordan loop below; kernels, solves and inverses
 are checked by their defining equations.
 """
@@ -13,16 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcgeo import linalg
+from gcgeo.isotropics import pure_spinor_line
+from gcgeo.randgen import Rng
 from gcgeo.scalars import GaussRat, ONE, ZERO
 
-from conftest import gauss_rats
+from conftest import gauss_rats, wide_gauss_rats
+from test_isotropics import null_space_matrix
 
 SHAPES = {"square": (1, 1), "tall": (3, 1), "wide": (1, 3)}
 FILL = {"dense": 100, "half": 50, "sparse": 10}
 
 
 @st.composite
-def matrices(draw, rows=None, cols=None):
+def matrices(draw, rows=None, cols=None, entries=gauss_rats()):
     """A GaussRat matrix as dense rows; `rows`/`cols` pin its shape."""
     if rows is None:
         kind = draw(st.sampled_from(sorted(SHAPES)))
@@ -40,7 +45,7 @@ def matrices(draw, rows=None, cols=None):
         for j in range(cols):
             keep = i not in zero_rows and j not in zero_cols
             keep = keep and draw(st.integers(0, 99)) < fill
-            row.append(draw(gauss_rats()) if keep else ZERO)
+            row.append(draw(entries) if keep else ZERO)
         m.append(row)
     return m
 
@@ -198,3 +203,49 @@ class TestSpans:
         assert len(basis) == linalg.rank(m)
         assert all(linalg.span_contains(basis, row) for row in m)
         assert linalg.span_equal(basis, m)
+
+
+class TestWideEntries:
+    """Large numerators and denominators up to 50, mostly complex pivots."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(entries=wide_gauss_rats()))
+    def test_rref_matches_dense_loop(self, m):
+        assert linalg.rref(m) == dense_rref(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(matrices(entries=wide_gauss_rats()))
+    def test_kernel_and_dict_rows(self, m):
+        ker = linalg.kernel(m)
+        assert len(ker) == ncols_of(m) - len(dense_rref(m)[1])
+        assert all(not any(mat_vec(m, v)) for v in ker)
+        assert linalg.kernel(dict_rows(m), ncols_of(m)) == ker
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_solve(self, data):
+        m = data.draw(matrices(entries=wide_gauss_rats()))
+        x = [data.draw(wide_gauss_rats()) for _ in range(ncols_of(m))]
+        b = mat_vec(m, x)
+        got, rank = linalg.solve_with_rank(m, b)
+        assert rank == len(dense_rref(m)[1])
+        assert mat_vec(m, got) == b
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: matrices(rows=n, cols=n, entries=wide_gauss_rats())))
+    def test_inverse(self, m):
+        if len(dense_rref(m)[1]) < len(m):
+            with pytest.raises(ValueError, match="singular"):
+                linalg.inverse(m)
+            return
+        assert linalg.mat_mul(linalg.inverse(m), m) == linalg.identity(len(m))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_null_space_matrix_at_m8_matches_dense_loop(seed):
+    rng = Rng(seed)
+    pure = pure_spinor_line(rng.isotropic(8))
+    for phi in (pure, pure + rng.form(8, terms=6)):
+        m = null_space_matrix(phi)
+        assert len(m) == 256
+        assert linalg.rref(m) == dense_rref(m)
