@@ -8,11 +8,16 @@ file is byte-stable; tests/test_golden.py asserts that every report still
 matches.  Paths are given relative to the repository root, because error
 reports name the file they could not read.
 
-    PYTHONPATH=src python3 scripts/golden.py
+    PYTHONPATH=src python3 scripts/golden.py          # rewrite tests/golden/
+    PYTHONPATH=src python3 scripts/golden.py --check  # compare, write nothing
+
+--check regenerates every report in memory, prints the case files whose
+report differs from (or is missing in) tests/golden/, and exits 1 if any do.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import glob
 import io
@@ -52,12 +57,36 @@ def golden_path(name: str) -> str:
     return os.path.join(GOLDEN, name)
 
 
-def main():
+def differing() -> list:
+    """Case files whose report is not byte-identical to its golden copy."""
+    out = []
+    for name in case_names():
+        try:
+            with open(golden_path(name)) as fh:
+                golden = fh.read()
+        except FileNotFoundError:
+            golden = None
+        if report(name) != golden:
+            out.append(name)
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--check", action="store_true",
+                   help="list the case files whose report differs; write nothing")
+    args = p.parse_args(argv)
+    if args.check:
+        names = differing()
+        for name in names:
+            print(name)
+        return 1 if names else 0
     os.makedirs(GOLDEN, exist_ok=True)
     for name in case_names():
         with open(golden_path(name), "w") as fh:
             fh.write(report(name))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import GaussRat, Poly, ZERO, as_gauss
+from .scalars import GaussRat, Poly, add_term, as_gauss
 from .forms import MixedForm, covector_form
 from .clifford import GenVector
 from .charts import Chart
@@ -21,21 +21,25 @@ from . import linalg
 # ---------------------------------------------------------------------------
 
 def d(chart: Chart, phi: MixedForm) -> MixedForm:
-    """Exterior derivative of a polynomial-coefficient form."""
+    """Exterior derivative of a polynomial-coefficient form.
+
+    d(c e^mask) = sum over i not in mask of dc/dx_i e^i ^ e^mask, where moving
+    e^i past the generators of mask below i gives the sign.
+    """
     if phi.variance != "form":
         raise ValueError("d acts on forms")
-    m = chart.dim
-    out = MixedForm.zero(m)
+    out: dict = {}
     for mask, c in phi.terms.items():
         if not isinstance(c, Poly):
             continue
         for i, name in enumerate(chart.names):
+            bit = 1 << i
+            if mask & bit:
+                continue
             dc = c.diff(name)
             if dc:
-                out = out + covector_form(m, [dc if j == i else ZERO for j in range(m)]).wedge(
-                    MixedForm(m, {mask: chart.one()})
-                )
-    return out
+                add_term(out, mask | bit, -dc if (mask & (bit - 1)).bit_count() & 1 else dc)
+    return MixedForm(chart.dim, out)
 
 
 @dataclass(frozen=True)
@@ -78,8 +82,12 @@ def vf_bracket(chart: Chart, x_coeffs, y_coeffs):
     out = []
     for i in range(chart.dim):
         acc = chart.zero()
+        xi, yi = x_coeffs[i], y_coeffs[i]
         for j, name in enumerate(chart.names):
-            acc = acc + x_coeffs[j] * y_coeffs[i].diff(name) - y_coeffs[j] * x_coeffs[i].diff(name)
+            if yi and x_coeffs[j]:
+                acc = acc + x_coeffs[j] * yi.diff(name)
+            if xi and y_coeffs[j]:
+                acc = acc - y_coeffs[j] * xi.diff(name)
         out.append(acc)
     return out
 

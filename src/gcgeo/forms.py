@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussRat, ONE, ZERO
+from .scalars import GaussRat, ONE, ZERO, add_term
 
 MAX_DIM = 12
 _ODD_INDICES = sum(1 << i for i in range(1, MAX_DIM, 2))
@@ -112,11 +112,7 @@ class MixedForm:
         self._check_peer(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            add_term(out, m, c)
         return MixedForm(self.dim, out, self.variance)
 
     def __sub__(self, other):
@@ -142,11 +138,7 @@ class MixedForm:
                 t = ca * cb
                 if sgn < 0:
                     t = -t
-                s = out.get(m, ZERO) + t
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                add_term(out, m, t)
         return MixedForm(self.dim, out, self.variance)
 
     # -- grading ------------------------------------------------------------
@@ -188,12 +180,7 @@ class MixedForm:
                 t = x * c
                 if contract_sign(mask, i) < 0:
                     t = -t
-                m2 = mask ^ low
-                s = out.get(m2, ZERO) + t
-                if s:
-                    out[m2] = s
-                else:
-                    out.pop(m2, None)
+                add_term(out, mask ^ low, t)
         return MixedForm(self.dim, out, self.variance)
 
     def contract_blade(self, blade_mask: int) -> "MixedForm":
@@ -215,12 +202,7 @@ class MixedForm:
                 rem ^= low
                 sgn *= contract_sign(cur, i)
                 cur ^= low
-            t = c if sgn > 0 else -c
-            s = out.get(cur, ZERO) + t
-            if s:
-                out[cur] = s
-            else:
-                out.pop(cur, None)
+            add_term(out, cur, c if sgn > 0 else -c)
         return MixedForm(self.dim, out, self.variance)
 
     def contract_mv(self, mv: "MixedForm") -> "MixedForm":

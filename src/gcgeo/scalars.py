@@ -7,7 +7,8 @@ floating point anywhere; all identities are decided exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
+from operator import add as _add
 
 
 class NoExactSquareRoot(ArithmeticError):
@@ -28,7 +29,21 @@ def _fr(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
-from math import gcd
+def add_term(out: dict, key, c):
+    """out[key] += c for a sparse map of nonzero coefficients.
+
+    The entry is dropped when the sum is zero.  A missing entry takes c as it
+    is, so a Poly coefficient is never added to the GaussRat ZERO.
+    """
+    s = out.get(key)
+    if s is None:
+        out[key] = c
+    else:
+        s = s + c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
 
 
 class GaussRat:
@@ -285,6 +300,12 @@ class Poly:
 
     Terms map exponent tuples to nonzero coefficients.  Variables are real:
     conjugation only conjugates coefficients.  There is no division.
+
+    `Poly(vars, terms)` copies `terms` and drops its zero coefficients.
+    `Poly._raw(vars, terms)` stores both as given and checks nothing, so its
+    caller promises that `vars` is a tuple, that every key of `terms` is a
+    tuple of len(vars) ints, that every value is a nonzero GaussRat, and that
+    no one changes `terms` afterwards.
     """
 
     __slots__ = ("vars", "terms")
@@ -296,12 +317,19 @@ class Poly:
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
 
+    @staticmethod
+    def _raw(vars: tuple, terms: dict) -> "Poly":
+        out = object.__new__(Poly)
+        object.__setattr__(out, "vars", vars)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     # -- constructors -----------------------------------------------------
     @classmethod
     def const(cls, vars, c) -> "Poly":
         c = c if isinstance(c, GaussRat) else GaussRat(c)
-        zero = (0,) * len(vars)
-        return cls(vars, {zero: c} if c else {})
+        vars = tuple(vars)
+        return Poly._raw(vars, {(0,) * len(vars): c} if c else {})
 
     @classmethod
     def var(cls, vars, name) -> "Poly":
@@ -309,71 +337,123 @@ class Poly:
         if name not in vars:
             raise MismatchedVariables(f"{name!r} is not a chart variable of {vars}")
         e = tuple(1 if v == name else 0 for v in vars)
-        return cls(vars, {e: ONE})
+        return Poly._raw(vars, {e: ONE})
 
     @classmethod
     def zero(cls, vars) -> "Poly":
-        return cls(vars, {})
+        return Poly._raw(tuple(vars), {})
 
     # -- helpers -----------------------------------------------------------
-    def _lift(self, other):
-        if isinstance(other, Poly):
-            if other.vars != self.vars:
-                raise MismatchedVariables(
-                    f"polynomials over {self.vars} and {other.vars} cannot be combined"
-                )
-            return other
-        g = _coerce(other)
-        if g is NotImplemented:
-            return NotImplemented
-        return Poly.const(self.vars, g)
+    def _peer(self, other: "Poly") -> dict:
+        """The terms of a Poly over the same variables."""
+        if other.vars != self.vars:
+            raise MismatchedVariables(
+                f"polynomials over {self.vars} and {other.vars} cannot be combined"
+            )
+        return other.terms
+
+    def _plus_const(self, g: GaussRat) -> "Poly":
+        if not g:
+            return self
+        out = dict(self.terms)
+        add_term(out, (0,) * len(self.vars), g)
+        return Poly._raw(self.vars, out)
+
+    def _scaled(self, g: GaussRat) -> "Poly":
+        if not g:
+            return Poly._raw(self.vars, {})
+        return Poly._raw(self.vars, {e: c * g for e, c in self.terms.items()})
 
     # -- ring operations ----------------------------------------------------
     def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Poly):
+            g = _coerce(other)
+            if g is NotImplemented:
+                return NotImplemented
+            return self._plus_const(g)
+        terms = self._peer(other)
+        if not terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s:
-                out[e] = s
+        get = out.get
+        for e, c in terms.items():
+            s = get(e)
+            if s is None:
+                out[e] = c
             else:
-                out.pop(e, None)
-        return Poly(self.vars, out)
+                s = s + c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return Poly._raw(self.vars, out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if not isinstance(other, Poly):
+            g = _coerce(other)
+            if g is NotImplemented:
+                return NotImplemented
+            return self._plus_const(-g)
+        terms = self._peer(other)
+        if not terms:
+            return self
+        out = dict(self.terms)
+        get = out.get
+        for e, c in terms.items():
+            s = get(e)
+            if s is None:
+                out[e] = -c
+            else:
+                s = s - c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return Poly._raw(self.vars, out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Poly):
+            g = _coerce(other)
+            if g is NotImplemented:
+                return NotImplemented
+            return self._scaled(g)
+        a, b = self.terms, self._peer(other)
+        if not a:
+            return self
+        if not b:
+            return other
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a monomial factor maps distinct exponents to distinct exponents
+            ((e2, c2),) = b.items()
+            if not any(e2):
+                return Poly._raw(self.vars, {e: c * c2 for e, c in a.items()})
+            return Poly._raw(self.vars, {tuple(map(_add, e, e2)): c * c2 for e, c in a.items()})
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(self.vars, out)
+        get = out.get
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(_add, e1, e2))
+                s = get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+        return Poly._raw(self.vars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("a polynomial has no negative power: there is no division")
         out = Poly.const(self.vars, ONE)
         base = self
         while n:
@@ -384,18 +464,25 @@ class Poly:
         return out
 
     def conj(self) -> "Poly":
-        return Poly(self.vars, {e: c.conj() for e, c in self.terms.items()})
+        return Poly._raw(self.vars, {e: c.conj() for e, c in self.terms.items()})
 
     # -- calculus ------------------------------------------------------------
     def diff(self, name: str) -> "Poly":
         """Formal partial derivative."""
-        i = self.vars.index(name)
+        try:
+            i = self.vars.index(name)
+        except ValueError:
+            raise MismatchedVariables(
+                f"{name!r} is not a chart variable of {self.vars}"
+            ) from None
         out = {}
+        # lowering e[i] is injective on the terms it keeps, so nothing collides
         for e, c in self.terms.items():
-            if e[i]:
-                e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
-                out[e2] = out.get(e2, ZERO) + GaussRat(e[i]) * c
-        return Poly(self.vars, out)
+            k = e[i]
+            if k:
+                e2 = e[:i] + (k - 1,) + e[i + 1 :]
+                out[e2] = c if k == 1 else GaussRat._raw(k * c.a, k * c.b, c.q)
+        return Poly._raw(self.vars, out)
 
     def eval(self, point: dict) -> GaussRat:
         """Substitute gaussian-rational coordinates for every variable."""

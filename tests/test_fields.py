@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcgeo.scalars import GaussRat, Poly, IUNIT, ONE, ZERO
-from gcgeo.forms import MixedForm, two_form_from_map
+from gcgeo.forms import MixedForm, covector_form, two_form_from_map
 from gcgeo.clifford import GenVector
 from gcgeo.charts import Chart
 from gcgeo.fields import (
@@ -33,7 +35,53 @@ def mv(chart, coeff, *idx):
     return MixedForm(chart.dim, {mask: coeff}, "mv")
 
 
+def d_by_wedges(chart, phi):
+    """d as the sum of dc/dx_i dx^i ^ e^mask over blades and every i, built by wedges."""
+    m = chart.dim
+    out = MixedForm.zero(m)
+    for mask, c in phi.terms.items():
+        if not isinstance(c, Poly):
+            continue
+        for i, name in enumerate(chart.names):
+            dc = c.diff(name)
+            if dc:
+                out = out + covector_form(m, [dc if j == i else ZERO for j in range(m)]).wedge(
+                    MixedForm(m, {mask: chart.one()})
+                )
+    return out
+
+
+C2 = Chart.complex_plane(2)
+
+
+@st.composite
+def poly_forms(draw, chart):
+    """A mixed-degree form with polynomial, constant-GaussRat and zero coefficients."""
+    rng = Rng(draw(st.integers(0, 10**6)))
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        mask = rng.r.randrange(1 << chart.dim)
+        kind = rng.r.randrange(4)
+        if kind == 0:
+            terms[mask] = rng.gauss()
+        elif kind == 1:
+            terms[mask] = chart.zero()
+        else:
+            terms[mask] = rng.poly(chart, rng.r.randint(0, 3), rng.r.randint(1, 4), complex_ok=True)
+    return MixedForm(chart.dim, terms)
+
+
 class TestExteriorCalculus:
+    @pytest.mark.parametrize("chart", [R3, C2], ids=["R3", "C2"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_d_matches_wedge_construction(self, chart, data):
+        phi = data.draw(poly_forms(chart))
+        dphi = d(chart, phi)
+        assert dphi == d_by_wedges(chart, phi)
+        assert all(isinstance(c, Poly) and c for c in dphi.terms.values())
+        assert not d(chart, dphi)
+
     def test_d_examples(self):
         x = R3.var("x")
         assert d(R3, MixedForm(3, {0b010: x})) == MixedForm(3, {0b011: R3.one()})

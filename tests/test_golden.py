@@ -24,3 +24,22 @@ def test_every_case_has_a_golden_report():
 def test_report_matches_golden(name):
     with open(golden.golden_path(name)) as fh:
         assert golden.report(name) == fh.read()
+
+
+def test_check_passes_on_the_committed_reports(capsys):
+    assert golden.main(["--check"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_check_lists_differences_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    names = golden.case_names()
+    for name in names[1:]:
+        with open(golden.golden_path(name)) as src:
+            (tmp_path / name).write_text(src.read())
+    changed = tmp_path / names[1]
+    changed.write_text(changed.read_text() + " ")
+    before = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(golden, "GOLDEN", str(tmp_path))
+    assert golden.main(["--check"]) == 1
+    assert capsys.readouterr().out.split() == [names[0], names[1]]
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before

@@ -127,3 +127,137 @@ class TestPoly:
     def test_conj_is_coefficientwise(self):
         p = P(x=1) * IUNIT + P(y=2)
         assert p.conj() == P(x=1) * (-IUNIT) + P(y=2)
+
+    def test_negative_power_raises(self):
+        # a polynomial has no inverse; this loop used to run forever
+        with pytest.raises(ValueError, match="negative power"):
+            (P(x=1) + Poly.const(VARS, ONE)) ** -1
+        with pytest.raises(ValueError):
+            Poly.zero(VARS) ** -2
+
+    def test_diff_by_unknown_name(self):
+        with pytest.raises(MismatchedVariables, match="'z' is not a chart variable of"):
+            P(x=1).diff("z")
+
+    def test_diff_scales_by_the_exponent(self):
+        c = GaussRat(Fraction(1, 6), Fraction(-1, 4))
+        p = Poly(VARS, {(3, 1): c, (1, 0): c, (0, 2): c})
+        assert p.diff("x").terms == {(2, 1): GaussRat(Fraction(1, 2), Fraction(-3, 4)), (0, 0): c}
+
+
+# ---------------------------------------------------------------------------
+# Poly arithmetic against sympy
+# ---------------------------------------------------------------------------
+
+TARGET = ("u", "v")
+
+
+def assert_raw_invariants(p, vars=VARS):
+    """What Poly._raw trusts: clean terms keyed by full-length exponent tuples."""
+    assert isinstance(p, Poly)
+    assert p.vars == tuple(vars) and isinstance(p.vars, tuple)
+    for e, c in p.terms.items():
+        assert isinstance(e, tuple) and len(e) == len(vars)
+        assert all(isinstance(k, int) and k >= 0 for k in e)
+        assert isinstance(c, GaussRat) and c
+
+
+@st.composite
+def polys(draw, vars=VARS, max_terms=4, max_exp=3):
+    """Zero, constant and general polynomials, including zero coefficients."""
+    kind = draw(st.sampled_from(["zero", "const", "general", "general"]))
+    if kind == "zero":
+        return Poly.zero(vars)
+    if kind == "const":
+        return Poly.const(vars, draw(gauss_rats()))
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(vars))
+    return Poly(vars, draw(st.dictionaries(exps, gauss_rats(), max_size=max_terms)))
+
+
+def scalars_or_polys():
+    """A right operand: a Poly, a GaussRat (zero included) or an int."""
+    return st.one_of(polys(), gauss_rats(), st.sampled_from([ZERO, ONE]), st.integers(-2, 2))
+
+
+class SympyOracle:
+    """Poly, GaussRat and int operands as sympy expressions in real symbols."""
+
+    def __init__(self):
+        self.sp = pytest.importorskip("sympy")
+        self.syms = {v: self.sp.Symbol(v, real=True) for v in VARS + TARGET}
+
+    def expr(self, p):
+        sp = self.sp
+        if isinstance(p, int):
+            return sp.Integer(p)
+        if isinstance(p, GaussRat):
+            return sp.Rational(p.a, p.q) + sp.I * sp.Rational(p.b, p.q)
+        syms = [self.syms[v] for v in p.vars]
+        return sp.Add(
+            *[self.expr(c) * sp.Mul(*[s**k for s, k in zip(syms, e)]) for e, c in p.terms.items()]
+        )
+
+    def assert_equal(self, p, expected):
+        assert self.sp.expand(self.expr(p) - expected) == 0
+
+
+class TestPolyAgainstSympy:
+    @given(polys(), scalars_or_polys())
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations(self, p, q):
+        oracle = SympyOracle()
+        ep, eq = oracle.expr(p), oracle.expr(q)
+        for result, expected in [
+            (p + q, ep + eq),
+            (q + p, eq + ep),
+            (p - q, ep - eq),
+            (q - p, eq - ep),
+            (p * q, ep * eq),
+            (q * p, eq * ep),
+            (-p, -ep),
+        ]:
+            assert_raw_invariants(result)
+            oracle.assert_equal(result, expected)
+
+    @given(polys(max_terms=3, max_exp=2), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_power(self, p, n):
+        oracle = SympyOracle()
+        result = p**n
+        assert_raw_invariants(result)
+        oracle.assert_equal(result, oracle.expr(p) ** n)
+
+    @given(polys(), st.sampled_from(VARS))
+    @settings(max_examples=100, deadline=None)
+    def test_diff_and_conj(self, p, name):
+        oracle = SympyOracle()
+        dp = p.diff(name)
+        assert_raw_invariants(dp)
+        oracle.assert_equal(dp, oracle.sp.diff(oracle.expr(p), oracle.syms[name]))
+        cp = p.conj()
+        assert_raw_invariants(cp)
+        oracle.assert_equal(cp, oracle.sp.conjugate(oracle.expr(p)))
+
+    @given(
+        polys(max_terms=3, max_exp=2),
+        polys(TARGET, max_terms=3, max_exp=2),
+        st.one_of(polys(TARGET, max_terms=2, max_exp=2), gauss_rats()),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_subs_into(self, p, img_x, img_y):
+        oracle = SympyOracle()
+        result = p.subs_into(TARGET, {"x": img_x, "y": img_y})
+        assert_raw_invariants(result, TARGET)
+        images = {oracle.syms["x"]: oracle.expr(img_x), oracle.syms["y"]: oracle.expr(img_y)}
+        oracle.assert_equal(result, oracle.expr(p).subs(images, simultaneous=True))
+
+    @given(polys())
+    @settings(max_examples=40, deadline=None)
+    def test_constructors_keep_invariants(self, p):
+        assert_raw_invariants(p)
+        padded = Poly(list(VARS), {**p.terms, (4, 4): ZERO})
+        assert_raw_invariants(padded)
+        assert padded == p
+        assert_raw_invariants(Poly.const(list(VARS), 0))
+        assert_raw_invariants(Poly.var(list(VARS), "y"))
+        assert_raw_invariants(Poly.zero(list(VARS)))
