@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import Poly, ONE, ZERO, IUNIT, as_gauss
-from .forms import MixedForm, two_form_from_map, map_from_two_form
+from .forms import MixedForm, covector_form, two_form_from_map, map_from_two_form
 from .clifford import GenVector
 from .charts import Chart
 from .fields import ClosedThreeForm, DiracFrame, d, involutivity_tensor
@@ -249,9 +249,7 @@ def pullback_dirac(
             if c:
                 acc = acc + u.scale(c)
         vec_s = sub.to_s_vector(list(acc.vec))
-        cov_form = sub.pull_form(
-            MixedForm(m, {1 << i: c for i, c in enumerate(acc.covec) if c})
-        )
+        cov_form = sub.pull_form(covector_form(m, acc.covec))
         cov_s = [s_chart.lift(cov_form.coeff(1 << a)) for a in range(ds)]
         projected.append(GenVector(ds, vec_s, cov_s))
     chosen = []

@@ -133,6 +133,13 @@ class Chart:
         cov[i] = self.one()
         return GenVector(self.dim, [self.zero()] * self.dim, cov)
 
+    def coordinate_frame(self) -> list:
+        """The 2m coordinate sections d/dx_1..d/dx_m, dx_1..dx_m of T + T*."""
+        m = self.dim
+        return [self.coordinate_vector(i) for i in range(m)] + [
+            self.coordinate_covector(i) for i in range(m)
+        ]
+
     def lift(self, c) -> Poly:
         """Coerce a constant scalar into the chart ring; a Poly is kept as is."""
         return c if isinstance(c, Poly) else Poly.const(self.names, c)

@@ -34,6 +34,7 @@ from .gcs import (
 )
 from .fields import ClosedThreeForm, DiracFrame, schouten
 from .integrability import (
+    NotPoisson,
     check_spinor_integrability,
     deform_by_bivector,
     hamiltonian_section,
@@ -491,7 +492,7 @@ def cmd_modular(doc, opts):
         f = parse_scalar(doc["f"], chart.names, "f")
     try:
         x = modular_vector_field(chart, beta, vol, log_factor=f, degree_bound=opts.degree_bound)
-    except ValueError as e:
+    except NotPoisson as e:
         return Report("modular", "fail", counterexample={"violation": str(e)})
     return Report("modular", "pass", certificate={"vector_field": section_json(x)})
 

@@ -189,7 +189,7 @@ def schouten(chart: Chart, p: MixedForm, q: MixedForm) -> MixedForm:
 
 def lie_derivative_mv(chart: Chart, x_coeffs, q: MixedForm) -> MixedForm:
     """L_X Q = [X, Q] for a vector field X given by components."""
-    x = MixedForm(chart.dim, {1 << i: c for i, c in enumerate(x_coeffs) if c}, "mv")
+    x = covector_form(chart.dim, x_coeffs, "mv")
     return schouten(chart, x, q)
 
 

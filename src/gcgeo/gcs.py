@@ -2,7 +2,9 @@
 
 Validation, the +i eigenbundle, type and canonical spinor extraction, the
 spinorial Z-grading, the Poisson block, and the constructive pointwise
-decomposition into a complex times a symplectic piece.
+decomposition into a complex times a symplectic piece.  The canonical
+exponent is solved once, block by block, over the coframe dual to an adapted
+basis of Delta + N; the Darboux normal form is those blocks recombined.
 
 Matrices act on column coordinates in the basis (e_1..e_m, e^1..e^m); the
 blocks of J are (A, P_beta_map; B_map, -A^T).
@@ -14,9 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import GaussRat, ONE, ZERO, IUNIT, HALF, as_gauss
-from .forms import MixedForm, check_dim, mukai_coeff, two_form_from_map
+from .forms import MixedForm, check_dim, coefficient_rows, mukai_coeff, two_form_from_map
 from .clifford import GenVector, SoElement
-from .isotropics import MaxIsotropic, canonical_form, pure_spinor_line, max_isotropic_from_spinor
+from .isotropics import (
+    MaxIsotropic, canonical_form, coframe, max_isotropic_from_spinor, pure_spinor_line,
+)
 from . import linalg
 
 
@@ -275,7 +279,10 @@ class CanonicalSpinorData:
     omega_k: MixedForm  # the decomposable lowest piece
     b2: MixedForm  # real 2-form
     om2: MixedForm  # real 2-form
-    a2: MixedForm  # b2 + i om2, the solved exponent
+    a2: MixedForm  # b2 + i om2, the solved exponent: a200 + a101 + a002
+    a200: MixedForm  # the (2,0,0) block, on Delta x Delta
+    a101: MixedForm  # the (1,0,1) block, on Delta x N_{0,1}
+    a002: MixedForm  # the (0,0,2) block, on N_{0,1} x N_{0,1}
     generator: MixedForm
     delta_basis: tuple  # real basis of the symplectic distribution
     n_complement: tuple  # real coordinate indices spanning the transverse N
@@ -299,29 +306,18 @@ def _adapted_splitting(omega_k: MixedForm):
     """Delta = ker(Omega ^ conj Omega), a real complement N, and N_{1,0}."""
     m = omega_k.dim
     oo = omega_k.wedge(omega_k.conj())
-    cols = [
-        GenVector.basis_vector(m, i).act(oo) for i in range(m)
-    ]
-    masks = sorted(set().union(*[set(c.terms) for c in cols]) if any(cols) else set())
-    mat = [[as_gauss(c.coeff(mask)) for c in cols] for mask in masks]
-    ker = linalg.kernel(mat) if mat else linalg.identity(m)
+    rows, _ = coefficient_rows([GenVector.basis_vector(m, i).act(oo) for i in range(m)])
+    ker = linalg.kernel(rows, m)
     delta_rows = _realify(ker)
     if len(delta_rows) != len(ker):
         raise InvalidStructure("symplectic distribution is not conjugation stable")
-    if delta_rows:
-        _, piv = linalg.rref([list(r) for r in delta_rows])
-    else:
-        piv = []
+    _, piv = linalg.rref(delta_rows)
     comp = [c for c in range(m) if c not in piv]
-    # N_{1,0}: vectors of span(comp) x C annihilating conj(Omega)... by the
-    # convention Omega spans det N*_{1,0}, the (0,1) vectors kill Omega.
-    oc = omega_k
-    n_cols = [GenVector.basis_vector(m, c).act(oc) for c in comp]
-    n_masks = sorted(set().union(*[set(c.terms) for c in n_cols]) if any(n_cols) else set())
-    n_mat = [[as_gauss(c.coeff(mask)) for c in n_cols] for mask in n_masks]
-    n_ker = linalg.kernel(n_mat) if n_mat else []
+    # N_{1,0}: by the convention Omega spans det N*_{1,0}, the (0,1)
+    # vectors of span(comp) x C kill Omega
+    rows, _ = coefficient_rows([GenVector.basis_vector(m, c).act(omega_k) for c in comp])
     n01 = []
-    for v in n_ker:
+    for v in linalg.kernel(rows, len(comp)):
         full = [ZERO] * m
         for coeff, c in zip(v, comp):
             full[c] = coeff
@@ -330,31 +326,12 @@ def _adapted_splitting(omega_k: MixedForm):
     return delta_rows, comp, n10, n01
 
 
-def _change_of_basis(delta_rows, n10, n01, m):
-    cols = [list(r) for r in delta_rows] + [list(v) for v in n10] + [list(v) for v in n01]
-    if len(cols) != m:
-        raise InvalidStructure(
-            f"adapted basis has {len(cols)} vectors, expected {m}"
-        )
-    cmat = linalg.transpose(cols)
-    return cmat, linalg.inverse(cmat)
-
-
-def _std_two_form_from_adapted(pairs, cinv, m):
-    """Basis 2-forms e'_i ^ e'_j in standard components, per adapted pair."""
-    out = []
-    cit = linalg.transpose(cinv)
-    for (i, j) in pairs:
-        mprime = linalg.zeros(m, m)
-        mprime[i][j] = ONE
-        mprime[j][i] = -ONE
-        comp = linalg.mat_mul(cit, linalg.mat_mul(mprime, cinv))
-        out.append(two_form_from_map(linalg.transpose(comp)))
-    return out
-
-
 def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
-    """Type and the canonical generator, solved into exp(B + i omega) ^ Omega."""
+    """Type and the canonical generator, solved into exp(B + i omega) ^ Omega.
+
+    The exponent is solved over the coframe e'^a dual to the adapted basis
+    (Delta, N_{1,0}, N_{0,1}), in its (2,0,0), (1,0,1) and (0,0,2) blocks.
+    """
     lft = eigenbundle(s)
     k = lft.type
     if k != gc_type(s):
@@ -365,39 +342,30 @@ def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
     m = s.dim
     omega_k = phi.degree_part(k)
     delta_rows, comp, n10, n01 = _adapted_splitting(omega_k)
-    cmat, cinv = _change_of_basis(delta_rows, n10, n01, m)
-    nd = len(delta_rows)
-    kk = len(n10)
-    pairs = []
-    for i in range(nd):
-        for j in range(i + 1, nd):
-            pairs.append((i, j))  # (2,0,0)
-    for i in range(nd):
-        for j in range(kk):
-            pairs.append((i, nd + kk + j))  # (1,0,1)
-    for i in range(kk):
-        for j in range(i + 1, kk):
-            pairs.append((nd + kk + i, nd + kk + j))  # (0,0,2)
-    basis_forms = _std_two_form_from_adapted(pairs, cinv, m)
-    target = phi.degree_part(k + 2)
-    masks = sorted(
-        set(target.terms)
-        | set().union(*[set(f.wedge(omega_k).terms) for f in basis_forms])
-        if basis_forms
-        else set(target.terms)
-    )
-    mat = []
-    rhs = []
-    images = [f.wedge(omega_k) for f in basis_forms]
-    for mask in masks:
-        mat.append([as_gauss(img.coeff(mask)) for img in images])
-        rhs.append(as_gauss(target.coeff(mask)))
-    sol = linalg.solve(mat, rhs) if mat else []
+    nd, kk = len(delta_rows), len(n10)
+    if nd + 2 * kk != m:
+        raise InvalidStructure(f"adapted basis has {nd + 2 * kk} vectors, expected {m}")
+    e = coframe(delta_rows + n10 + n01)
+    o = nd + kk
+    blocks = [
+        [e[i].wedge(e[j]) for i in range(nd) for j in range(i + 1, nd)],
+        [e[i].wedge(e[o + j]) for i in range(nd) for j in range(kk)],
+        [e[o + i].wedge(e[o + j]) for i in range(kk) for j in range(i + 1, kk)],
+    ]
+    images = [f.wedge(omega_k) for block in blocks for f in block]
+    rows, rhs = coefficient_rows(images, phi.degree_part(k + 2))
+    sol = linalg.solve(rows, rhs, len(images))
     if sol is None:
         raise InvalidStructure("canonical exponent solve is inconsistent")
-    a2 = MixedForm.zero(m)
-    for c, f in zip(sol, basis_forms):
-        a2 = a2 + f.scale(c)
+    coeffs = iter(sol)
+    parts = []
+    for block in blocks:
+        acc = MixedForm.zero(m)
+        for f in block:
+            acc = acc + f.scale(next(coeffs))
+        parts.append(acc)
+    a200, a101, a002 = parts
+    a2 = a200 + a101 + a002
     if not a2.exp_wedge().wedge(omega_k) == phi:
         raise InvalidStructure("exp(A) ^ Omega does not reproduce the generator")
     b2 = (a2 + a2.conj()).scale(HALF)
@@ -414,6 +382,9 @@ def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
         b2=b2,
         om2=om2,
         a2=a2,
+        a200=a200,
+        a101=a101,
+        a002=a002,
         generator=phi,
         delta_basis=tuple(tuple(r) for r in delta_rows),
         n_complement=tuple(comp),
@@ -489,36 +460,7 @@ def darboux_point(s: GCStructure) -> DarbouxData:
     structure.
     """
     data = canonical_spinor(s)
-    m = s.dim
-    delta_rows = [list(r) for r in data.delta_basis]
-    n10 = [list(v) for v in data.n10]
-    n01 = [[c.conj() for c in v] for v in n10]
-    cmat, cinv = _change_of_basis(delta_rows, n10, n01, m)
-    from .forms import map_from_two_form
-
-    amap = map_from_two_form(data.a2) if data.a2 else linalg.zeros(m, m)
-    # component matrix A(e_i, e_j) = amap[j][i]
-    acomp_std = [[amap[j][i] for j in range(m)] for i in range(m)]
-    aprime = linalg.mat_mul(linalg.transpose(cmat), linalg.mat_mul(acomp_std, cmat))
-    nd = len(delta_rows)
-    kk = len(n10)
-
-    def block_form(rows_cols):
-        sel = linalg.zeros(m, m)
-        for (i, j) in rows_cols:
-            sel[i][j] = aprime[i][j]
-            sel[j][i] = aprime[j][i]
-        cit = linalg.transpose(cinv)
-        std = linalg.mat_mul(cit, linalg.mat_mul(sel, cinv))
-        return two_form_from_map(linalg.transpose(std))
-
-    a200 = block_form([(i, j) for i in range(nd) for j in range(i + 1, nd)])
-    a101 = block_form(
-        [(i, nd + kk + j) for i in range(nd) for j in range(kk)]
-    )
-    a002 = block_form(
-        [(nd + kk + i, nd + kk + j) for i in range(kk) for j in range(i + 1, kk)]
-    )
+    a200, a101, a002 = data.a200, data.a101, data.a002
     btilde = (
         (a200 + a200.conj()).scale(HALF)
         + (a101 + a101.conj())
@@ -528,21 +470,10 @@ def darboux_point(s: GCStructure) -> DarbouxData:
     gen = (btilde + omega0.scale(IUNIT)).exp_wedge().wedge(data.omega_k)
     if not gen.proportional_to(data.generator):
         raise InvalidStructure("darboux normal form lost the spinor line")
-    if delta_rows:
-        om_map = map_from_two_form(omega0) if omega0 else linalg.zeros(m, m)
-        omcomp = [[om_map[j][i] for j in range(m)] for i in range(m)]
-        gram = [
-            [
-                sum(
-                    (u[a] * omcomp[a][b] * v[b] for a in range(m) for b in range(m)),
-                    ZERO,
-                )
-                for v in delta_rows
-            ]
-            for u in delta_rows
-        ]
-        if linalg.rank(gram) != nd:
-            raise InvalidStructure("omega0 is degenerate on the symplectic distribution")
+    delta = data.delta_basis
+    gram = [[iu.contract(v).coeff(0) for v in delta] for iu in map(omega0.contract, delta)]
+    if linalg.rank(gram) != len(delta):
+        raise InvalidStructure("omega0 is degenerate on the symplectic distribution")
     return DarbouxData(
         k=data.k,
         btilde=btilde,

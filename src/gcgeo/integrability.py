@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import add
 
-from .scalars import Poly, ZERO, as_gauss
-from .forms import MixedForm, map_from_two_form
+from .scalars import Poly, ZERO
+from .forms import MixedForm, coefficient_rows, covector_form, map_from_two_form
 from .clifford import GenVector
 from .charts import Chart
 from .fields import (
@@ -76,6 +76,10 @@ def ansatz_polys(chart: Chart, coeffs, unknowns, nslots: int):
     return [Poly(chart.names, t) for t in terms]
 
 
+class NotPoisson(ValueError):
+    """The bivector of a modular field problem has [beta, beta] != 0."""
+
+
 @dataclass(frozen=True)
 class WitnessReport:
     verdict: str  # "pass" | "fail" | "inconclusive"
@@ -135,11 +139,9 @@ def check_spinor_integrability(
                 default=0,
             )
         degree_bound = pdeg + hdeg + 1
-    frame = [chart.coordinate_vector(i) for i in range(m)] + [
-        chart.coordinate_covector(i) for i in range(m)
-    ]
+    slots = [u.act(phi) for u in chart.coordinate_frame()]
     rows, rhs, unknowns = ansatz_system(
-        chart, [u.act(phi).terms for u in frame], degree_bound, target.terms
+        chart, [f.terms for f in slots], degree_bound, target.terms
     )
     sol = linalg.solve(rows, rhs, len(unknowns))
     if sol is not None:
@@ -156,21 +158,8 @@ def check_spinor_integrability(
         phi_p = phi.eval_at(p)
         if not phi_p:
             continue
-        target_p = target.eval_at(p)
-        cols = []
-        for slot in range(2 * m):
-            base = (
-                GenVector.basis_vector(m, slot)
-                if slot < m
-                else GenVector.basis_covector(m, slot - m)
-            )
-            cols.append(base.act(phi_p))
-        masks = sorted(
-            set(target_p.terms) | set().union(*[set(c.terms) for c in cols])
-        )
-        mat_p = [[as_gauss(c.coeff(mask)) for c in cols] for mask in masks]
-        rhs_p = [as_gauss(target_p.coeff(mask)) for mask in masks]
-        if linalg.solve(mat_p, rhs_p) is None:
+        rows_p, rhs_p = coefficient_rows([f.eval_at(p) for f in slots], target.eval_at(p))
+        if linalg.solve(rows_p, rhs_p, 2 * m) is None:
             return WitnessReport(
                 "fail",
                 None,
@@ -201,9 +190,7 @@ def nijenhuis_field(chart: Chart, s: GCStructure, h: ClosedThreeForm | None = No
     def japply(v: GenVector) -> GenVector:
         return GenVector.from_coords(linalg.mat_vec(jmat, v.coords()))
 
-    frame = [chart.coordinate_vector(i) for i in range(m)] + [
-        chart.coordinate_covector(i) for i in range(m)
-    ]
+    frame = chart.coordinate_frame()
     out = {}
     for a in range(2 * m):
         for b in range(a + 1, 2 * m):
@@ -242,9 +229,7 @@ def holomorphic_bivector(chart: Chart, components: dict) -> MixedForm:
     for (a, b), f in components.items():
         za = chart.del_z(a)
         zb = chart.del_z(b)
-        blade = MixedForm(m, {1 << i: c for i, c in enumerate(za.vec) if c}, "mv").wedge(
-            MixedForm(m, {1 << i: c for i, c in enumerate(zb.vec) if c}, "mv")
-        )
+        blade = covector_form(m, za.vec, "mv").wedge(covector_form(m, zb.vec, "mv"))
         acc = acc + blade.map_coeffs(lambda c: f * c)
     return acc
 
@@ -349,7 +334,7 @@ def modular_vector_field(
     """
     m = chart.dim
     if schouten(chart, beta_mv, beta_mv):
-        raise ValueError("bivector is not Poisson: [beta, beta] != 0")
+        raise NotPoisson("bivector is not Poisson: [beta, beta] != 0")
     if not volume:
         raise ValueError("volume form is zero")
     phi = chart.lift_form(volume).exp_contract(beta_mv)

@@ -2,7 +2,8 @@
 
 Everything here is pointwise linear algebra over gaussian rationals: canonical
 (Delta, eps) data, spinor lines in both directions, single-block transforms,
-and the tensor product of linear Dirac structures.
+and the tensor product of linear Dirac structures.  A 2-form given by its
+components on a basis is built by wedging the dual coframe (`coframe`).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import ONE, ZERO, as_gauss
-from .forms import MixedForm, check_dim, two_form_from_map
+from .forms import MixedForm, check_dim, covector_form
 from .clifford import GenVector, BlockTransform
 from . import linalg
 
@@ -170,24 +171,31 @@ def _ann_basis(delta_rows, dim):
     return linalg.kernel([list(r) for r in delta_rows])
 
 
-def _extension_of_eps(delta_rows, eps, dim):
-    """2-form components matrix B with i*B = eps, zero on a pivot complement."""
-    if not delta_rows:
-        return linalg.zeros(dim, dim)
+def coframe(basis, variance="form"):
+    """The 1-forms e'^a dual to a basis e'_a of V: e'^a(e'_b) = delta_ab.
+
+    They are the rows of the inverse of the matrix whose columns are the
+    basis vectors; with variance "mv" they are vectors dual to covectors.
+    """
+    cinv = linalg.inverse(linalg.transpose([list(v) for v in basis]))
+    return [covector_form(len(basis), row, variance) for row in cinv]
+
+
+def _extension_of_eps(delta_rows, eps, dim, variance="form"):
+    """sum_{a<b} eps_ab e'^a ^ e'^b: the 2-form with i*B = eps on Delta.
+
+    The coframe is dual to Delta plus a pivot complement, so B vanishes on
+    the complement.
+    """
     _, piv = linalg.rref([list(r) for r in delta_rows])
-    comp = [c for c in range(dim) if c not in piv]
-    cols = [list(r) for r in delta_rows] + [
-        [ONE if i == c else ZERO for i in range(dim)] for c in comp
-    ]
-    cmat = linalg.transpose(cols)
-    cinv = linalg.inverse(cmat)
-    nd = len(delta_rows)
-    bprime = linalg.zeros(dim, dim)
-    for a in range(nd):
-        for b in range(nd):
-            bprime[a][b] = eps[a][b]
-    cit = linalg.transpose(cinv)
-    return linalg.mat_mul(cit, linalg.mat_mul(bprime, cinv))
+    units = [[ONE if i == c else ZERO for i in range(dim)] for c in range(dim) if c not in piv]
+    e = coframe(list(delta_rows) + units, variance)
+    out = MixedForm.zero(dim, variance)
+    for a, row in enumerate(eps):
+        for b in range(a + 1, len(row)):
+            if row[b]:
+                out = out + e[a].wedge(e[b]).scale(row[b])
+    return out
 
 
 def pure_spinor_line(iso: MaxIsotropic) -> MixedForm:
@@ -196,12 +204,9 @@ def pure_spinor_line(iso: MaxIsotropic) -> MixedForm:
     B extends -eps off Delta, vanishing on a pivot-selected complement.
     """
     dim = iso.dim
-    theta = _ann_basis(iso.delta_basis, dim)
-    neg_eps = [[-x for x in row] for row in iso.eps]
-    bcomp = _extension_of_eps(iso.delta_basis, neg_eps, dim)
-    phi = two_form_from_map(linalg.transpose(bcomp)).exp_wedge()
-    for th in theta:
-        phi = phi.wedge(MixedForm(dim, {1 << i: c for i, c in enumerate(th) if c}))
+    phi = (-_extension_of_eps(iso.delta_basis, iso.eps, dim)).exp_wedge()
+    for th in _ann_basis(iso.delta_basis, dim):
+        phi = phi.wedge(covector_form(dim, th))
     return phi
 
 
@@ -254,8 +259,7 @@ def graph_over_cotangent(iso: MaxIsotropic):
     )
     f_basis = swapped.delta_basis
     gamma = swapped.eps
-    bcomp = _extension_of_eps(f_basis, [list(r) for r in gamma], dim)
-    beta_mv = two_form_from_map(linalg.transpose(bcomp), "mv")
+    beta_mv = _extension_of_eps(f_basis, gamma, dim, "mv")
     return list(f_basis), [list(r) for r in gamma], beta_mv
 
 
@@ -264,7 +268,7 @@ def dual_spinor_of(iso: MaxIsotropic) -> MixedForm:
     f_basis, _, beta_mv = graph_over_cotangent(iso)
     phi = MixedForm.one(iso.dim)
     for f in f_basis:
-        phi = phi.wedge(MixedForm(iso.dim, {1 << i: c for i, c in enumerate(f) if c}))
+        phi = phi.wedge(covector_form(iso.dim, f))
     if beta_mv:
         t = BlockTransform.from_bivector(beta_mv)
         phi = t.spinor(phi)

@@ -352,6 +352,41 @@ class TestFlagOverrides:
         code, out = run_cli(["check-integrable", str(p)], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "change,args,error",
+        [
+            ({"bivector": [{"coeff": "x^3*y^2", "basis": [1, 2]}]}, ["--degree-bound", "1"],
+             "no polynomial modular field up to degree 1"),
+            ({"volume": [{"coeff": "0", "basis": [1, 2]}]}, [], "volume form is zero"),
+        ],
+        ids=["degree-bound", "zero-volume"],
+    )
+    def test_modular_undecided_exit_2(self, change, args, error, tmp_path, capsys):
+        # only a bivector that is not Poisson is a decided failure
+        with open(case("modular_poisson.json")) as f:
+            doc = {**json.load(f), **change}
+        p = tmp_path / "modular.json"
+        p.write_text(json.dumps(doc))
+        code = main(["modular", str(p), *args])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        body = json.loads(captured.out)
+        assert body["verdict"] == "error" and body["counterexample"]["error"] == error
+
+    def test_modular_not_poisson_exit_1(self, tmp_path, capsys):
+        doc = {
+            "schema_version": 1,
+            "command": "modular",
+            "chart": {"vars": ["x", "y", "z"]},
+            "bivector": [{"coeff": "-x", "basis": [1, 3]}, {"coeff": "1", "basis": [1, 2]}],
+        }
+        p = tmp_path / "not_poisson.json"
+        p.write_text(json.dumps(doc))
+        code, out = run_cli(["modular", str(p)], capsys)
+        body = json.loads(out)
+        assert code == 1 and body["verdict"] == "fail"
+        assert "not Poisson" in body["counterexample"]["violation"]
+
 
 class TestMatrixRoundTrip:
     def test_polynomial_matrix_round_trip(self):

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -33,3 +34,56 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(tree):
+    """(name, node) of each module-level private function, class and assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def references(tree):
+    """Every name the tree reads, as a Counter."""
+    out = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.asname or n.name] += 1
+    return out
+
+
+def unreferenced_privates(sources: dict):
+    """(module, name) of private names that no code outside their definition reads."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    total = sum(map(references, trees.values()), Counter())
+    return sorted(
+        (mod, name)
+        for mod, tree in trees.items()
+        for name, node in private_definitions(tree)
+        if total[name] == references(node)[name]
+    )
+
+
+def test_detects_unreferenced_private():
+    sources = {
+        "a": "_K = 1\n\ndef _f():\n    return _f()\n\ndef _g():\n    return _K\n",
+        "b": "from a import _g\n",
+    }
+    assert unreferenced_privates(sources) == [("a", "_f")]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_privates(sources) == []

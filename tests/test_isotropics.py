@@ -73,14 +73,11 @@ class TestCanonicalForm:
             m = 3
             L = rng.isotropic(m, steps=2, complex_ok=False)
             delta = [list(r) for r in L.delta_basis]
-            bmat = _extension_of_eps(delta, [list(r) for r in L.eps], m)
+            bform = _extension_of_eps(delta, L.eps, m)
             rebuilt = []
             for d in delta:
-                cov = [
-                    sum((bmat[i][j] * d[i] for i in range(m)), ZERO)
-                    for j in range(m)
-                ]
-                rebuilt.append(GenVector(m, d, cov))
+                cov = bform.contract(d)  # i_d B
+                rebuilt.append(GenVector(m, d, [cov.coeff(1 << j) for j in range(m)]))
             for th in _ann_basis(delta, m):
                 rebuilt.append(GenVector(m, [ZERO] * m, th))
             assert L.equals(canonical_form(rebuilt, m))
