@@ -21,6 +21,10 @@ from .integrability import ansatz_polys, ansatz_system
 from . import linalg
 
 
+class NotSmooth(ValueError):
+    """The pulled-back Dirac structure changes rank between sample points."""
+
+
 @dataclass(frozen=True)
 class SubmanifoldData:
     """A graph submanifold x_j = g_j(params) carrying a trivializing 2-form F.
@@ -209,7 +213,7 @@ def _polynomial_kernel(s_chart: Chart, rows, ncols: int, samples, degree_bound: 
         if p is samples[0]:
             target_dim = kdim
         elif kdim != target_dim:
-            raise ValueError("rank jump across sample points: non-smooth pullback")
+            raise NotSmooth("rank jump across sample points: non-smooth pullback")
     slots = [{r: row[c] for r, row in enumerate(rows)} for c in range(ncols)]
     eq_rows, _, unknowns = ansatz_system(s_chart, slots, degree_bound)
     ker = linalg.kernel(eq_rows, len(unknowns))
@@ -267,7 +271,8 @@ def pullback_dirac(
             break
     if len(chosen) != ds:
         raise ValueError(
-            f"pullback spans rank {len(chosen)} at samples, expected {ds}: non-smooth pullback"
+            f"pullback spans rank {len(chosen)} at samples, expected {ds}, "
+            f"with kernel degree bound {degree_bound}"
         )
     twist = None
     if sub.h is not None:

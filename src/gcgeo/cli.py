@@ -3,11 +3,24 @@
 Exit codes: 0 = pass, 1 = mathematical fail, 2 = every outcome that is not a
 decided verdict (malformed documents, invalid structures or isotropics,
 capacity limits, and exhausted degree bounds).
+
+Every command is one row of `COMMANDS`, a handler that reads only the job
+document.  Two rules hold for all of them:
+
+* A flag overrides the document field of the same name: `--seed`, `--cases`,
+  `--degree-bound` (field `degree_bound`) and `--samples` are merged into the
+  document once, before the handler runs, over the command's declared
+  `defaults`.  The report records the seed so resolved.
+* A command's decided failure is the one exception it declares,
+  `@command(name, decided=...)`.  `run_job` turns that exception into a
+  `"fail"` report with a `violation`; every other `ValueError` reaches the
+  exit-2 boundary in `main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 
@@ -26,11 +39,13 @@ from .isotropics import (
 from .gcs import (
     InvalidStructure,
     darboux_point,
+    eigenbundle,
     gc_type,
     grading_project,
+    j_complex,
     poisson_of,
+    standard_complex_endo,
     validate_gc,
-    validate_gc_field,
 )
 from .fields import ClosedThreeForm, DiracFrame, schouten
 from .integrability import (
@@ -45,11 +60,10 @@ from .integrability import (
     nijenhuis_vanishes,
 )
 from .algebroid import complex_pair, maurer_cartan
-from .branes import SubmanifoldData, brane_check, pullback_dirac
+from .branes import NotSmooth, SubmanifoldData, brane_check, pullback_dirac
 from .suites import run_axiom_suite
 from .jobio import (
     JobError,
-    JobSpec,
     Report,
     emit,
     form_json,
@@ -67,15 +81,39 @@ from .jobio import (
     section_json,
 )
 
-COMMANDS = {}
+COMMANDS = {}  # name -> cmd_* handler: doc -> (verdict, certificate or counterexample)
+DECIDED = {}  # name -> the exception that is the command's mathematical fail
+DEFAULTS = {}  # name -> document fields used when neither flag nor document sets them
+FLAGS = ("seed", "cases", "degree_bound", "samples")
 
 
-def command(name):
+def command(name, decided=(), defaults=None):
     def deco(fn):
         COMMANDS[name] = fn
+        DECIDED[name] = decided
+        DEFAULTS[name] = defaults or {}
         return fn
 
     return deco
+
+
+# ---------------------------------------------------------------------------
+# document readers
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def _int_of(doc, key: str, default=_REQUIRED, minimum=None):
+    """doc[key] as an int; `default` when it is absent, unless it is required."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise JobError(f"document needs {key}", key)
+        return default
+    n = parse_int(doc[key], key)
+    if minimum is not None and n < minimum:
+        raise JobError(f"must be at least {minimum}, got {n}", key)
+    return n
 
 
 def _chart_of(doc) -> Chart:
@@ -84,14 +122,15 @@ def _chart_of(doc) -> Chart:
     return parse_chart(doc["chart"])
 
 
-def _int_of(doc, key: str) -> int:
-    if key not in doc:
-        raise JobError(f"document needs {key}", key)
-    return parse_int(doc[key], key)
+def _complex_chart_of(doc, name: str) -> Chart:
+    chart = _chart_of(doc)
+    if 2 * chart.n_complex != chart.dim:
+        raise JobError(f"{name} runs on a fully complex-paired chart", "chart")
+    return chart
 
 
 def _twist_of(doc, chart: Chart) -> ClosedThreeForm | None:
-    if "h" not in doc or not doc["h"]:
+    if not doc.get("h"):
         return None
     h = parse_form(doc["h"], chart.dim, chart.names, "form", "h")
     try:
@@ -100,20 +139,31 @@ def _twist_of(doc, chart: Chart) -> ClosedThreeForm | None:
         raise JobError(str(e), "h")
 
 
-def _samples_of(doc, chart: Chart, default=None):
+def _samples_of(doc, chart: Chart):
     if "samples" not in doc:
-        return default
+        return None
     if not isinstance(doc["samples"], list):
         raise JobError("samples must be a list of points", "samples")
     return [parse_point(p, chart, f"samples[{i}]") for i, p in enumerate(doc["samples"])]
 
 
-def _vectors_of(doc, dim: int, key="vectors"):
-    if key not in doc or not isinstance(doc[key], list):
+def _isotropic_of(doc, key="vectors"):
+    """canonical_form of the sections doc[key] in dimension doc["dim"]."""
+    dim = _int_of(doc, "dim")
+    if not isinstance(doc.get(key), list):
         raise JobError(f"document needs {key}: a list of sections", key)
-    return [
-        parse_section(v, dim, (), f"{key}[{i}]") for i, v in enumerate(doc[key])
-    ]
+    vectors = [parse_section(v, dim, (), f"{key}[{i}]") for i, v in enumerate(doc[key])]
+    return canonical_form(vectors, dim)
+
+
+def _structure_of(doc, names=()):
+    mat = parse_matrix(doc.get("matrix"), names, "matrix")
+    side = len(mat)
+    if side % 2 or any(len(row) != side for row in mat):
+        raise JobError("J must be a square matrix of even side", "matrix")
+    if "dim" in doc and 2 * _int_of(doc, "dim") != side:
+        raise JobError(f"dim does not match the {side} x {side} matrix", "dim")
+    return validate_gc(mat)
 
 
 def _frame_of(doc, chart: Chart, key="dirac_frame") -> DiracFrame:
@@ -130,6 +180,21 @@ def _frame_of(doc, chart: Chart, key="dirac_frame") -> DiracFrame:
         raise JobError(str(e), key)
 
 
+def _pair_terms(doc, key: str, index_key: str, chart: Chart):
+    """The terms {coeff, index_key: [i, j]} of doc[key] as ((i, j), coeff), 0-based."""
+    terms = doc.get(key)
+    if not isinstance(terms, list):
+        raise JobError(f"{key} must be a list of {{coeff, {index_key}: [i, j]}} terms", key)
+    out = []
+    for idx, term in enumerate(terms):
+        ij = term.get(index_key) if isinstance(term, dict) else None
+        if not isinstance(ij, list) or len(ij) != 2:
+            raise JobError(f"{key} terms need {index_key} [i, j]", f"{key}[{idx}]")
+        i, j = (parse_int(x, f"{key}[{idx}].{index_key}") - 1 for x in ij)
+        out.append(((i, j), parse_scalar(term.get("coeff"), chart.names, f"{key}[{idx}].coeff")))
+    return out
+
+
 def _canonical_cert(iso) -> dict:
     return {
         "type": iso.type,
@@ -144,57 +209,38 @@ def _canonical_cert(iso) -> dict:
 # linear-algebra commands
 # ---------------------------------------------------------------------------
 
-@command("check-isotropic")
-def cmd_check_isotropic(doc, opts):
-    dim = _int_of(doc, "dim")
-    try:
-        iso = canonical_form(_vectors_of(doc, dim), dim)
-    except NotIsotropic as e:
-        return Report("check-isotropic", "fail", counterexample={"violation": str(e)})
-    return Report("check-isotropic", "pass", certificate={"type": iso.type, "parity": iso.parity})
+@command("check-isotropic", decided=NotIsotropic)
+def cmd_check_isotropic(doc):
+    iso = _isotropic_of(doc)
+    return "pass", {"type": iso.type, "parity": iso.parity}
 
 
-@command("canonical-form")
-def cmd_canonical_form(doc, opts):
-    dim = _int_of(doc, "dim")
-    try:
-        iso = canonical_form(_vectors_of(doc, dim), dim)
-    except NotIsotropic as e:
-        return Report("canonical-form", "fail", counterexample={"violation": str(e)})
-    return Report("canonical-form", "pass", certificate=_canonical_cert(iso))
+@command("canonical-form", decided=NotIsotropic)
+def cmd_canonical_form(doc):
+    return "pass", _canonical_cert(_isotropic_of(doc))
 
 
-@command("spinor-of")
-def cmd_spinor_of(doc, opts):
-    dim = _int_of(doc, "dim")
-    try:
-        iso = canonical_form(_vectors_of(doc, dim), dim)
-    except NotIsotropic as e:
-        return Report("spinor-of", "fail", counterexample={"violation": str(e)})
-    phi = pure_spinor_line(iso)
-    return Report("spinor-of", "pass", certificate={"spinor": form_json(phi)})
+@command("spinor-of", decided=NotIsotropic)
+def cmd_spinor_of(doc):
+    return "pass", {"spinor": form_json(pure_spinor_line(_isotropic_of(doc)))}
 
 
 @command("null-space")
-def cmd_null_space(doc, opts):
+def cmd_null_space(doc):
     dim = _int_of(doc, "dim")
     phi = parse_form(doc.get("form"), dim, (), "form", "form")
     if not phi:
         raise JobError("the zero form has no null space", "form")
     vecs, pure = null_space(phi)
-    return Report(
-        "null-space",
-        "pass",
-        certificate={"pure": pure, "basis": [section_json(v) for v in vecs]},
-    )
+    return "pass", {"pure": pure, "basis": [section_json(v) for v in vecs]}
 
 
 @command("mukai")
-def cmd_mukai(doc, opts):
+def cmd_mukai(doc):
     dim = _int_of(doc, "dim")
     a = parse_form(doc.get("form_a"), dim, (), "form", "form_a")
     b = parse_form(doc.get("form_b"), dim, (), "form", "form_b")
-    return Report("mukai", "pass", certificate={"pairing": scalar_str(mukai_coeff(a, b))})
+    return "pass", {"pairing": scalar_str(mukai_coeff(a, b))}
 
 
 def _transform_of(doc, dim: int) -> BlockTransform:
@@ -212,6 +258,8 @@ def _transform_of(doc, dim: int) -> BlockTransform:
         )
     if kind == "gl":
         g = parse_matrix(spec.get("matrix"), (), "transform.matrix")
+        if len(g) != dim or any(len(row) != dim for row in g):
+            raise JobError(f"gl matrix must be {dim} x {dim}", "transform.matrix")
         try:
             return BlockTransform(dim, "gl", g)
         except ValueError as e:
@@ -219,51 +267,34 @@ def _transform_of(doc, dim: int) -> BlockTransform:
     raise JobError(f"unknown transform kind {kind!r}", "transform.kind")
 
 
-@command("transform")
-def cmd_transform(doc, opts):
-    dim = _int_of(doc, "dim")
-    try:
-        iso = canonical_form(_vectors_of(doc, dim), dim)
-    except NotIsotropic as e:
-        return Report("transform", "fail", counterexample={"violation": str(e)})
-    out = transform(iso, _transform_of(doc, dim))
-    return Report("transform", "pass", certificate=_canonical_cert(out))
+@command("transform", decided=NotIsotropic)
+def cmd_transform(doc):
+    iso = _isotropic_of(doc)
+    return "pass", _canonical_cert(transform(iso, _transform_of(doc, iso.dim)))
 
 
 @command("tensor")
-def cmd_tensor(doc, opts):
-    dim = _int_of(doc, "dim")
-    l1 = canonical_form(_vectors_of(doc, dim, "vectors_a"), dim)
-    l2 = canonical_form(_vectors_of(doc, dim, "vectors_b"), dim)
-    return Report("tensor", "pass", certificate=_canonical_cert(tensor_product(l1, l2)))
+def cmd_tensor(doc):
+    out = tensor_product(_isotropic_of(doc, "vectors_a"), _isotropic_of(doc, "vectors_b"))
+    return "pass", _canonical_cert(out)
 
 
 # ---------------------------------------------------------------------------
 # structure commands
 # ---------------------------------------------------------------------------
 
-def _structure_of(doc, names=()):
-    mat = parse_matrix(doc.get("matrix"), names, "matrix")
-    return validate_gc(mat)
-
-
-@command("validate-gcs")
-def cmd_validate_gcs(doc, opts):
-    names = ()
-    if "chart" in doc:
-        names = parse_chart(doc["chart"]).names
-    try:
-        s = _structure_of(doc, names)
-    except InvalidStructure as e:
-        return Report("validate-gcs", "fail", counterexample={"violation": str(e)})
+@command("validate-gcs", decided=InvalidStructure)
+def cmd_validate_gcs(doc):
+    names = parse_chart(doc["chart"]).names if "chart" in doc else ()
+    s = _structure_of(doc, names)
     cert = {"dim": s.dim}
     if s.is_constant() and not names:
         cert["type"] = gc_type(s)
-    return Report("validate-gcs", "pass", certificate=cert)
+    return "pass", cert
 
 
 @command("type-map")
-def cmd_type_map(doc, opts):
+def cmd_type_map(doc):
     chart = _chart_of(doc)
     samples = _samples_of(doc, chart)
     if samples is None:
@@ -274,69 +305,46 @@ def cmd_type_map(doc, opts):
         for p in samples:
             phi_p = phi.eval_at(p)
             if not phi_p:
-                return Report(
-                    "type-map",
-                    "fail",
-                    counterexample={"point": point_json(chart, p), "violation": "spinor vanishes"},
-                )
+                return "fail", {"point": point_json(chart, p), "violation": "spinor vanishes"}
             vecs, pure = null_space(phi_p)
             if not pure or not mukai_coeff(phi_p, phi_p.conj()):
-                return Report(
-                    "type-map",
-                    "fail",
-                    counterexample={
-                        "point": point_json(chart, p),
-                        "violation": "not a nondegenerate pure spinor",
-                    },
-                )
+                return "fail", {
+                    "point": point_json(chart, p),
+                    "violation": "not a nondegenerate pure spinor",
+                }
             out.append({"point": point_json(chart, p), "type": phi_p.min_degree()})
     elif "matrix" in doc:
-        mat = parse_matrix(doc["matrix"], chart.names, "matrix")
-        s = validate_gc_field(mat)
+        s = _structure_of(doc, chart.names)
         for p in samples:
             out.append({"point": point_json(chart, p), "type": gc_type(s.eval_at(p))})
     else:
         raise JobError("type-map needs a form or a matrix", "form")
-    return Report("type-map", "pass", certificate={"types": out})
+    return "pass", {"types": out}
 
 
-@command("darboux")
-def cmd_darboux(doc, opts):
-    try:
-        s = _structure_of(doc)
-        data = darboux_point(s)
-    except InvalidStructure as e:
-        return Report("darboux", "fail", counterexample={"violation": str(e)})
-    return Report(
-        "darboux",
-        "pass",
-        certificate={
-            "type": data.k,
-            "btilde": form_json(data.btilde),
-            "omega0": form_json(data.omega0),
-            "delta_frame": [[scalar_str(c) for c in row] for row in data.delta_frame],
-            "transverse_complement": list(data.n_complement),
-        },
-    )
+@command("darboux", decided=InvalidStructure)
+def cmd_darboux(doc):
+    data = darboux_point(_structure_of(doc))
+    return "pass", {
+        "type": data.k,
+        "btilde": form_json(data.btilde),
+        "omega0": form_json(data.omega0),
+        "delta_frame": [[scalar_str(c) for c in row] for row in data.delta_frame],
+        "transverse_complement": list(data.n_complement),
+    }
 
 
 @command("grading")
-def cmd_grading(doc, opts):
+def cmd_grading(doc):
     s = _structure_of(doc)
     phi = parse_form(doc.get("form"), s.dim, (), "form", "form")
-    comp = grading_project(s, phi, _int_of(doc, "k"))
-    return Report("grading", "pass", certificate={"component": form_json(comp)})
+    return "pass", {"component": form_json(grading_project(s, phi, _int_of(doc, "k")))}
 
 
 @command("poisson-of")
-def cmd_poisson_of(doc, opts):
-    s = _structure_of(doc)
-    pmap, pmv = poisson_of(s)
-    return Report(
-        "poisson-of",
-        "pass",
-        certificate={"map": matrix_json(pmap), "bivector": form_json(pmv)},
-    )
+def cmd_poisson_of(doc):
+    pmap, pmv = poisson_of(_structure_of(doc))
+    return "pass", {"map": matrix_json(pmap), "bivector": form_json(pmv)}
 
 
 # ---------------------------------------------------------------------------
@@ -344,123 +352,71 @@ def cmd_poisson_of(doc, opts):
 # ---------------------------------------------------------------------------
 
 @command("check-integrable")
-def cmd_check_integrable(doc, opts):
+def cmd_check_integrable(doc):
     chart = _chart_of(doc)
     phi = parse_form(doc.get("form"), chart.dim, chart.names, "form", "form")
     h = _twist_of(doc, chart)
     witness = None
-    if "witness" in doc and doc["witness"]:
+    if doc.get("witness"):
         witness = parse_section(doc["witness"], chart.dim, chart.names, "witness")
-    bound = opts.degree_bound
-    if bound is None and "degree_bound" in doc:
-        bound = parse_int(doc["degree_bound"], "degree_bound")
     rep = check_spinor_integrability(
-        chart, phi, h, witness=witness, degree_bound=bound,
+        chart, phi, h, witness=witness,
+        degree_bound=_int_of(doc, "degree_bound", None, minimum=0),
         samples=_samples_of(doc, chart),
     )
     if rep.verdict == "pass":
-        return Report(
-            "check-integrable",
-            "pass",
-            certificate={
-                "witness": section_json(rep.witness),
-                "degree_bound": rep.degree_bound,
-                "detail": rep.detail,
-            },
-        )
-    if rep.verdict == "fail":
-        return Report(
-            "check-integrable", "fail", counterexample=rep.counterexample or {"detail": rep.detail}
-        )
-    return Report("check-integrable", "error", counterexample={"detail": rep.detail})
+        return "pass", {
+            "witness": section_json(rep.witness),
+            "degree_bound": rep.degree_bound,
+            "detail": rep.detail,
+        }
+    # an exhausted degree bound with no pointwise obstruction is undecided
+    verdict = "fail" if rep.verdict == "fail" else "error"
+    return verdict, rep.counterexample or {"detail": rep.detail}
 
 
 @command("nijenhuis")
-def cmd_nijenhuis(doc, opts):
+def cmd_nijenhuis(doc):
     chart = _chart_of(doc)
-    mat = parse_matrix(doc.get("matrix"), chart.names, "matrix")
-    s = validate_gc_field(mat)
-    h = _twist_of(doc, chart)
-    comps = nijenhuis_field(chart, s, h)
+    comps = nijenhuis_field(chart, _structure_of(doc, chart.names), _twist_of(doc, chart))
     if nijenhuis_vanishes(comps):
-        return Report("nijenhuis", "pass", certificate={"zero": True})
+        return "pass", {"zero": True}
     bad = next(k for k, v in comps.items() if not v.is_zero())
-    return Report(
-        "nijenhuis",
-        "fail",
-        counterexample={"frame_pair": list(bad), "component": section_json(comps[bad])},
-    )
+    return "fail", {"frame_pair": list(bad), "component": section_json(comps[bad])}
 
 
 @command("schouten")
-def cmd_schouten(doc, opts):
+def cmd_schouten(doc):
     chart = _chart_of(doc)
     a = parse_form(doc.get("mv_a"), chart.dim, chart.names, "mv", "mv_a")
     b = parse_form(doc.get("mv_b"), chart.dim, chart.names, "mv", "mv_b")
-    return Report(
-        "schouten", "pass", certificate={"bracket": form_json(schouten(chart, a, b))}
-    )
+    return "pass", {"bracket": form_json(schouten(chart, a, b))}
 
 
 @command("maurer-cartan")
-def cmd_maurer_cartan(doc, opts):
-    chart = _chart_of(doc)
-    if 2 * chart.n_complex != chart.dim:
-        raise JobError("maurer-cartan runs on a fully complex-paired chart", "chart")
+def cmd_maurer_cartan(doc):
+    chart = _complex_chart_of(doc, "maurer-cartan")
     pair = complex_pair(chart, _twist_of(doc, chart))
-    eps_doc = doc.get("eps")
-    if not isinstance(eps_doc, list):
-        raise JobError("eps must be a list of {coeff, basis:[i,j]} over the L frame", "eps")
     eps = {}
-    for idx, term in enumerate(eps_doc):
-        basis = term.get("basis") if isinstance(term, dict) else None
-        if not isinstance(basis, list) or len(basis) != 2:
-            raise JobError("eps terms need basis [i, j]", f"eps[{idx}]")
-        i, j = (parse_int(x, f"eps[{idx}].basis") - 1 for x in basis)
-        c = parse_scalar(term.get("coeff"), chart.names, f"eps[{idx}].coeff")
-        sign = 1
+    for idx, ((i, j), c) in enumerate(_pair_terms(doc, "eps", "basis", chart)):
         if i == j:
             raise JobError("eps indices must differ", f"eps[{idx}]")
         if i > j:
-            i, j = j, i
-            sign = -1
+            i, j, c = j, i, -c
         mask = (1 << i) | (1 << j)
-        cur = eps.get(mask, chart.zero())
-        eps[mask] = cur + (c if sign > 0 else -c)
+        eps[mask] = eps.get(mask, chart.zero()) + c
     rep = maurer_cartan(pair, eps)
     if rep.verdict == "pass":
-        return Report("maurer-cartan", "pass", certificate={"residual": "0"})
+        return "pass", {"residual": "0"}
     bad = sorted(rep.residual)[0]
-    return Report(
-        "maurer-cartan",
-        "fail",
-        counterexample={
-            "frame_mask": bad,
-            "residual": scalar_str(rep.residual[bad]),
-        },
-    )
+    return "fail", {"frame_mask": bad, "residual": scalar_str(rep.residual[bad])}
 
 
 @command("deform")
-def cmd_deform(doc, opts):
-    chart = _chart_of(doc)
-    if 2 * chart.n_complex != chart.dim:
-        raise JobError("deform runs on a fully complex-paired chart", "chart")
-    beta_doc = doc.get("beta")
-    if not isinstance(beta_doc, list):
-        raise JobError("beta must list {coeff, pair:[a,b]} holomorphic components", "beta")
-    comps = {}
-    for idx, term in enumerate(beta_doc):
-        ab = term.get("pair") if isinstance(term, dict) else None
-        if not isinstance(ab, list) or len(ab) != 2:
-            raise JobError("beta terms need pair [a, b]", f"beta[{idx}]")
-        comps[tuple(parse_int(x, f"beta[{idx}].pair") - 1 for x in ab)] = parse_scalar(
-            term.get("coeff"), chart.names, f"beta[{idx}].coeff"
-        )
-    from .gcs import j_complex, standard_complex_endo
-
+def cmd_deform(doc):
+    chart = _complex_chart_of(doc, "deform")
+    beta_mv = holomorphic_bivector(chart, dict(_pair_terms(doc, "beta", "pair", chart)))
     base = j_complex(standard_complex_endo(chart.n_complex))
-    beta_mv = holomorphic_bivector(chart, comps)
     res = deform_by_bivector(chart, base, beta_mv)
     cert = {
         "matrix": matrix_json(res.structure.matrix()),
@@ -469,17 +425,14 @@ def cmd_deform(doc, opts):
     samples = _samples_of(doc, chart)
     if samples:
         cert["types"] = [
-            {
-                "point": point_json(chart, p),
-                "type": res.spinor.eval_at(p).min_degree(),
-            }
+            {"point": point_json(chart, p), "type": res.spinor.eval_at(p).min_degree()}
             for p in samples
         ]
-    return Report("deform", "pass", certificate=cert)
+    return "pass", cert
 
 
-@command("modular")
-def cmd_modular(doc, opts):
+@command("modular", decided=NotPoisson)
+def cmd_modular(doc):
     chart = _chart_of(doc)
     beta = parse_form(doc.get("bivector"), chart.dim, chart.names, "mv", "bivector")
     vol_doc = doc.get("volume")
@@ -490,18 +443,17 @@ def cmd_modular(doc, opts):
     f = None
     if doc.get("f"):
         f = parse_scalar(doc["f"], chart.names, "f")
-    try:
-        x = modular_vector_field(chart, beta, vol, log_factor=f, degree_bound=opts.degree_bound)
-    except NotPoisson as e:
-        return Report("modular", "fail", counterexample={"violation": str(e)})
-    return Report("modular", "pass", certificate={"vector_field": section_json(x)})
+    x = modular_vector_field(
+        chart, beta, vol, log_factor=f,
+        degree_bound=_int_of(doc, "degree_bound", None, minimum=0),
+    )
+    return "pass", {"vector_field": section_json(x)}
 
 
 @command("ham-symmetry")
-def cmd_ham_symmetry(doc, opts):
+def cmd_ham_symmetry(doc):
     chart = _chart_of(doc)
-    mat = parse_matrix(doc.get("matrix"), chart.names, "matrix")
-    s = validate_gc_field(mat)
+    s = _structure_of(doc, chart.names)
     f_re = parse_scalar(doc.get("f_re", "0"), chart.names, "f_re")
     f_im = parse_scalar(doc.get("f_im", "0"), chart.names, "f_im")
     df = hamiltonian_section(chart, s, f_re, f_im)
@@ -510,36 +462,23 @@ def cmd_ham_symmetry(doc, opts):
     else:
         if not s.is_constant():
             raise JobError("non-constant structures need an explicit l_frame", "l_frame")
-        from .gcs import eigenbundle
-
-        point_s = s.eval_at(chart.point(*([0] * chart.dim)))
-        lft = eigenbundle(point_s)
-        frame = DiracFrame(
-            chart, tuple(chart.lift_section(v) for v in lft.basis)
-        )
+        lft = eigenbundle(s.eval_at(chart.point(*([0] * chart.dim))))
+        frame = DiracFrame(chart, tuple(chart.lift_section(v) for v in lft.basis))
     ok = is_symmetry(chart, df, frame, _twist_of(doc, chart))
-    cert = {"section": section_json(df), "symmetry": ok}
-    return Report("ham-symmetry", "pass", certificate=cert)
+    return "pass", {"section": section_json(df), "symmetry": ok}
 
 
-@command("pullback")
-def cmd_pullback(doc, opts):
+@command("pullback", decided=NotSmooth, defaults={"degree_bound": 2})
+def cmd_pullback(doc):
     chart = _chart_of(doc)
     sub = _submanifold_of(doc, chart)
-    frame = _frame_of(doc, chart)
-    try:
-        res = pullback_dirac(frame, sub, samples=None, degree_bound=opts.degree_bound or 2)
-    except ValueError as e:
-        return Report("pullback", "fail", counterexample={"violation": str(e)})
-    invol_zero = all(not v for v in res.involutivity.values())
-    return Report(
-        "pullback",
-        "pass",
-        certificate={
-            "frame": [section_json(u) for u in res.frame.sections],
-            "involutive": invol_zero,
-        },
+    res = pullback_dirac(
+        _frame_of(doc, chart), sub, degree_bound=_int_of(doc, "degree_bound", minimum=0)
     )
+    return "pass", {
+        "frame": [section_json(u) for u in res.frame.sections],
+        "involutive": all(not v for v in res.involutivity.values()),
+    }
 
 
 def _submanifold_of(doc, chart: Chart) -> SubmanifoldData:
@@ -572,12 +511,9 @@ def _submanifold_of(doc, chart: Chart) -> SubmanifoldData:
 
 
 @command("brane-check")
-def cmd_brane_check(doc, opts):
+def cmd_brane_check(doc):
     chart = _chart_of(doc)
-    mat = parse_matrix(doc.get("matrix"), chart.names, "matrix")
-    s = validate_gc_field(mat)
-    sub = _submanifold_of(doc, chart)
-    rep = brane_check(s, sub)
+    rep = brane_check(_structure_of(doc, chart.names), _submanifold_of(doc, chart))
     body = {
         "coisotropic": rep.coisotropic,
         "lagrangian": rep.lagrangian,
@@ -590,30 +526,18 @@ def cmd_brane_check(doc, opts):
         body["space_filling_j"] = matrix_json(rep.space_filling_j)
         body["space_filling_j_squared_ok"] = rep.space_filling_j_squared_ok
     if rep.compatible:
-        return Report("brane-check", "pass", certificate=body)
-    return Report(
-        "brane-check",
-        "fail",
-        counterexample={"pairing_failures": [list(f) for f in rep.failures], **body},
-    )
+        return "pass", body
+    return "fail", {"pairing_failures": [list(f) for f in rep.failures], **body}
 
 
-@command("axiom-suite")
-def cmd_axiom_suite(doc, opts):
+@command("axiom-suite", defaults={"cases": 100, "seed": 0})
+def cmd_axiom_suite(doc):
     chart = parse_chart(doc["chart"]) if "chart" in doc else None
-    cases = opts.cases or parse_int(doc.get("cases", 100), "cases")
-    seed = opts.seed if opts.seed is not None else parse_int(doc.get("seed", 0), "seed")
-    res = run_axiom_suite(chart, cases=cases, seed=seed)
+    cases = _int_of(doc, "cases", minimum=1)
+    res = run_axiom_suite(chart, cases=cases, seed=_int_of(doc, "seed"))
     if res.passed:
-        return Report(
-            "axiom-suite",
-            "pass",
-            certificate={"cases": cases, "identities_checked": sorted(set(res.checked))},
-            seed=seed,
-        )
-    return Report(
-        "axiom-suite", "fail", counterexample={"failures": res.failures[:5]}, seed=seed
-    )
+        return "pass", {"cases": cases, "identities_checked": sorted(set(res.checked))}
+    return "fail", {"failures": res.failures[:5]}
 
 
 # ---------------------------------------------------------------------------
@@ -639,25 +563,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_job(command_name: str, doc: dict, opts) -> Report:
-    samples = None
-    if opts.samples:
-        import json as _json
-
+    """Resolve the flags into the document, run the handler, decide its failure."""
+    declared = doc.get("command")
+    if declared is not None and declared != command_name:
+        raise JobError(f"document is for {declared!r}, invoked as {command_name!r}", "command")
+    flags = {k: getattr(opts, k) for k in FLAGS if getattr(opts, k) is not None}
+    if "samples" in flags:
         try:
-            samples = _json.loads(opts.samples)
+            flags["samples"] = json.loads(flags["samples"])
         except ValueError as e:
             raise JobError(f"--samples is not valid JSON: {e}")
-    job = JobSpec(
-        command=command_name,
-        document=doc,
-        seed=opts.seed,
-        cases=opts.cases,
-        degree_bound=opts.degree_bound,
-        samples=samples,
-    )
-    if job.samples is not None:
-        doc = {**doc, "samples": job.samples}
-    return COMMANDS[command_name](doc, opts)
+    doc = {**DEFAULTS[command_name], **doc, **flags}
+    seed = _int_of(doc, "seed", None)
+    try:
+        verdict, body = COMMANDS[command_name](doc)
+    except DECIDED[command_name] as e:
+        verdict, body = "fail", {"violation": str(e)}
+    key = "certificate" if verdict == "pass" else "counterexample"
+    return Report(command_name, verdict, seed=seed, **{key: body})
 
 
 def main(argv=None) -> int:
@@ -671,12 +594,10 @@ def main(argv=None) -> int:
         doc = load_document(args.job)
         report = run_job(args.command, doc, args)
     except ValueError as e:
-        # JobError, CapacityError, NotPure, NotIsotropic and InvalidStructure
-        # are all ValueErrors: every undecided outcome exits 2
-        report = Report(args.command, "error", counterexample={"error": str(e)})
+        # JobError, CapacityError, NotPure and every undeclared NotIsotropic,
+        # InvalidStructure or NotSmooth are ValueErrors: undecided, exit 2
+        report = Report(args.command, "error", counterexample={"error": str(e)}, seed=args.seed)
     report.timing_ms = (time.perf_counter() - t0) * 1000.0
-    if report.seed is None and getattr(args, "seed", None) is not None:
-        report.seed = args.seed
     print(emit(report, args.format))
     return report.exit_code()
 

@@ -70,7 +70,7 @@ def _pairing_gram(m):
     return g
 
 
-def validate_gc(j, dim: int | None = None) -> GCStructure:
+def validate_gc(j) -> GCStructure:
     """Check J^2 = -1 and orthogonality, with a diagnostic naming the failure.
 
     Polynomial entries are checked as exact polynomial identities.

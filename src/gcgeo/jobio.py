@@ -274,27 +274,8 @@ def point_json(chart: Chart, p: dict) -> list:
 
 
 # ---------------------------------------------------------------------------
-# jobs and reports
+# reports
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class JobSpec:
-    """A parsed job: command, input document, and run options."""
-
-    command: str
-    document: dict
-    seed: int | None = None
-    cases: int | None = None
-    degree_bound: int | None = None
-    samples: list | None = None
-
-    def __post_init__(self):
-        declared = self.document.get("command")
-        if declared is not None and declared != self.command:
-            raise JobError(
-                f"document is for {declared!r}, invoked as {self.command!r}", "command"
-            )
-
 
 @dataclass
 class Report:

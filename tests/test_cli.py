@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gcgeo.cli import main, COMMANDS
+from gcgeo.cli import main, COMMANDS, DECIDED
 from gcgeo.jobio import (
     JobError,
     Report,
@@ -245,16 +245,22 @@ class TestCommands:
             ("axiom_suite_r3.json", ("seed",), {}, "seed: "),
             ("type_map_grid.json", ("samples",), 3, "samples: "),
             ("type_jump_c2.json", ("degree_bound",), [], "degree_bound: "),
+            ("transform_beta_cotangent.json", ("transform", "matrix"), [["1"]],
+             "transform.matrix: "),
+            ("validate_gcs_symplectic.json", ("matrix", 1), ["0"], "matrix: "),
+            ("darboux_b_transformed.json", ("matrix",), [["0", "1", "0"]], "matrix: "),
         ],
         ids=[
             "eps-term", "eps-index", "beta-term", "section-vec", "frame", "complex-pairs",
             "complex-pair", "complex-dim", "params", "params-range", "graph", "cases",
-            "seed", "samples", "degree-bound",
+            "seed", "samples", "degree-bound", "gl-shape", "ragged-j", "odd-j",
         ],
     )
     def test_odd_json_shape_exit_2(self, filename, path, value, where, tmp_path, capsys):
         with open(case(filename)) as f:
             doc = json.load(f)
+        if path[0] == "transform":
+            doc["transform"] = {"kind": "gl"}
         node = doc
         for key in path[:-1]:
             node = node[key]
@@ -317,6 +323,37 @@ class TestCommands:
         assert proc.returncode == 0
 
 
+# the pulled-back kernel of this frame on the line p = 0 is spanned by
+# (1, -x): it needs kernel degree bound 1
+PULLBACK_DEGREE_1 = {
+    "schema_version": 1,
+    "command": "pullback",
+    "chart": {"vars": ["x", "p"]},
+    "submanifold": {"params": [1], "graph": {"p": "0"}},
+    "dirac_frame": [{"vec": ["1", "x"]}, {"vec": ["0", "1"]}],
+}
+
+QUADRATIC_SPINOR = {
+    "schema_version": 1,
+    "command": "check-integrable",
+    "chart": {"complex_dim": 2},
+    "form": [
+        {"coeff": "(x1+i*x2)^2", "basis": []},
+        {"coeff": "1", "basis": [1, 3]},
+        {"coeff": "i", "basis": [2, 3]},
+        {"coeff": "i", "basis": [1, 4]},
+        {"coeff": "-1", "basis": [2, 4]},
+    ],
+}
+
+CUBIC_POISSON = {
+    "schema_version": 1,
+    "command": "modular",
+    "chart": {"vars": ["x", "y"]},
+    "bivector": [{"coeff": "x^3*y^2", "basis": [1, 2]}],
+}
+
+
 class TestFlagOverrides:
     def test_samples_override(self, capsys):
         code, out = run_cli(
@@ -333,20 +370,8 @@ class TestFlagOverrides:
         assert [e["type"] for e in types] == [2, 0]
 
     def test_degree_bound_flag(self, tmp_path, capsys):
-        doc = {
-            "schema_version": 1,
-            "command": "check-integrable",
-            "chart": {"complex_dim": 2},
-            "form": [
-                {"coeff": "(x1+i*x2)^2", "basis": []},
-                {"coeff": "1", "basis": [1, 3]},
-                {"coeff": "i", "basis": [2, 3]},
-                {"coeff": "i", "basis": [1, 4]},
-                {"coeff": "-1", "basis": [2, 4]},
-            ],
-        }
         p = tmp_path / "quadratic.json"
-        p.write_text(json.dumps(doc))
+        p.write_text(json.dumps(QUADRATIC_SPINOR))
         code, out = run_cli(["check-integrable", str(p), "--degree-bound", "0"], capsys)
         assert code == 2  # bound exhausted is a usage error, not a refutation
         code, out = run_cli(["check-integrable", str(p)], capsys)
@@ -386,6 +411,102 @@ class TestFlagOverrides:
         body = json.loads(out)
         assert code == 1 and body["verdict"] == "fail"
         assert "not Poisson" in body["counterexample"]["violation"]
+
+    @pytest.mark.parametrize(
+        "doc,low,high",
+        [(QUADRATIC_SPINOR, 0, 1), (CUBIC_POISSON, 3, 4), (PULLBACK_DEGREE_1, 0, 1)],
+        ids=["check-integrable", "modular", "pullback"],
+    )
+    def test_document_bound_and_flag_override(self, doc, low, high, tmp_path, capsys):
+        # `low` exhausts the ansatz (exit 2), `high` finds it (exit 0)
+        p = tmp_path / "bound.json"
+        runs = [
+            (low, [], 2),
+            (high, [], 0),
+            (high, ["--degree-bound", str(low)], 2),
+            (low, ["--degree-bound", str(high)], 0),
+        ]
+        for bound, flags, expect in runs:
+            p.write_text(json.dumps({**doc, "degree_bound": bound}))
+            code = main([doc["command"], str(p), *flags])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (expect, ""), (bound, flags)
+            verdict = json.loads(captured.out)["verdict"]
+            assert verdict == ("pass" if expect == 0 else "error")
+
+    def test_pullback_bound_zero_is_undecided(self, tmp_path, capsys):
+        p = tmp_path / "pullback.json"
+        p.write_text(json.dumps(PULLBACK_DEGREE_1))
+        code, out = run_cli(["pullback", str(p), "--degree-bound", "0"], capsys)
+        body = json.loads(out)
+        assert code == 2 and body["verdict"] == "error"
+        assert "degree bound 0" in body["counterexample"]["error"]
+        code, out = run_cli(["pullback", str(p), "--degree-bound", "1"], capsys)
+        assert code == 0 and json.loads(out)["certificate"]["frame"]
+
+    def test_pullback_rank_jump_is_a_failure(self, tmp_path, capsys):
+        # the section x1 d/dp1 vanishes on x1 = 0 only
+        doc = {
+            "schema_version": 1,
+            "command": "pullback",
+            "chart": {"vars": ["x1", "x2", "p1", "p2"]},
+            "submanifold": {"params": [1, 2], "graph": {"p1": "0", "p2": "0"}},
+            "dirac_frame": [
+                {"vec": ["0", "0", "x1", "0"]},
+                {"vec": ["1", "0", "0", "0"]},
+                {"covec": ["0", "1", "0", "0"]},
+                {"covec": ["0", "0", "0", "1"]},
+            ],
+        }
+        p = tmp_path / "jump.json"
+        p.write_text(json.dumps(doc))
+        code, out = run_cli(["pullback", str(p)], capsys)
+        body = json.loads(out)
+        assert code == 1 and body["verdict"] == "fail"
+        assert "rank jump" in body["counterexample"]["violation"]
+
+    @pytest.mark.parametrize(
+        "filename,change,args,field",
+        [
+            ("axiom_suite_r3.json", {}, ["--cases", "0"], "cases"),
+            ("axiom_suite_r3.json", {"cases": 0}, [], "cases"),
+            ("axiom_suite_r3.json", {"cases": -3}, [], "cases"),
+            ("modular_poisson.json", {}, ["--degree-bound", "-1"], "degree_bound"),
+            ("type_jump_c2.json", {"degree_bound": -1}, [], "degree_bound"),
+            ("pullback_graph_b.json", {}, ["--degree-bound", "-1"], "degree_bound"),
+        ],
+        ids=["cases-flag", "cases-zero", "cases-negative", "modular-flag",
+             "check-integrable-doc", "pullback-flag"],
+    )
+    def test_out_of_range_count_exit_2(self, filename, change, args, field, tmp_path, capsys):
+        with open(case(filename)) as f:
+            doc = {**json.load(f), **change}
+        p = tmp_path / filename
+        p.write_text(json.dumps(doc))
+        code = main([doc["command"], str(p), *args])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert json.loads(captured.out)["counterexample"]["error"].startswith(f"{field}: ")
+
+
+class TestCommandTable:
+    def test_decided_failure_is_never_a_job_error(self):
+        # a malformed document raises JobError, which must never exit 1
+        for name, decided in DECIDED.items():
+            for cls in decided if isinstance(decided, tuple) else (decided,):
+                assert issubclass(cls, ValueError), name
+                assert not issubclass(JobError, cls), name
+
+    def test_decided_commands(self):
+        assert {name for name, decided in DECIDED.items() if decided} == {
+            "check-isotropic", "canonical-form", "spinor-of", "transform",
+            "validate-gcs", "darboux", "modular", "pullback",
+        }
+
+    def test_handlers_are_cmd_functions(self):
+        assert set(DECIDED) == set(COMMANDS)
+        for name, fn in COMMANDS.items():
+            assert fn.__name__.startswith("cmd_"), name
 
 
 class TestMatrixRoundTrip:
