@@ -25,7 +25,7 @@ import sys
 import time
 
 from . import __version__
-from .forms import MixedForm, mukai_coeff
+from .forms import MAX_DIM, MixedForm, mukai_coeff
 from .clifford import BlockTransform
 from .charts import Chart
 from .isotropics import (
@@ -104,16 +104,17 @@ def command(name, decided=(), defaults=None):
 _REQUIRED = object()
 
 
-def _int_of(doc, key: str, default=_REQUIRED, minimum=None):
+def _int_of(doc, key: str, default=_REQUIRED, minimum=None, maximum=None):
     """doc[key] as an int; `default` when it is absent, unless it is required."""
     if key not in doc:
         if default is _REQUIRED:
             raise JobError(f"document needs {key}", key)
         return default
-    n = parse_int(doc[key], key)
-    if minimum is not None and n < minimum:
-        raise JobError(f"must be at least {minimum}, got {n}", key)
-    return n
+    return parse_int(doc[key], key, minimum, maximum)
+
+
+def _dim_of(doc) -> int:
+    return _int_of(doc, "dim", minimum=1, maximum=MAX_DIM)
 
 
 def _chart_of(doc) -> Chart:
@@ -149,7 +150,7 @@ def _samples_of(doc, chart: Chart):
 
 def _isotropic_of(doc, key="vectors"):
     """canonical_form of the sections doc[key] in dimension doc["dim"]."""
-    dim = _int_of(doc, "dim")
+    dim = _dim_of(doc)
     if not isinstance(doc.get(key), list):
         raise JobError(f"document needs {key}: a list of sections", key)
     vectors = [parse_section(v, dim, (), f"{key}[{i}]") for i, v in enumerate(doc[key])]
@@ -161,7 +162,7 @@ def _structure_of(doc, names=()):
     side = len(mat)
     if side % 2 or any(len(row) != side for row in mat):
         raise JobError("J must be a square matrix of even side", "matrix")
-    if "dim" in doc and 2 * _int_of(doc, "dim") != side:
+    if "dim" in doc and 2 * _dim_of(doc) != side:
         raise JobError(f"dim does not match the {side} x {side} matrix", "dim")
     return validate_gc(mat)
 
@@ -227,7 +228,7 @@ def cmd_spinor_of(doc):
 
 @command("null-space")
 def cmd_null_space(doc):
-    dim = _int_of(doc, "dim")
+    dim = _dim_of(doc)
     phi = parse_form(doc.get("form"), dim, (), "form", "form")
     if not phi:
         raise JobError("the zero form has no null space", "form")
@@ -237,7 +238,7 @@ def cmd_null_space(doc):
 
 @command("mukai")
 def cmd_mukai(doc):
-    dim = _int_of(doc, "dim")
+    dim = _dim_of(doc)
     a = parse_form(doc.get("form_a"), dim, (), "form", "form_a")
     b = parse_form(doc.get("form_b"), dim, (), "form", "form_b")
     return "pass", {"pairing": scalar_str(mukai_coeff(a, b))}
@@ -251,6 +252,8 @@ def _transform_of(doc, dim: int) -> BlockTransform:
     if kind in ("B", "beta"):
         variance = "form" if kind == "B" else "mv"
         f = parse_form(spec.get("form"), dim, (), variance, "transform.form")
+        if f.degrees() not in ([], [2]):
+            raise JobError(f"a {kind} transform needs a 2-homogeneous form", "transform.form")
         return (
             BlockTransform.from_two_form(f)
             if kind == "B"

@@ -13,7 +13,9 @@ and from shear maps via forms.two_form_from_map / map_from_two_form.
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, HALF, sqrt_exact
+from itertools import chain
+
+from .scalars import ONE, ZERO, HALF, GaussRat, all_gauss, lane, lane_dot, sqrt_exact
 from .forms import MixedForm, covector_form, two_form_from_map, check_dim
 from . import linalg
 
@@ -81,6 +83,10 @@ class GenVector:
         """Natural pairing <X+xi, Y+eta> = (xi(Y) + eta(X)) / 2."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
+        if all_gauss(chain(self.vec, self.covec, other.vec, other.covec)):
+            ls, xs = lane(self.vec + self.covec)
+            lo, ys = lane(other.covec + other.vec)
+            return GaussRat._raw(*lane_dot(xs, ys), 2 * ls * lo)
         acc = None
         for a, b in zip(self.covec, other.vec):
             t = a * b

@@ -28,6 +28,8 @@ def d(chart: Chart, phi: MixedForm) -> MixedForm:
     """
     if phi.variance != "form":
         raise ValueError("d acts on forms")
+    if phi.dim != chart.dim:
+        raise ValueError("dimension mismatch")
     out: dict = {}
     for mask, c in phi.terms.items():
         if not isinstance(c, Poly):
@@ -39,7 +41,7 @@ def d(chart: Chart, phi: MixedForm) -> MixedForm:
             dc = c.diff(name)
             if dc:
                 add_term(out, mask | bit, -dc if (mask & (bit - 1)).bit_count() & 1 else dc)
-    return MixedForm(chart.dim, out)
+    return MixedForm._raw(chart.dim, out, "form")
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,39 @@
 A MixedForm is a sparse map from basis bitmasks to scalar coefficients
 (GaussRat or Poly).  Bit i set means generator e^i (forms) or e_i
 (multivectors) is present; blades are stored with indices ascending, and the
-sign of a product is the parity of the merging permutation.
+sign of a product is the parity of the merging permutation, read off the
+prefix-parity table `_PP`.
+
+When both factors have only GaussRat coefficients, `wedge` runs in the
+integer lane of `scalars`: each factor is scaled to gaussian integers by the
+lcm of its denominators, the products are added up as integer pairs per
+output blade, and `GaussRat._raw` runs once per output coefficient.  Poly
+coefficients, alone or mixed with GaussRat ones, keep the term-by-term loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussRat, ONE, ZERO, add_term
+from .scalars import GaussRat, ONE, ZERO, add_term, all_gauss, lane
 
 MAX_DIM = 12
 _ODD_INDICES = sum(1 << i for i in range(1, MAX_DIM, 2))
+
+
+def _prefix_parities():
+    """_PP[b] has bit i set when blade b has an odd number of generators below i.
+
+    Adding generator h to a blade below it flips the parity of every i > h.
+    """
+    pp = [0]
+    for h in range(MAX_DIM):
+        flip = ((1 << MAX_DIM) - 1) & ~((2 << h) - 1)
+        pp += [p ^ flip for p in pp]
+    return pp
+
+
+_PP = _prefix_parities()
 
 
 class CapacityError(ValueError):
@@ -26,15 +48,12 @@ def check_dim(m: int):
 
 
 def merge_sign(a: int, b: int) -> int:
-    """Parity of the permutation sorting blade a followed by blade b."""
-    s = 0
-    rem = a
-    while rem:
-        low = rem & -rem
-        i = low.bit_length() - 1
-        s += (b & (low - 1)).bit_count()
-        rem ^= low
-    return -1 if s & 1 else 1
+    """Parity of the permutation sorting blade a followed by blade b.
+
+    It counts the pairs (i in a, j in b) with j < i: for each i in a, the
+    parity of b below i, which is bit i of _PP[b].
+    """
+    return -1 if (a & _PP[b]).bit_count() & 1 else 1
 
 
 def contract_sign(mask: int, i: int) -> int:
@@ -61,6 +80,19 @@ class MixedForm:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "variance", variance)
         object.__setattr__(self, "terms", clean)
+
+    @staticmethod
+    def _raw(dim: int, terms: dict, variance: str) -> "MixedForm":
+        """Trusted constructor: stores terms as given and checks nothing.
+
+        The caller guarantees a checked dim and variance, masks below 2^dim
+        and no zero coefficient.
+        """
+        out = object.__new__(MixedForm)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "variance", variance)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("MixedForm is immutable")
@@ -113,24 +145,27 @@ class MixedForm:
         out = dict(self.terms)
         for m, c in other.terms.items():
             add_term(out, m, c)
-        return MixedForm(self.dim, out, self.variance)
+        return MixedForm._raw(self.dim, out, self.variance)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return MixedForm(self.dim, {m: -c for m, c in self.terms.items()}, self.variance)
+        return MixedForm._raw(self.dim, {m: -c for m, c in self.terms.items()}, self.variance)
 
     def scale(self, c):
         if not c:
             return MixedForm.zero(self.dim, self.variance)
-        return MixedForm(self.dim, {m: c * x for m, x in self.terms.items()}, self.variance)
+        return MixedForm._raw(self.dim, {m: c * x for m, x in self.terms.items()}, self.variance)
 
     def wedge(self, other) -> "MixedForm":
         self._check_peer(other)
+        ta, tb = self.terms, other.terms
+        if all_gauss(ta.values()) and all_gauss(tb.values()):
+            return MixedForm._raw(self.dim, _wedge_lane(ta, tb), self.variance)
         out: dict = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+        for ma, ca in ta.items():
+            for mb, cb in tb.items():
                 if ma & mb:
                     continue
                 sgn = merge_sign(ma, mb)
@@ -139,7 +174,7 @@ class MixedForm:
                 if sgn < 0:
                     t = -t
                 add_term(out, m, t)
-        return MixedForm(self.dim, out, self.variance)
+        return MixedForm._raw(self.dim, out, self.variance)
 
     # -- grading ------------------------------------------------------------
     def degree_part(self, k: int) -> "MixedForm":
@@ -181,7 +216,7 @@ class MixedForm:
                 if contract_sign(mask, i) < 0:
                     t = -t
                 add_term(out, mask ^ low, t)
-        return MixedForm(self.dim, out, self.variance)
+        return MixedForm._raw(self.dim, out, self.variance)
 
     def contract_blade(self, blade_mask: int) -> "MixedForm":
         """Iterated interior product by the generators of an ascending blade.
@@ -203,7 +238,7 @@ class MixedForm:
                 sgn *= contract_sign(cur, i)
                 cur ^= low
             add_term(out, cur, c if sgn > 0 else -c)
-        return MixedForm(self.dim, out, self.variance)
+        return MixedForm._raw(self.dim, out, self.variance)
 
     def contract_mv(self, mv: "MixedForm") -> "MixedForm":
         """i_P for a multivector P acting on this form (or dually)."""
@@ -303,6 +338,42 @@ class MixedForm:
             blade = f"{sym}{idx}" if idx else "1"
             bits.append(f"({self.terms[m]!r})*{blade}")
         return " + ".join(bits)
+
+
+def _wedge_lane(ta: dict, tb: dict) -> dict:
+    """The terms of ta ^ tb for GaussRat coefficients, in the integer lane.
+
+    Products are added up as integer pairs (u, v) per blade, in the order
+    and with the cancellations of the term-by-term loop, so the blades come
+    out in the same order; each sum is then divided by the product of the
+    two factors' common denominators, one normalisation per blade.
+    """
+    la, xa = lane(ta.values())
+    lb, xb = lane(tb.values())
+    right = [(mb, _PP[mb], c, d) for mb, (c, d) in zip(tb, xb)]
+    out: dict = {}
+    get = out.get
+    for ma, (a, b) in zip(ta, xa):
+        for mb, pb, c, d in right:
+            if ma & mb:
+                continue
+            if b:
+                u, v = a * c - b * d, a * d + b * c
+            else:
+                u, v = a * c, a * d
+            if (ma & pb).bit_count() & 1:
+                u, v = -u, -v
+            m = ma | mb
+            cur = get(m)
+            if cur is not None:
+                u += cur[0]
+                v += cur[1]
+                if not (u or v):
+                    del out[m]
+                    continue
+            out[m] = (u, v)
+    q = la * lb
+    return {m: GaussRat._raw(u, v, q) for m, (u, v) in out.items()}
 
 
 def mukai_pair(s: MixedForm, t: MixedForm) -> "MixedForm":

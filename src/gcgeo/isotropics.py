@@ -118,13 +118,7 @@ def canonical_form(vectors, dim: int) -> MaxIsotropic:
             ann.append(GenVector.from_coords(r))
     delta = [list(v.vec) for v in lifts]
     k = dim - len(delta)
-    eps = [
-        [
-            sum((a * b for a, b in zip(u.covec, w.vec)), ZERO)
-            for w in lifts
-        ]
-        for u in lifts
-    ]
+    eps = linalg.mat_mul([u.covec for u in lifts], linalg.transpose([w.vec for w in lifts]))
     basis = tuple(lifts + ann)
     return MaxIsotropic(
         dim=dim,

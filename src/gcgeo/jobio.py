@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import __version__
 from .scalars import GaussRat, Poly, gauss_str, poly_str
-from .forms import MixedForm
+from .forms import MAX_DIM, MixedForm
 from .clifford import GenVector
 from .charts import Chart
 
@@ -159,12 +159,17 @@ def parse_scalar(s, names=(), location="scalar"):
     return p
 
 
-def parse_int(x, location) -> int:
-    """An integer given as a JSON number or a numeric string."""
+def parse_int(x, location, minimum=None, maximum=None) -> int:
+    """An integer given as a JSON number or a numeric string, within the bounds given."""
     try:
-        return int(x)
+        n = int(x)
     except (TypeError, ValueError):
         raise JobError(f"must be an integer, got {x!r}", location) from None
+    if minimum is not None and n < minimum:
+        raise JobError(f"must be at least {minimum}, got {n}", location)
+    if maximum is not None and n > maximum:
+        raise JobError(f"must be at most {maximum}, got {n}", location)
+    return n
 
 
 def scalar_str(x) -> str:
@@ -177,7 +182,8 @@ def parse_chart(doc, location="chart") -> Chart:
     if not isinstance(doc, dict):
         raise JobError("chart must be an object", location)
     if "complex_dim" in doc:
-        return Chart.complex_plane(parse_int(doc["complex_dim"], f"{location}.complex_dim"))
+        n = parse_int(doc["complex_dim"], f"{location}.complex_dim", 1, MAX_DIM // 2)
+        return Chart.complex_plane(n)
     names = doc.get("vars")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise JobError("chart.vars must be a list of names", location)

@@ -1,7 +1,12 @@
 """Exact linear algebra over gaussian rationals, plus generic ring matrices.
 
 Matrices are plain lists of lists.  Products, transposes and identity checks
-work for any scalar ring (GaussRat or Poly) by duck typing.
+work for any scalar ring (GaussRat or Poly) by duck typing.  When every entry
+is a GaussRat, `mat_mul` and `mat_vec` run in the integer lane of `scalars`:
+each row of the left factor and each column of the right one (or the vector)
+is scaled to gaussian integers by the lcm of its denominators, products are
+added up in plain ints (skipping zero entries), and `GaussRat._raw` runs once
+per nonzero entry of the result.
 
 Row reduction, kernels, solves, ranks and inverses are defined over the
 GaussRat field and share one Gauss-Jordan core, `_eliminate`.  It works on
@@ -26,7 +31,7 @@ from __future__ import annotations
 from itertools import chain
 from math import gcd, lcm
 
-from .scalars import GaussRat, ONE, ZERO, as_gauss
+from .scalars import GaussRat, ONE, ZERO, all_gauss, as_gauss, lane, lane_dot
 
 
 def zeros(r, c):
@@ -38,6 +43,8 @@ def identity(n, one=ONE, zero=ZERO):
 
 
 def mat_mul(a, b):
+    if all(map(all_gauss, a)) and all(map(all_gauss, b)):
+        return _mat_mul_lane(a, b)
     rb = len(b)
     cb = len(b[0]) if rb else 0
     out = []
@@ -58,7 +65,49 @@ def mat_mul(a, b):
     return out
 
 
+def _mat_mul_lane(a, b):
+    """a b for GaussRat entries: rows of a and columns of b on their own lanes.
+
+    Row i of the product accumulates a[i][k] times the nonzero integer
+    entries of row k of b in plain ints; entry (i, j) is then divided by the
+    common denominators of row i of a and column j of b.
+    """
+    cols = [lane(col) for col in zip(*b)]
+    dens = [lb for lb, _ in cols]
+    brows = [
+        [(j, c, d) for j, (c, d) in enumerate(r) if c or d]
+        for r in zip(*[ys for _, ys in cols])
+    ]
+    out = []
+    for row in a:
+        la, xs = lane(row)
+        us = [0] * len(dens)
+        vs = [0] * len(dens)
+        for (x, y), brow in zip(xs, brows):
+            if y:
+                for j, c, d in brow:
+                    us[j] += x * c - y * d
+                    vs[j] += x * d + y * c
+            elif x:
+                for j, c, d in brow:
+                    us[j] += x * c
+                    vs[j] += x * d
+        out.append([
+            GaussRat._raw(u, v, la * lb) if u or v else ZERO
+            for u, v, lb in zip(us, vs, dens)
+        ])
+    return out
+
+
 def mat_vec(a, v):
+    if all_gauss(v) and all(map(all_gauss, a)):
+        lv, ys = lane(v)
+        out = []
+        for row in a:
+            la, xs = lane(row)
+            u, w = lane_dot(xs, ys)
+            out.append(GaussRat._raw(u, w, la * lv) if u or w else ZERO)
+        return out
     out = []
     for row in a:
         s = None
@@ -107,9 +156,13 @@ def _row(entries):
     entries are (column, scalar) pairs; the nonzero scalars are scaled by the
     lcm of their denominators, so each becomes a + bi with a, b integers.
     """
-    gs = [(j, g) for j, g in ((j, as_gauss(x)) for j, x in entries) if g]
-    lc = lcm(*(g.q for _, g in gs))
-    return {j: (g.a * (lc // g.q), g.b * (lc // g.q)) for j, g in gs}
+    js, gs = [], []
+    for j, x in entries:
+        g = as_gauss(x)
+        if g:
+            js.append(j)
+            gs.append(g)
+    return dict(zip(js, lane(gs)[1]))
 
 
 def _entries(m, ncols=None):

@@ -7,7 +7,7 @@ floating point anywhere; all identities are decided exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import add as _add
 
 
@@ -74,13 +74,15 @@ class GaussRat:
 
     @staticmethod
     def _raw(a: int, b: int, q: int) -> "GaussRat":
-        if q < 0:
-            a, b, q = -a, -b, -q
-        g = gcd(gcd(a, b), q)
-        if g > 1:
-            a //= g
-            b //= g
-            q //= g
+        """(a + b i) / q in lowest terms, for integers a, b and q != 0."""
+        if q != 1:
+            if q < 0:
+                a, b, q = -a, -b, -q
+            g = gcd(a, b, q)
+            if g > 1:
+                a //= g
+                b //= g
+                q //= g
         out = object.__new__(GaussRat)
         object.__setattr__(out, "a", a)
         object.__setattr__(out, "b", b)
@@ -239,6 +241,39 @@ ZERO = GaussRat(0)
 ONE = GaussRat(1)
 IUNIT = GaussRat(0, 1)
 HALF = GaussRat(Fraction(1, 2))
+
+
+# -- the integer lane ---------------------------------------------------------
+# Bulk kernels (wedge, pairing, matrix products) over GaussRat values scale
+# each operand to gaussian integers by the lcm of its denominators, add up
+# products in plain ints and call GaussRat._raw once per output entry: the
+# common-denominator arithmetic of Geddes, Czapor and Labahn, "Algorithms for
+# Computer Algebra" (1992).  A kernel takes the lane only when all_gauss holds
+# for every operand; anything else (a Poly, an int) keeps the generic loop.
+
+def all_gauss(cs) -> bool:
+    """Whether every entry of cs is exactly a GaussRat."""
+    return all(type(c) is GaussRat for c in cs)
+
+
+def lane(cs):
+    """(L, [(a, b), ...]): each GaussRat of the sequence cs as (a + b i) / L.
+
+    L is the lcm of their denominators, so a and b are integers.
+    """
+    lc = lcm(*[c.q for c in cs])
+    if lc == 1:
+        return 1, [(c.a, c.b) for c in cs]
+    return lc, [(c.a * (lc // c.q), c.b * (lc // c.q)) for c in cs]
+
+
+def lane_dot(xs, ys):
+    """sum x y over two lanes' numerators, as the integer pair (u, v) = u + v i."""
+    u = v = 0
+    for (a, b), (c, d) in zip(xs, ys):
+        u += a * c - b * d
+        v += a * d + b * c
+    return u, v
 
 
 def gauss_str(g: GaussRat) -> str:

@@ -247,19 +247,22 @@ class TestCommands:
             ("type_jump_c2.json", ("degree_bound",), [], "degree_bound: "),
             ("transform_beta_cotangent.json", ("transform", "matrix"), [["1"]],
              "transform.matrix: "),
+            ("transform_beta_cotangent.json", ("transform", "form"),
+             [{"coeff": "1", "basis": [1]}], "transform.form: "),
             ("validate_gcs_symplectic.json", ("matrix", 1), ["0"], "matrix: "),
             ("darboux_b_transformed.json", ("matrix",), [["0", "1", "0"]], "matrix: "),
         ],
         ids=[
             "eps-term", "eps-index", "beta-term", "section-vec", "frame", "complex-pairs",
             "complex-pair", "complex-dim", "params", "params-range", "graph", "cases",
-            "seed", "samples", "degree-bound", "gl-shape", "ragged-j", "odd-j",
+            "seed", "samples", "degree-bound", "gl-shape", "transform-degree", "ragged-j",
+            "odd-j",
         ],
     )
     def test_odd_json_shape_exit_2(self, filename, path, value, where, tmp_path, capsys):
         with open(case(filename)) as f:
             doc = json.load(f)
-        if path[0] == "transform":
+        if path == ("transform", "matrix"):
             doc["transform"] = {"kind": "gl"}
         node = doc
         for key in path[:-1]:

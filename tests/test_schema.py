@@ -25,7 +25,7 @@ CASES = {
     if not p.endswith("invalid_truncated.json")
 }
 # fields whose range error must name the field
-LOCATED = {"degree_bound", "cases"}
+LOCATED = {"degree_bound", "cases", "dim", "chart.complex_dim"}
 
 
 def load(name):
@@ -85,5 +85,7 @@ def test_out_of_range_exit_2(name, path, value, tmp_path, capsys):
     assert code == 2 and captured.err == ""
     body = json.loads(captured.out)
     assert body["verdict"] == "error"
-    if path[-1] in LOCATED:
-        assert body["counterexample"]["error"].startswith(f"{path[-1]}: ")
+    where = ".".join(path)
+    if where in LOCATED:
+        error = body["counterexample"]["error"]
+        assert error.startswith(f"{where}: ") and str(value) in error
