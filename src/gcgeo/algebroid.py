@@ -11,8 +11,7 @@ Cartan differential d_L eps and the quadratic part is the bracket term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .record import Record
 from .scalars import Poly, as_gauss
 from .clifford import GenVector
 from .charts import Chart
@@ -29,8 +28,7 @@ def _mask_indices(mask: int):
     return out
 
 
-@dataclass(frozen=True)
-class LiePair:
+class LiePair(Record, frozen=True):
     """Transverse frames for L and its complement R = L*, with a twist."""
 
     chart: Chart
@@ -244,8 +242,7 @@ def r_lie_derivative(pair: LiePair, b_comps, mu: dict, k: int) -> dict:
 # Maurer-Cartan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MCReport:
+class MCReport(Record, frozen=True):
     verdict: str
     linear: dict
     quadratic: dict

@@ -9,8 +9,7 @@ hypotheses are audited at sample points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .record import Record
 from .scalars import Poly, ONE, ZERO, IUNIT, as_gauss
 from .forms import MixedForm, covector_form, two_form_from_map, map_from_two_form
 from .clifford import GenVector
@@ -25,8 +24,7 @@ class NotSmooth(ValueError):
     """The pulled-back Dirac structure changes rank between sample points."""
 
 
-@dataclass(frozen=True)
-class SubmanifoldData:
+class SubmanifoldData(Record, frozen=True):
     """A graph submanifold x_j = g_j(params) carrying a trivializing 2-form F.
 
     param_indices are the ambient coordinates restricting to coordinates on S;
@@ -166,8 +164,7 @@ def whole_chart(chart: Chart, f2: MixedForm | None = None) -> SubmanifoldData:
 # generalized tangent bundle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneralizedTangent:
+class GeneralizedTangent(Record, frozen=True):
     """Frame of tau = {X + eta in TS + T*M : i*eta = i_X F} over S."""
 
     sub: SubmanifoldData
@@ -220,8 +217,7 @@ def _polynomial_kernel(s_chart: Chart, rows, ncols: int, samples, degree_bound: 
     return [ansatz_polys(s_chart, k, unknowns, ncols) for k in ker], target_dim
 
 
-@dataclass(frozen=True)
-class PullbackResult:
+class PullbackResult(Record, frozen=True):
     frame: DiracFrame
     twist: ClosedThreeForm | None
     involutivity: dict
@@ -286,8 +282,7 @@ def pullback_dirac(
 # brane compatibility
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BraneReport:
+class BraneReport(Record, frozen=True):
     compatible: bool
     failures: tuple
     coisotropic: bool

@@ -8,15 +8,13 @@ single real polynomial scalar backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .record import Record
 from .scalars import GaussRat, Poly, ONE, IUNIT, HALF
 from .forms import MixedForm, check_dim
 from .clifford import GenVector
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record, frozen=True):
     names: tuple
     complex_pairs: tuple = ()
 

@@ -12,9 +12,13 @@ document.  Two rules hold for all of them:
   document once, before the handler runs, over the command's declared
   `defaults`.  The report records the seed so resolved.
 * A command's decided failure is the one exception it declares,
-  `@command(name, decided=...)`.  `run_job` turns that exception into a
-  `"fail"` report with a `violation`; every other `ValueError` reaches the
-  exit-2 boundary in `main`.
+  `@command(name, decided="module.Exception")`.  `run_job` turns that
+  exception into a `"fail"` report with a `violation`; every other
+  `ValueError` reaches the exit-2 boundary in `main`.
+
+A handler imports the layers it runs inside its body, so a process that runs
+one command loads only `jobio`'s parsing layers and that command's own: the
+declared failure is a name, resolved when its command runs.
 """
 
 from __future__ import annotations
@@ -25,43 +29,6 @@ import sys
 import time
 
 from . import __version__
-from .forms import MAX_DIM, MixedForm, mukai_coeff
-from .clifford import BlockTransform
-from .charts import Chart
-from .isotropics import (
-    NotIsotropic,
-    canonical_form,
-    null_space,
-    pure_spinor_line,
-    tensor_product,
-    transform,
-)
-from .gcs import (
-    InvalidStructure,
-    darboux_point,
-    eigenbundle,
-    gc_type,
-    grading_project,
-    j_complex,
-    poisson_of,
-    standard_complex_endo,
-    validate_gc,
-)
-from .fields import ClosedThreeForm, DiracFrame, schouten
-from .integrability import (
-    NotPoisson,
-    check_spinor_integrability,
-    deform_by_bivector,
-    hamiltonian_section,
-    holomorphic_bivector,
-    is_symmetry,
-    modular_vector_field,
-    nijenhuis_field,
-    nijenhuis_vanishes,
-)
-from .algebroid import complex_pair, maurer_cartan
-from .branes import NotSmooth, SubmanifoldData, brane_check, pullback_dirac
-from .suites import run_axiom_suite
 from .jobio import (
     JobError,
     Report,
@@ -82,12 +49,12 @@ from .jobio import (
 )
 
 COMMANDS = {}  # name -> cmd_* handler: doc -> (verdict, certificate or counterexample)
-DECIDED = {}  # name -> the exception that is the command's mathematical fail
+DECIDED = {}  # name -> "module.Exception", the command's mathematical fail
 DEFAULTS = {}  # name -> document fields used when neither flag nor document sets them
 FLAGS = ("seed", "cases", "degree_bound", "samples")
 
 
-def command(name, decided=(), defaults=None):
+def command(name, decided=None, defaults=None):
     def deco(fn):
         COMMANDS[name] = fn
         DECIDED[name] = decided
@@ -95,6 +62,15 @@ def command(name, decided=(), defaults=None):
         return fn
 
     return deco
+
+
+def decided_failure(name: str):
+    """The exception class command `name` declares as its mathematical fail, or ()."""
+    if not DECIDED[name]:
+        return ()
+    module, _, exc = DECIDED[name].rpartition(".")
+    # the package resolves a submodule that is not yet imported (PEP 562)
+    return getattr(getattr(sys.modules[__package__], module), exc)
 
 
 # ---------------------------------------------------------------------------
@@ -114,23 +90,26 @@ def _int_of(doc, key: str, default=_REQUIRED, minimum=None, maximum=None):
 
 
 def _dim_of(doc) -> int:
+    from .forms import MAX_DIM
     return _int_of(doc, "dim", minimum=1, maximum=MAX_DIM)
 
 
-def _chart_of(doc) -> Chart:
+def _chart_of(doc):
     if "chart" not in doc:
         raise JobError("document needs a chart", "chart")
     return parse_chart(doc["chart"])
 
 
-def _complex_chart_of(doc, name: str) -> Chart:
+def _complex_chart_of(doc, name: str):
     chart = _chart_of(doc)
     if 2 * chart.n_complex != chart.dim:
         raise JobError(f"{name} runs on a fully complex-paired chart", "chart")
     return chart
 
 
-def _twist_of(doc, chart: Chart) -> ClosedThreeForm | None:
+def _twist_of(doc, chart):
+    """The closed twist doc["h"] as a ClosedThreeForm, or None."""
+    from .fields import ClosedThreeForm
     if not doc.get("h"):
         return None
     h = parse_form(doc["h"], chart.dim, chart.names, "form", "h")
@@ -140,7 +119,7 @@ def _twist_of(doc, chart: Chart) -> ClosedThreeForm | None:
         raise JobError(str(e), "h")
 
 
-def _samples_of(doc, chart: Chart):
+def _samples_of(doc, chart):
     if "samples" not in doc:
         return None
     if not isinstance(doc["samples"], list):
@@ -150,6 +129,7 @@ def _samples_of(doc, chart: Chart):
 
 def _isotropic_of(doc, key="vectors"):
     """canonical_form of the sections doc[key] in dimension doc["dim"]."""
+    from .isotropics import canonical_form
     dim = _dim_of(doc)
     if not isinstance(doc.get(key), list):
         raise JobError(f"document needs {key}: a list of sections", key)
@@ -158,6 +138,7 @@ def _isotropic_of(doc, key="vectors"):
 
 
 def _structure_of(doc, names=()):
+    from .gcs import validate_gc
     mat = parse_matrix(doc.get("matrix"), names, "matrix")
     side = len(mat)
     if side % 2 or any(len(row) != side for row in mat):
@@ -167,7 +148,8 @@ def _structure_of(doc, names=()):
     return validate_gc(mat)
 
 
-def _frame_of(doc, chart: Chart, key="dirac_frame") -> DiracFrame:
+def _frame_of(doc, chart, key="dirac_frame"):
+    from .fields import DiracFrame
     frame_doc = doc.get(key, [])
     if not isinstance(frame_doc, list):
         raise JobError(f"{key} must be a list of sections", key)
@@ -181,7 +163,7 @@ def _frame_of(doc, chart: Chart, key="dirac_frame") -> DiracFrame:
         raise JobError(str(e), key)
 
 
-def _pair_terms(doc, key: str, index_key: str, chart: Chart):
+def _pair_terms(doc, key: str, index_key: str, chart):
     """The terms {coeff, index_key: [i, j]} of doc[key] as ((i, j), coeff), 0-based."""
     terms = doc.get(key)
     if not isinstance(terms, list):
@@ -210,24 +192,26 @@ def _canonical_cert(iso) -> dict:
 # linear-algebra commands
 # ---------------------------------------------------------------------------
 
-@command("check-isotropic", decided=NotIsotropic)
+@command("check-isotropic", decided="isotropics.NotIsotropic")
 def cmd_check_isotropic(doc):
     iso = _isotropic_of(doc)
     return "pass", {"type": iso.type, "parity": iso.parity}
 
 
-@command("canonical-form", decided=NotIsotropic)
+@command("canonical-form", decided="isotropics.NotIsotropic")
 def cmd_canonical_form(doc):
     return "pass", _canonical_cert(_isotropic_of(doc))
 
 
-@command("spinor-of", decided=NotIsotropic)
+@command("spinor-of", decided="isotropics.NotIsotropic")
 def cmd_spinor_of(doc):
+    from .isotropics import pure_spinor_line
     return "pass", {"spinor": form_json(pure_spinor_line(_isotropic_of(doc)))}
 
 
 @command("null-space")
 def cmd_null_space(doc):
+    from .isotropics import null_space
     dim = _dim_of(doc)
     phi = parse_form(doc.get("form"), dim, (), "form", "form")
     if not phi:
@@ -238,13 +222,15 @@ def cmd_null_space(doc):
 
 @command("mukai")
 def cmd_mukai(doc):
+    from .forms import mukai_coeff
     dim = _dim_of(doc)
     a = parse_form(doc.get("form_a"), dim, (), "form", "form_a")
     b = parse_form(doc.get("form_b"), dim, (), "form", "form_b")
     return "pass", {"pairing": scalar_str(mukai_coeff(a, b))}
 
 
-def _transform_of(doc, dim: int) -> BlockTransform:
+def _transform_of(doc, dim: int):
+    from .clifford import BlockTransform
     spec = doc.get("transform")
     if not isinstance(spec, dict) or "kind" not in spec:
         raise JobError("transform needs {kind, form|matrix}", "transform")
@@ -270,14 +256,16 @@ def _transform_of(doc, dim: int) -> BlockTransform:
     raise JobError(f"unknown transform kind {kind!r}", "transform.kind")
 
 
-@command("transform", decided=NotIsotropic)
+@command("transform", decided="isotropics.NotIsotropic")
 def cmd_transform(doc):
+    from .isotropics import transform
     iso = _isotropic_of(doc)
     return "pass", _canonical_cert(transform(iso, _transform_of(doc, iso.dim)))
 
 
 @command("tensor")
 def cmd_tensor(doc):
+    from .isotropics import tensor_product
     out = tensor_product(_isotropic_of(doc, "vectors_a"), _isotropic_of(doc, "vectors_b"))
     return "pass", _canonical_cert(out)
 
@@ -286,8 +274,9 @@ def cmd_tensor(doc):
 # structure commands
 # ---------------------------------------------------------------------------
 
-@command("validate-gcs", decided=InvalidStructure)
+@command("validate-gcs", decided="gcs.InvalidStructure")
 def cmd_validate_gcs(doc):
+    from .gcs import gc_type
     names = parse_chart(doc["chart"]).names if "chart" in doc else ()
     s = _structure_of(doc, names)
     cert = {"dim": s.dim}
@@ -298,6 +287,9 @@ def cmd_validate_gcs(doc):
 
 @command("type-map")
 def cmd_type_map(doc):
+    from .forms import mukai_coeff
+    from .gcs import gc_type
+    from .isotropics import null_space
     chart = _chart_of(doc)
     samples = _samples_of(doc, chart)
     if samples is None:
@@ -325,8 +317,9 @@ def cmd_type_map(doc):
     return "pass", {"types": out}
 
 
-@command("darboux", decided=InvalidStructure)
+@command("darboux", decided="gcs.InvalidStructure")
 def cmd_darboux(doc):
+    from .gcs import darboux_point
     data = darboux_point(_structure_of(doc))
     return "pass", {
         "type": data.k,
@@ -339,6 +332,7 @@ def cmd_darboux(doc):
 
 @command("grading")
 def cmd_grading(doc):
+    from .gcs import grading_project
     s = _structure_of(doc)
     phi = parse_form(doc.get("form"), s.dim, (), "form", "form")
     return "pass", {"component": form_json(grading_project(s, phi, _int_of(doc, "k")))}
@@ -346,6 +340,7 @@ def cmd_grading(doc):
 
 @command("poisson-of")
 def cmd_poisson_of(doc):
+    from .gcs import poisson_of
     pmap, pmv = poisson_of(_structure_of(doc))
     return "pass", {"map": matrix_json(pmap), "bivector": form_json(pmv)}
 
@@ -356,6 +351,7 @@ def cmd_poisson_of(doc):
 
 @command("check-integrable")
 def cmd_check_integrable(doc):
+    from .integrability import check_spinor_integrability
     chart = _chart_of(doc)
     phi = parse_form(doc.get("form"), chart.dim, chart.names, "form", "form")
     h = _twist_of(doc, chart)
@@ -380,6 +376,7 @@ def cmd_check_integrable(doc):
 
 @command("nijenhuis")
 def cmd_nijenhuis(doc):
+    from .integrability import nijenhuis_field, nijenhuis_vanishes
     chart = _chart_of(doc)
     comps = nijenhuis_field(chart, _structure_of(doc, chart.names), _twist_of(doc, chart))
     if nijenhuis_vanishes(comps):
@@ -390,6 +387,7 @@ def cmd_nijenhuis(doc):
 
 @command("schouten")
 def cmd_schouten(doc):
+    from .fields import schouten
     chart = _chart_of(doc)
     a = parse_form(doc.get("mv_a"), chart.dim, chart.names, "mv", "mv_a")
     b = parse_form(doc.get("mv_b"), chart.dim, chart.names, "mv", "mv_b")
@@ -398,6 +396,7 @@ def cmd_schouten(doc):
 
 @command("maurer-cartan")
 def cmd_maurer_cartan(doc):
+    from .algebroid import complex_pair, maurer_cartan
     chart = _complex_chart_of(doc, "maurer-cartan")
     pair = complex_pair(chart, _twist_of(doc, chart))
     eps = {}
@@ -417,6 +416,8 @@ def cmd_maurer_cartan(doc):
 
 @command("deform")
 def cmd_deform(doc):
+    from .gcs import j_complex, standard_complex_endo
+    from .integrability import deform_by_bivector, holomorphic_bivector
     chart = _complex_chart_of(doc, "deform")
     beta_mv = holomorphic_bivector(chart, dict(_pair_terms(doc, "beta", "pair", chart)))
     base = j_complex(standard_complex_endo(chart.n_complex))
@@ -434,8 +435,10 @@ def cmd_deform(doc):
     return "pass", cert
 
 
-@command("modular", decided=NotPoisson)
+@command("modular", decided="integrability.NotPoisson")
 def cmd_modular(doc):
+    from .forms import MixedForm
+    from .integrability import modular_vector_field
     chart = _chart_of(doc)
     beta = parse_form(doc.get("bivector"), chart.dim, chart.names, "mv", "bivector")
     vol_doc = doc.get("volume")
@@ -455,6 +458,9 @@ def cmd_modular(doc):
 
 @command("ham-symmetry")
 def cmd_ham_symmetry(doc):
+    from .fields import DiracFrame
+    from .gcs import eigenbundle
+    from .integrability import hamiltonian_section, is_symmetry
     chart = _chart_of(doc)
     s = _structure_of(doc, chart.names)
     f_re = parse_scalar(doc.get("f_re", "0"), chart.names, "f_re")
@@ -471,8 +477,9 @@ def cmd_ham_symmetry(doc):
     return "pass", {"section": section_json(df), "symmetry": ok}
 
 
-@command("pullback", decided=NotSmooth, defaults={"degree_bound": 2})
+@command("pullback", decided="branes.NotSmooth", defaults={"degree_bound": 2})
 def cmd_pullback(doc):
+    from .branes import pullback_dirac
     chart = _chart_of(doc)
     sub = _submanifold_of(doc, chart)
     res = pullback_dirac(
@@ -484,7 +491,8 @@ def cmd_pullback(doc):
     }
 
 
-def _submanifold_of(doc, chart: Chart) -> SubmanifoldData:
+def _submanifold_of(doc, chart):
+    from .branes import SubmanifoldData
     spec = doc.get("submanifold")
     if not isinstance(spec, dict):
         raise JobError("document needs a submanifold object", "submanifold")
@@ -515,6 +523,7 @@ def _submanifold_of(doc, chart: Chart) -> SubmanifoldData:
 
 @command("brane-check")
 def cmd_brane_check(doc):
+    from .branes import brane_check
     chart = _chart_of(doc)
     rep = brane_check(_structure_of(doc, chart.names), _submanifold_of(doc, chart))
     body = {
@@ -535,6 +544,7 @@ def cmd_brane_check(doc):
 
 @command("axiom-suite", defaults={"cases": 100, "seed": 0})
 def cmd_axiom_suite(doc):
+    from .suites import run_axiom_suite
     chart = parse_chart(doc["chart"]) if "chart" in doc else None
     cases = _int_of(doc, "cases", minimum=1)
     res = run_axiom_suite(chart, cases=cases, seed=_int_of(doc, "seed"))
@@ -576,11 +586,14 @@ def run_job(command_name: str, doc: dict, opts) -> Report:
             flags["samples"] = json.loads(flags["samples"])
         except ValueError as e:
             raise JobError(f"--samples is not valid JSON: {e}")
+        except RecursionError:
+            raise JobError("--samples is nested too deeply") from None
     doc = {**DEFAULTS[command_name], **doc, **flags}
     seed = _int_of(doc, "seed", None)
+    decided = decided_failure(command_name)
     try:
         verdict, body = COMMANDS[command_name](doc)
-    except DECIDED[command_name] as e:
+    except decided as e:
         verdict, body = "fail", {"violation": str(e)}
     key = "certificate" if verdict == "pass" else "counterexample"
     return Report(command_name, verdict, seed=seed, **{key: body})

@@ -7,8 +7,7 @@ identity over the chart ring, decided exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .record import Record
 from .scalars import GaussRat, Poly, add_term, as_gauss
 from .forms import MixedForm, covector_form
 from .clifford import GenVector
@@ -44,8 +43,7 @@ def d(chart: Chart, phi: MixedForm) -> MixedForm:
     return MixedForm._raw(chart.dim, out, "form")
 
 
-@dataclass(frozen=True)
-class ClosedThreeForm:
+class ClosedThreeForm(Record, frozen=True):
     """A degree-3 twist; the computed residual dH is stored as the certificate."""
 
     chart: Chart
@@ -199,8 +197,7 @@ def lie_derivative_mv(chart: Chart, x_coeffs, q: MixedForm) -> MixedForm:
 # Dirac frames and involutivity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiracFrame:
+class DiracFrame(Record, frozen=True):
     """m polynomial sections spanning a pointwise maximal isotropic."""
 
     chart: Chart

@@ -12,9 +12,9 @@ blocks of J are (A, P_beta_map; B_map, -A^T).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .record import Record
 from .scalars import GaussRat, ONE, ZERO, IUNIT, HALF, as_gauss
 from .forms import MixedForm, check_dim, coefficient_rows, mukai_coeff, two_form_from_map
 from .clifford import GenVector, SoElement
@@ -28,8 +28,7 @@ class InvalidStructure(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GCStructure:
+class GCStructure(Record, frozen=True):
     """A validated orthogonal complex structure on (V + V*)."""
 
     dim: int  # m = 2n
@@ -271,8 +270,7 @@ def gc_from_pure_spinor(phi: MixedForm) -> GCStructure:
     return validate_gc(j)
 
 
-@dataclass(frozen=True)
-class CanonicalSpinorData:
+class CanonicalSpinorData(Record, frozen=True):
     """Generator = exp(B + i omega) ^ Omega with Omega decomposable of degree k."""
 
     k: int
@@ -439,8 +437,7 @@ def poisson_of(s: GCStructure):
     return pmap, two_form_from_map(pmap, "mv")
 
 
-@dataclass(frozen=True)
-class DarbouxData:
+class DarbouxData(Record, frozen=True):
     k: int
     btilde: MixedForm
     omega0: MixedForm

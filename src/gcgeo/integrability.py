@@ -7,10 +7,10 @@ over the unknown polynomial coefficients of X + xi, up to a degree bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import add
 
+from .record import Record
 from .scalars import Poly, ZERO
 from .forms import MixedForm, coefficient_rows, covector_form, map_from_two_form
 from .clifford import GenVector
@@ -80,8 +80,7 @@ class NotPoisson(ValueError):
     """The bivector of a modular field problem has [beta, beta] != 0."""
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Record, frozen=True):
     verdict: str  # "pass" | "fail" | "inconclusive"
     witness: GenVector | None
     degree_bound: int
@@ -214,8 +213,7 @@ def nijenhuis_vanishes(components: dict) -> bool:
 # deformation by a holomorphic bivector
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeformationResult:
+class DeformationResult(Record, frozen=True):
     structure: GCStructure
     spinor: MixedForm
     frame: DiracFrame

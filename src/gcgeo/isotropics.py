@@ -8,8 +8,7 @@ components on a basis is built by wedging the dual coframe (`coframe`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .record import Record
 from .scalars import ONE, ZERO, as_gauss
 from .forms import MixedForm, check_dim, covector_form
 from .clifford import GenVector, BlockTransform
@@ -24,8 +23,7 @@ class NotPure(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MaxIsotropic:
+class MaxIsotropic(Record, frozen=True):
     """Maximal isotropic with canonical data.
 
     delta_basis spans the projection to V; eps[a][b] is the induced 2-form on
@@ -64,8 +62,7 @@ class MaxIsotropic:
         return self.equals(self.conj())
 
 
-@dataclass(frozen=True)
-class SpinorLine:
+class SpinorLine(Record, frozen=True):
     """A pure spinor line, understood projectively."""
 
     generator: MixedForm

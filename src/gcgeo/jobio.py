@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
+from .record import Record
 from .scalars import GaussRat, Poly, gauss_str, poly_str
 from .forms import MAX_DIM, MixedForm
 from .clifford import GenVector
@@ -153,7 +153,10 @@ def parse_scalar(s, names=(), location="scalar"):
     toks = _tokenize(s, location)
     if not toks:
         raise JobError("empty scalar", location)
-    p = _ScalarParser(toks, names, location).parse()
+    try:
+        p = _ScalarParser(toks, names, location).parse()
+    except RecursionError:
+        raise JobError("scalar is nested too deeply", location) from None
     if not names:
         return p.const_value()
     return p
@@ -283,8 +286,7 @@ def point_json(chart: Chart, p: dict) -> list:
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Report:
+class Report(Record):
     command: str
     verdict: str  # pass | fail | error
     certificate: dict | None = None
@@ -353,6 +355,8 @@ def load_document(path: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise JobError(f"malformed JSON at line {e.lineno} column {e.colno}: {e.msg}", path)
+    except RecursionError:
+        raise JobError("document is nested too deeply", path) from None
     if not isinstance(doc, dict):
         raise JobError("document must be a JSON object", path)
     if doc.get("schema_version") != 1:

@@ -6,8 +6,7 @@ same seed the cases are identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .record import Record, factory
 from .scalars import Poly
 from .forms import MixedForm
 from .clifford import GenVector
@@ -22,11 +21,10 @@ from .fields import (
 from .randgen import Rng
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(Record):
     cases: int
-    checked: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
+    checked: list = factory(list)
+    failures: list = factory(list)
 
     @property
     def passed(self) -> bool:

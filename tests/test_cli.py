@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gcgeo.cli import main, COMMANDS, DECIDED
+from gcgeo.cli import main, COMMANDS, DECIDED, decided_failure
 from gcgeo.jobio import (
     JobError,
     Report,
@@ -107,6 +107,13 @@ class TestReports:
 
 def case(name):
     return os.path.join(CASES, name)
+
+
+def schouten_with_coeff(coeff: str) -> str:
+    with open(case("schouten_lie_derivative.json")) as f:
+        doc = json.load(f)
+    doc["mv_a"][0]["coeff"] = coeff
+    return json.dumps(doc)
 
 
 class TestCommands:
@@ -276,6 +283,24 @@ class TestCommands:
         error = json.loads(captured.out)["counterexample"]["error"]
         assert error and error.startswith(where)
 
+    @pytest.mark.parametrize(
+        "command,text,where",
+        [
+            ("mukai", "[" * 100_000 + "]" * 100_000, None),
+            ("schouten", schouten_with_coeff("(" * 5000 + "x" + ")" * 5000), "mv_a[0].coeff: "),
+            ("schouten", schouten_with_coeff("-" * 5000 + "x"), "mv_a[0].coeff: "),
+        ],
+        ids=["deep-document", "deep-parentheses", "deep-minus-signs"],
+    )
+    def test_deep_nesting_exit_2(self, command, text, where, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text(text)
+        code = main([command, str(p)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        error = json.loads(captured.out)["counterexample"]["error"]
+        assert error.startswith(where or f"{p}: ") and "nested too deeply" in error
+
     def test_mathematical_fail_exit_1(self, tmp_path, capsys):
         doc = {
             "schema_version": 1,
@@ -371,6 +396,13 @@ class TestFlagOverrides:
         assert code == 0
         types = json.loads(out)["certificate"]["types"]
         assert [e["type"] for e in types] == [2, 0]
+
+    def test_deep_samples_flag_exit_2(self, capsys):
+        deep = "[" * 100_000 + "]" * 100_000
+        code = main(["type-map", case("type_map_grid.json"), "--samples", deep])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert "--samples is nested too deeply" in json.loads(captured.out)["counterexample"]["error"]
 
     def test_degree_bound_flag(self, tmp_path, capsys):
         p = tmp_path / "quadratic.json"
@@ -495,7 +527,8 @@ class TestFlagOverrides:
 class TestCommandTable:
     def test_decided_failure_is_never_a_job_error(self):
         # a malformed document raises JobError, which must never exit 1
-        for name, decided in DECIDED.items():
+        for name in DECIDED:
+            decided = decided_failure(name)
             for cls in decided if isinstance(decided, tuple) else (decided,):
                 assert issubclass(cls, ValueError), name
                 assert not issubclass(JobError, cls), name

@@ -36,6 +36,29 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def imported_modules(source: str):
+    """The absolute modules named by every import statement, nested ones too."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module)
+    return out
+
+
+def test_detects_imported_modules():
+    src = "import os.path\n\ndef f():\n    from dataclasses import dataclass\n    from . import x\n"
+    assert imported_modules(src) == {"os.path", "dataclasses"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    # `dataclasses` pulls in `inspect`, `ast` and `dis` at start-up; gcgeo's
+    # data classes derive from record.Record instead
+    assert "dataclasses" not in imported_modules(path.read_text())
+
+
 def private_definitions(tree):
     """(name, node) of each module-level private function, class and assignment."""
     for node in tree.body:
