@@ -59,39 +59,24 @@ class LiePair(Record, frozen=True):
                 else:
                     crow.append(as_gauss(x))
             consts.append(crow)
-        if not linalg.det(consts):
-            raise ValueError("frames are not transverse")
+        try:
+            gram_inv = linalg.inverse(consts)
+        except ValueError:
+            raise ValueError("frames are not transverse") from None
         object.__setattr__(self, "_gram", consts)
-        object.__setattr__(self, "_gram_inv", linalg.inverse(consts))
+        object.__setattr__(self, "_gram_inv", gram_inv)
 
     def pairing(self):
         return [[u.pair(a) for a in self.frame_r] for u in self.frame_l]
 
     # -- projections --------------------------------------------------------
     def l_components(self, u: GenVector):
-        """Coefficients of the L-part of a section, via pairing with R."""
-        vals = [u.pair(a) for a in self.frame_r]
-        ginv_t = linalg.transpose(self._gram_inv)
-        out = []
-        for i in range(len(vals)):
-            acc = None
-            for j, v in enumerate(vals):
-                t = v * ginv_t[j][i] if isinstance(v, Poly) else ginv_t[j][i] * v
-                acc = t if acc is None else acc + t
-            out.append(acc)
-        return out
+        """Coefficients c of the L-part: <u, r_j> = sum_i c_i G_ij, so c = G^-T <u, r>."""
+        return _combine(linalg.transpose(self._gram_inv), [u.pair(a) for a in self.frame_r])
 
     def r_components(self, u: GenVector):
-        vals = [u.pair(l) for l in self.frame_l]
-        ginv = self._gram_inv
-        out = []
-        for i in range(len(vals)):
-            acc = None
-            for j, v in enumerate(vals):
-                t = v * ginv[i][j] if isinstance(v, Poly) else ginv[i][j] * v
-                acc = t if acc is None else acc + t
-            out.append(acc)
-        return out
+        """Coefficients d of the R-part: <u, l_i> = sum_j G_ij d_j, so d = G^-1 <u, l>."""
+        return _combine(self._gram_inv, [u.pair(l) for l in self.frame_l])
 
     # -- Cartan differential ---------------------------------------------------
     def d_l(self, mu: dict, k: int) -> dict:
@@ -135,6 +120,18 @@ class LiePair(Record, frozen=True):
             args = [i] + list(rest_idx)
             acc = acc + c * _component(mu, args, chart)
         return acc
+
+
+def _combine(mat, vals):
+    """mat times vals, for constant mat and Poly or GaussRat vals."""
+    out = []
+    for row in mat:
+        acc = None
+        for g, v in zip(row, vals):
+            t = v * g if isinstance(v, Poly) else g * v
+            acc = t if acc is None else acc + t
+        out.append(acc)
+    return out
 
 
 def _component(mu: dict, indices, chart: Chart) -> Poly:

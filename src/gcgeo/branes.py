@@ -297,10 +297,6 @@ class BraneReport(Record, frozen=True):
     characteristic_samples: tuple
 
 
-def _restricted_j(structure: GCStructure, sub: SubmanifoldData):
-    return sub.restrict_matrix(structure.matrix())
-
-
 def brane_check(
     structure: GCStructure, sub: SubmanifoldData, samples=None
 ) -> BraneReport:
@@ -316,7 +312,7 @@ def brane_check(
     if samples is None:
         samples = [s_chart.point(*([0] * ds)), s_chart.point(*([1] * ds))]
     tau = generalized_tangent(sub)
-    jmat = _restricted_j(structure, sub)
+    jmat = sub.restrict_matrix(structure.matrix())
     failures = []
     for idx, u in enumerate(tau.sections):
         ju = GenVector.from_coords(linalg.mat_vec(jmat, list(u.coords())))
@@ -326,18 +322,13 @@ def brane_check(
                 failures.append((idx, jdx))
     compatible = not failures
     # block structure of the ambient J
-    blocks = structure.matrix()
-    a_block = [[blocks[i][k] for k in range(m)] for i in range(m)]
-    b_block = [[blocks[m + i][k] for k in range(m)] for i in range(m)]
-    p_block = [[blocks[i][m + k] for k in range(m)] for i in range(m)]
-    symplectic_type = not any(bool(a_block[i][k]) for i in range(m) for k in range(m))
-    complex_type = not any(
-        bool(b_block[i][k]) or bool(p_block[i][k]) for i in range(m) for k in range(m)
-    )
+    blocks = structure.blocks()
+    symplectic_type = not any(map(any, blocks.a))
+    complex_type = not any(map(any, blocks.b_map + blocks.beta_map))
     # coisotropy P(N*S) in TS at samples, and the characteristic distribution
     coiso = True
     char_samples = []
-    pmap_r = sub.restrict_matrix(p_block)
+    pmap_r = sub.restrict_matrix(blocks.beta_map)
     for p in samples:
         pm = linalg.eval_matrix(pmap_r, p)
         char_rows = []
@@ -361,14 +352,7 @@ def brane_check(
             for i in range(2 * m)
         ]
         ker = linalg.kernel(coef_cols)
-        ell = []
-        for kv in ker:
-            comb = [ZERO] * (2 * m)
-            for c, r in zip(kv, rows):
-                for i in range(2 * m):
-                    comb[i] = comb[i] + c * r[i]
-            ell.append(tuple(comb))
-        ell_samples.append(tuple(ell))
+        ell_samples.append(tuple(map(tuple, linalg.mat_mul(ker, rows))))
     lagrangian = None
     sigma_basic = None
     complex_stable = None
@@ -377,7 +361,7 @@ def brane_check(
     space_j_sq = None
     sigma_20 = None
     if symplectic_type:
-        omega_pull = sub.pull_form(two_form_from_map(b_block))
+        omega_pull = sub.pull_form(two_form_from_map(blocks.b_map))
         if sub.graph:
             lagrangian = 2 * ds == m and not sub.f2 and not omega_pull
         sigma = sub.f2 + omega_pull.scale(IUNIT)
@@ -389,12 +373,12 @@ def brane_check(
                 if sigma.eval_at(p).contract(xs) or dsigma.eval_at(p).contract(xs):
                     sigma_basic = False
         if not sub.graph and sub.f2:
-            f_map = map_from_two_form(sub.f2)
-            winv = linalg.adjugate_inverse(s_chart.lift_matrix(b_block))
-            jnew = [
-                [-x for x in row]
-                for row in linalg.mat_mul(winv, s_chart.lift_matrix(f_map))
-            ]
+            # with A = 0, J^2 = -1 gives P omega = -1 (validate_gc checks it
+            # exactly), so -omega^-1 F is P F: nothing is inverted.  P is
+            # reindexed to the parameter order, which F's basis follows
+            idx = sub.param_indices
+            p_s = [[pmap_r[i][k] for k in idx] for i in idx]
+            jnew = linalg.mat_mul(p_s, s_chart.lift_matrix(map_from_two_form(sub.f2)))
             space_j = tuple(tuple(row) for row in jnew)
             jsq = linalg.mat_mul(jnew, jnew)
             space_j_sq = all(
@@ -421,8 +405,7 @@ def brane_check(
             else:
                 sigma_20 = False
     if complex_type:
-        jendo_amb = [[-a_block[i][k] for k in range(m)] for i in range(m)]
-        jendo = sub.restrict_matrix(jendo_amb)
+        jendo = sub.restrict_matrix([[-x for x in row] for row in blocks.a])
         complex_stable = True
         jl = []
         for lift in sub.tangent_lifts():

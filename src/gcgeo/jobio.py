@@ -3,8 +3,10 @@
 Scalars are strings in a small exact grammar: rationals "3/2", gaussian
 rationals "1/2+1/3i", polynomials "x1^2*z - 2/5".  Forms are arrays of
 {"coeff": str, "basis": [1-based indices]}; matrices are row-major arrays of
-scalar strings.  Reports serialize deterministically (sorted keys); the
-timing field is the only non-reproducible entry.
+scalar strings.  A number of more than SCALAR_LIMIT digits is refused, and
+so, before it is computed, is a product or power that could pass SCALAR_LIMIT
+terms or coefficient bits.  Reports serialize deterministically (sorted
+keys); the timing field is the only non-reproducible entry.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import comb, lcm
 
 from . import __version__
 from .record import Record
@@ -29,6 +32,10 @@ class JobError(ValueError):
         super().__init__(f"{location}: {message}" if location else message)
 
 
+# most digits of a number, and most terms and coefficient height (see _height)
+# of a product or power, in a parsed scalar
+SCALAR_LIMIT = 4096
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
 )
@@ -45,6 +52,10 @@ def _tokenize(s: str, location: str):
             raise JobError(f"cannot read scalar {s!r} at offset {pos}", location)
         pos = m.end()
         if m.group("num"):
+            if len(m.group("num")) > SCALAR_LIMIT:
+                raise JobError(
+                    f"scalar too large: a number has more than {SCALAR_LIMIT} digits", location
+                )
             try:
                 out.append(("num", Fraction(m.group("num"))))
             except ZeroDivisionError:
@@ -54,6 +65,18 @@ def _tokenize(s: str, location: str):
         else:
             out.append(("op", m.group("op")))
     return out
+
+
+def _height(p: Poly) -> int:
+    """Bits of the lcm L of p's denominators plus those of L p's largest part.
+
+    No real or imaginary part, numerator or denominator of a coefficient of
+    p has more bits than this.
+    """
+    cs = p.terms.values()
+    den = lcm(*(c.q for c in cs))
+    top = max((max(abs(c.a), abs(c.b)) * (den // c.q) for c in cs), default=0)
+    return den.bit_length() + top.bit_length()
 
 
 class _ScalarParser:
@@ -73,6 +96,30 @@ class _ScalarParser:
 
     def _const(self, g: GaussRat) -> Poly:
         return Poly.const(self.names, g)
+
+    def _bound(self, terms: int, height: int):
+        if height > SCALAR_LIMIT or terms > SCALAR_LIMIT:
+            raise JobError(
+                f"scalar too large: a product or power would pass {SCALAR_LIMIT} "
+                f"terms or {SCALAR_LIMIT}-bit coefficients",
+                self.location,
+            )
+
+    def _mul(self, a: Poly, b: Poly) -> Poly:
+        # each entry of the product of L_a a and L_b b sums min(ta, tb)
+        # products of gaussian integers
+        ta, tb = len(a.terms), len(b.terms)
+        self._bound(ta * tb, _height(a) + _height(b) + min(ta, tb).bit_length() + 1)
+        return a * b
+
+    def _pow(self, base: Poly, n: int) -> Poly:
+        # each entry of (L base)^n is at most (2 t max|L base|)^n, and base^n
+        # has at most one term per multiset of n of base's t terms; the height
+        # goes first, as it bounds n and so the cost of comb
+        t = len(base.terms)
+        self._bound(1, n * (_height(base) + t.bit_length() + 1))
+        self._bound(comb(n + t - 1, t - 1) if t else 1, 0)
+        return base ** n
 
     def parse(self) -> Poly:
         v = self.expr()
@@ -108,9 +155,9 @@ class _ScalarParser:
             kind, val = self.peek()
             if (kind, val) == ("op", "*"):
                 self.take()
-                acc = acc * self.factor()
+                acc = self._mul(acc, self.factor())
             elif kind in ("num", "name") or (kind, val) == ("op", "("):
-                acc = acc * self.factor()  # implicit multiplication
+                acc = self._mul(acc, self.factor())  # implicit multiplication
             else:
                 return acc
 
@@ -140,7 +187,7 @@ class _ScalarParser:
             kind, val = self.take()
             if kind != "num" or val.denominator != 1:
                 raise JobError("exponent must be a nonnegative integer", self.location)
-            base = base ** int(val)
+            base = self._pow(base, int(val))
         return base
 
 

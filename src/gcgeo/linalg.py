@@ -20,10 +20,8 @@ never visits a zero entry, and rows are read as it consumes them.  `rref`,
 and return what a dense elimination returns.  `kernel`, `solve` and
 `solve_with_rank` also take dict rows plus a column count, which is how the
 polynomial-ansatz solvers and `isotropics.null_space` pass their tall, almost
-empty systems.
-
-`det` (GaussRat) and the ring functions `ring_det` and `adjugate_inverse`
-(Laplace expansion, for Poly entries) keep their own dense loops.
+empty systems.  `det` keeps its own dense loop.  Nothing here inverts a
+Poly matrix: a space-filling brane reads omega^-1 off the Poisson block of J.
 """
 
 from __future__ import annotations
@@ -396,54 +394,6 @@ def span_equal(rows_a, rows_b) -> bool:
     if ra != rb:
         return False
     return rank(list(rows_a) + list(rows_b)) == ra
-
-
-# ---------------------------------------------------------------------------
-# ring operations (Poly entries allowed)
-# ---------------------------------------------------------------------------
-
-def ring_det(m):
-    """Determinant by Laplace expansion; fine for the small sizes used here."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    acc = None
-    for j in range(n):
-        if not m[0][j]:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        t = m[0][j] * ring_det(minor)
-        if j % 2:
-            t = -t
-        acc = t if acc is None else acc + t
-    if acc is None:
-        return ZERO
-    return acc
-
-
-def adjugate_inverse(m):
-    """Inverse of a ring matrix whose determinant is a nonzero constant."""
-    d = ring_det(m)
-    dg = as_gauss(d)
-    if not dg:
-        raise ValueError("matrix is singular")
-    n = len(m)
-    inv_d = ONE / dg
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [m[r][c] for c in range(n) if c != i] for r in range(n) if r != j
-            ]
-            cof = ring_det(minor) if n > 1 else ONE
-            if (i + j) % 2:
-                cof = -cof
-            row.append(inv_d * cof)
-        out.append(row)
-    return out
 
 
 def eval_matrix(m, point: dict):

@@ -178,8 +178,9 @@ class GaussRat:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def conj(self) -> "GaussRat":
@@ -494,8 +495,9 @@ class Poly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def conj(self) -> "Poly":

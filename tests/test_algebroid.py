@@ -39,18 +39,25 @@ class TestLiePair:
             LiePair(ch, frame, frame)
 
     def test_projections_resolve_sections(self):
-        pair = complex_pair(C2)
+        # the C^1 pair with l_0 doubled has the non-symmetric Gram matrix
+        # [[0, 1], [1/2, 0]], so it tells G^-1 from G^-T
+        c1 = Chart.complex_plane(1)
+        base = complex_pair(c1)
+        l0 = base.frame_l[0].scale(GaussRat(2))
+        rescaled = LiePair(c1, (l0, base.frame_l[1]), base.frame_r)
+        assert rescaled.l_components(l0) == [ONE, ZERO]
         rng = Rng(3)
-        u = rng.section(C2, 1)
-        lc = pair.l_components(u)
-        rc = pair.r_components(u)
-        m = C2.dim
-        acc = GenVector(m, [C2.zero()] * m, [C2.zero()] * m)
-        for c, l in zip(lc, pair.frame_l):
-            acc = acc + l.scale(c)
-        for c, r in zip(rc, pair.frame_r):
-            acc = acc + r.scale(c)
-        assert (acc - u).is_zero()
+        for chart, pair in ((C2, complex_pair(C2)), (c1, rescaled)):
+            u = rng.section(chart, 1)
+            lc = pair.l_components(u)
+            rc = pair.r_components(u)
+            m = chart.dim
+            acc = GenVector(m, [chart.zero()] * m, [chart.zero()] * m)
+            for c, l in zip(lc, pair.frame_l):
+                acc = acc + l.scale(c)
+            for c, r in zip(rc, pair.frame_r):
+                acc = acc + r.scale(c)
+            assert (acc - u).is_zero()
 
 
 class TestDifferential:

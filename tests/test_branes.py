@@ -1,3 +1,6 @@
+import json
+import time
+
 import pytest
 from fractions import Fraction
 
@@ -27,7 +30,11 @@ from gcgeo.branes import (
     whole_chart,
 )
 from gcgeo.randgen import Rng
+from gcgeo.cli import main
+from gcgeo.jobio import matrix_json
 from gcgeo import linalg
+
+from test_integrability import R4, nonclosed_omega_structure
 
 
 CH = Chart.real("x1", "x2", "p1", "p2")
@@ -176,14 +183,38 @@ class TestPullback:
             pullback_dirac(frame, sub, samples=[sub.chart_s().point(0, 0), sub.chart_s().point(1, 0)])
 
 
+def checked(structure, sub):
+    """brane_check, and for a compatible brane its ell = ker(J - i) in tau x C.
+
+    At each default sample, ell has m/2 vectors, each an i-eigenvector of J
+    in the span of tau.
+    """
+    rep = brane_check(structure, sub)
+    if rep.compatible:
+        s_chart = sub.chart_s()
+        m, ds = sub.ambient.dim, sub.dim_s
+        jmat = sub.restrict_matrix(structure.matrix())
+        tau = [u.coords() for u in generalized_tangent(sub).sections]
+        points = [s_chart.point(*([0] * ds)), s_chart.point(*([1] * ds))]
+        assert len(rep.ell_frame_samples) == len(points)
+        for p, ell in zip(points, rep.ell_frame_samples):
+            jp = linalg.eval_matrix(jmat, p)
+            tau_p = linalg.eval_matrix(tau, p)
+            assert len(ell) == m // 2
+            for v in ell:
+                assert linalg.mat_vec(jp, list(v)) == [IUNIT * x for x in v]
+                assert linalg.span_contains(tau_p, list(v))
+    return rep
+
+
 class TestBraneCheck:
     def test_lagrangian_plane_passes(self):
-        rep = brane_check(sy_dxdp(), plane((0, 1), (2, 3)))
+        rep = checked(sy_dxdp(), plane((0, 1), (2, 3)))
         assert rep.compatible and rep.lagrangian and rep.coisotropic
 
     def test_non_lagrangian_plane_fails(self):
         # span(e1, e3) has omega(e1, e3) = 1
-        rep = brane_check(sy_dxdp(), plane((0, 2), (1, 3)))
+        rep = checked(sy_dxdp(), plane((0, 2), (1, 3)))
         assert not rep.compatible
 
     def test_lagrangian_graph_passes(self):
@@ -192,7 +223,7 @@ class TestBraneCheck:
         x1 = Poly.var(s_names, "x1")
         x2 = Poly.var(s_names, "x2")
         sub = SubmanifoldData(CH, (0, 1), {2: x2, 3: x1})
-        rep = brane_check(sy_dxdp(), sub)
+        rep = checked(sy_dxdp(), sub)
         assert rep.compatible and rep.lagrangian
 
     def test_complex_brane_f_types(self):
@@ -200,8 +231,8 @@ class TestBraneCheck:
         sj = j_complex(standard_complex_endo(2))
         f11 = MixedForm(4, {0b0011: ONE})
         f20 = MixedForm(4, {0b0101: ONE, 0b1010: -ONE})
-        assert brane_check(sj, whole_chart(chc, f11)).compatible
-        rep = brane_check(sj, whole_chart(chc, f20))
+        assert checked(sj, whole_chart(chc, f11)).compatible
+        rep = checked(sj, whole_chart(chc, f20))
         assert not rep.compatible and rep.f_type_11 is False
 
     def test_complex_submanifold_stability(self):
@@ -210,12 +241,12 @@ class TestBraneCheck:
         s_names = ("x1", "x2")
         zero = Poly.zero(s_names)
         holo = SubmanifoldData(chc, (0, 1), {2: zero, 3: zero})
-        rep = brane_check(sj, holo)
+        rep = checked(sj, holo)
         assert rep.compatible and rep.complex_stable
         x1 = Poly.var(s_names, "x1")
         x2 = Poly.var(s_names, "x2")
         anti = SubmanifoldData(chc, (0, 1), {2: x1, 3: -x2})
-        rep2 = brane_check(sj, anti)
+        rep2 = checked(sj, anti)
         assert not rep2.compatible and rep2.complex_stable is False
 
     def test_space_filling_example(self):
@@ -223,7 +254,7 @@ class TestBraneCheck:
         omega_form = MixedForm(4, {(1 << 0) | (1 << 3): ONE, (1 << 1) | (1 << 2): ONE})
         s = j_symplectic(map_from_two_form(omega_form))
         f = MixedForm(4, {(1 << 0) | (1 << 2): ONE, (1 << 1) | (1 << 3): -ONE})
-        rep = brane_check(s, whole_chart(ch, f))
+        rep = checked(s, whole_chart(ch, f))
         assert rep.compatible
         assert rep.space_filling_j_squared_ok
         assert rep.sigma_20
@@ -239,8 +270,8 @@ class TestBraneCheck:
     def test_coisotropy_invariant(self):
         # every compatible case in this file has P(N*S) inside TS at samples
         reps = [
-            brane_check(sy_dxdp(), plane((0, 1), (2, 3))),
-            brane_check(
+            checked(sy_dxdp(), plane((0, 1), (2, 3))),
+            checked(
                 j_complex(standard_complex_endo(2)),
                 plane((0, 1), (2, 3), chart=Chart.complex_plane(2)),
             ),
@@ -266,6 +297,85 @@ class TestBraneCheck:
             sub0 = plane((0, 1), (2, 3))
             pulled = sub0.pull_form(b_form)
             sub2 = SubmanifoldData(CH, (0, 1), sub0.graph, pulled)
-            before = brane_check(base, sub0).compatible
-            after = brane_check(s2, sub2).compatible
+            before = checked(base, sub0).compatible
+            after = checked(s2, sub2).compatible
             assert before == after == True
+
+
+def dense_space_filling(m, seed):
+    """(omega, F) maps congruent by a dense GL to blocks e1^e4 + e2^e3 and
+    e1^e3 - e2^e4, with F = 2 omega on a leftover plane: compatible iff 4 | m."""
+    w0, f0 = linalg.zeros(m, m), linalg.zeros(m, m)
+
+    def put(mat, i, j, c):
+        mat[i][j], mat[j][i] = GaussRat(c), GaussRat(-c)
+
+    for o in range(0, m - m % 4, 4):
+        put(w0, o, o + 3, 1), put(w0, o + 1, o + 2, 1)
+        put(f0, o, o + 2, 1), put(f0, o + 1, o + 3, -1)
+    for o in range(m - m % 4, m, 2):
+        put(w0, o, o + 1, 1), put(f0, o, o + 1, 2)
+    g = Rng(seed).gl_matrix(m)
+    gt = linalg.transpose(g)
+    return tuple(linalg.mat_mul(gt, linalg.mat_mul(a, g)) for a in (w0, f0))
+
+
+class TestSpaceFilling:
+    # J_F = -omega^-1 F is read off the Poisson block of J, so a dense omega
+    # costs no inversion: m = 12 takes 0.16 s (median of 5, 2-core machine)
+    @pytest.mark.parametrize("m,seed", [(10, 9), (12, 22)], ids=["m10", "m12"])
+    def test_dense_omega_in_bounded_time(self, m, seed):
+        wmap, fmap = dense_space_filling(m, seed)
+        assert all(wmap[i][j] for i in range(m) for j in range(m) if i != j)
+        s = j_symplectic(wmap)
+        chart = Chart.real(*(f"x{i + 1}" for i in range(m)))
+        start = time.perf_counter()
+        rep = brane_check(s, whole_chart(chart, two_form_from_map(fmap)))
+        assert time.perf_counter() - start < 10.0
+        want = linalg.mat_scale(linalg.mat_mul(linalg.inverse(wmap), fmap), -ONE)
+        got = [[x.const_value() for x in row] for row in rep.space_filling_j]
+        assert linalg.mat_eq(got, want)
+        assert rep.compatible == rep.space_filling_j_squared_ok == (m % 4 == 0)
+
+    def test_parameter_order(self):
+        # the example brane with its parameters listed as (x2, x1, p1, p2):
+        # F's basis follows that order, and so must J_F
+        omega = MixedForm(4, {(1 << 0) | (1 << 3): ONE, (1 << 1) | (1 << 2): ONE})
+        s = j_symplectic(map_from_two_form(omega))
+        f = MixedForm(4, {(1 << 1) | (1 << 2): ONE, (1 << 0) | (1 << 3): -ONE})
+        rep = checked(s, SubmanifoldData(CH, (1, 0, 2, 3), {}, f))
+        assert rep.compatible and rep.space_filling_j_squared_ok and rep.sigma_20
+        omega_s = map_from_two_form(MixedForm(4, {0b0101: ONE, 0b1010: ONE}))
+        want = linalg.mat_mul(linalg.inverse(omega_s), map_from_two_form(f))
+        got = [[-x.const_value() for x in row] for row in rep.space_filling_j]
+        assert linalg.mat_eq(got, want)
+
+    def test_polynomial_omega(self):
+        # omega = e12 + e34 + x2 e13 has a polynomial inverse; the closed
+        # F = x1 e12 + 2 e13 + e34 gives omega J_F = -F as polynomials
+        s = nonclosed_omega_structure()
+        f = MixedForm(4, {0b0011: R4.var("x1"), 0b0101: GaussRat(2), 0b1100: ONE})
+        rep = brane_check(s, whole_chart(R4, f))
+        lhs = linalg.mat_mul(s.blocks().b_map, [list(row) for row in rep.space_filling_j])
+        rhs = R4.lift_matrix(linalg.mat_scale(map_from_two_form(f), -ONE))
+        assert linalg.mat_eq(lhs, rhs)
+
+    def test_cli_brane_check(self, tmp_path, capsys):
+        omega = MixedForm(4, {(1 << 0) | (1 << 3): ONE, (1 << 1) | (1 << 2): ONE})
+        doc = {
+            "schema_version": 1,
+            "command": "brane-check",
+            "chart": {"vars": list(CH.names)},
+            "matrix": matrix_json(j_symplectic(map_from_two_form(omega)).matrix()),
+            "submanifold": {
+                "params": [1, 2, 3, 4],
+                "f": [{"coeff": "1", "basis": [1, 3]}, {"coeff": "-1", "basis": [2, 4]}],
+            },
+        }
+        p = tmp_path / "space_filling.json"
+        p.write_text(json.dumps(doc))
+        code = main(["brane-check", str(p)])
+        body = json.loads(capsys.readouterr().out)
+        assert code == 0 and body["verdict"] == "pass"
+        assert body["certificate"]["space_filling_j_squared_ok"] is True
+        assert "space_filling_j" in body["certificate"]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -300,6 +301,24 @@ class TestCommands:
         assert code == 2 and captured.err == ""
         error = json.loads(captured.out)["counterexample"]["error"]
         assert error.startswith(where or f"{p}: ") and "nested too deeply" in error
+
+    @pytest.mark.parametrize(
+        "coeff", ["(x+y+z+1)^80", "3^10000000", "((((3^64)^64)^64)^64)^64", "1" * 5000],
+        ids=["terms", "bits", "nested-powers", "digits"],
+    )
+    def test_oversized_scalar_exit_2(self, coeff, tmp_path, capsys):
+        # each is refused before anything is computed
+        doc = json.loads(schouten_with_coeff(coeff))
+        doc["chart"] = {"vars": ["x", "y", "z"]}
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code = main(["schouten", str(p)])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        error = json.loads(captured.out)["counterexample"]["error"]
+        assert error.startswith("mv_a[0].coeff: ") and "scalar too large" in error
 
     def test_mathematical_fail_exit_1(self, tmp_path, capsys):
         doc = {
