@@ -253,13 +253,22 @@ class MixedForm:
 
     # -- exponentials -----------------------------------------------------------
     def _exp_series(self, step) -> "MixedForm":
-        """self + step(self) + step(step(self))/2! + ... for a nilpotent step."""
+        """self + step(self) + step(step(self))/2! + ... for a nilpotent step.
+
+        A step by an exponent with no degree-0 part moves every degree by at
+        least one, so it vanishes within dim + 1 steps; a later nonzero term
+        means the exponent has a degree-0 part and the series never ends.
+        """
         acc = cur = self
         k = 1
         while True:
             cur = step(cur).scale(GaussRat(Fraction(1, k)))
             if not cur:
                 return acc
+            if k > self.dim + 1:
+                raise ValueError(
+                    "exponential series does not terminate: the exponent has a degree-0 part"
+                )
             acc = acc + cur
             k += 1
 

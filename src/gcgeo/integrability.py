@@ -19,8 +19,8 @@ from .fields import (
     ClosedThreeForm,
     DiracFrame,
     courant_bracket,
+    d,
     d_twisted,
-    lie_derivative_form,
     schouten,
 )
 from .gcs import GCStructure, validate_gc_field
@@ -327,42 +327,43 @@ def modular_vector_field(
 ):
     """X with d phi + d(f) ^ phi = X . phi for phi = exp(beta) . volume.
 
-    log_factor f means the volume e^f v; the exponential factors out exactly.
-    The bivector must be Poisson and the solution is unique.
+    For the volume e^f g dx_1 ^ ... ^ dx_m, X is the divergence of beta
+    (Weinstein's modular field):
+    X^j = -(1/g) sum_i d_i(g beta^{ij}) - sum_i beta^{ij} d_i f.
+    The bivector must be 2-homogeneous and Poisson, and the volume a single
+    top-degree blade.  X is polynomial of degree <= degree_bound, or no
+    such field exists; the identity above is checked exactly.
     """
     m = chart.dim
+    if any(mask.bit_count() != 2 for mask in beta_mv.terms):
+        raise ValueError("bivector must be homogeneous of degree 2")
     if schouten(chart, beta_mv, beta_mv):
         raise NotPoisson("bivector is not Poisson: [beta, beta] != 0")
     if not volume:
         raise ValueError("volume form is zero")
+    top = (1 << m) - 1
+    if list(volume.terms) != [top]:
+        raise ValueError("volume must be a single top-degree blade")
+    f = log_factor if log_factor is not None else chart.zero()
     phi = chart.lift_form(volume).exp_contract(beta_mv)
-    target = d_twisted(chart, phi, None)
-    if log_factor is not None:
-        df = MixedForm(
-            m, {1 << i: log_factor.diff(chart.names[i]) for i in range(m)}
-        )
-        target = target + df.wedge(phi)
     if degree_bound is None:
         pdeg = max((c.total_degree() for c in phi.terms.values()), default=0)
-        fdeg = log_factor.total_degree() if log_factor is not None else 0
-        degree_bound = pdeg + fdeg + 1
-    rows, rhs, unknowns = ansatz_system(
-        chart,
-        [chart.coordinate_vector(i).act(phi).terms for i in range(m)],
-        degree_bound,
-        target.terms,
-    )
-    sol, rank = linalg.solve_with_rank(rows, rhs, len(unknowns))
-    if sol is None:
-        raise ValueError(f"no polynomial modular field up to degree {degree_bound}")
-    if rank != len(unknowns):
-        raise AssertionError("modular field is not unique on this ansatz")
-    vec = ansatz_polys(chart, sol, unknowns, m)
+        degree_bound = pdeg + f.total_degree() + 1
+    g = chart.lift(volume.terms[top])
+    df = [f.diff(n) for n in chart.names]
+    vec = []
+    # row j of map_from_two_form(beta) holds beta^{ij}, i = 0..m-1
+    for row in chart.lift_matrix(map_from_two_form(beta_mv)):
+        div = sum(((g * b).diff(n) for b, n in zip(row, chart.names)), chart.zero())
+        xj = (-div).divide(g)
+        if xj is not None:
+            xj = xj - sum((b * c for b, c in zip(row, df)), chart.zero())
+        if xj is None or xj.total_degree() > degree_bound:
+            raise ValueError(f"no polynomial modular field up to degree {degree_bound}")
+        vec.append(xj)
     x = GenVector(m, vec, [chart.zero()] * m)
-    # with a log factor, L_X (e^f phi) = e^f (X(f) phi + L_X phi): only the
-    # bracket law holds, so the spinor is checked only without one
-    if log_factor is None and lie_derivative_form(chart, vec, phi):
-        raise AssertionError("modular field does not preserve the spinor")
+    if x.act(phi) != d(chart, phi) + covector_form(m, df).wedge(phi):
+        raise AssertionError("modular field fails d phi + df ^ phi = X . phi")
     return x
 
 

@@ -17,11 +17,11 @@ one gcd over its integers when it is made or changed.  No entry is normalised
 inside the loop; `GaussRat._raw` runs once per entry of the result.  The core
 never visits a zero entry, and rows are read as it consumes them.  `rref`,
 `rank`, `inverse`, `row_space_basis` and the `span_*` tests take dense rows
-and return what a dense elimination returns.  `kernel`, `solve` and
-`solve_with_rank` also take dict rows plus a column count, which is how the
-polynomial-ansatz solvers and `isotropics.null_space` pass their tall, almost
-empty systems.  `det` keeps its own dense loop.  Nothing here inverts a
-Poly matrix: a space-filling brane reads omega^-1 off the Poisson block of J.
+and return what a dense elimination returns.  `kernel` and `solve` also take
+dict rows plus a column count, which is how the polynomial-ansatz solvers
+and `isotropics.null_space` pass their tall, almost empty systems.  `det`
+keeps its own dense loop.  Nothing here inverts a Poly matrix: a
+space-filling brane reads omega^-1 off the Poisson block of J.
 """
 
 from __future__ import annotations
@@ -309,12 +309,11 @@ def kernel(m, ncols=None):
     return list(basis.values())
 
 
-def solve_with_rank(m, b, ncols=None):
-    """(x, rank of m): one exact solution of m x = b, or None if inconsistent.
+def solve(m, b, ncols=None):
+    """One exact solution of m x = b, or None if inconsistent.
 
     m is dense, or a list of dict rows over ncols columns.  The solution
-    sets every free variable to 0; it is the only one when the rank equals
-    the number of columns.
+    sets every free variable to 0.
     """
     entries, ncols = _entries(m, ncols)
     b = list(b)
@@ -324,16 +323,11 @@ def solve_with_rank(m, b, ncols=None):
     )
     tails = _reduced(rows)
     if ncols in tails:
-        return None, len(tails) - 1
+        return None
     x = [ZERO] * ncols
     for c, tail in tails.items():
         x[c] = tail.get(ncols, ZERO)
-    return x, len(tails)
-
-
-def solve(m, b, ncols=None):
-    """One exact solution of m x = b, or None if inconsistent."""
-    return solve_with_rank(m, b, ncols)[0]
+    return x
 
 
 def inverse(m):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import add as _add
+from operator import add as _add, lt as _lt, sub as _sub
 
 
 class NoExactSquareRoot(ArithmeticError):
@@ -335,7 +335,8 @@ class Poly:
     """Sparse polynomial over GaussRat in named chart variables.
 
     Terms map exponent tuples to nonzero coefficients.  Variables are real:
-    conjugation only conjugates coefficients.  There is no division.
+    conjugation only conjugates coefficients.  `divide` is exact division:
+    it returns the quotient, or None when the divisor does not divide.
 
     `Poly(vars, terms)` copies `terms` and drops its zero coefficients.
     `Poly._raw(vars, terms)` stores both as given and checks nothing, so its
@@ -489,7 +490,7 @@ class Poly:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("a polynomial has no negative power: there is no division")
+            raise ValueError("a polynomial has no negative power")
         out = Poly.const(self.vars, ONE)
         base = self
         while n:
@@ -499,6 +500,33 @@ class Poly:
             if n:
                 base = base * base
         return out
+
+    def divide(self, g: "Poly") -> "Poly | None":
+        """The q with q * g == self, or None when g does not divide self.
+
+        This is the division algorithm in lex order, exponent tuples compared
+        as tuples.  A single divisor is a Groebner basis of its own ideal, so
+        g divides exactly when the remainder is 0: when the leading monomial
+        of g divides the leading monomial of each remainder on the way down.
+        """
+        terms = self._peer(g)
+        if not terms:
+            raise ZeroDivisionError("division by the zero polynomial")
+        lead = max(terms)
+        lc = terms[lead]
+        tail = [(e, c) for e, c in terms.items() if e != lead]
+        rem = dict(self.terms)
+        out = {}
+        while rem:
+            e = max(rem)
+            if any(map(_lt, e, lead)):
+                return None
+            c = rem.pop(e) / lc
+            shift = tuple(map(_sub, e, lead))
+            out[shift] = c
+            for e2, c2 in tail:
+                add_term(rem, tuple(map(_add, shift, e2)), -(c * c2))
+        return Poly._raw(self.vars, out)
 
     def conj(self) -> "Poly":
         return Poly._raw(self.vars, {e: c.conj() for e, c in self.terms.items()})

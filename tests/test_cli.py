@@ -437,8 +437,19 @@ class TestFlagOverrides:
             ({"bivector": [{"coeff": "x^3*y^2", "basis": [1, 2]}]}, ["--degree-bound", "1"],
              "no polynomial modular field up to degree 1"),
             ({"volume": [{"coeff": "0", "basis": [1, 2]}]}, [], "volume form is zero"),
+            ({"bivector": [{"coeff": "x", "basis": [1, 2]}, {"coeff": "1", "basis": []}]}, [],
+             "bivector must be homogeneous of degree 2"),
+            ({"chart": {"vars": ["x", "y", "z"]},
+              "bivector": [{"coeff": "1", "basis": [1, 2, 3]}],
+              "volume": [{"coeff": "1", "basis": [1, 2, 3]}]}, [],
+             "bivector must be homogeneous of degree 2"),
+            ({"volume": [{"coeff": "1", "basis": [1]}]}, [],
+             "volume must be a single top-degree blade"),
+            ({"volume": [{"coeff": "1", "basis": []}, {"coeff": "1", "basis": [1, 2]}]}, [],
+             "volume must be a single top-degree blade"),
         ],
-        ids=["degree-bound", "zero-volume"],
+        ids=["degree-bound", "zero-volume", "degree-0-term", "trivector", "one-form-volume",
+             "mixed-volume"],
     )
     def test_modular_undecided_exit_2(self, change, args, error, tmp_path, capsys):
         # only a bivector that is not Poisson is a decided failure

@@ -231,6 +231,28 @@ class TestExpWedge:
         assert phi.exp_contract(beta) == series
         assert BlockTransform.from_bivector(beta).spinor(phi) == series
 
+    @given(forms(dim=4, terms=4), forms(dim=4, terms=4, variance="mv"))
+    @settings(max_examples=40, deadline=None)
+    def test_exp_contract_of_mixed_degrees(self, phi, mv):
+        from math import factorial
+
+        mv = mv - mv.degree_part(0)
+        series = MixedForm.zero(4)
+        power = phi
+        for k in range(5):  # every degree drops by at least 1 per step
+            series = series + power.scale(GaussRat(Fraction(1, factorial(k))))
+            power = power.contract_mv(mv)
+        assert not power
+        assert phi.exp_contract(mv) == series
+
+    def test_degree_0_exponent_raises(self):
+        m = 2
+        msg = "exponential series does not terminate: the exponent has a degree-0 part"
+        with pytest.raises(ValueError, match=msg):
+            (MixedForm.one(m) + blade(m, 1, 2)).exp_wedge()
+        with pytest.raises(ValueError, match=msg):
+            MixedForm.top(m).exp_contract(blade(m, 1, 2, variance="mv") + MixedForm.one(m, "mv"))
+
     def test_reversal_signs(self):
         m = 4
         f = MixedForm.one(m) + blade(m, 1) + blade(m, 1, 2) + blade(m, 1, 2, 3) + MixedForm.top(m)

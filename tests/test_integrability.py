@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from fractions import Fraction
 
@@ -394,6 +396,76 @@ class TestModular:
         beta = MixedForm(2, {0b11: R2.var("x")}, "mv")
         with pytest.raises(ValueError, match="volume form is zero"):
             modular_vector_field(R2, beta, MixedForm.zero(2))
+
+    def test_divergence_against_sympy(self):
+        # oracle: X^j = -(1/g) sum_i d_i(g beta^{ij}) - sum_i beta^{ij} d_i f;
+        # every bivector on R^2 and every c (x d_yz + y d_zx + z d_xy) on R^3
+        # is Poisson
+        sp = pytest.importorskip("sympy")
+        rng = Rng(11)
+        outcomes = set()
+        for k in range(40):
+            ch = R2 if k % 2 == 0 else Chart.real("x", "y", "z")
+            m = ch.dim
+            syms = sp.symbols(ch.names)
+            to_sp = lambda p: sp.Add(*[
+                (sp.Rational(c.a, c.q) + sp.I * sp.Rational(c.b, c.q))
+                * sp.Mul(*[s**e for s, e in zip(syms, es)])
+                for es, c in p.terms.items()
+            ])
+            c = rng.poly(ch, 2, 3, complex_ok=k % 5 == 0)
+            g = ch.one() if k % 4 == 0 else rng.poly(ch, 1, 2) or ch.one()
+            if k % 4 == 1:
+                c = c * g
+            if m == 2:
+                entries = {(0, 1): c}
+            else:
+                x, y, z = (ch.coord(i) for i in range(3))
+                entries = {(1, 2): c * x, (0, 2): -(c * y), (0, 1): c * z}
+            beta = MixedForm(m, {(1 << i) | (1 << j): b for (i, j), b in entries.items()}, "mv")
+            f = rng.poly(ch, 2, 2) if k % 3 == 0 else ch.zero()
+            bmat = sp.zeros(m, m)
+            for (i, j), b in entries.items():
+                bmat[i, j], bmat[j, i] = to_sp(b), -to_sp(b)
+            gs, fs = to_sp(g), to_sp(f)
+            want = [
+                sp.cancel(
+                    -sum(sp.diff(gs * bmat[i, j], syms[i]) for i in range(m)) / gs
+                    - sum(bmat[i, j] * sp.diff(fs, syms[i]) for i in range(m))
+                )
+                for j in range(m)
+            ]
+            polynomial = all(sp.fraction(w)[1].free_symbols == set() for w in want)
+            outcomes.add(polynomial)
+            vol = MixedForm.top(m, g)
+            if not polynomial:
+                with pytest.raises(ValueError, match="no polynomial modular field up to degree"):
+                    modular_vector_field(ch, beta, vol, log_factor=f)
+                continue
+            xv = modular_vector_field(ch, beta, vol, log_factor=f)
+            assert all(sp.expand(to_sp(a) - w) == 0 for a, w in zip(xv.vec, want))
+        assert outcomes == {True, False}
+
+    def test_non_dividing_volume(self):
+        # beta = x d_x ^ d_y, g = y + 2: X^x = x / (y + 2) is not polynomial
+        beta = MixedForm(2, {0b11: R2.var("x")}, "mv")
+        vol = MixedForm.top(2, R2.var("y") + 2)
+        for bound in (None, 5):
+            with pytest.raises(ValueError, match="no polynomial modular field up to degree"):
+                modular_vector_field(R2, beta, vol, degree_bound=bound)
+
+    def test_lie_poisson_sum_at_dimension_12(self):
+        # four copies of the so(3)* bracket: unimodular, so X = 0
+        ch = Chart.real(*[f"x{i}" for i in range(12)])
+        terms = {}
+        for b in range(0, 12, 3):
+            x, y, z = (ch.coord(b + k) for k in range(3))
+            terms[0b110 << b], terms[0b101 << b], terms[0b011 << b] = x, -y, z
+        beta = MixedForm(12, terms, "mv")
+        t0 = time.perf_counter()
+        xv = modular_vector_field(ch, beta, MixedForm.top(12, ch.one()))
+        assert time.perf_counter() - t0 < 5.0
+        assert xv.is_zero()
 
 
 class TestHamiltonian:

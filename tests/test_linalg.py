@@ -170,14 +170,16 @@ class TestSolve:
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
-    def test_solve_with_rank(self, data):
+    def test_solve_and_rank(self, data):
         m = data.draw(matrices())
         b = mat_vec(m, [data.draw(gauss_rats()) for _ in range(ncols_of(m))])
-        x, rank = linalg.solve_with_rank(dict_rows(m), b, ncols_of(m))
-        assert rank == linalg.rank(m)
+        x = linalg.solve(dict_rows(m), b, ncols_of(m))
         assert mat_vec(m, x) == b
-        _, rank = linalg.solve_with_rank(m + [[ZERO] * ncols_of(m)], b + [ONE])
-        assert rank == linalg.rank(m)
+        assert linalg.rank([row + [y] for row, y in zip(m, b)]) == linalg.rank(m)
+        padded, padded_b = m + [[ZERO] * ncols_of(m)], b + [ONE]
+        assert linalg.solve(padded, padded_b) is None
+        assert linalg.rank(padded) == linalg.rank(m)
+        assert linalg.rank([row + [y] for row, y in zip(padded, padded_b)]) == linalg.rank(m) + 1
 
 
 class TestInverse:
@@ -227,8 +229,8 @@ class TestWideEntries:
         m = data.draw(matrices(entries=wide_gauss_rats()))
         x = [data.draw(wide_gauss_rats()) for _ in range(ncols_of(m))]
         b = mat_vec(m, x)
-        got, rank = linalg.solve_with_rank(m, b)
-        assert rank == len(dense_rref(m)[1])
+        got = linalg.solve(m, b)
+        assert linalg.rank(m) == len(dense_rref(m)[1])
         assert mat_vec(m, got) == b
 
     @settings(max_examples=40, deadline=None)

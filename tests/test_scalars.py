@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gcgeo.scalars import (
@@ -261,3 +261,48 @@ class TestPolyAgainstSympy:
         assert_raw_invariants(Poly.const(list(VARS), 0))
         assert_raw_invariants(Poly.var(list(VARS), "y"))
         assert_raw_invariants(Poly.zero(list(VARS)))
+
+    @given(polys(), polys(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_divide(self, p, g, multiple):
+        assume(g)
+        if multiple:
+            p = p * g
+        oracle = SympyOracle()
+        sp = oracle.sp
+        q, r = sp.div(oracle.expr(p), oracle.expr(g), *(oracle.syms[v] for v in VARS))
+        result = p.divide(g)
+        assert (result is None) == (sp.expand(r) != 0)
+        if result is not None:
+            assert_raw_invariants(result)
+            oracle.assert_equal(result, q)
+
+
+class TestDivide:
+    @given(polys(), polys())
+    @settings(max_examples=100, deadline=None)
+    def test_product_divided_by_a_factor(self, p, g):
+        assume(g)
+        q = (p * g).divide(g)
+        assert_raw_invariants(q)
+        assert q == p
+
+    @given(polys(), polys(), st.tuples(st.integers(0, 3), st.integers(0, 3)), gauss_rats())
+    @settings(max_examples=100, deadline=None)
+    def test_term_off_the_leading_monomial(self, p, g, e, c):
+        # the leading monomial is the lex-largest exponent tuple; a monomial
+        # it does not divide is not divisible by g
+        assume(c and any(a < b for a, b in zip(e, max(g.terms, default=(0, 0)))))
+        assert (p * g + Poly(VARS, {e: c})).divide(g) is None
+
+    def test_examples(self):
+        x, y = P(x=1), P(y=1)
+        assert (x * x - y * y).divide(x + y) == x - y
+        assert (x * x + y).divide(x) is None
+        half = P(x=Fraction(1, 2)) - P(y=Fraction(3, 2)) * IUNIT
+        assert (x * IUNIT + 3 * y).divide(Poly.const(VARS, GaussRat(0, 2))) == half
+        assert Poly.zero(VARS).divide(x + y) == Poly.zero(VARS)
+        with pytest.raises(ZeroDivisionError):
+            x.divide(Poly.zero(VARS))
+        with pytest.raises(MismatchedVariables):
+            x.divide(Poly.var(("z",), "z"))
