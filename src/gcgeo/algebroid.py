@@ -4,9 +4,9 @@ A pair consists of frames for two pointwise-transverse maximal isotropics L
 and R on a chart; the natural pairing identifies R with L*.  Multisections of
 L* are stored by their values on L-frame tuples (components over index masks).
 
-The Maurer-Cartan residual is computed by expanding the involutivity tensor of
-the deformed graph (1 + eps)L in orders of eps: the linear part is exactly the
-Cartan differential d_L eps and the quadratic part is the bracket term.
+The Maurer-Cartan residual is the involutivity tensor of the deformed graph
+(1 + eps)L itself: it vanishes iff d_L eps + 1/2 [eps, eps] = 0, whose linear
+part in eps is the Cartan differential d_L eps.
 """
 
 from __future__ import annotations
@@ -241,8 +241,6 @@ def r_lie_derivative(pair: LiePair, b_comps, mu: dict, k: int) -> dict:
 
 class MCReport(Record, frozen=True):
     verdict: str
-    linear: dict
-    quadratic: dict
     residual: dict
 
 
@@ -264,11 +262,12 @@ def eps_sharp(pair: LiePair, eps: dict, i: int) -> GenVector:
 
 
 def maurer_cartan(pair: LiePair, eps: dict) -> MCReport:
-    """d_L eps + (bracket term) = 0, expanded from the deformed-graph tensor.
+    """The involutivity tensor of the deformed graph (1 + eps)L.
 
     The residual components are <[x + eps#x, y + eps#y]_H, z + eps#z> over
-    L-frame triples; the deformed graph is involutive iff they all vanish,
-    which is the Maurer-Cartan equation for eps.
+    L-frame triples i < j < k, keyed by the mask of {i, j, k}; the deformed
+    graph is involutive iff they all vanish, which is the Maurer-Cartan
+    equation d_L eps + 1/2 [eps, eps] = 0.
     """
     chart = pair.chart
     m = chart.dim
@@ -279,31 +278,17 @@ def maurer_cartan(pair: LiePair, eps: dict) -> MCReport:
             for w in secs:
                 if br.pair(w):
                     raise ValueError("L frame is not involutive; d_L is undefined")
-    sharp = [eps_sharp(pair, eps, i) for i in range(m)]
-    linear = pair.d_l(eps, 2)
-    quadratic: dict = {}
+    deformed = [l + eps_sharp(pair, eps, i) for i, l in enumerate(secs)]
     residual: dict = {}
-    for mask in range(1 << m):
-        if mask.bit_count() != 3:
-            continue
-        i, j, k = _mask_indices(mask)
-        x, y, z = secs[i], secs[j], secs[k]
-        ex, ey, ez = sharp[i], sharp[j], sharp[k]
-        quad = (
-            courant_bracket(chart, x, ey, pair.h).pair(ez)
-            + courant_bracket(chart, ex, y, pair.h).pair(ez)
-            + courant_bracket(chart, ex, ey, pair.h).pair(z)
-            + courant_bracket(chart, ex, ey, pair.h).pair(ez)
-        )
-        quad = chart.lift(quad)
-        lin = linear.get(mask, chart.zero())
-        res = lin + quad
-        if quad:
-            quadratic[mask] = quad
-        if res:
-            residual[mask] = res
+    for i in range(m):
+        for j in range(i + 1, m - 1):
+            br = courant_bracket(chart, deformed[i], deformed[j], pair.h)
+            for k in range(j + 1, m):
+                val = br.pair(deformed[k])
+                if val:
+                    residual[(1 << i) | (1 << j) | (1 << k)] = chart.lift(val)
     verdict = "pass" if not residual else "fail"
-    return MCReport(verdict=verdict, linear=linear, quadratic=quadratic, residual=residual)
+    return MCReport(verdict=verdict, residual=residual)
 
 
 def lie_algebroid_differential(pair: LiePair, mu: dict, degree: int) -> dict:

@@ -163,8 +163,11 @@ def _frame_of(doc, chart, key="dirac_frame"):
         raise JobError(str(e), key)
 
 
-def _pair_terms(doc, key: str, index_key: str, chart):
-    """The terms {coeff, index_key: [i, j]} of doc[key] as ((i, j), coeff), 0-based."""
+def _pair_terms(doc, key: str, index_key: str, chart, bound: int):
+    """The terms {coeff, index_key: [i, j]} of doc[key] as ((i, j), coeff), 0-based.
+
+    Each index is given 1-based and must lie in 1..bound.
+    """
     terms = doc.get(key)
     if not isinstance(terms, list):
         raise JobError(f"{key} must be a list of {{coeff, {index_key}: [i, j]}} terms", key)
@@ -173,7 +176,7 @@ def _pair_terms(doc, key: str, index_key: str, chart):
         ij = term.get(index_key) if isinstance(term, dict) else None
         if not isinstance(ij, list) or len(ij) != 2:
             raise JobError(f"{key} terms need {index_key} [i, j]", f"{key}[{idx}]")
-        i, j = (parse_int(x, f"{key}[{idx}].{index_key}") - 1 for x in ij)
+        i, j = (parse_int(x, f"{key}[{idx}].{index_key}", 1, bound) - 1 for x in ij)
         out.append(((i, j), parse_scalar(term.get("coeff"), chart.names, f"{key}[{idx}].coeff")))
     return out
 
@@ -400,7 +403,7 @@ def cmd_maurer_cartan(doc):
     chart = _complex_chart_of(doc, "maurer-cartan")
     pair = complex_pair(chart, _twist_of(doc, chart))
     eps = {}
-    for idx, ((i, j), c) in enumerate(_pair_terms(doc, "eps", "basis", chart)):
+    for idx, ((i, j), c) in enumerate(_pair_terms(doc, "eps", "basis", chart, chart.dim)):
         if i == j:
             raise JobError("eps indices must differ", f"eps[{idx}]")
         if i > j:
@@ -419,7 +422,8 @@ def cmd_deform(doc):
     from .gcs import j_complex, standard_complex_endo
     from .integrability import deform_by_bivector, holomorphic_bivector
     chart = _complex_chart_of(doc, "deform")
-    beta_mv = holomorphic_bivector(chart, dict(_pair_terms(doc, "beta", "pair", chart)))
+    beta = _pair_terms(doc, "beta", "pair", chart, chart.n_complex)
+    beta_mv = holomorphic_bivector(chart, dict(beta))
     base = j_complex(standard_complex_endo(chart.n_complex))
     res = deform_by_bivector(chart, base, beta_mv)
     cert = {

@@ -1,15 +1,16 @@
 """The differential layer on a polynomial chart: d, d_H, brackets, frames.
 
-Sections of T + T* carry the H-twisted Courant bracket in its derived form;
-multivector fields carry the Schouten bracket.  Everything is a polynomial
-identity over the chart ring, decided exactly.
+Sections of T + T* carry the H-twisted Courant bracket, with its derived-bracket
+operator on test forms; multivector fields carry the Schouten bracket in
+coordinates.  Everything is a polynomial identity over the chart ring, decided
+exactly.
 """
 
 from __future__ import annotations
 
 from .record import Record
-from .scalars import GaussRat, Poly, add_term, as_gauss
-from .forms import MixedForm, covector_form
+from .scalars import Poly, add_term, as_gauss
+from .forms import MixedForm, contract_sign, covector_form, merge_sign
 from .clifford import GenVector
 from .charts import Chart
 from . import linalg
@@ -133,58 +134,50 @@ def derived_bracket_action(
 # Schouten bracket of multivector fields
 # ---------------------------------------------------------------------------
 
-def _interior_operator(chart: Chart, p_mv: MixedForm):
-    def op(phi: MixedForm) -> MixedForm:
-        return phi.contract_mv(p_mv)
-
-    return op
-
-
 def schouten(chart: Chart, p: MixedForm, q: MixedForm) -> MixedForm:
-    """Schouten bracket of polynomial multivector fields.
+    """Schouten bracket of polynomial multivector fields, term by term.
 
-    Realized through the de Rham derived bracket [[i_P, d], i_Q] and then
-    dressed by (-1)^{(p-1)(q-1)}, which pins the convention to [X, Q] = L_X Q
-    and the modular rescaling law X_{e^f v} = X_v + [beta, f].
+    For P = p_I theta_I and Q = q_J theta_J, with theta_i = d/dx_i,
+    [P, Q] = sum_{i in I} (-1)^{|I|-1} (d_{theta_i} P) ^ d_{x_i} Q
+             - (-1)^{(|I|-1)(|J|-1)} (the same with P and Q swapped),
+    where d_{theta_i} removes theta_i from the left.  This is the convention
+    [X, Q] = L_X Q, which gives the modular rescaling law
+    X_{e^f v} = X_v + [beta, f].
     """
     if p.variance != "mv" or q.variance != "mv":
         raise ValueError("schouten expects multivector fields")
-    if not p or not q:
-        return MixedForm.zero(chart.dim, "mv")
-    if not p.is_homogeneous() or not q.is_homogeneous():
-        out = MixedForm.zero(chart.dim, "mv")
-        for dp in p.degrees():
-            for dq in q.degrees():
-                out = out + schouten(chart, p.degree_part(dp), q.degree_part(dq))
-        return out
-    m = chart.dim
-    pd, qd = p.min_degree(), q.min_degree()
-    ip = _interior_operator(chart, p)
-    iq = _interior_operator(chart, q)
-    dd = lambda psi: d(chart, psi)
-    # L_P = i_P d - (-1)^p d i_P, of parity p+1
-    lp = lambda psi: ip(dd(psi)) - dd(ip(psi)).scale(GaussRat(-1) ** (pd % 2))
+    if p.dim != chart.dim or q.dim != chart.dim:
+        raise ValueError("dimension mismatch")
+    out: dict = {}
+    for a, pa in p.terms.items():
+        for b, qb in q.terms.items():
+            _schouten_half(out, chart.names, a, pa, b, qb, 1)
+            odd = (a.bit_count() - 1) * (b.bit_count() - 1) & 1
+            _schouten_half(out, chart.names, b, qb, a, pa, 1 if odd else -1)
+    return MixedForm._raw(chart.dim, out, "mv")
 
-    def op(psi):
-        # graded commutator [L_P, i_Q]
-        sign = GaussRat(-1) ** (((pd - 1) * qd) % 2)
-        return lp(iq(psi)) - iq(lp(psi)).scale(sign)
 
-    deg = pd + qd - 1
-    out_terms = {}
-    lifted_one = chart.one()
-    for mask in range(1 << m):
-        if mask.bit_count() != deg:
+def _schouten_half(out: dict, names, a, pa, b, qb, sign):
+    """Add sign * sum_{i in a} (-1)^{|a|-1} (d_{theta_i} pa theta_a) ^ d_{x_i} qb theta_b."""
+    if not isinstance(qb, Poly):
+        return
+    if not a.bit_count() & 1:
+        sign = -sign
+    rem = a
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        rest = a ^ low
+        if rest & b:
             continue
-        test = MixedForm(m, {mask: lifted_one})
-        res = op(test)
-        c = res.coeff(0)
-        if c:
-            out_terms[mask] = c
-    result = MixedForm(m, out_terms, "mv")
-    if ((pd - 1) * (qd - 1)) % 2:
-        result = -result
-    return result
+        i = low.bit_length() - 1
+        dq = qb.diff(names[i])
+        if not dq:
+            continue
+        t = pa * dq
+        if sign * contract_sign(a, i) * merge_sign(rest, b) < 0:
+            t = -t
+        add_term(out, rest | b, t)
 
 
 def lie_derivative_mv(chart: Chart, x_coeffs, q: MixedForm) -> MixedForm:

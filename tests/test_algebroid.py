@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from gcgeo.scalars import GaussRat, Poly, IUNIT, ONE, ZERO, HALF
@@ -245,10 +247,50 @@ class TestMaurerCartan:
                 l + s for l, s in zip(pair.frame_l, sharp)
             )
             frame = DiracFrame(C2, deformed)
-            invol = is_involutive(frame, None)
+            want = {
+                (1 << i) | (1 << j) | (1 << k): C2.lift(val)
+                for (i, j, k), val in involutivity_tensor(frame, None).items()
+                if j < k and val
+            }
+            assert rep.residual == want
             seen.add(rep.verdict)
-            assert (rep.verdict == "pass") == invol
+            assert (rep.verdict == "pass") == is_involutive(frame, None)
         assert seen == {"pass", "fail"}, "family must exercise both verdicts"
+
+    def test_linear_part_is_d_l(self):
+        # R(t eps) = t d_L eps + t^2 Q + t^3 C, so 3R(eps) - 3/2 R(2eps) + 1/3 R(3eps) = d_L eps
+        pair = complex_pair(C2)
+        rng = Rng(17)
+        m = C2.dim
+        weights = ((1, GaussRat(3)), (2, GaussRat("-3/2")), (3, GaussRat("1/3")))
+        for _ in range(15):
+            eps = {}
+            for i in range(m):
+                for j in range(i + 1, m):
+                    if rng.r.random() < 0.5:
+                        eps[(1 << i) | (1 << j)] = rng.poly(C2, 2, 2, complex_ok=True)
+            linear = {}
+            for t, w in weights:
+                scaled = {mask: v * GaussRat(t) for mask, v in eps.items()}
+                for mask, v in maurer_cartan(pair, scaled).residual.items():
+                    linear[mask] = linear.get(mask, C2.zero()) + v * w
+            assert {k: v for k, v in linear.items() if v} == pair.d_l(eps, 2)
+
+    def test_dimension_12(self):
+        ch = Chart.complex_plane(6)
+        pair = complex_pair(ch)
+        rng = Rng(19)
+        eps = {(1 << i) | (1 << j): rng.poly(ch, 1, 2, complex_ok=True)
+               for i in range(12) for j in range(i + 1, 12) if rng.r.random() < 0.3}
+        t0 = time.perf_counter()
+        rep = maurer_cartan(pair, eps)
+        assert time.perf_counter() - t0 < 0.3
+        assert rep.verdict == "fail" and rep.residual
+        # a holomorphic Poisson bivector z1 d/dz1 ^ d/dz2 deforms integrably
+        from gcgeo.integrability import holomorphic_bivector
+
+        beta = holomorphic_bivector(ch, {(0, 1): ch.z(0)})
+        assert maurer_cartan(pair, eps_from_bivector(pair, beta)).verdict == "pass"
 
     def test_kodaira_spencer_mixed_component(self):
         # eps on the (del_zbar2, dz2) slot deforms the complex structure in the

@@ -239,6 +239,11 @@ class TestCommands:
         [
             ("maurer_cartan_cubic.json", ("eps",), [5], "eps[0]: "),
             ("maurer_cartan_cubic.json", ("eps", 0, "basis", 0), [], "eps[0].basis: "),
+            ("maurer_cartan_cubic.json", ("eps", 0, "basis"), [3, 9], "eps[0].basis: "),
+            ("maurer_cartan_cubic.json", ("eps", 0, "basis"), [0, 1], "eps[0].basis: "),
+            ("deform_z1.json", ("beta", 0, "pair"), [1, 3], "beta[0].pair: "),
+            ("deform_z1.json", ("beta", 0, "pair"), [0, 1], "beta[0].pair: "),
+            ("deform_z1.json", ("beta", 0, "pair"), [-1, 2], "beta[0].pair: "),
             ("deform_z1.json", ("beta",), ["x"], "beta[0]: "),
             ("pullback_graph_b.json", ("dirac_frame", 0, "vec"), 5, "dirac_frame[0]: "),
             ("pullback_graph_b.json", ("dirac_frame",), 5, "dirac_frame: "),
@@ -261,7 +266,8 @@ class TestCommands:
             ("darboux_b_transformed.json", ("matrix",), [["0", "1", "0"]], "matrix: "),
         ],
         ids=[
-            "eps-term", "eps-index", "beta-term", "section-vec", "frame", "complex-pairs",
+            "eps-term", "eps-index", "eps-index-high", "eps-index-zero", "beta-index-high",
+            "beta-index-zero", "beta-index-negative", "beta-term", "section-vec", "frame", "complex-pairs",
             "complex-pair", "complex-dim", "params", "params-range", "graph", "cases",
             "seed", "samples", "degree-bound", "gl-shape", "transform-degree", "ragged-j",
             "odd-j",

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,7 +203,69 @@ def _unchecked(chart, form):
     return t
 
 
+def schouten_by_derived_bracket(chart, p, q):
+    """[P, Q] as (-1)^{(p-1)(q-1)} [[i_P, d], i_Q] on each basis form of degree p + q - 1.
+
+    The de Rham derived-bracket realisation, degree part by degree part: the
+    reference that `schouten` is checked against.
+    """
+    m = chart.dim
+    out = MixedForm.zero(m, "mv")
+    for pd in p.degrees():
+        for qd in q.degrees():
+            ip = lambda psi, part=p.degree_part(pd): psi.contract_mv(part)
+            iq = lambda psi, part=q.degree_part(qd): psi.contract_mv(part)
+            # L_P = i_P d - (-1)^p d i_P, and the graded commutator [L_P, i_Q]
+            lp = lambda psi: ip(d(chart, psi)) - d(chart, ip(psi)).scale(-ONE if pd % 2 else ONE)
+            op_sign = -ONE if (pd - 1) * qd % 2 else ONE
+            terms = {}
+            for mask in range(1 << m):
+                if mask.bit_count() == pd + qd - 1:
+                    test = MixedForm(m, {mask: chart.one()})
+                    terms[mask] = (lp(iq(test)) - iq(lp(test)).scale(op_sign)).coeff(0)
+            part = MixedForm(m, terms, "mv")
+            out = out + (-part if (pd - 1) * (qd - 1) % 2 else part)
+    return out
+
+
+def random_multivector(rng, chart, complex_ok):
+    """Up to four terms of degree 0..3 with polynomial or constant coefficients."""
+    terms = {}
+    for _ in range(rng.r.randint(1, 4)):
+        mask = rng.r.randrange(1 << chart.dim)
+        if mask.bit_count() > 3:
+            continue
+        if rng.r.randrange(4) == 0:
+            terms[mask] = rng.gauss()
+        else:
+            terms[mask] = rng.poly(chart, rng.r.randint(0, 3), rng.r.randint(1, 3), complex_ok=complex_ok)
+    return MixedForm(chart.dim, terms, "mv")
+
+
 class TestSchouten:
+    @pytest.mark.parametrize("chart,seed", [(R3, 21), (C2, 22)], ids=["R3", "C2"])
+    def test_matches_derived_bracket(self, chart, seed):
+        rng = Rng(seed)
+        nonzero = 0
+        for _ in range(60):
+            p = random_multivector(rng, chart, chart is C2)
+            q = random_multivector(rng, chart, chart is C2)
+            got = schouten(chart, p, q)
+            assert got == schouten_by_derived_bracket(chart, p, q)
+            assert all(isinstance(c, Poly) for c in got.terms.values())
+            nonzero += bool(got)
+        assert 0 < nonzero < 60, "family must give zero and nonzero brackets"
+
+    def test_dense_linear_bivector_at_dimension_12(self):
+        ch = Chart.real(*[f"x{i}" for i in range(12)])
+        rng = Rng(23)
+        terms = {(1 << i) | (1 << j): rng.poly(ch, 1, 3) for i in range(12) for j in range(i + 1, 12)}
+        beta = MixedForm(12, terms, "mv")
+        t0 = time.perf_counter()
+        got = schouten(ch, beta, beta)
+        assert time.perf_counter() - t0 < 0.3
+        assert got and got == schouten_by_derived_bracket(ch, beta, beta)
+
     def test_examples(self):
         x = R3.var("x")
         assert schouten(R3, mv(R3, R3.one(), 1), mv(R3, x * x * R3.var("y"))) == mv(
