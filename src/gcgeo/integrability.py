@@ -1,13 +1,16 @@
 """Field-level integrability: spinor witnesses, Nijenhuis tensors, deformations,
 modular vector fields and Hamiltonian symmetries.
 
-The witness solver turns d_H phi = (X + xi) . phi into one exact linear system
-over the unknown polynomial coefficients of X + xi, up to a degree bound.
+The witness solver first solves d_H phi = (X + xi) . phi pointwise at sample
+points, where an unsolvable point decides failure.  It then turns the equation
+into exact linear systems over the unknown polynomial coefficients of X + xi,
+at degree bounds 0, 1, ... up to a bound, and stops at the first that solves.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from math import comb
 from operator import add
 
 from .record import Record
@@ -80,6 +83,12 @@ class NotPoisson(ValueError):
     """The bivector of a modular field problem has [beta, beta] != 0."""
 
 
+# The largest witness ansatz the solver builds, as a bound on rows x unknowns.
+# An unsolvable ansatz near the cap takes seconds to eliminate (5.5e8: 3 s,
+# 1.9e9: 13 s on a 2-core machine); far above it, hours.
+ANSATZ_CAP = 10**9
+
+
 class WitnessReport(Record, frozen=True):
     verdict: str  # "pass" | "fail" | "inconclusive"
     witness: GenVector | None
@@ -108,11 +117,15 @@ def check_spinor_integrability(
 ) -> WitnessReport:
     """Decide d_H phi = (X + xi) . phi with a polynomial witness.
 
-    A supplied witness is verified identically.  Otherwise an ansatz of total
-    coefficient degree <= degree_bound (default: max coefficient degree of phi
-    plus deg H plus 1) is solved exactly.  Failure is only declared when the
-    pointwise equation is already unsolvable at a sample point; an exhausted
-    bound with no pointwise obstruction is reported as inconclusive.
+    A supplied witness is verified identically.  Otherwise a zero target
+    passes with the zero witness at degree bound 0.  Next the pointwise
+    equation is solved at each sample point: a polynomial witness would solve
+    it at every point, so an unsolvable sample is a failure, reported with the
+    full degree bound.  Only then is an ansatz of total coefficient degree
+    <= b solved exactly, for b = 0, 1, ... up to degree_bound (default: max
+    coefficient degree of phi plus deg H plus 1); a pass reports the smallest
+    b that solved.  No witness up to degree_bound, or an ansatz above
+    ANSATZ_CAP rows x unknowns, is inconclusive.
     """
     m = chart.dim
     phi = chart.lift_form(phi)
@@ -129,6 +142,11 @@ def check_spinor_integrability(
             "supplied witness does not satisfy the identity",
             counterexample={"residual_masks": sorted(residual.terms)},
         )
+    if not target:
+        zero = [chart.zero()] * m
+        return WitnessReport(
+            "pass", GenVector(m, zero, zero), 0, "witness solved with degree bound 0"
+        )
     if degree_bound is None:
         pdeg = max((c.total_degree() for c in phi.terms.values()), default=0)
         hdeg = 0
@@ -138,26 +156,15 @@ def check_spinor_integrability(
                 default=0,
             )
         degree_bound = pdeg + hdeg + 1
-    slots = [u.act(phi) for u in chart.coordinate_frame()]
-    rows, rhs, unknowns = ansatz_system(
-        chart, [f.terms for f in slots], degree_bound, target.terms
-    )
-    sol = linalg.solve(rows, rhs, len(unknowns))
-    if sol is not None:
-        polys = ansatz_polys(chart, sol, unknowns, 2 * m)
-        w = GenVector(m, polys[:m], polys[m:])
-        if target - w.act(phi):
-            raise AssertionError("solver produced an invalid witness")
-        return WitnessReport(
-            "pass", w, degree_bound, f"witness solved with degree bound {degree_bound}"
-        )
-    # no polynomial witness up to the bound; look for a pointwise obstruction
+    # the coordinate frame is constant, so its action commutes with evaluation
+    frame = [GenVector.basis_vector(m, i) for i in range(m)]
+    frame += [GenVector.basis_covector(m, i) for i in range(m)]
     samples = samples if samples is not None else _default_samples(chart)
     for p in samples:
         phi_p = phi.eval_at(p)
         if not phi_p:
             continue
-        rows_p, rhs_p = coefficient_rows([f.eval_at(p) for f in slots], target.eval_at(p))
+        rows_p, rhs_p = coefficient_rows([u.act(phi_p) for u in frame], target.eval_at(p))
         if linalg.solve(rows_p, rhs_p, 2 * m) is None:
             return WitnessReport(
                 "fail",
@@ -169,6 +176,34 @@ def check_spinor_integrability(
                     "identity": "d_H phi = (X + xi) . phi",
                 },
             )
+    slots = [u.act(phi).terms for u in chart.coordinate_frame()]
+    # rows are (key, exponent) pairs: at most one per term of a slot
+    # coefficient per monomial, plus one per term of the target
+    slot_terms = sum(
+        len({t for f in slots if key in f for t in chart.lift(f[key]).terms})
+        for key in {key for f in slots for key in f}
+    )
+    target_terms = sum(len(chart.lift(c).terms) for c in target.terms.values())
+    for b in range(degree_bound + 1):
+        monos = comb(m + b, m)
+        rows_max, unknowns_max = slot_terms * monos + target_terms, 2 * m * monos
+        if rows_max * unknowns_max > ANSATZ_CAP:
+            return WitnessReport(
+                "inconclusive",
+                None,
+                b,
+                f"the ansatz at degree bound {b} has up to {rows_max} x {unknowns_max} "
+                f"rows x unknowns, above the cap {ANSATZ_CAP}; no witness of lower "
+                "degree and no pointwise obstruction found",
+            )
+        rows, rhs, unknowns = ansatz_system(chart, slots, b, target.terms)
+        sol = linalg.solve(rows, rhs, len(unknowns))
+        if sol is not None:
+            polys = ansatz_polys(chart, sol, unknowns, 2 * m)
+            w = GenVector(m, polys[:m], polys[m:])
+            if target - w.act(phi):
+                raise AssertionError("solver produced an invalid witness")
+            return WitnessReport("pass", w, b, f"witness solved with degree bound {b}")
     return WitnessReport(
         "inconclusive",
         None,

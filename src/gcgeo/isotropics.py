@@ -9,7 +9,7 @@ components on a basis is built by wedging the dual coframe (`coframe`).
 from __future__ import annotations
 
 from .record import Record
-from .scalars import ONE, ZERO, as_gauss
+from .scalars import HALF, ONE, ZERO, as_gauss
 from .forms import MixedForm, check_dim, covector_form
 from .clifford import GenVector, BlockTransform
 from . import linalg
@@ -95,12 +95,15 @@ def canonical_form(vectors, dim: int) -> MaxIsotropic:
     """
     check_dim(dim)
     vecs = list(vectors)
-    for i, u in enumerate(vecs):
+    # gram[i][j] = xi_i(Y_j) + eta_j(X_i) = 2 <u_i, u_j>
+    gram = linalg.mat_mul(
+        [v.coords() for v in vecs], linalg.transpose([v.covec + v.vec for v in vecs])
+    )
+    for i, row in enumerate(gram):
         for j in range(i, len(vecs)):
-            p = u.pair(vecs[j])
-            if as_gauss(p):
+            if as_gauss(row[j]):
                 raise NotIsotropic(
-                    f"basis vectors {i} and {j} have inner product {p!r}, not 0"
+                    f"basis vectors {i} and {j} have inner product {HALF * row[j]!r}, not 0"
                 )
     rows = [[as_gauss(c) for c in v.coords()] for v in vecs]
     red, piv = linalg.rref(rows)

@@ -57,6 +57,18 @@ def nonclosed_invertible_omega() -> MixedForm:
     return MixedForm(4, {0b0011: ONE, 0b1100: ONE, 0b0101: R4.var("x2")})
 
 
+def closed_on_samples_spinor() -> MixedForm:
+    """e^{i omega}, omega = dx1^dx2 + dx3^dx4 + g dx1^dx3, g = x2^2 (x2 - 1)^2.
+
+    d omega = dg ^ dx1 ^ dx3 vanishes where x2 is 0, 1/2 or 1, so on every
+    default sample, but not at x2 = 2.
+    """
+    x2 = R4.var("x2")
+    g = x2 * x2 * (x2 - R4.one()) * (x2 - R4.one())
+    om = MixedForm(4, {0b0011: R4.one(), 0b1100: R4.one(), 0b0101: g})
+    return om.scale(IUNIT).exp_wedge()
+
+
 def nonclosed_omega_structure():
     om = nonclosed_invertible_omega()
     omap = R4.lift_matrix(map_from_two_form(om))
@@ -99,13 +111,16 @@ class TestWitnessSolver:
         rep = check_spinor_integrability(R4, phi)
         assert rep.verdict == "pass"
         assert rep.witness.is_zero()
+        assert rep.degree_bound == 0
 
     def test_nonclosed_symplectic_fails(self):
         om = MixedForm(4, {0b0011: R4.var("x3"), 0b1100: R4.one()})
         phi = om.scale(IUNIT).exp_wedge()
         rep = check_spinor_integrability(R4, phi)
         assert rep.verdict == "fail"
-        assert rep.counterexample and "point" in rep.counterexample
+        # the default bound: deg phi + deg H + 1 = 1 + 0 + 1
+        assert rep.degree_bound == 2
+        assert rep.counterexample["point"] == {n: "0" for n in R4.names}
 
     def test_supplied_wrong_witness_fails(self):
         rho = type_jump_spinor()
@@ -120,21 +135,100 @@ class TestWitnessSolver:
         rho = res.spinor
         rep0 = check_spinor_integrability(C2, rho, degree_bound=0)
         assert rep0.verdict == "inconclusive"
+        assert rep0.degree_bound == 0
         rep1 = check_spinor_integrability(C2, rho)
         assert rep1.verdict == "pass"
+        assert rep1.degree_bound == 1
+        assert rep1.detail == "witness solved with degree bound 1"
 
     def test_twisted_witness(self):
-        # d_H e^{i w} = H ^ e^{iw} needs the covector witness solving xi^phi
+        # d_H e^{iw} = H ^ e^{iw} for the constant symplectic w, and at the
+        # origin H ^ e^{iw} is not (X + xi) . e^{iw} for any X + xi
         w = two_form_from_map(standard_symplectic_map(2))
         phi = R4.lift_form(w.scale(IUNIT)).exp_wedge()
         h = ClosedThreeForm(R4, MixedForm(4, {0b0111: R4.one()}))
         rep = check_spinor_integrability(R4, phi, h)
-        # H ^ phi = (X + xi).phi is solvable pointwise here iff H ^ phi lies in
-        # the Clifford image; accept either verdict but demand consistency
-        if rep.verdict == "pass":
-            assert not (d(C2, phi) if False else (h.form.wedge(phi) - rep.witness.act(phi)))
-        else:
-            assert rep.verdict in ("fail", "inconclusive")
+        assert rep.verdict == "fail"
+        assert rep.degree_bound == 1
+        assert rep.counterexample["point"] == {n: "0" for n in R4.names}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_smallest_degree_bound_reported(self, seed):
+        # phi = dz1^dz2 + f, f holomorphic of degree k: X = (df/dz2) del_z1 -
+        # (df/dz1) del_z2 has degree k - 1, and no witness has lower degree
+        rng = Rng(seed)
+        k = 1 + seed % 3
+        f = C2.zero()
+        for a in range(k + 1):
+            for b in range(k + 1 - a):
+                c = rng.gauss()
+                if a + b == k and not c:
+                    c = ONE
+                f = f + C2.z(0) ** a * C2.z(1) ** b * c
+        phi = C2.dz(0).wedge(C2.dz(1)) + MixedForm(4, {0: f})
+        rep = check_spinor_integrability(C2, phi)
+        assert rep.verdict == "pass"
+        assert rep.degree_bound == k - 1
+        assert rep.detail == f"witness solved with degree bound {k - 1}"
+        assert not d(C2, phi) - rep.witness.act(phi)
+        if k > 1:
+            below = check_spinor_integrability(C2, phi, degree_bound=k - 2)
+            assert below.verdict == "inconclusive"
+            assert below.degree_bound == k - 2
+
+    def test_obstruction_off_the_samples_is_inconclusive(self):
+        phi = closed_on_samples_spinor()
+        rep = check_spinor_integrability(R4, phi)
+        assert rep.verdict == "inconclusive"
+        assert rep.degree_bound == 5
+        rep = check_spinor_integrability(R4, phi, samples=[R4.point(0, 2, 0, 0)])
+        assert rep.verdict == "fail"
+        assert rep.counterexample["point"] == {"x1": "0", "x2": "2", "x3": "0", "x4": "0"}
+
+    def test_size_cap_stops_the_deepening(self, monkeypatch):
+        from gcgeo import integrability
+
+        phi = closed_on_samples_spinor()
+        # bound 1 has up to 103 x 40 rows x unknowns, bound 2 303 x 120
+        monkeypatch.setattr(integrability, "ANSATZ_CAP", 103 * 40)
+        rep = check_spinor_integrability(R4, phi)
+        assert rep.verdict == "inconclusive"
+        assert rep.degree_bound == 2
+        assert rep.detail == (
+            "the ansatz at degree bound 2 has up to 303 x 120 rows x unknowns, above "
+            "the cap 4120; no witness of lower degree and no pointwise obstruction found"
+        )
+
+
+class TestWitnessDimensionSweep:
+    """Free witness solves that once built an ansatz far too large to solve.
+
+    Each time bound is at least 20 times the time measured on a 2-core
+    machine (0.01 s and 0.4 s).
+    """
+
+    def test_pointwise_obstruction_at_dimension_8(self):
+        # the default bound 5 meant 484,195 x 20,592 rows x unknowns
+        chart = Chart.real(*(f"x{i + 1}" for i in range(8)))
+        phi = chart.lift_form(Rng(5).poly_two_form(chart, degree=1)).exp_wedge()
+        t0 = time.perf_counter()
+        rep = check_spinor_integrability(chart, phi)
+        assert time.perf_counter() - t0 < 1.0
+        assert rep.verdict == "fail"
+        assert rep.degree_bound == 5
+        assert rep.counterexample["point"] == {n: "0" for n in chart.names}
+
+    def test_constant_witness_at_complex_dimension_6(self):
+        # the default bound 4 took 74 s; a constant witness exists
+        c6 = Chart.complex_plane(6)
+        beta = holomorphic_bivector(c6, {(k, k + 1): c6.z(k) for k in (0, 2, 4)})
+        res = deform_by_bivector(c6, j_complex(standard_complex_endo(6)), beta)
+        t0 = time.perf_counter()
+        rep = check_spinor_integrability(c6, res.spinor)
+        assert time.perf_counter() - t0 < 12.0
+        assert rep.verdict == "pass"
+        assert rep.degree_bound == 0
+        assert not d(c6, res.spinor) - rep.witness.act(res.spinor)
 
 
 class TestAnsatzSystem:

@@ -58,6 +58,15 @@ class TestCanonicalForm:
         with pytest.raises(NotIsotropic, match="0 and 0"):
             canonical_form(bad, m)
 
+    def test_non_isotropic_names_the_inner_product(self):
+        # <e_1, (1 + 2i) e^1 + e_2> = (1 + 2i) / 2, the first nonzero pair
+        m = 2
+        bad = [GenVector.basis_vector(m, 0),
+               GenVector.basis_covector(m, 0, GaussRat(1, 2)) + GenVector.basis_vector(m, 1)]
+        with pytest.raises(NotIsotropic) as err:
+            canonical_form(bad, m)
+        assert str(err.value) == "basis vectors 0 and 1 have inner product 1/2+i, not 0"
+
     def test_rank_deficient_rejected(self):
         m = 2
         v = GenVector.basis_vector(m, 0)
