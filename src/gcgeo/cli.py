@@ -2,7 +2,8 @@
 
 Exit codes: 0 = pass, 1 = mathematical fail, 2 = every outcome that is not a
 decided verdict (malformed documents, invalid structures or isotropics,
-capacity limits, and exhausted degree bounds).
+capacity limits, exhausted degree bounds, and command lines outside the
+grammar of `parse_args`, which print a usage line to stderr).
 
 Every command is one row of `COMMANDS`, a handler that reads only the job
 document.  Two rules hold for all of them:
@@ -18,12 +19,14 @@ document.  Two rules hold for all of them:
 
 A handler imports the layers it runs inside its body, so a process that runs
 one command loads only `jobio`'s parsing layers and that command's own: the
-declared failure is a name, resolved when its command runs.
+declared failure is a name, resolved when its command runs.  For the same
+reason `parse_args` reads the fixed grammar itself: `argparse`, with the
+`gettext` and `locale` it loads, took a `mukai` child more import time than
+all of its gcgeo modules.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -51,7 +54,6 @@ from .jobio import (
 COMMANDS = {}  # name -> cmd_* handler: doc -> (verdict, certificate or counterexample)
 DECIDED = {}  # name -> "module.Exception", the command's mathematical fail
 DEFAULTS = {}  # name -> document fields used when neither flag nor document sets them
-FLAGS = ("seed", "cases", "degree_bound", "samples")
 
 
 def command(name, decided=None, defaults=None):
@@ -561,33 +563,77 @@ def cmd_axiom_suite(doc):
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="gcgeo",
-        description="Exact checks for the linear and differential algebra of T+T*.",
-    )
-    p.add_argument("--version", action="version", version=f"gcgeo {__version__}")
-    sub = p.add_subparsers(dest="command")
-    for name in sorted(COMMANDS):
-        sp = sub.add_parser(name, help=f"run the {name} check on a JSON job file")
-        sp.add_argument("job", help="path to the JSON job document")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--cases", type=int, default=None)
-        sp.add_argument("--degree-bound", type=int, default=None, dest="degree_bound")
-        sp.add_argument("--samples", type=str, default=None, help="JSON array of points")
-        sp.add_argument("--format", choices=("json", "text"), default="json")
-    return p
+USAGE = ("usage: gcgeo [-h] [--version] <command> <job.json> [--seed N] [--cases N]"
+         " [--degree-bound N] [--samples JSON] [--format json|text]")
+OPTIONS = {"--seed": "seed", "--cases": "cases", "--degree-bound": "degree_bound",
+           "--samples": "samples", "--format": "format"}  # flag -> field it sets
 
 
-def run_job(command_name: str, doc: dict, opts) -> Report:
-    """Resolve the flags into the document, run the handler, decide its failure."""
+class UsageError(Exception):
+    """A command line outside the grammar `parse_args` reads: exit 2 with the usage line."""
+
+
+def parse_args(argv) -> dict:
+    """Read `gcgeo <command> <job.json>` and its flags.
+
+    A flag is `--flag value` or `--flag=value`, anywhere on the line, and is
+    never abbreviated; given twice, its last value holds.  Returns
+    {"command", "job", "format", "flags"}, where `flags` maps the document
+    field of each flag given, `--format` apart, to its value; or
+    {"show": text} for `-h`/`--help` and `--version`.  Every other line
+    raises UsageError.
+    """
+    fmt, flags, positional = "json", {}, []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in ("-h", "--help"):
+            commands = "\n".join(f"  {name}" for name in sorted(COMMANDS))
+            return {"show": f"{USAGE}\n\nExact checks for the linear and differential algebra"
+                            f" of T+T*.\n\ncommands:\n{commands}"}
+        if tok == "--version":
+            return {"show": f"gcgeo {__version__}"}
+        if tok == "-" or not tok.startswith("-"):
+            positional.append(tok)
+            continue
+        flag, eq, value = tok.partition("=")
+        if flag not in OPTIONS:
+            raise UsageError(f"unrecognized argument {tok!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"argument {flag}: expected one value")
+        field = OPTIONS[flag]
+        if field == "format":
+            if value not in ("json", "text"):
+                raise UsageError(f"argument --format: invalid choice {value!r} (json or text)")
+            fmt = value
+        elif field == "samples":
+            flags[field] = value
+        else:
+            try:
+                flags[field] = int(value)
+            except ValueError:
+                raise UsageError(f"argument {flag}: invalid int value {value!r}") from None
+    if not positional:
+        raise UsageError("missing command and job path")
+    name, *paths = positional
+    if name not in COMMANDS:
+        raise UsageError(f"invalid command {name!r}")
+    if not paths:
+        raise UsageError("missing job path")
+    if len(paths) > 1:
+        raise UsageError(f"unexpected argument {paths[1]!r}")
+    return {"command": name, "job": paths[0], "format": fmt, "flags": flags}
+
+
+def run_job(command_name: str, doc: dict, flags: dict) -> Report:
+    """Resolve the flags given into the document, run the handler, decide its failure."""
     declared = doc.get("command")
     if declared is not None and declared != command_name:
         raise JobError(f"document is for {declared!r}, invoked as {command_name!r}", "command")
-    flags = {k: getattr(opts, k) for k in FLAGS if getattr(opts, k) is not None}
     if "samples" in flags:
         try:
-            flags["samples"] = json.loads(flags["samples"])
+            flags = {**flags, "samples": json.loads(flags["samples"])}
         except ValueError as e:
             raise JobError(f"--samples is not valid JSON: {e}")
         except RecursionError:
@@ -604,21 +650,26 @@ def run_job(command_name: str, doc: dict, opts) -> Report:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not args.command:
-        parser.print_help()
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as e:
+        print(f"{USAGE}\ngcgeo: error: {e}", file=sys.stderr)
         return 2
+    if "show" in args:
+        print(args["show"])
+        return 0
+    flags = args["flags"]
     t0 = time.perf_counter()
     try:
-        doc = load_document(args.job)
-        report = run_job(args.command, doc, args)
+        doc = load_document(args["job"])
+        report = run_job(args["command"], doc, flags)
     except ValueError as e:
         # JobError, CapacityError, NotPure and every undeclared NotIsotropic,
         # InvalidStructure or NotSmooth are ValueErrors: undecided, exit 2
-        report = Report(args.command, "error", counterexample={"error": str(e)}, seed=args.seed)
+        report = Report(args["command"], "error", counterexample={"error": str(e)},
+                        seed=flags.get("seed"))
     report.timing_ms = (time.perf_counter() - t0) * 1000.0
-    print(emit(report, args.format))
+    print(emit(report, args["format"]))
     return report.exit_code()
 
 

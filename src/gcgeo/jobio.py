@@ -394,9 +394,10 @@ def emit(report: Report, fmt: str = "json") -> str:
 
 def load_document(path: str) -> dict:
     try:
-        with open(path) as f:
+        # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding
+        with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise JobError(f"cannot read {path}: {e}")
     try:
         doc = json.loads(text)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from gcgeo.cli import main, COMMANDS, DECIDED, decided_failure
+from gcgeo.cli import main, COMMANDS, DECIDED, USAGE, decided_failure
 from gcgeo.jobio import (
     JobError,
     Report,
@@ -579,6 +579,111 @@ class TestCommandTable:
         assert set(DECIDED) == set(COMMANDS)
         for name, fn in COMMANDS.items():
             assert fn.__name__.startswith("cmd_"), name
+
+
+MUKAI = case("mukai_even_m4.json")
+
+# flag, value, command, case file, exit code, and the report showing the value took effect
+FLAG_EFFECTS = [
+    ("--seed", "7", "mukai", "mukai_even_m4.json", 0, lambda out: json.loads(out)["seed"] == 7),
+    ("--cases", "2", "axiom-suite", "axiom_suite_r3.json", 0,
+     lambda out: json.loads(out)["certificate"]["cases"] == 2),
+    ("--degree-bound", "-1", "modular", "modular_poisson.json", 2,
+     lambda out: json.loads(out)["counterexample"]["error"].startswith("degree_bound: ")),
+    ("--samples", '[["0","0","2","0"]]', "type-map", "type_map_grid.json", 0,
+     lambda out: [e["type"] for e in json.loads(out)["certificate"]["types"]] == [2]),
+    ("--format", "text", "mukai", "mukai_even_m4.json", 0,
+     lambda out: out.startswith("mukai: PASS")),
+]
+
+PLACEMENTS = {
+    "separate-after": lambda path, flag, value: [path, flag, value],
+    "equals-after": lambda path, flag, value: [path, f"{flag}={value}"],
+    "separate-before": lambda path, flag, value: [flag, value, path],
+    "equals-before": lambda path, flag, value: [f"{flag}={value}", path],
+}
+
+# argv outside the grammar, and what its error line says
+USAGE_ERRORS = [
+    ([], "missing command and job path"),
+    (["mukai"], "missing job path"),
+    (["bogus", MUKAI], "invalid command 'bogus'"),
+    (["mukai", MUKAI, "--bogus", "1"], "unrecognized argument '--bogus'"),
+    (["mukai", MUKAI, "--deg", "1"], "unrecognized argument '--deg'"),
+    (["mukai", MUKAI, "--degree=1"], "unrecognized argument '--degree=1'"),
+    (["mukai", MUKAI, "-s", "1"], "unrecognized argument '-s'"),
+    (["mukai", MUKAI, "--seed"], "argument --seed: expected one value"),
+    (["mukai", MUKAI, "--seed", "x"], "argument --seed: invalid int value 'x'"),
+    (["mukai", MUKAI, "--cases=1.5"], "argument --cases: invalid int value '1.5'"),
+    (["mukai", MUKAI, "--degree-bound="], "argument --degree-bound: invalid int value ''"),
+    (["mukai", MUKAI, "--format", "xml"], "argument --format: invalid choice 'xml'"),
+    (["mukai", MUKAI, "extra"], "unexpected argument 'extra'"),
+]
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    @pytest.mark.parametrize("flag,value,command_name,filename,exit_code,took_effect",
+                             FLAG_EFFECTS, ids=[f[0] for f in FLAG_EFFECTS])
+    def test_flag_forms_and_positions(self, flag, value, command_name, filename, exit_code,
+                                      took_effect, placement, capsys):
+        argv = [command_name, *PLACEMENTS[placement](case(filename), flag, value)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (exit_code, "")
+        assert took_effect(captured.out)
+
+    def test_repeated_flag_keeps_last_value(self, capsys):
+        code, out = run_cli(["mukai", "--seed=1", MUKAI, "--seed", "2"], capsys)
+        assert code == 0 and json.loads(out)["seed"] == 2
+
+    @pytest.mark.parametrize("argv,error", USAGE_ERRORS, ids=[" ".join(a[:1] + a[2:]) or "empty"
+                                                              for a, _ in USAGE_ERRORS])
+    def test_usage_error_returns_2(self, argv, error, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        usage, message = captured.err.splitlines()
+        assert usage == USAGE and message.startswith(f"gcgeo: error: {error}")
+
+    @pytest.mark.parametrize("argv", [["mukai"], ["mukai", MUKAI, "--format", "xml"]])
+    def test_usage_error_in_a_child(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "gcgeo.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("usage: gcgeo") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["mukai", "-h"], ["mukai", MUKAI, "--help"]])
+    def test_help(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[0] == USAGE
+        assert [line.strip() for line in lines[lines.index("commands:") + 1:]] == sorted(COMMANDS)
+
+    def test_version(self, capsys):
+        code = main(["--version"])
+        assert code == 0 and capsys.readouterr() == ("gcgeo 0.1.0\n", "")
+
+    def test_job_document_is_read_as_utf8(self, tmp_path):
+        # a C locale without UTF-8 mode would decode the file as ASCII
+        with open(MUKAI) as f:
+            doc = json.load(f)
+        accented = tmp_path / "accented.json"
+        accented.write_text(json.dumps({**doc, "note": "\u00e9"}, ensure_ascii=False),
+                            encoding="utf-8")
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b"\xff" + json.dumps(doc).encode())
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        runs = {}
+        for p in (accented, latin1):
+            proc = subprocess.run([sys.executable, "-m", "gcgeo.cli", "mukai", str(p)],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            runs[p] = proc.returncode, json.loads(proc.stdout)
+        assert runs[accented][0] == 0
+        code, body = runs[latin1]
+        assert code == 2 and body["counterexample"]["error"].startswith(f"cannot read {latin1}: ")
 
 
 class TestMatrixRoundTrip:

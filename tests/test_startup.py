@@ -33,15 +33,27 @@ print(repr({"code": code, "branes": branes, **{k: sorted(v) for k, v in stages.i
 # modules that neither the `mukai` command nor the parsing of its document needs
 NOT_FOR_MUKAI = ("gcgeo.gcs", "gcgeo.fields", "gcgeo.integrability", "gcgeo.algebroid",
                  "gcgeo.branes", "gcgeo.suites", "random")
+# the standard library a `mukai` child may load: with what these import in turn, nothing else
+STDLIB_FOR_MUKAI = ("json", "fractions", "decimal", "numbers", "time", "__future__")
+ALLOWED_CHILD = f"""
+import sys
+base = set(sys.modules)
+import {", ".join(STDLIB_FOR_MUKAI)}
+print(repr(sorted(set(sys.modules) - base)))
+"""
+
+
+def run_child(code):
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
 @pytest.fixture(scope="module")
 def loaded():
-    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
-    proc = subprocess.run([sys.executable, "-c", CHILD], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return ast.literal_eval(proc.stdout.splitlines()[-1])
+    return run_child(CHILD)
 
 
 def test_package_import_loads_no_layer(loaded):
@@ -55,6 +67,18 @@ def test_cli_import_loads_no_dataclasses(loaded):
 def test_mukai_loads_only_its_layers(loaded):
     assert loaded["code"] == 0
     assert [m for m in NOT_FOR_MUKAI if m in loaded["mukai"]] == []
+
+
+@pytest.mark.parametrize("stage", ["cli", "mukai"])
+def test_no_argparse(loaded, stage):
+    # argparse costs a child its own import, `gettext` and, on parsing, `locale`
+    assert [m for m in ("argparse", "gettext", "locale") if m in loaded[stage]] == []
+
+
+def test_mukai_loads_only_allowed_stdlib(loaded):
+    allowed = {*STDLIB_FOR_MUKAI, *run_child(ALLOWED_CHILD)}
+    stdlib = [m for m in loaded["mukai"] if m != "gcgeo" and not m.startswith("gcgeo.")]
+    assert [m for m in stdlib if m not in allowed] == []
 
 
 def test_submodule_resolves_on_first_use(loaded):
