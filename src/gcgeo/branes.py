@@ -204,17 +204,13 @@ def _polynomial_kernel(s_chart: Chart, rows, ncols: int, samples, degree_bound: 
 
     The pointwise kernel dimension must agree across samples (constant rank).
     """
-    target_dim = ncols
-    for p in samples:
-        kdim = ncols - linalg.rank(linalg.eval_matrix(rows, p)) if rows else ncols
-        if p is samples[0]:
-            target_dim = kdim
-        elif kdim != target_dim:
-            raise NotSmooth("rank jump across sample points: non-smooth pullback")
+    kdims = {ncols - linalg.rank(linalg.eval_matrix(rows, p)) if rows else ncols for p in samples}
+    if len(kdims) > 1:
+        raise NotSmooth("rank jump across sample points: non-smooth pullback")
     slots = [{r: row[c] for r, row in enumerate(rows)} for c in range(ncols)]
     eq_rows, _, unknowns = ansatz_system(s_chart, slots, degree_bound)
     ker = linalg.kernel(eq_rows, len(unknowns))
-    return [ansatz_polys(s_chart, k, unknowns, ncols) for k in ker], target_dim
+    return [ansatz_polys(s_chart, k, unknowns, ncols) for k in ker]
 
 
 class PullbackResult(Record, frozen=True):
@@ -241,7 +237,7 @@ def pullback_dirac(
     restricted = [sub.restrict_section(u) for u in frame.sections]
     conditions = [sub.normal_residues(list(u.vec)) for u in restricted]
     rows = [list(col) for col in zip(*conditions)] if conditions else []
-    gens, _ = _polynomial_kernel(s_chart, rows, len(restricted), samples, degree_bound)
+    gens = _polynomial_kernel(s_chart, rows, len(restricted), samples, degree_bound)
     projected = []
     for comps in gens:
         acc = GenVector(m, [s_chart.zero()] * m, [s_chart.zero()] * m)

@@ -175,15 +175,8 @@ class SoElement:
 
     def so_matrix(self):
         """2m x 2m map [[A, beta], [B, -A^T]] on column coordinates."""
-        m = self.dim
-        out = linalg.zeros(2 * m, 2 * m)
-        for i in range(m):
-            for j in range(m):
-                out[i][j] = self.a[i][j]
-                out[i][m + j] = self.beta_map[i][j]
-                out[m + i][j] = self.b_map[i][j]
-                out[m + i][m + j] = -self.a[j][i]
-        return out
+        minus_at = [[-x for x in col] for col in zip(*self.a)]
+        return linalg.from_blocks(self.a, self.beta_map, self.b_map, minus_at)
 
     def apply(self, v: GenVector) -> GenVector:
         return GenVector.from_coords(linalg.mat_vec(self.so_matrix(), v.coords()))
@@ -265,23 +258,13 @@ class BlockTransform:
         return cls(b.dim, "beta", map_from_two_form(b))
 
     def orth_matrix(self):
-        m = self.dim
-        out = linalg.identity(2 * m)
+        one, zero = linalg.identity(self.dim), linalg.zeros(self.dim, self.dim)
         if self.kind == "B":
-            for i in range(m):
-                for j in range(m):
-                    out[m + i][j] = self.mat[i][j]
-        elif self.kind == "beta":
-            for i in range(m):
-                for j in range(m):
-                    out[i][m + j] = self.mat[i][j]
-        else:
-            ginv_t = linalg.transpose(linalg.inverse(self.mat))
-            for i in range(m):
-                for j in range(m):
-                    out[i][j] = self.mat[i][j]
-                    out[m + i][m + j] = ginv_t[i][j]
-        return out
+            return linalg.from_blocks(one, zero, self.mat, one)
+        if self.kind == "beta":
+            return linalg.from_blocks(one, self.mat, zero, one)
+        ginv_t = linalg.transpose(linalg.inverse(self.mat))
+        return linalg.from_blocks(self.mat, zero, zero, ginv_t)
 
     def apply(self, v: GenVector) -> GenVector:
         return GenVector.from_coords(linalg.mat_vec(self.orth_matrix(), v.coords()))

@@ -192,9 +192,6 @@ class MixedForm:
             raise ValueError("zero element has no degree")
         return min(m.bit_count() for m in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     # -- contraction ----------------------------------------------------------
     def contract(self, coeffs) -> "MixedForm":
         """Interior product with the dual object whose components are `coeffs`.

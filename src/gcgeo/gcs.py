@@ -7,7 +7,8 @@ exponent is solved once, block by block, over the coframe dual to an adapted
 basis of Delta + N; the Darboux normal form is those blocks recombined.
 
 Matrices act on column coordinates in the basis (e_1..e_m, e^1..e^m); the
-blocks of J are (A, P_beta_map; B_map, -A^T).
+blocks of J are (A, P_beta_map; B_map, -A^T), built and read through
+linalg.from_blocks and linalg.blocks.
 """
 
 from __future__ import annotations
@@ -51,27 +52,18 @@ class GCStructure(Record, frozen=True):
         ))
 
     def blocks(self) -> SoElement:
-        m = self.dim
-        a = [[self.j[i][jj] for jj in range(m)] for i in range(m)]
-        beta = [[self.j[i][m + jj] for jj in range(m)] for i in range(m)]
-        b = [[self.j[m + i][jj] for jj in range(m)] for i in range(m)]
-        return SoElement(m, a=a, b_map=b, beta_map=beta)
+        a, beta, b, _ = linalg.blocks(self.j)
+        return SoElement(self.dim, a=a, b_map=b, beta_map=beta)
 
     def apply(self, v: GenVector) -> GenVector:
         return GenVector.from_coords(linalg.mat_vec(self.matrix(), v.coords()))
 
 
-def _pairing_gram(m):
-    g = linalg.zeros(2 * m, 2 * m)
-    for i in range(m):
-        g[i][m + i] = ONE
-        g[m + i][i] = ONE
-    return g
-
-
 def validate_gc(j) -> GCStructure:
     """Check J^2 = -1 and orthogonality, with a diagnostic naming the failure.
 
+    Given J^2 = -1, J is orthogonal for the pairing exactly when it lies in
+    so(T + T*): J = [[A, beta], [B, -A^T]] with beta and B antisymmetric.
     Polynomial entries are checked as exact polynomial identities.
     """
     side = len(j)
@@ -88,32 +80,14 @@ def validate_gc(j) -> GCStructure:
                 raise InvalidStructure(
                     f"J^2 != -1: entry ({i},{k}) is {j2[i][k]!r}"
                 )
-    g = _pairing_gram(m)
-    jt = linalg.transpose(j)
-    gg = linalg.mat_mul(jt, linalg.mat_mul(g, j))
-    for i in range(side):
-        for k in range(side):
-            if gg[i][k] != g[i][k]:
-                raise InvalidStructure(
-                    f"J is not orthogonal: <Je_{i+1}, Je_{k+1}> differs from <e_{i+1}, e_{k+1}>"
-                )
-    for i in range(m):
-        for k in range(m):
-            if j[i][m + k] != -j[k][m + i]:
-                raise InvalidStructure("upper-right block is not antisymmetric")
+    a, beta, b, d = linalg.blocks(j)
+    if not linalg.is_antisymmetric(beta):
+        raise InvalidStructure("J is not orthogonal: upper-right block beta is not antisymmetric")
+    if not linalg.is_antisymmetric(b):
+        raise InvalidStructure("J is not orthogonal: lower-left block B is not antisymmetric")
+    if not linalg.mat_eq(d, [[-x for x in col] for col in zip(*a)]):
+        raise InvalidStructure("J is not orthogonal: lower-right block is not -A^T")
     return GCStructure(m, tuple(tuple(r) for r in j))
-
-
-def validate_gc_field(j, samples=()) -> GCStructure:
-    """Validate a polynomial structure; identities hold as polynomials.
-
-    Optional sample points are checked as well, mainly to produce pointwise
-    counterexample locations in reports.
-    """
-    s = validate_gc(j)
-    for p in samples:
-        validate_gc(linalg.eval_matrix(s.matrix(), p))
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -122,46 +96,27 @@ def validate_gc_field(j, samples=()) -> GCStructure:
 
 def j_symplectic(omega_map) -> GCStructure:
     """[[0, -w^{-1}], [w, 0]] for an invertible antisymmetric shear map."""
-    m = len(omega_map)
-    winv = linalg.inverse(omega_map)
-    j = linalg.zeros(2 * m, 2 * m)
-    for i in range(m):
-        for k in range(m):
-            j[i][m + k] = -winv[i][k]
-            j[m + i][k] = omega_map[i][k]
-    return validate_gc(j)
+    zero = linalg.zeros(len(omega_map), len(omega_map))
+    minus_winv = [[-x for x in row] for row in linalg.inverse(omega_map)]
+    return validate_gc(linalg.from_blocks(zero, minus_winv, omega_map, zero))
 
 
 def j_complex(jmat) -> GCStructure:
     """[[-J, 0], [0, J^T]] for an endomorphism with J^2 = -1."""
-    m = len(jmat)
-    j = linalg.zeros(2 * m, 2 * m)
-    for i in range(m):
-        for k in range(m):
-            j[i][k] = -jmat[i][k]
-            j[m + i][m + k] = jmat[k][i]
-    return validate_gc(j)
+    zero = linalg.zeros(len(jmat), len(jmat))
+    minus_j = [[-x for x in row] for row in jmat]
+    return validate_gc(linalg.from_blocks(minus_j, zero, zero, linalg.transpose(jmat)))
 
 
 def direct_sum(s1: GCStructure, s2: GCStructure) -> GCStructure:
+    """J1 + J2 on (V1 + V2) + (V1 + V2)*: each block of J is diag(block of J1, block of J2)."""
     m1, m2 = s1.dim, s2.dim
-    m = m1 + m2
-    j = linalg.zeros(2 * m, 2 * m)
 
-    def slot(orig, which):
-        # map an index of the 2m_i coordinate space into the joint one
-        if which == 0:
-            return orig if orig < m1 else m + (orig - m1)
-        return m1 + orig if orig < m2 else m + m1 + (orig - m2)
+    def diag(x, y):
+        return linalg.from_blocks(x, linalg.zeros(m1, m2), linalg.zeros(m2, m1), y)
 
-    for which, s in ((0, s1), (1, s2)):
-        mm = s.dim
-        for i in range(2 * mm):
-            for k in range(2 * mm):
-                c = s.j[i][k]
-                if c:
-                    j[slot(i, which)][slot(k, which)] = c
-    return validate_gc(j)
+    pairs = zip(linalg.blocks(s1.j), linalg.blocks(s2.j))
+    return validate_gc(linalg.from_blocks(*(diag(x, y) for x, y in pairs)))
 
 
 def standard_complex_endo(n: int):
@@ -231,15 +186,13 @@ def eigenbundle(s: GCStructure) -> MaxIsotropic:
 
 
 def gc_type(s: GCStructure) -> int:
-    """Half the real dimension of T* cap J(T*)."""
-    m = s.dim
-    tstar = [[ONE if c == m + i else ZERO for c in range(2 * m)] for i in range(m)]
-    jtstar = [
-        [as_gauss(s.j[r][m + i]) for r in range(2 * m)] for i in range(m)
-    ]
-    jtstar = [list(col) for col in jtstar]
-    joint = linalg.rank(tstar + jtstar)
-    inter = 2 * m - joint
+    """Half the real dimension of T* cap J(T*).
+
+    J(0, xi) = (beta xi, -A^T xi) lies in T* exactly when beta xi = 0, and J
+    is injective, so T* cap J(T*) has the dimension of ker beta.
+    """
+    _, beta, _, _ = linalg.blocks(s.j)
+    inter = s.dim - linalg.rank([[as_gauss(x) for x in row] for row in beta])
     if inter % 2:
         raise InvalidStructure("T* cap J T* has odd dimension")
     return inter // 2
@@ -255,13 +208,8 @@ def gc_from_pure_spinor(phi: MixedForm) -> GCStructure:
         raise InvalidStructure("degenerate spinor: (phi, conj phi) = 0")
     cols = [v.coords() for v in lft.basis] + [v.conj().coords() for v in lft.basis]
     u = linalg.transpose(cols)
-    d = [
-        [
-            (IUNIT if i == k and i < m else (-IUNIT if i == k else ZERO))
-            for k in range(2 * m)
-        ]
-        for i in range(2 * m)
-    ]
+    zero = linalg.zeros(m, m)
+    d = linalg.from_blocks(linalg.identity(m, IUNIT), zero, zero, linalg.identity(m, -IUNIT))
     j = linalg.mat_mul(u, linalg.mat_mul(d, linalg.inverse(u)))
     for row in j:
         for x in row:
@@ -432,8 +380,7 @@ def grading_components(s: GCStructure, phi: MixedForm):
 
 def poisson_of(s: GCStructure):
     """Upper-right block: the shear map of the Poisson bivector, plus the bivector."""
-    m = s.dim
-    pmap = [[s.j[i][m + k] for k in range(m)] for i in range(m)]
+    _, pmap, _, _ = linalg.blocks(s.j)
     return pmap, two_form_from_map(pmap, "mv")
 
 

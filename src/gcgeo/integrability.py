@@ -26,7 +26,7 @@ from .fields import (
     d_twisted,
     schouten,
 )
-from .gcs import GCStructure, validate_gc_field
+from .gcs import GCStructure, validate_gc
 from . import linalg
 
 
@@ -277,18 +277,12 @@ def deform_by_bivector(
     """
     m = chart.dim
     real_mv = beta_mv + beta_mv.conj()
-    bmap = chart.lift_matrix(map_from_two_form(real_mv)) if real_mv else chart.lift_matrix(linalg.zeros(m, m))
-    jmat = chart.lift_matrix(base.matrix())
-    e = chart.lift_matrix(linalg.identity(2 * m))
-    for i in range(m):
-        for k in range(m):
-            e[i][m + k] = bmap[i][k]
-    einv = chart.lift_matrix(linalg.identity(2 * m))
-    for i in range(m):
-        for k in range(m):
-            einv[i][m + k] = -bmap[i][k]
-    jb = linalg.mat_mul(e, linalg.mat_mul(jmat, einv))
-    s = validate_gc_field(jb)
+    bmap = chart.lift_matrix(map_from_two_form(real_mv) if real_mv else linalg.zeros(m, m))
+    one, zero = chart.lift_matrix(linalg.identity(m)), chart.lift_matrix(linalg.zeros(m, m))
+    e = linalg.from_blocks(one, bmap, zero, one)
+    einv = linalg.from_blocks(one, [[-x for x in row] for row in bmap], zero, one)
+    jb = linalg.mat_mul(e, linalg.mat_mul(chart.lift_matrix(base.matrix()), einv))
+    s = validate_gc(jb)
     # canonical spinor of the base complex structure, deformed by contraction
     omega = MixedForm.one(m)
     for k in range(chart.n_complex):

@@ -1,7 +1,9 @@
 """Exact linear algebra over gaussian rationals, plus generic ring matrices.
 
 Matrices are plain lists of lists.  Products, transposes and identity checks
-work for any scalar ring (GaussRat or Poly) by duck typing.  When every entry
+work for any scalar ring (GaussRat or Poly) by duck typing.  A map of T + T*
+is a 2n x 2n matrix in the basis (e_1..e_n, e^1..e^n); `from_blocks` and
+`blocks` are the only code that assembles or splits its four n x n blocks.  When every entry
 is a GaussRat, `mat_mul` and `mat_vec` run in the integer lane of `scalars`:
 each row of the left factor and each column of the right one (or the vector)
 is scaled to gaussian integers by the lcm of its denominators, products are
@@ -116,6 +118,25 @@ def mat_vec(a, v):
             s = t if s is None else s + t
         out.append(ZERO if s is None else s)
     return out
+
+
+def from_blocks(a, b, c, d):
+    """The block matrix [[a, b], [c, d]]: on T + T*, 2n x 2n from n x n blocks."""
+    return [list(ra) + list(rb) for ra, rb in zip(a, b)] + [
+        list(rc) + list(rd) for rc, rd in zip(c, d)
+    ]
+
+
+def blocks(mat):
+    """The four n x n blocks (a, b, c, d) of a 2n x 2n matrix [[a, b], [c, d]]."""
+    n = len(mat) // 2
+    top, bottom = mat[:n], mat[n:]
+    return (
+        [list(r[:n]) for r in top],
+        [list(r[n:]) for r in top],
+        [list(r[:n]) for r in bottom],
+        [list(r[n:]) for r in bottom],
+    )
 
 
 def mat_scale(a, c):

@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcgeo.scalars import GaussRat, IUNIT, ONE, ZERO
 from gcgeo.forms import MixedForm, map_from_two_form, mukai_coeff, two_form_from_map
 from gcgeo.clifford import BlockTransform, GenVector
+from gcgeo.charts import Chart
+from gcgeo.integrability import deform_by_bivector, holomorphic_bivector
 from gcgeo.isotropics import (
     canonical_form,
     cotangent_space,
@@ -51,6 +55,14 @@ def cx(n):
     return j_complex(standard_complex_endo(n))
 
 
+def gram_orthogonal(j):
+    """The reference test J^T G J == G, G twice the Gram matrix of the pairing."""
+    m = len(j) // 2
+    zero, one = linalg.zeros(m, m), linalg.identity(m)
+    g = linalg.from_blocks(zero, one, one, zero)
+    return linalg.mat_eq(linalg.mat_mul(linalg.transpose(j), linalg.mat_mul(g, j)), g)
+
+
 class TestValidation:
     def test_standard_structures_validate(self):
         assert gc_type(sy(2)) == 0
@@ -58,15 +70,55 @@ class TestValidation:
         assert gc_type(direct_sum(cx(1), sy(1))) == 1
 
     def test_wrong_diagonal_sign_fails_orthogonality(self):
-        m = 2
         jm = standard_complex_endo(1)
-        bad = linalg.zeros(2 * m, 2 * m)
-        for i in range(m):
-            for k in range(m):
-                bad[i][k] = jm[i][k]
-                bad[m + i][m + k] = jm[k][i]
-        with pytest.raises(InvalidStructure, match="orthogonal"):
+        zero = linalg.zeros(2, 2)
+        bad = linalg.from_blocks(jm, zero, zero, linalg.transpose(jm))
+        with pytest.raises(InvalidStructure, match="orthogonal: lower-right block is not -A\\^T"):
             validate_gc(bad)
+
+    def test_beta_not_antisymmetric_fails_orthogonality(self):
+        # [[0, -1], [1, 0]] on R + R*: J^2 = -1, but beta = (-1) is not antisymmetric
+        bad = [[ZERO, -ONE], [ONE, ZERO]]
+        with pytest.raises(InvalidStructure, match="orthogonal: upper-right block beta"):
+            validate_gc(bad)
+
+    def test_b_not_antisymmetric_fails_orthogonality(self):
+        # A = J0 and -A^T = J0 square to -1; B = diag(1, -1) anticommutes with
+        # J0, so J^2 = -1, but B is symmetric
+        j0 = standard_complex_endo(1)
+        b = [[ONE, ZERO], [ZERO, -ONE]]
+        bad = linalg.from_blocks(j0, linalg.zeros(2, 2), b, j0)
+        with pytest.raises(InvalidStructure, match="orthogonal: lower-left block B"):
+            validate_gc(bad)
+
+    @given(
+        st.integers(0, 2**32 - 1), st.sampled_from([(2, 0), (2, 1), (4, 1), (4, 2)]), st.booleans()
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_block_test_agrees_with_the_gram_test(self, seed, m_k, in_so):
+        # standard structures conjugated by B, beta and gl transforms are
+        # orthogonal; conjugated by a random GL(2m) element they need not be
+        m, k = m_k
+        rng = Rng(seed)
+        j = rng.gc_structure(m, k, conjugations=2 if in_so else 0).matrix()
+        if not in_so:
+            o = rng.gl_matrix(2 * m)
+            j = linalg.mat_mul(o, linalg.mat_mul(j, linalg.inverse(o)))
+        try:
+            validate_gc(j)
+        except InvalidStructure as e:
+            assert "orthogonal" in str(e)
+            assert not gram_orthogonal(j)
+        else:
+            assert gram_orthogonal(j)
+
+    def test_deformed_polynomial_structure_validates(self):
+        c2 = Chart.complex_plane(2)
+        beta = holomorphic_bivector(c2, {(0, 1): c2.z(0) * c2.z(1)})
+        s = deform_by_bivector(c2, cx(2), beta).structure
+        assert not s.is_constant()
+        assert validate_gc(s.matrix()).j == s.j
+        assert gram_orthogonal(s.matrix())
 
     def test_j_squared_diagnostic(self):
         m = 2

@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gcgeo"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gcgeo"
 # the package __init__ imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -110,3 +111,74 @@ def test_detects_unreferenced_private():
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert unreferenced_privates(sources) == []
+
+
+def is_command(node):
+    """A `@command(...)` handler, which cli dispatches by its registered name."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "command"
+        for d in node.decorator_list
+    )
+
+
+def public_definitions(tree):
+    """(name, node) of each public module-level function and public method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            defs = [d for d in node.body if isinstance(d, ast.FunctionDef)]
+        else:
+            defs = [node] if isinstance(node, ast.FunctionDef) and not is_command(node) else []
+        for d in defs:
+            if not d.name.startswith("_"):
+                yield d.name, d
+
+
+def export_strings(tree):
+    """The strings in a module-level `_EXPORTS` assignment, as a Counter."""
+    return Counter(
+        n.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets)
+        for n in ast.walk(node)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    )
+
+
+def unreferenced_publics(package: dict, users: dict):
+    """(module, name) of public functions and methods in `package` that no code
+    outside their definition reads, in the package or in `users`."""
+    trees = {mod: ast.parse(src) for mod, src in package.items()}
+    total = sum(map(references, trees.values()), Counter())
+    total += sum((references(ast.parse(src)) for src in users.values()), Counter())
+    total += sum(map(export_strings, trees.values()), Counter())
+    return sorted(
+        (mod, name)
+        for mod, tree in trees.items()
+        for name, node in public_definitions(tree)
+        if total[name] == references(node)[name]
+    )
+
+
+def test_detects_unreferenced_public():
+    package = {
+        "__init__": "_EXPORTS = {'a': ('e',)}\n",
+        "a": (
+            "def e():\n    return 1\n\ndef f():\n    return f()\n\ndef g():\n    return 1\n\n"
+            "@command('h')\ndef h(doc):\n    return 1\n\n"
+            "class C:\n    def __init__(self):\n        self.m()\n\n"
+            "    def m(self):\n        return 1\n\n    def n(self):\n        return 1\n"
+        ),
+    }
+    users = {"test_a": "from a import g\n"}
+    assert unreferenced_publics(package, users) == [("a", "f"), ("a", "n")]
+
+
+def test_every_public_name_is_referenced():
+    package = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    users = {
+        str(p): p.read_text()
+        for folder in ("tests", "scripts", "perfbench")
+        for p in (ROOT / folder).rglob("*.py")
+    }
+    assert unreferenced_publics(package, users) == []

@@ -80,15 +80,9 @@ def nonclosed_omega_structure():
         [ZERO, x2, -ONE, ZERO],
     ])
     assert linalg.mat_eq(linalg.mat_mul(omap, oinv), R4.lift_matrix(linalg.identity(4)))
-    m = 4
-    j = [[R4.zero() for _ in range(2 * m)] for _ in range(2 * m)]
-    for i in range(m):
-        for k in range(m):
-            j[i][m + k] = -oinv[i][k]
-            j[m + i][k] = omap[i][k]
-    from gcgeo.gcs import validate_gc_field
-
-    return validate_gc_field(j)
+    zero = R4.lift_matrix(linalg.zeros(4, 4))
+    minus_oinv = [[-x for x in row] for row in oinv]
+    return validate_gc(linalg.from_blocks(zero, minus_oinv, omap, zero))
 
 
 class TestWitnessSolver:
