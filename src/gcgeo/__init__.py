@@ -26,7 +26,7 @@ _EXPORTS = {  # defining module -> the names the package exports from it
                "involutivity_tensor", "schouten"),
     "integrability": ("check_spinor_integrability", "nijenhuis_field", "deform_by_bivector",
                       "modular_vector_field", "hamiltonian_section"),
-    "algebroid": ("LiePair", "complex_pair", "lie_algebroid_differential", "maurer_cartan"),
+    "algebroid": ("LiePair", "complex_pair", "maurer_cartan"),
     "branes": ("SubmanifoldData", "generalized_tangent", "pullback_dirac", "brane_check"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

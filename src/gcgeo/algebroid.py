@@ -1,8 +1,22 @@
 """Lie bialgebroid pairs presented by transverse frames, d_L, and Maurer-Cartan.
 
-A pair consists of frames for two pointwise-transverse maximal isotropics L
-and R on a chart; the natural pairing identifies R with L*.  Multisections of
-L* are stored by their values on L-frame tuples (components over index masks).
+A pair consists of frames l_i for L and r_i for a transverse maximal
+isotropic R on a chart; the natural pairing identifies R with L*.  A
+multisection of L* (or of R) is a {mask: coefficient} map, read as the terms
+of a `MixedForm` over the frame indices: bit i stands for the dual coframe
+element theta^i (or for r_i), so the exterior algebra is that of `forms`.
+
+With rho the anchor and [l_i, l_j]_H = sum_k c^k_ij l_k, the Cartan
+differential is the Chevalley-Eilenberg operator
+
+    d_L mu = sum_i theta^i ^ rho(l_i) mu + sum_k dtheta^k ^ i_{l_k} mu,
+    dtheta^k = -sum_{i<j} c^k_ij theta^i ^ theta^j,
+
+and the Lie derivative along an R-section b is the derivation
+
+    L_b mu = pi(b) mu + C* mu,   row i of C = the components of [b, r_i],
+
+with pi(b) acting on coefficients and C* = `clifford.endo_dual_action`.
 
 The Maurer-Cartan residual is the involutivity tensor of the deformed graph
 (1 + eps)L itself: it vanishes iff d_L eps + 1/2 [eps, eps] = 0, whose linear
@@ -12,20 +26,12 @@ part in eps is the Cartan differential d_L eps.
 from __future__ import annotations
 
 from .record import Record
-from .scalars import Poly, as_gauss
-from .clifford import GenVector
+from .scalars import ONE, ZERO
+from .forms import MixedForm
+from .clifford import GenVector, endo_dual_action
 from .charts import Chart
 from .fields import ClosedThreeForm, courant_bracket
 from . import linalg
-
-
-def _mask_indices(mask: int):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class LiePair(Record, frozen=True):
@@ -46,19 +52,9 @@ class LiePair(Record, frozen=True):
                     if u.pair(frame[j]):
                         raise ValueError(f"frame {name} is not isotropic at ({i},{j})")
         gram = self.pairing()
-        consts = []
-        for row in gram:
-            crow = []
-            for x in row:
-                if isinstance(x, Poly):
-                    if not x.is_const:
-                        raise ValueError(
-                            "frame pairing must be constant; renormalize the frames"
-                        )
-                    crow.append(x.const_value())
-                else:
-                    crow.append(as_gauss(x))
-            consts.append(crow)
+        if not all(x.is_const for row in gram for x in row):
+            raise ValueError("frame pairing must be constant; renormalize the frames")
+        consts = [[x.const_value() for x in row] for row in gram]
         try:
             gram_inv = linalg.inverse(consts)
         except ValueError:
@@ -72,84 +68,46 @@ class LiePair(Record, frozen=True):
     # -- projections --------------------------------------------------------
     def l_components(self, u: GenVector):
         """Coefficients c of the L-part: <u, r_j> = sum_i c_i G_ij, so c = G^-T <u, r>."""
-        return _combine(linalg.transpose(self._gram_inv), [u.pair(a) for a in self.frame_r])
+        return linalg.mat_vec(linalg.transpose(self._gram_inv), [u.pair(a) for a in self.frame_r])
 
     def r_components(self, u: GenVector):
         """Coefficients d of the R-part: <u, l_i> = sum_j G_ij d_j, so d = G^-1 <u, l>."""
-        return _combine(self._gram_inv, [u.pair(l) for l in self.frame_l])
+        return linalg.mat_vec(self._gram_inv, [u.pair(l) for l in self.frame_l])
 
     # -- Cartan differential ---------------------------------------------------
-    def d_l(self, mu: dict, k: int) -> dict:
-        """Cartan differential of a Lambda^k L* multisection, as (k+1)-components."""
+    def d_l(self, mu: dict) -> dict:
+        """Cartan differential of an L* multisection, as components.
+
+        d_L mu = sum_i theta^i ^ rho(l_i) mu + sum_k dtheta^k ^ i_{l_k} mu, with
+        dtheta^k = -sum_{i<j} c^k_ij theta^i ^ theta^j read off [l_i, l_j]_H.
+        """
         chart = self.chart
         m = chart.dim
         secs = self.frame_l
-        out = {}
-        for mask in range(1 << m):
-            if mask.bit_count() != k + 1:
-                continue
-            idx = _mask_indices(mask)
-            acc = chart.zero()
-            for pos, i in enumerate(idx):
-                rest = [t for t in idx if t != i]
-                val = _component(mu, rest, chart)
-                xvec = secs[i].vec
-                term = chart.zero()
-                for t, name in enumerate(chart.names):
-                    term = term + xvec[t] * val.diff(name)
-                acc = acc + term if pos % 2 == 0 else acc - term
-            for p1 in range(len(idx)):
-                for p2 in range(p1 + 1, len(idx)):
-                    i, j = idx[p1], idx[p2]
-                    rest = [t for t in idx if t != i and t != j]
-                    br = courant_bracket(chart, secs[i], secs[j], self.h)
-                    val = self._eval_on_mixed(mu, br, rest)
-                    acc = acc - val if (p1 + p2) % 2 else acc + val
-            if acc:
-                out[mask] = acc
-        return out
-
-    def _eval_on_mixed(self, mu: dict, first: GenVector, rest_idx):
-        """mu(first, l_{rest}) with `first` an arbitrary section."""
-        chart = self.chart
-        comps = self.l_components(first)
-        acc = chart.zero()
-        for i, c in enumerate(comps):
-            if not c:
-                continue
-            args = [i] + list(rest_idx)
-            acc = acc + c * _component(mu, args, chart)
-        return acc
+        form = MixedForm(m, mu)
+        dtheta = [{} for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                br = courant_bracket(chart, secs[i], secs[j], self.h)
+                for k, c in enumerate(self.l_components(br)):
+                    if c:
+                        dtheta[k][(1 << i) | (1 << j)] = -c
+        acc = MixedForm.zero(m)
+        for i, l in enumerate(secs):
+            acc = acc + MixedForm.blade(m, [i]).wedge(_along(chart, l.vec, form))
+            if dtheta[i]:
+                acc = acc + MixedForm(m, dtheta[i]).wedge(form.contract(_unit(m, i)))
+        return acc.terms
 
 
-def _combine(mat, vals):
-    """mat times vals, for constant mat and Poly or GaussRat vals."""
-    out = []
-    for row in mat:
-        acc = None
-        for g, v in zip(row, vals):
-            t = v * g if isinstance(v, Poly) else g * v
-            acc = t if acc is None else acc + t
-        out.append(acc)
-    return out
+def _unit(m: int, i: int):
+    return [ONE if k == i else ZERO for k in range(m)]
 
 
-def _component(mu: dict, indices, chart: Chart) -> Poly:
-    """Antisymmetric component lookup for arbitrary index order."""
-    idx = list(indices)
-    sign = 1
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            if idx[a] == idx[b]:
-                return chart.zero()
-            if idx[a] > idx[b]:
-                idx[a], idx[b] = idx[b], idx[a]
-                sign = -sign
-    mask = 0
-    for i in idx:
-        mask |= 1 << i
-    val = mu.get(mask, chart.zero())
-    return val if sign > 0 else -val
+def _along(chart: Chart, vec, form: MixedForm) -> MixedForm:
+    """Each coefficient of form differentiated along the vector field vec."""
+    pairs = [(x, n) for x, n in zip(vec, chart.names) if x]
+    return form.map_coeffs(lambda f: sum((x * f.diff(n) for x, n in pairs), chart.zero()))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +117,6 @@ def _component(mu: dict, indices, chart: Chart) -> Poly:
 def r_section_bracket(pair: LiePair, a_comps, b_comps):
     """Bracket of two R-sections given by frame components, as components."""
     chart = pair.chart
-    m = chart.dim
     a_sec = _assemble(pair.frame_r, a_comps, chart)
     b_sec = _assemble(pair.frame_r, b_comps, chart)
     br = courant_bracket(chart, a_sec, b_sec, pair.h)
@@ -178,61 +135,19 @@ def _assemble(frame, comps, chart: Chart):
     return acc
 
 
-def r_lie_derivative(pair: LiePair, b_comps, mu: dict, k: int) -> dict:
-    """L_b mu for an R-multivector mu of degree k, over the R frame.
+def r_lie_derivative(pair: LiePair, b_comps, mu: dict) -> dict:
+    """L_b mu for an R-multivector mu over the R frame, as components.
 
-    Leibniz extension of the section bracket: L_b(f r_I) = (pi(b) f) r_I +
-    f sum_i r_{i1} ^ .. [b, r_i] .. ^ r_{ik}.
+    L_b is the derivation pi(b) on coefficients plus C* mu, where row i of C
+    holds the components of [b, r_i]: L_b(f r_I) = (pi(b) f) r_I +
+    f sum_p r_{i1} ^ .. [b, r_ip] .. ^ r_ik.
     """
     chart = pair.chart
     m = chart.dim
+    form = MixedForm(m, mu)
     b_sec = _assemble(pair.frame_r, b_comps, chart)
-    out: dict = {}
-
-    def add(mask, val):
-        if not val:
-            return
-        cur = out.get(mask, chart.zero()) + val
-        if cur:
-            out[mask] = cur
-        else:
-            out.pop(mask, None)
-
-    for mask, f in mu.items():
-        idx = _mask_indices(mask)
-        # anchor derivative of the coefficient
-        df = chart.zero()
-        for t, name in enumerate(chart.names):
-            df = df + b_sec.vec[t] * f.diff(name)
-        add(mask, df)
-        # bracket each slot
-        for pos, i in enumerate(idx):
-            unit = [chart.zero()] * m
-            unit[i] = chart.one()
-            br = r_section_bracket(pair, b_comps, unit)
-            for jj, c in enumerate(br):
-                if not c:
-                    continue
-                rest = [t for t in idx if t != i]
-                new_idx = rest[:pos] + [jj] + rest[pos:]
-                val = f * c
-                sgn_idx = list(new_idx)
-                sign = 1
-                ok = True
-                for a in range(len(sgn_idx)):
-                    for b in range(a + 1, len(sgn_idx)):
-                        if sgn_idx[a] == sgn_idx[b]:
-                            ok = False
-                        elif sgn_idx[a] > sgn_idx[b]:
-                            sgn_idx[a], sgn_idx[b] = sgn_idx[b], sgn_idx[a]
-                            sign = -sign
-                if not ok:
-                    continue
-                new_mask = 0
-                for t in sgn_idx:
-                    new_mask |= 1 << t
-                add(new_mask, val if sign > 0 else -val)
-    return out
+    c = [r_section_bracket(pair, b_comps, _unit(m, i)) for i in range(m)]
+    return (_along(chart, b_sec.vec, form) + endo_dual_action(c, form)).terms
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +160,15 @@ class MCReport(Record, frozen=True):
 
 
 def eps_sharp(pair: LiePair, eps: dict, i: int) -> GenVector:
-    """The R-section eps^#(l_i) with <eps^# u, v> = eps(u, v)."""
-    chart = pair.chart
-    m = chart.dim
-    # eps(l_i, l_j) coefficients against the dual frame of R
-    vals = [_component(eps, [i, j], chart) for j in range(m)]
-    ginv_t = linalg.transpose(pair._gram_inv)
-    acc = GenVector(m, [chart.zero()] * m, [chart.zero()] * m)
-    for k in range(m):
-        c = chart.zero()
-        for j in range(m):
-            c = c + vals[j] * ginv_t[j][k]
-        if c:
-            acc = acc + pair.frame_r[k].scale(c)
-    return acc
+    """The R-section eps^#(l_i) with <eps^# u, v> = eps(u, v).
+
+    Its R-components d satisfy <eps^# l_i, l_j> = sum_k G_jk d_k = eps(l_i, l_j),
+    so d = G^-1 (i_{l_i} eps).
+    """
+    m = pair.chart.dim
+    contracted = MixedForm(m, eps).contract(_unit(m, i))
+    vals = [contracted.coeff(1 << j) for j in range(m)]
+    return _assemble(pair.frame_r, linalg.mat_vec(pair._gram_inv, vals), pair.chart)
 
 
 def maurer_cartan(pair: LiePair, eps: dict) -> MCReport:
@@ -289,11 +199,6 @@ def maurer_cartan(pair: LiePair, eps: dict) -> MCReport:
                     residual[(1 << i) | (1 << j) | (1 << k)] = chart.lift(val)
     verdict = "pass" if not residual else "fail"
     return MCReport(verdict=verdict, residual=residual)
-
-
-def lie_algebroid_differential(pair: LiePair, mu: dict, degree: int) -> dict:
-    """Cartan differential of a Lambda^k L* multisection over a frame pair."""
-    return pair.d_l(mu, degree)
 
 
 def eps_from_bivector(pair: LiePair, beta_mv) -> dict:

@@ -248,17 +248,11 @@ def pullback_dirac(
         cov_form = sub.pull_form(covector_form(m, acc.covec))
         cov_s = [s_chart.lift(cov_form.coeff(1 << a)) for a in range(ds)]
         projected.append(GenVector(ds, vec_s, cov_s))
+    # the pivot columns at a sample are the first generators independent there
+    coords = linalg.transpose([u.coords() for u in projected])
     chosen = []
     for p in samples:
-        chosen = []
-        rows_acc = []
-        for u in projected:
-            row = [as_gauss(c.eval(p)) for c in u.coords()]
-            if not any(row):
-                continue
-            if linalg.rank(rows_acc + [row]) > len(rows_acc):
-                rows_acc.append(row)
-                chosen.append(u)
+        chosen = [projected[j] for j in linalg.rref(linalg.eval_matrix(coords, p))[1]]
         if len(chosen) == ds:
             break
     if len(chosen) != ds:

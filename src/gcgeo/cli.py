@@ -168,7 +168,7 @@ def _frame_of(doc, chart, key="dirac_frame"):
 def _pair_terms(doc, key: str, index_key: str, chart, bound: int):
     """The terms {coeff, index_key: [i, j]} of doc[key] as ((i, j), coeff), 0-based.
 
-    Each index is given 1-based and must lie in 1..bound.
+    Each index is given 1-based and must lie in 1..bound; the two must differ.
     """
     terms = doc.get(key)
     if not isinstance(terms, list):
@@ -179,6 +179,8 @@ def _pair_terms(doc, key: str, index_key: str, chart, bound: int):
         if not isinstance(ij, list) or len(ij) != 2:
             raise JobError(f"{key} terms need {index_key} [i, j]", f"{key}[{idx}]")
         i, j = (parse_int(x, f"{key}[{idx}].{index_key}", 1, bound) - 1 for x in ij)
+        if i == j:
+            raise JobError(f"{key} indices must differ", f"{key}[{idx}]")
         out.append(((i, j), parse_scalar(term.get("coeff"), chart.names, f"{key}[{idx}].coeff")))
     return out
 
@@ -402,17 +404,13 @@ def cmd_schouten(doc):
 @command("maurer-cartan")
 def cmd_maurer_cartan(doc):
     from .algebroid import complex_pair, maurer_cartan
+    from .forms import MixedForm
     chart = _complex_chart_of(doc, "maurer-cartan")
     pair = complex_pair(chart, _twist_of(doc, chart))
-    eps = {}
-    for idx, ((i, j), c) in enumerate(_pair_terms(doc, "eps", "basis", chart, chart.dim)):
-        if i == j:
-            raise JobError("eps indices must differ", f"eps[{idx}]")
-        if i > j:
-            i, j, c = j, i, -c
-        mask = (1 << i) | (1 << j)
-        eps[mask] = eps.get(mask, chart.zero()) + c
-    rep = maurer_cartan(pair, eps)
+    eps = MixedForm.zero(chart.dim)
+    for ij, c in _pair_terms(doc, "eps", "basis", chart, chart.dim):
+        eps = eps + MixedForm.blade(chart.dim, ij, c)
+    rep = maurer_cartan(pair, eps.terms)
     if rep.verdict == "pass":
         return "pass", {"residual": "0"}
     bad = sorted(rep.residual)[0]

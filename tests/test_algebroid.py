@@ -6,7 +6,14 @@ from gcgeo.scalars import GaussRat, Poly, IUNIT, ONE, ZERO, HALF
 from gcgeo.forms import MixedForm
 from gcgeo.clifford import GenVector
 from gcgeo.charts import Chart
-from gcgeo.fields import ClosedThreeForm, DiracFrame, involutivity_tensor, is_involutive
+from gcgeo.fields import (
+    ClosedThreeForm,
+    DiracFrame,
+    courant_bracket,
+    d,
+    involutivity_tensor,
+    is_involutive,
+)
 from gcgeo.algebroid import (
     LiePair,
     complex_pair,
@@ -40,14 +47,18 @@ class TestLiePair:
         with pytest.raises(ValueError, match="transverse"):
             LiePair(ch, frame, frame)
 
-    def test_projections_resolve_sections(self):
+    @staticmethod
+    def rescaled_c1():
         # the C^1 pair with l_0 doubled has the non-symmetric Gram matrix
         # [[0, 1], [1/2, 0]], so it tells G^-1 from G^-T
         c1 = Chart.complex_plane(1)
         base = complex_pair(c1)
         l0 = base.frame_l[0].scale(GaussRat(2))
-        rescaled = LiePair(c1, (l0, base.frame_l[1]), base.frame_r)
-        assert rescaled.l_components(l0) == [ONE, ZERO]
+        return c1, LiePair(c1, (l0, base.frame_l[1]), base.frame_r)
+
+    def test_projections_resolve_sections(self):
+        c1, rescaled = self.rescaled_c1()
+        assert rescaled.l_components(rescaled.frame_l[0]) == [ONE, ZERO]
         rng = Rng(3)
         for chart, pair in ((C2, complex_pair(C2)), (c1, rescaled)):
             u = rng.section(chart, 1)
@@ -61,12 +72,22 @@ class TestLiePair:
                 acc = acc + r.scale(c)
             assert (acc - u).is_zero()
 
+    def test_eps_sharp_pairs_back_to_eps(self):
+        c1, rescaled = self.rescaled_c1()
+        e = c1.z(0) * c1.zbar(0) + c1.const(IUNIT)
+        eps = {0b11: e}
+        want = [[c1.zero(), e], [-e, c1.zero()]]
+        for i in range(2):
+            sharp = eps_sharp(rescaled, eps, i)
+            for j in range(2):
+                assert sharp.pair(rescaled.frame_l[j]) == want[i][j]
+
 
 class TestDifferential:
     def test_dl_on_functions_is_dbar(self):
         pair = complex_pair(C2)
         f = C2.z(0) * C2.zbar(0) + C2.z(1)
-        df = pair.d_l({0: f}, 0)
+        df = pair.d_l({0: f})
         # components on (del_zbar1, del_zbar2) slots are the dbar derivatives,
         # dz-slots vanish
         assert df.get(0b0001, C2.zero()) == C2.diff_zbar(f, 0)
@@ -78,18 +99,18 @@ class TestDifferential:
         rng = Rng(5)
         for _ in range(6):
             f = rng.poly(C2, 2, 3, complex_ok=True)
-            d1 = pair.d_l({0: f}, 0)
-            assert not pair.d_l(d1, 1)
+            d1 = pair.d_l({0: f})
+            assert not pair.d_l(d1)
             mu = {
                 0b0001: rng.poly(C2, 2, 2, complex_ok=True),
                 0b0100: rng.poly(C2, 2, 2, complex_ok=True),
             }
-            assert not pair.d_l(pair.d_l(mu, 1), 2)
+            assert not pair.d_l(pair.d_l(mu))
 
     def test_constant_multisection_closed_on_flat_frame(self):
         pair = complex_pair(C2)
         mu = {0b0011: C2.one()}
-        assert not pair.d_l(mu, 2)
+        assert not pair.d_l(mu)
 
     def test_derivation_property(self):
         # d_L[a, b] = [d_L a, b] + [a, d_L b] for sections of L* = R
@@ -111,17 +132,141 @@ class TestDifferential:
                 )
                 for i in range(m)
             }
-            lhs = pair.d_l(_clean(to_mu(ab)), 1)
+            lhs = pair.d_l(_clean(to_mu(ab)))
             # [d_L a, b] = -L_b(d_L a) as an R-bivector, then back to functionals
-            da = pair.d_l(_clean(to_mu(a)), 1)
-            db = pair.d_l(_clean(to_mu(b)), 1)
+            da = pair.d_l(_clean(to_mu(a)))
+            db = pair.d_l(_clean(to_mu(b)))
             da_r = _functional_to_r(pair, da, 2)
             db_r = _functional_to_r(pair, db, 2)
-            t1 = _neg(r_lie_derivative(pair, b, da_r, 2))
-            t2 = r_lie_derivative(pair, a, db_r, 2)
+            t1 = _neg(r_lie_derivative(pair, b, da_r))
+            t2 = r_lie_derivative(pair, a, db_r)
             rhs_r = _add(t1, t2)
             rhs = _r_to_functional(pair, rhs_r, 2)
             assert _clean(lhs) == _clean(rhs)
+
+
+class TestAgainstTheMaskLoop:
+    """d_L and L_b against the slot-by-slot formulas, on a pair whose
+    structure constants do not vanish.
+
+    B = (z1 zbar2 + z2^2) dzbar1 ^ dzbar2 and H = dB: [del_zbar1, del_zbar2]_H
+    is the dz-covector i i H, so dtheta^2 and dtheta^3 are nonzero.
+    """
+
+    @staticmethod
+    def twisted_pair():
+        coeff = C2.z(0) * C2.zbar(1) + C2.z(1) ** 2
+        b = C2.lift_form(C2.dzbar(0).wedge(C2.dzbar(1))).scale(coeff)
+        return complex_pair(C2, ClosedThreeForm(C2, d(C2, b)))
+
+    @staticmethod
+    def multisection(rng, k):
+        m = C2.dim
+        return _clean({
+            mask: rng.poly(C2, 2, 2, complex_ok=True)
+            for mask in range(1 << m)
+            if mask.bit_count() == k and rng.r.random() < 0.7
+        })
+
+    def test_structure_constants_are_nonzero(self):
+        pair = self.twisted_pair()
+        secs = pair.frame_l
+        c = pair.l_components(courant_bracket(C2, secs[0], secs[1], pair.h))
+        assert c[2] and c[3]
+
+    def test_d_l_matches_reference(self):
+        pair = self.twisted_pair()
+        rng = Rng(23)
+        for k in range(4):
+            for _ in range(3):
+                mu = self.multisection(rng, k)
+                assert pair.d_l(mu) == _d_l_reference(pair, mu, k)
+
+    def test_d_l_squared_zero(self):
+        pair = self.twisted_pair()
+        rng = Rng(29)
+        degrees = set()
+        for k in range(3):
+            for _ in range(2):
+                dmu = pair.d_l(self.multisection(rng, k))
+                degrees |= {mask.bit_count() for mask in dmu}
+                assert not pair.d_l(dmu)
+        assert degrees == {1, 2, 3}, "family must reach a nonzero d_L mu in each degree"
+
+    def test_r_lie_derivative_matches_reference(self):
+        pair = self.twisted_pair()
+        rng = Rng(31)
+        m = C2.dim
+        for k in range(4):
+            b = [rng.poly(C2, 1, 2, complex_ok=True) for _ in range(m)]
+            mu = self.multisection(rng, k)
+            assert r_lie_derivative(pair, b, mu) == _r_lie_derivative_reference(pair, b, mu, k)
+
+
+def _mask_indices(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _component(mu, indices, chart):
+    """mu at an arbitrary index order: the sign of the sorting permutation."""
+    idx = list(indices)
+    if len(set(idx)) < len(idx):
+        return chart.zero()
+    inversions = sum(a > b for p, a in enumerate(idx) for b in idx[p + 1:])
+    val = mu.get(sum(1 << i for i in idx), chart.zero())
+    return -val if inversions % 2 else val
+
+
+def _d_l_reference(pair, mu, k):
+    """d_L mu(l_I) = sum_p (-1)^p rho(l_ip) mu(..) + sum_{p<q} (-1)^{p+q} mu([l_ip, l_iq], ..)."""
+    chart = pair.chart
+    secs = pair.frame_l
+    out = {}
+    for mask in range(1 << chart.dim):
+        if mask.bit_count() != k + 1:
+            continue
+        idx = _mask_indices(mask)
+        acc = chart.zero()
+        for p, i in enumerate(idx):
+            val = _component(mu, [t for t in idx if t != i], chart)
+            term = sum((x * val.diff(n) for x, n in zip(secs[i].vec, chart.names)), chart.zero())
+            acc = acc - term if p % 2 else acc + term
+        for p in range(len(idx)):
+            for q in range(p + 1, len(idx)):
+                i, j = idx[p], idx[q]
+                rest = [t for t in idx if t != i and t != j]
+                comps = pair.l_components(courant_bracket(chart, secs[i], secs[j], pair.h))
+                val = sum((c * _component(mu, [t] + rest, chart) for t, c in enumerate(comps) if c),
+                          chart.zero())
+                acc = acc - val if (p + q) % 2 else acc + val
+        if acc:
+            out[mask] = acc
+    return out
+
+
+def _r_lie_derivative_reference(pair, b_comps, mu, k):
+    """L_b(f r_I) = (pi(b) f) r_I + f sum_p r_i1 ^ .. [b, r_ip] .. ^ r_ik, slot by slot."""
+    chart = pair.chart
+    m = chart.dim
+    b_vec = [sum((c * r.vec[t] for c, r in zip(b_comps, pair.frame_r)), chart.zero())
+             for t in range(m)]
+    out = {}
+    for mask, f in mu.items():
+        idx = _mask_indices(mask)
+        out[mask] = out.get(mask, chart.zero()) + sum(
+            (x * f.diff(n) for x, n in zip(b_vec, chart.names)), chart.zero())
+        for p, i in enumerate(idx):
+            unit = [ONE if t == i else ZERO for t in range(m)]
+            for j, c in enumerate(r_section_bracket(pair, b_comps, unit)):
+                if not c:
+                    continue
+                slots = idx[:p] + [j] + idx[p + 1:]
+                if len(set(slots)) < len(slots):
+                    continue
+                new = sum(1 << t for t in slots)
+                val = _component({new: f * c}, slots, chart)
+                out[new] = out.get(new, chart.zero()) + val
+    return _clean(out)
 
 
 def _clean(d):
@@ -274,7 +419,7 @@ class TestMaurerCartan:
                 scaled = {mask: v * GaussRat(t) for mask, v in eps.items()}
                 for mask, v in maurer_cartan(pair, scaled).residual.items():
                     linear[mask] = linear.get(mask, C2.zero()) + v * w
-            assert {k: v for k, v in linear.items() if v} == pair.d_l(eps, 2)
+            assert {k: v for k, v in linear.items() if v} == pair.d_l(eps)
 
     def test_dimension_12(self):
         ch = Chart.complex_plane(6)

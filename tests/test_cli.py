@@ -241,9 +241,12 @@ class TestCommands:
             ("maurer_cartan_cubic.json", ("eps", 0, "basis", 0), [], "eps[0].basis: "),
             ("maurer_cartan_cubic.json", ("eps", 0, "basis"), [3, 9], "eps[0].basis: "),
             ("maurer_cartan_cubic.json", ("eps", 0, "basis"), [0, 1], "eps[0].basis: "),
+            ("maurer_cartan_cubic.json", ("eps", 0, "basis"), [2, 2],
+             "eps[0]: eps indices must differ"),
             ("deform_z1.json", ("beta", 0, "pair"), [1, 3], "beta[0].pair: "),
             ("deform_z1.json", ("beta", 0, "pair"), [0, 1], "beta[0].pair: "),
             ("deform_z1.json", ("beta", 0, "pair"), [-1, 2], "beta[0].pair: "),
+            ("deform_z1.json", ("beta", 0, "pair"), [1, 1], "beta[0]: beta indices must differ"),
             ("deform_z1.json", ("beta",), ["x"], "beta[0]: "),
             ("pullback_graph_b.json", ("dirac_frame", 0, "vec"), 5, "dirac_frame[0]: "),
             ("pullback_graph_b.json", ("dirac_frame",), 5, "dirac_frame: "),
@@ -266,8 +269,9 @@ class TestCommands:
             ("darboux_b_transformed.json", ("matrix",), [["0", "1", "0"]], "matrix: "),
         ],
         ids=[
-            "eps-term", "eps-index", "eps-index-high", "eps-index-zero", "beta-index-high",
-            "beta-index-zero", "beta-index-negative", "beta-term", "section-vec", "frame", "complex-pairs",
+            "eps-term", "eps-index", "eps-index-high", "eps-index-zero", "eps-index-equal",
+            "beta-index-high", "beta-index-zero", "beta-index-negative", "beta-index-equal",
+            "beta-term", "section-vec", "frame", "complex-pairs",
             "complex-pair", "complex-dim", "params", "params-range", "graph", "cases",
             "seed", "samples", "degree-bound", "gl-shape", "transform-degree", "ragged-j",
             "odd-j",
