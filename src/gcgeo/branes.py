@@ -45,7 +45,8 @@ class SubmanifoldData(Record, frozen=True):
             self.param_indices
         ) & set(self.graph):
             raise ValueError("param indices and graphed coordinates must partition the chart")
-        s_chart = self.chart_s()
+        s_chart = Chart(tuple(self.ambient.names[i] for i in self.param_indices))
+        object.__setattr__(self, "_chart_s", s_chart)
         for g in self.graph.values():
             if g.vars != s_chart.names:
                 raise ValueError("graph polynomials must live on the parameter chart")
@@ -62,7 +63,8 @@ class SubmanifoldData(Record, frozen=True):
             raise ValueError("dF != i*H: not a trivialization")
 
     def chart_s(self) -> Chart:
-        return Chart(tuple(self.ambient.names[i] for i in self.param_indices))
+        """The parameter chart of S, built once in __post_init__."""
+        return self._chart_s
 
     @property
     def dim_s(self) -> int:

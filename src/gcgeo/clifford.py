@@ -31,12 +31,17 @@ class GenVector:
         covec = tuple(covec)
         if len(vec) != dim or len(covec) != dim:
             raise ValueError("component length must equal dim")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "vec", vec)
-        object.__setattr__(self, "covec", covec)
+        _set_gv_dim(self, dim)
+        _set_vec(self, vec)
+        _set_covec(self, covec)
 
     def __setattr__(self, *_):
         raise AttributeError("GenVector is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return GenVector, (self.dim, self.vec, self.covec)
 
     @classmethod
     def basis_vector(cls, dim, i, coeff=ONE):
@@ -132,6 +137,11 @@ class GenVector:
         return " + ".join(bits) if bits else "0"
 
 
+_set_gv_dim, _set_vec, _set_covec = (
+    GenVector.dim.__set__, GenVector.vec.__set__, GenVector.covec.__set__
+)
+
+
 def endo_dual_action(a, phi: MixedForm) -> MixedForm:
     """A* phi = sum a[j][i] e^i ^ i_{e_j} phi, the derivation action of End(V)."""
     dim = phi.dim
@@ -165,13 +175,18 @@ class SoElement:
         for name, mat in (("b_map", b_map), ("beta_map", beta_map)):
             if not linalg.is_antisymmetric(mat):
                 raise ValueError(f"{name} must be antisymmetric")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "a", [list(r) for r in a])
-        object.__setattr__(self, "b_map", [list(r) for r in b_map])
-        object.__setattr__(self, "beta_map", [list(r) for r in beta_map])
+        _set_so_dim(self, dim)
+        _set_so_a(self, [list(r) for r in a])
+        _set_b_map(self, [list(r) for r in b_map])
+        _set_beta_map(self, [list(r) for r in beta_map])
 
     def __setattr__(self, *_):
         raise AttributeError("SoElement is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return SoElement, (self.dim, self.a, self.b_map, self.beta_map)
 
     def so_matrix(self):
         """2m x 2m map [[A, beta], [B, -A^T]] on column coordinates."""
@@ -203,6 +218,10 @@ class SoElement:
                 tr = tr + self.a[i][i]
             acc = acc + phi.scale(HALF * tr)
         return acc
+
+
+_set_so_dim, _set_so_a = SoElement.dim.__set__, SoElement.a.__set__
+_set_b_map, _set_beta_map = SoElement.b_map.__set__, SoElement.beta_map.__set__
 
 
 def gl_pullback_inverse(g, phi: MixedForm) -> MixedForm:
@@ -238,12 +257,17 @@ class BlockTransform:
             raise ValueError("shear map must be antisymmetric")
         if kind == "gl" and not linalg.det(mat):
             raise ValueError("gl transform must be invertible")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "mat", [list(r) for r in mat])
+        _set_bt_dim(self, dim)
+        _set_kind(self, kind)
+        _set_mat(self, [list(r) for r in mat])
 
     def __setattr__(self, *_):
         raise AttributeError("BlockTransform is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return BlockTransform, (self.dim, self.kind, self.mat)
 
     @classmethod
     def from_two_form(cls, f: MixedForm):
@@ -283,3 +307,8 @@ class BlockTransform:
         if self.kind != "gl":
             raise ValueError("untwisted action only applies to gl transforms")
         return gl_pullback_inverse(self.mat, phi)
+
+
+_set_bt_dim, _set_kind, _set_mat = (
+    BlockTransform.dim.__set__, BlockTransform.kind.__set__, BlockTransform.mat.__set__
+)

@@ -77,9 +77,9 @@ class MixedForm:
                 raise ValueError(f"bitmask {mask} out of range for dim {dim}")
             if c:
                 clean[mask] = c
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "variance", variance)
-        object.__setattr__(self, "terms", clean)
+        _set_dim(self, dim)
+        _set_variance(self, variance)
+        _set_terms(self, clean)
 
     @staticmethod
     def _raw(dim: int, terms: dict, variance: str) -> "MixedForm":
@@ -89,13 +89,18 @@ class MixedForm:
         and no zero coefficient.
         """
         out = object.__new__(MixedForm)
-        object.__setattr__(out, "dim", dim)
-        object.__setattr__(out, "variance", variance)
-        object.__setattr__(out, "terms", terms)
+        _set_dim(out, dim)
+        _set_variance(out, variance)
+        _set_terms(out, terms)
         return out
 
     def __setattr__(self, *_):
         raise AttributeError("MixedForm is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return MixedForm._raw, (self.dim, self.terms, self.variance)
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -344,6 +349,11 @@ class MixedForm:
             blade = f"{sym}{idx}" if idx else "1"
             bits.append(f"({self.terms[m]!r})*{blade}")
         return " + ".join(bits)
+
+
+_set_dim = MixedForm.dim.__set__
+_set_variance = MixedForm.variance.__set__
+_set_terms = MixedForm.terms.__set__
 
 
 def _wedge_lane(ta: dict, tb: dict) -> dict:

@@ -210,7 +210,13 @@ def parse_scalar(s, names=(), location="scalar"):
 
 
 def parse_int(x, location, minimum=None, maximum=None) -> int:
-    """An integer given as a JSON number or a numeric string, within the bounds given."""
+    """An integer given as a JSON number or a numeric string, within the bounds given.
+
+    A number is read as the schema's "integer" type reads it: 4.0 is 4, while
+    4.7, true and the non-finite floats that Python's json accepts are refused.
+    """
+    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+        raise JobError(f"must be an integer, got {x!r}", location)
     try:
         n = int(x)
     except (TypeError, ValueError):
@@ -261,8 +267,9 @@ def parse_form(doc, dim: int, names=(), variance="form", location="form") -> Mix
         if not isinstance(basis, list):
             raise JobError("basis must be a list of 1-based indices", where)
         coeff = parse_scalar(term["coeff"], names, where + ".coeff")
+        indices = [parse_int(i, where + ".basis") - 1 for i in basis]
         try:
-            acc = acc + MixedForm.blade(dim, [int(i) - 1 for i in basis], coeff, variance)
+            acc = acc + MixedForm.blade(dim, indices, coeff, variance)
         except (TypeError, ValueError) as e:
             raise JobError(str(e), where + ".basis") from None
     return acc

@@ -2,6 +2,14 @@
 
 Every coefficient in this library is one of these two types.  There is no
 floating point anywhere; all identities are decided exactly.
+
+Values are immutable: `__setattr__` and `__delattr__` raise.  Constructors
+write the slots through the slot descriptors' setters, bound once at import
+(`_set_a = GaussRat.a.__set__`), which skips the by-name slot lookup of
+`object.__setattr__`.  `GaussRat._raw` is the one normalising constructor: it
+brings (a + b i)/q to lowest terms with q > 0.  `__neg__`, `conj` and the
+integer path of `__init__` need no gcd and write the slots directly.  Pickling
+and copying rebuild a value through `_raw` from its slots.
 """
 
 from __future__ import annotations
@@ -57,20 +65,23 @@ class GaussRat:
 
     def __init__(self, re=0, im=0):
         if isinstance(re, int) and isinstance(im, int):
-            object.__setattr__(self, "a", re)
-            object.__setattr__(self, "b", im)
-            object.__setattr__(self, "q", 1)
+            _set_a(self, re)
+            _set_b(self, im)
+            _set_q(self, 1)
             return
         fre, fim = _fr(re), _fr(im)
         q = fre.denominator * fim.denominator // gcd(fre.denominator, fim.denominator)
-        a = fre.numerator * (q // fre.denominator)
-        b = fim.numerator * (q // fim.denominator)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "q", q)
+        _set_a(self, fre.numerator * (q // fre.denominator))
+        _set_b(self, fim.numerator * (q // fim.denominator))
+        _set_q(self, q)
 
     def __setattr__(self, *_):
         raise AttributeError("GaussRat is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return GaussRat._raw, (self.a, self.b, self.q)
 
     @staticmethod
     def _raw(a: int, b: int, q: int) -> "GaussRat":
@@ -83,10 +94,10 @@ class GaussRat:
                 a //= g
                 b //= g
                 q //= g
-        out = object.__new__(GaussRat)
-        object.__setattr__(out, "a", a)
-        object.__setattr__(out, "b", b)
-        object.__setattr__(out, "q", q)
+        out = _new(GaussRat)
+        _set_a(out, a)
+        _set_b(out, b)
+        _set_q(out, q)
         return out
 
     @property
@@ -133,10 +144,10 @@ class GaussRat:
         return other - self
 
     def __neg__(self):
-        out = object.__new__(GaussRat)
-        object.__setattr__(out, "a", -self.a)
-        object.__setattr__(out, "b", -self.b)
-        object.__setattr__(out, "q", self.q)
+        out = _new(GaussRat)
+        _set_a(out, -self.a)
+        _set_b(out, -self.b)
+        _set_q(out, self.q)
         return out
 
     def __mul__(self, other):
@@ -184,10 +195,10 @@ class GaussRat:
         return out
 
     def conj(self) -> "GaussRat":
-        out = object.__new__(GaussRat)
-        object.__setattr__(out, "a", self.a)
-        object.__setattr__(out, "b", -self.b)
-        object.__setattr__(out, "q", self.q)
+        out = _new(GaussRat)
+        _set_a(out, self.a)
+        _set_b(out, -self.b)
+        _set_q(out, self.q)
         return out
 
     # -- predicates -------------------------------------------------------
@@ -226,6 +237,10 @@ class GaussRat:
 
     def __repr__(self):
         return gauss_str(self)
+
+
+_new = object.__new__
+_set_a, _set_b, _set_q = GaussRat.a.__set__, GaussRat.b.__set__, GaussRat.q.__set__
 
 
 def _coerce(x):
@@ -348,17 +363,22 @@ class Poly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: tuple, terms: dict):
-        object.__setattr__(self, "vars", tuple(vars))
-        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
+        _set_vars(self, tuple(vars))
+        _set_terms(self, {e: c for e, c in terms.items() if c})
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
 
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Poly._raw, (self.vars, self.terms)
+
     @staticmethod
     def _raw(vars: tuple, terms: dict) -> "Poly":
-        out = object.__new__(Poly)
-        object.__setattr__(out, "vars", vars)
-        object.__setattr__(out, "terms", terms)
+        out = _new(Poly)
+        _set_vars(out, vars)
+        _set_terms(out, terms)
         return out
 
     # -- constructors -----------------------------------------------------
@@ -621,6 +641,9 @@ class Poly:
 
     def __repr__(self):
         return poly_str(self)
+
+
+_set_vars, _set_terms = Poly.vars.__set__, Poly.terms.__set__
 
 
 def poly_str(p: Poly) -> str:

@@ -267,6 +267,14 @@ class TestCommands:
              [{"coeff": "1", "basis": [1]}], "transform.form: "),
             ("validate_gcs_symplectic.json", ("matrix", 1), ["0"], "matrix: "),
             ("darboux_b_transformed.json", ("matrix",), [["0", "1", "0"]], "matrix: "),
+            ("mukai_even_m4.json", ("dim",), float("inf"), "dim: "),
+            ("mukai_even_m4.json", ("dim",), float("nan"), "dim: "),
+            ("mukai_even_m4.json", ("dim",), 4.7, "dim: "),
+            ("mukai_even_m4.json", ("dim",), True, "dim: "),
+            ("mukai_even_m4.json", ("form_a", 0, "basis", 1), 2.5, "form_a[0].basis: "),
+            ("mukai_even_m4.json", ("form_a", 0, "basis", 1), float("-inf"), "form_a[0].basis: "),
+            ("deform_z1.json", ("chart", "complex_dim"), float("inf"), "chart.complex_dim: "),
+            ("brane_lagrangian.json", ("submanifold", "params"), [1, True], "submanifold.params: "),
         ],
         ids=[
             "eps-term", "eps-index", "eps-index-high", "eps-index-zero", "eps-index-equal",
@@ -274,7 +282,8 @@ class TestCommands:
             "beta-term", "section-vec", "frame", "complex-pairs",
             "complex-pair", "complex-dim", "params", "params-range", "graph", "cases",
             "seed", "samples", "degree-bound", "gl-shape", "transform-degree", "ragged-j",
-            "odd-j",
+            "odd-j", "dim-infinity", "dim-nan", "dim-fraction", "dim-bool", "basis-fraction",
+            "basis-infinity", "complex-dim-infinity", "params-bool",
         ],
     )
     def test_odd_json_shape_exit_2(self, filename, path, value, where, tmp_path, capsys):
@@ -293,6 +302,25 @@ class TestCommands:
         assert code == 2 and captured.err == ""
         error = json.loads(captured.out)["counterexample"]["error"]
         assert error and error.startswith(where)
+
+    def test_infinite_integer_in_a_child(self, tmp_path):
+        # json reads Infinity as a float, and int() of it raises OverflowError
+        with open(MUKAI) as f:
+            doc = json.load(f)
+        p = tmp_path / "infinite.json"
+        p.write_text(json.dumps({**doc, "dim": float("inf")}))
+        proc = subprocess.run([sys.executable, "-m", "gcgeo.cli", "mukai", str(p)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stderr == ""
+        assert json.loads(proc.stdout)["counterexample"]["error"] == "dim: must be an integer, got inf"
+
+    @pytest.mark.parametrize("dim", [4.0, "4"])
+    def test_integral_float_and_numeric_string_accepted(self, dim, tmp_path, capsys):
+        with open(MUKAI) as f:
+            doc = json.load(f)
+        p = tmp_path / "dim.json"
+        p.write_text(json.dumps({**doc, "dim": dim}))
+        assert run_cli(["mukai", str(p)], capsys)[0] == 0
 
     @pytest.mark.parametrize(
         "command,text,where",

@@ -182,3 +182,40 @@ def test_every_public_name_is_referenced():
         for p in (ROOT / folder).rglob("*.py")
     }
     assert unreferenced_publics(package, users) == []
+
+
+def slotted_setattr_calls(source: str):
+    """(class, line) of each `object.__setattr__` call inside a class that declares
+    `__slots__`: such a class writes its slots through setters bound once."""
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef) or not any(
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+            for node in cls.body
+        ):
+            continue
+        out += [
+            (cls.name, n.lineno)
+            for n in ast.walk(cls)
+            if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "__setattr__"
+            and isinstance(n.func.value, ast.Name)
+            and n.func.value.id == "object"
+        ]
+    return out
+
+
+def test_detects_slotted_setattr():
+    src = (
+        "class A:\n    __slots__ = ('x',)\n\n    def __init__(self):\n"
+        "        object.__setattr__(self, 'x', 1)\n\n"
+        "class B:\n    def __init__(self):\n        object.__setattr__(self, 'x', 1)\n"
+    )
+    assert slotted_setattr_calls(src) == [("A", 5)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_slotted_classes_use_bound_setters(path):
+    assert slotted_setattr_calls(path.read_text()) == []

@@ -69,6 +69,18 @@ class TestGaussRat:
         n = a * a.conj()
         assert n.im == 0 and n.re >= 0
 
+    @given(
+        st.integers(-10**6, 10**6),
+        st.integers(-10**6, 10**6),
+        st.integers(-360, 360).filter(bool),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_raw_is_lowest_terms(self, a, b, q):
+        # (a + b i)/q with q > 0 and gcd(a, b, q) = 1, whatever the sign of q
+        g = GaussRat._raw(a, b, q)
+        ref = GaussRat(Fraction(a, q), Fraction(b, q))
+        assert (g.a, g.b, g.q) == (ref.a, ref.b, ref.q)
+
     def test_sqrt_exact(self):
         assert sqrt_exact(GaussRat(Fraction(9, 4))) == GaussRat(Fraction(3, 2))
         assert sqrt_exact(GaussRat(-4)) == GaussRat(0, 2)
