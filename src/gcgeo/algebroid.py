@@ -26,9 +26,8 @@ part in eps is the Cartan differential d_L eps.
 from __future__ import annotations
 
 from .record import Record
-from .scalars import ONE, ZERO
 from .forms import MixedForm
-from .clifford import GenVector, endo_dual_action
+from .clifford import GenVector, endo_dual_action, pairing_matrix
 from .charts import Chart
 from .fields import ClosedThreeForm, courant_bracket
 from . import linalg
@@ -47,9 +46,10 @@ class LiePair(Record, frozen=True):
         if len(self.frame_l) != m or len(self.frame_r) != m:
             raise ValueError(f"each frame needs {m} sections")
         for name, frame in (("L", self.frame_l), ("R", self.frame_r)):
-            for i, u in enumerate(frame):
+            coords = [u.coords() for u in frame]
+            for i, row in enumerate(pairing_matrix(coords, coords)):
                 for j in range(i, m):
-                    if u.pair(frame[j]):
+                    if row[j]:
                         raise ValueError(f"frame {name} is not isotropic at ({i},{j})")
         gram = self.pairing()
         if not all(x.is_const for row in gram for x in row):
@@ -96,12 +96,8 @@ class LiePair(Record, frozen=True):
         for i, l in enumerate(secs):
             acc = acc + MixedForm.blade(m, [i]).wedge(_along(chart, l.vec, form))
             if dtheta[i]:
-                acc = acc + MixedForm(m, dtheta[i]).wedge(form.contract(_unit(m, i)))
+                acc = acc + MixedForm(m, dtheta[i]).wedge(form.contract_blade(1 << i))
         return acc.terms
-
-
-def _unit(m: int, i: int):
-    return [ONE if k == i else ZERO for k in range(m)]
 
 
 def _along(chart: Chart, vec, form: MixedForm) -> MixedForm:
@@ -146,7 +142,7 @@ def r_lie_derivative(pair: LiePair, b_comps, mu: dict) -> dict:
     m = chart.dim
     form = MixedForm(m, mu)
     b_sec = _assemble(pair.frame_r, b_comps, chart)
-    c = [r_section_bracket(pair, b_comps, _unit(m, i)) for i in range(m)]
+    c = [r_section_bracket(pair, b_comps, unit) for unit in linalg.identity(m)]
     return (_along(chart, b_sec.vec, form) + endo_dual_action(c, form)).terms
 
 
@@ -166,7 +162,7 @@ def eps_sharp(pair: LiePair, eps: dict, i: int) -> GenVector:
     so d = G^-1 (i_{l_i} eps).
     """
     m = pair.chart.dim
-    contracted = MixedForm(m, eps).contract(_unit(m, i))
+    contracted = MixedForm(m, eps).contract_blade(1 << i)
     vals = [contracted.coeff(1 << j) for j in range(m)]
     return _assemble(pair.frame_r, linalg.mat_vec(pair._gram_inv, vals), pair.chart)
 

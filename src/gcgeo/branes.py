@@ -10,9 +10,9 @@ hypotheses are audited at sample points.
 from __future__ import annotations
 
 from .record import Record
-from .scalars import Poly, ONE, ZERO, IUNIT, as_gauss
+from .scalars import Poly, ONE, IUNIT
 from .forms import MixedForm, covector_form, two_form_from_map, map_from_two_form
-from .clifford import GenVector
+from .clifford import GenVector, pairing_matrix
 from .charts import Chart
 from .fields import ClosedThreeForm, DiracFrame, d, involutivity_tensor
 from .gcs import GCStructure
@@ -29,7 +29,7 @@ class SubmanifoldData(Record, frozen=True):
 
     param_indices are the ambient coordinates restricting to coordinates on S;
     graph maps each remaining coordinate index to a polynomial over the
-    parameter chart.  F lives on the parameter chart and must satisfy
+    parameter chart.  F is a 2-form on the parameter chart and must satisfy
     dF = i*H exactly.
     """
 
@@ -41,19 +41,30 @@ class SubmanifoldData(Record, frozen=True):
 
     def __post_init__(self):
         m = self.ambient.dim
-        if set(self.param_indices) | set(self.graph) != set(range(m)) or set(
-            self.param_indices
-        ) & set(self.graph):
+        params = self.param_indices
+        if set(params) | set(self.graph) != set(range(m)) or set(params) & set(self.graph):
             raise ValueError("param indices and graphed coordinates must partition the chart")
-        s_chart = Chart(tuple(self.ambient.names[i] for i in self.param_indices))
+        s_chart = Chart(tuple(self.ambient.names[i] for i in params))
         object.__setattr__(self, "_chart_s", s_chart)
         for g in self.graph.values():
             if g.vars != s_chart.names:
                 raise ValueError("graph polynomials must live on the parameter chart")
+        # the embedding Jacobian: row i holds dx_i/dt_a, a unit row for a
+        # parameter and the gradient of g_i for a graphed coordinate
+        unit = linalg.identity(self.dim_s, s_chart.one(), s_chart.zero())
+        jac = [
+            [self.graph[i].diff(n) for n in s_chart.names]
+            if i in self.graph else unit[params.index(i)]
+            for i in range(m)
+        ]
+        object.__setattr__(self, "_jac", jac)
         f2 = self.f2 if self.f2 is not None else MixedForm.zero(self.dim_s)
         if f2.dim != self.dim_s:
             raise ValueError("F must live on the submanifold chart")
+        if any(mask.bit_count() != 2 for mask in f2.terms):
+            raise ValueError("F must be a 2-form")
         object.__setattr__(self, "f2", s_chart.lift_form(f2))
+        object.__setattr__(self, "_f_map", s_chart.lift_matrix(map_from_two_form(f2)))
         target = (
             self.pull_form(self.h.form)
             if self.h is not None
@@ -70,32 +81,16 @@ class SubmanifoldData(Record, frozen=True):
     def dim_s(self) -> int:
         return len(self.param_indices)
 
-    def _subs_map(self):
-        return {self.ambient.names[j]: g for j, g in self.graph.items()}
-
     def restrict_scalar(self, p) -> Poly:
-        s_chart = self.chart_s()
+        names = self.chart_s().names
         if not isinstance(p, Poly):
-            return Poly.const(s_chart.names, p)
-        return p.subs_into(s_chart.names, self._subs_map())
+            return Poly.const(names, p)
+        return p.subs_into(names, {self.ambient.names[j]: g for j, g in self.graph.items()})
 
     def pull_form(self, phi: MixedForm) -> MixedForm:
-        """i* of an ambient form: substitute coordinates and dx_j = dg_j."""
-        s_chart = self.chart_s()
+        """i* of an ambient form: substitute coordinates and dx_i = sum_a (dx_i/dt_a) dt_a."""
         ds = self.dim_s
-        images = []
-        for i in range(self.ambient.dim):
-            if i in self.param_indices:
-                pos = self.param_indices.index(i)
-                images.append(MixedForm(ds, {1 << pos: s_chart.one()}))
-            else:
-                g = self.graph[i]
-                terms = {}
-                for a, name in enumerate(s_chart.names):
-                    dg = g.diff(name)
-                    if dg:
-                        terms[1 << a] = dg
-                images.append(MixedForm(ds, terms))
+        images = [covector_form(ds, row) for row in self._jac]
         acc = MixedForm.zero(ds)
         for mask, c in phi.terms.items():
             term = MixedForm(ds, {0: self.restrict_scalar(c)})
@@ -105,27 +100,12 @@ class SubmanifoldData(Record, frozen=True):
             acc = acc + term
         return acc
 
-    def restrict_section(self, v: GenVector) -> GenVector:
-        return GenVector(
-            v.dim,
-            [self.restrict_scalar(c) for c in v.vec],
-            [self.restrict_scalar(c) for c in v.covec],
-        )
-
     def restrict_matrix(self, mat):
         return [[self.restrict_scalar(x) for x in row] for row in mat]
 
     def tangent_lifts(self):
-        """Pushforwards of the parameter coordinate frame, in ambient components."""
-        s_chart = self.chart_s()
-        out = []
-        for a, name in enumerate(s_chart.names):
-            comps = [s_chart.zero()] * self.ambient.dim
-            comps[self.param_indices[a]] = s_chart.one()
-            for j, g in self.graph.items():
-                comps[j] = g.diff(name)
-            out.append(comps)
-        return out
+        """Pushforwards of the parameter coordinate frame: the Jacobian's columns."""
+        return linalg.transpose(self._jac)
 
     def conormals(self):
         """d(x_j - g_j): a frame of Ann(TS) in ambient components."""
@@ -134,24 +114,9 @@ class SubmanifoldData(Record, frozen=True):
         for j in sorted(self.graph):
             comps = [s_chart.zero()] * self.ambient.dim
             comps[j] = s_chart.one()
-            for a, name in enumerate(s_chart.names):
-                dg = self.graph[j].diff(name)
-                if dg:
-                    comps[self.param_indices[a]] = -dg
+            for i, dg in zip(self.param_indices, self._jac[j]):
+                comps[i] = -dg
             out.append(comps)
-        return out
-
-    def normal_residues(self, vec_comps):
-        """Graph-direction residues of an ambient vector; zero iff tangent to S."""
-        s_chart = self.chart_s()
-        out = []
-        for j in sorted(self.graph):
-            acc = s_chart.lift(vec_comps[j])
-            for a, name in enumerate(s_chart.names):
-                dg = self.graph[j].diff(name)
-                if dg:
-                    acc = acc - dg * vec_comps[self.param_indices[a]]
-            out.append(acc)
         return out
 
     def to_s_vector(self, vec_comps):
@@ -174,27 +139,19 @@ class GeneralizedTangent(Record, frozen=True):
 
 
 def generalized_tangent(sub: SubmanifoldData) -> GeneralizedTangent:
-    s_chart = sub.chart_s()
     m = sub.ambient.dim
-    ds = sub.dim_s
-    sections = []
+    zero = sub.chart_s().zero()
+    rows = []
     for a, lift in enumerate(sub.tangent_lifts()):
-        unit = [s_chart.one() if b == a else s_chart.zero() for b in range(ds)]
-        ix_f = sub.f2.contract(unit)
-        cov = [s_chart.zero()] * m
-        for b in range(ds):
-            c = ix_f.coeff(1 << b)
-            if c:
-                cov[sub.param_indices[b]] = s_chart.lift(c)
-        sections.append(GenVector(m, lift, cov))
-    for conormal in sub.conormals():
-        sections.append(GenVector(m, [s_chart.zero()] * m, conormal))
-    tau = GeneralizedTangent(sub, tuple(sections))
-    for u in tau.sections:
-        for v in tau.sections:
-            if u.pair(v):
-                raise AssertionError("generalized tangent frame is not isotropic")
-    return tau
+        # (i_{e_a} F)_b is entry (b, a) of F's map
+        cov = [zero] * m
+        for i, f_row in zip(sub.param_indices, sub._f_map):
+            cov[i] = f_row[a]
+        rows.append(lift + cov)
+    rows += [[zero] * m + conormal for conormal in sub.conormals()]
+    if any(map(any, pairing_matrix(rows, rows))):
+        raise AssertionError("generalized tangent frame is not isotropic")
+    return GeneralizedTangent(sub, tuple(GenVector.from_coords(r) for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +162,7 @@ def _polynomial_kernel(s_chart: Chart, rows, ncols: int, samples, degree_bound: 
     """Kernel generators of a polynomial matrix, by bounded-degree ansatz.
 
     The pointwise kernel dimension must agree across samples (constant rank).
+    An ansatz above integrability.ANSATZ_CAP raises CapacityError.
     """
     kdims = {ncols - linalg.rank(linalg.eval_matrix(rows, p)) if rows else ncols for p in samples}
     if len(kdims) > 1:
@@ -236,20 +194,21 @@ def pullback_dirac(
     ds = sub.dim_s
     if samples is None:
         samples = [s_chart.point(*([0] * ds)), s_chart.point(*([1] * ds))]
-    restricted = [sub.restrict_section(u) for u in frame.sections]
-    conditions = [sub.normal_residues(list(u.vec)) for u in restricted]
-    rows = [list(col) for col in zip(*conditions)] if conditions else []
+    restricted = sub.restrict_matrix([u.coords() for u in frame.sections])
+    # a combination lies in K-perp iff the conormals annihilate its vector part
+    rows = linalg.mat_mul(sub.conormals(), linalg.transpose([r[:m] for r in restricted]))
     gens = _polynomial_kernel(s_chart, rows, len(restricted), samples, degree_bound)
-    projected = []
-    for comps in gens:
-        acc = GenVector(m, [s_chart.zero()] * m, [s_chart.zero()] * m)
-        for c, u in zip(comps, restricted):
-            if c:
-                acc = acc + u.scale(c)
-        vec_s = sub.to_s_vector(list(acc.vec))
-        cov_form = sub.pull_form(covector_form(m, acc.covec))
-        cov_s = [s_chart.lift(cov_form.coeff(1 << a)) for a in range(ds)]
-        projected.append(GenVector(ds, vec_s, cov_s))
+    combos = linalg.mat_mul(gens, restricted)
+    # covectors pull back by the transposed Jacobian
+    pulled = linalg.mat_mul([c[m:] for c in combos], sub._jac)
+    projected = [
+        GenVector(
+            ds,
+            [s_chart.lift(x) for x in sub.to_s_vector(c)],
+            [s_chart.lift(x) for x in cov],
+        )
+        for c, cov in zip(combos, pulled)
+    ]
     # the pivot columns at a sample are the first generators independent there
     coords = linalg.transpose([u.coords() for u in projected])
     chosen = []
@@ -294,56 +253,45 @@ def brane_check(
 ) -> BraneReport:
     """Classify a trivialization against a generalized complex structure.
 
-    The core verdict is J(tau) = tau, decided as polynomial identities via the
-    self-pairing of tau.  Case certificates are attached where the ambient
-    structure is of pure symplectic or complex block type.
+    The core verdict is J(tau) = tau: tau is maximal isotropic, so this is
+    the vanishing of the pairing matrix [<J tau_i, tau_j>], as polynomial
+    identities.  Case certificates are attached where the ambient structure
+    is of pure symplectic or complex block type.
     """
     s_chart = sub.chart_s()
     m = sub.ambient.dim
     ds = sub.dim_s
     if samples is None:
         samples = [s_chart.point(*([0] * ds)), s_chart.point(*([1] * ds))]
-    tau = generalized_tangent(sub)
+    tau = [u.coords() for u in generalized_tangent(sub).sections]
     jmat = sub.restrict_matrix(structure.matrix())
-    failures = []
-    for idx, u in enumerate(tau.sections):
-        ju = GenVector.from_coords(linalg.mat_vec(jmat, list(u.coords())))
-        for jdx, w in enumerate(tau.sections):
-            pr = ju.pair(w)
-            if pr:
-                failures.append((idx, jdx))
-    compatible = not failures
+    jtau = linalg.mat_mul(tau, linalg.transpose(jmat))
+    failures = [
+        (i, j)
+        for i, row in enumerate(pairing_matrix(jtau, tau))
+        for j, x in enumerate(row)
+        if x
+    ]
     # block structure of the ambient J
     blocks = structure.blocks()
     symplectic_type = not any(map(any, blocks.a))
     complex_type = not any(map(any, blocks.b_map + blocks.beta_map))
-    # coisotropy P(N*S) in TS at samples, and the characteristic distribution
+    # at each sample: the conormal rows of tau are (0, xi), so the vector
+    # parts of their images are P(N*S), in TS iff the conormals annihilate
+    # them; nonzero ones span the characteristic distribution.  ell is
+    # ker(J - i) cap (tau x C)
     coiso = True
     char_samples = []
-    pmap_r = sub.restrict_matrix(blocks.beta_map)
-    for p in samples:
-        pm = linalg.eval_matrix(pmap_r, p)
-        char_rows = []
-        for conormal in sub.conormals():
-            xi = [as_gauss(c.eval(p)) for c in conormal]
-            img = linalg.mat_vec(pm, xi)
-            resid = sub.normal_residues([Poly.const(s_chart.names, c) for c in img])
-            if any(r.eval(p) for r in resid):
-                coiso = False
-            if any(img):
-                char_rows.append(tuple(img))
-        char_samples.append(tuple(char_rows))
-    # ell = ker(J - i) cap (tau x C) at samples
     ell_samples = []
     for p in samples:
-        rows = [[as_gauss(c.eval(p)) for c in u.coords()] for u in tau.sections]
-        jp = linalg.eval_matrix(jmat, p)
-        images = [linalg.mat_vec(jp, r) for r in rows]
-        coef_cols = [
-            [images[s][i] - IUNIT * rows[s][i] for s in range(len(rows))]
-            for i in range(2 * m)
-        ]
-        ker = linalg.kernel(coef_cols)
+        rows = linalg.eval_matrix(tau, p)
+        images = linalg.eval_matrix(jtau, p)
+        p_images = [img[:m] for img in images[ds:]]
+        resid = linalg.mat_mul(p_images, linalg.transpose([r[m:] for r in rows[ds:]]))
+        coiso = coiso and not any(map(any, resid))
+        char_samples.append(tuple(tuple(v) for v in p_images if any(v)))
+        shifted = [[x - IUNIT * y for x, y in zip(img, r)] for img, r in zip(images, rows)]
+        ker = linalg.kernel(linalg.transpose(shifted))
         ell_samples.append(tuple(map(tuple, linalg.mat_mul(ker, rows))))
     lagrangian = None
     sigma_basic = None
@@ -357,67 +305,42 @@ def brane_check(
         if sub.graph:
             lagrangian = 2 * ds == m and not sub.f2 and not omega_pull
         sigma = sub.f2 + omega_pull.scale(IUNIT)
-        sigma_basic = True
         dsigma = d(s_chart, sigma)
-        for p, char_rows in zip(samples, char_samples):
-            for xi_img in char_rows:
-                xs = [as_gauss(x) for x in sub.to_s_vector(list(xi_img))]
-                if sigma.eval_at(p).contract(xs) or dsigma.eval_at(p).contract(xs):
-                    sigma_basic = False
+        sigma_basic = not any(
+            form.eval_at(p).contract(sub.to_s_vector(v))
+            for p, char_rows in zip(samples, char_samples)
+            for v in char_rows
+            for form in (sigma, dsigma)
+        )
         if not sub.graph and sub.f2:
             # with A = 0, J^2 = -1 gives P omega = -1 (validate_gc checks it
             # exactly), so -omega^-1 F is P F: nothing is inverted.  P is
             # reindexed to the parameter order, which F's basis follows
             idx = sub.param_indices
-            p_s = [[pmap_r[i][k] for k in idx] for i in idx]
-            jnew = linalg.mat_mul(p_s, s_chart.lift_matrix(map_from_two_form(sub.f2)))
-            space_j = tuple(tuple(row) for row in jnew)
-            jsq = linalg.mat_mul(jnew, jnew)
-            space_j_sq = all(
-                jsq[i][k] == (-ONE if i == k else ZERO)
-                for i in range(m)
-                for k in range(m)
-            )
+            p_s = [[jmat[i][m + k] for k in idx] for i in idx]
+            jnew = linalg.mat_mul(p_s, sub._f_map)
+            space_j = tuple(map(tuple, jnew))
+            space_j_sq = linalg.mat_eq(linalg.mat_mul(jnew, jnew), linalg.identity(m, -ONE))
+            sigma_20 = False
             if space_j_sq:
-                # sigma is purely of one complex type for J; the orientation
-                # (which eigenbundle counts as holomorphic) is convention
-                for orient in (IUNIT, -IUNIT):
-                    ok = True
-                    for a in range(m):
-                        ja = [jnew[i][a] for i in range(m)]
-                        ua = [s_chart.one() if t == a else s_chart.zero() for t in range(m)]
-                        if sigma.contract(ja) - sigma.contract(ua).scale(orient):
-                            ok = False
-                            break
-                    if ok:
-                        sigma_20 = True
-                        break
-                else:
-                    sigma_20 = False
-            else:
-                sigma_20 = False
+                # sigma is purely of one complex type for J: sigma J = +-i
+                # sigma as maps; the sign (which eigenbundle counts as
+                # holomorphic) is convention
+                smap = map_from_two_form(sigma)
+                sj = linalg.mat_mul(smap, jnew)
+                sigma_20 = any(
+                    linalg.mat_eq(sj, linalg.mat_scale(smap, o)) for o in (IUNIT, -IUNIT)
+                )
     if complex_type:
-        jendo = sub.restrict_matrix([[-x for x in row] for row in blocks.a])
-        complex_stable = True
-        jl = []
-        for lift in sub.tangent_lifts():
-            img = linalg.mat_vec(jendo, list(lift))
-            if any(bool(r) for r in sub.normal_residues(img)):
-                complex_stable = False
-            jl.append(img)
-        f_type_11 = True
-        for a in range(ds):
-            for b in range(ds):
-                ja = sub.to_s_vector(jl[a])
-                jb = sub.to_s_vector(jl[b])
-                ua = [s_chart.one() if t == a else s_chart.zero() for t in range(ds)]
-                ub = [s_chart.one() if t == b else s_chart.zero() for t in range(ds)]
-                lhs = sub.f2.contract(ja).contract(jb).coeff(0)
-                rhs = sub.f2.contract(ua).contract(ub).coeff(0)
-                if lhs - rhs:
-                    f_type_11 = False
+        # J_S e_a = J T e_a for the Jacobian T: S is J-stable iff the
+        # conormals annihilate J T, and F is of type (1,1) iff J_S^T F J_S = F
+        jt = linalg.mat_mul([[-x for x in row[:m]] for row in jmat[:m]], sub._jac)
+        complex_stable = not any(map(any, linalg.mat_mul(sub.conormals(), jt)))
+        j_s = [jt[i] for i in sub.param_indices]
+        f_j = linalg.mat_mul(linalg.transpose(j_s), linalg.mat_mul(sub._f_map, j_s))
+        f_type_11 = linalg.mat_eq(f_j, sub._f_map)
     return BraneReport(
-        compatible=compatible,
+        compatible=not failures,
         failures=tuple(failures[:8]),
         coisotropic=coiso,
         lagrangian=lagrangian,

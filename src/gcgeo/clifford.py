@@ -142,18 +142,29 @@ _set_gv_dim, _set_vec, _set_covec = (
 )
 
 
+def pairing_matrix(rows_a, rows_b):
+    """[2 <a_i, b_j>] for coordinate rows (X, xi) of T + T*.
+
+    2 <X + xi, Y + eta> = xi(Y) + eta(X) is the product of (X, xi) with the
+    half-swapped row (eta, Y), so the matrix is one product of rows_a with
+    the transposed half-swapped rows_b.
+    """
+    swapped = [[*r[len(r) // 2:], *r[:len(r) // 2]] for r in rows_b]
+    return linalg.mat_mul(rows_a, linalg.transpose(swapped))
+
+
 def endo_dual_action(a, phi: MixedForm) -> MixedForm:
     """A* phi = sum a[j][i] e^i ^ i_{e_j} phi, the derivation action of End(V)."""
     dim = phi.dim
     acc = MixedForm.zero(dim)
     for j in range(dim):
-        contracted = phi.contract([ONE if k == j else ZERO for k in range(dim)])
+        contracted = phi.contract_blade(1 << j)
         if not contracted:
             continue
         for i in range(dim):
             c = a[j][i]
             if c:
-                acc = acc + covector_form(dim, [c if k == i else ZERO for k in range(dim)]).wedge(contracted)
+                acc = acc + MixedForm(dim, {1 << i: c}).wedge(contracted)
     return acc
 
 

@@ -9,9 +9,9 @@ exactly.
 from __future__ import annotations
 
 from .record import Record
-from .scalars import Poly, add_term, as_gauss
+from .scalars import HALF, Poly, add_term, as_gauss
 from .forms import MixedForm, contract_sign, covector_form, merge_sign
-from .clifford import GenVector
+from .clifford import GenVector, pairing_matrix
 from .charts import Chart
 from . import linalg
 
@@ -201,12 +201,13 @@ class DiracFrame(Record, frozen=True):
         m = self.chart.dim
         if len(self.sections) != m:
             raise ValueError(f"frame needs {m} sections")
-        for i, u in enumerate(self.sections):
-            for j in range(i, len(self.sections)):
-                pr = u.pair(self.sections[j])
-                if pr:
+        coords = [u.coords() for u in self.sections]
+        for i, row in enumerate(pairing_matrix(coords, coords)):
+            for j in range(i, m):
+                if row[j]:
                     raise ValueError(
-                        f"sections {i} and {j} have inner product {pr!r}, not identically 0"
+                        f"sections {i} and {j} have inner product {HALF * row[j]!r}, "
+                        "not identically 0"
                     )
         for p in self.samples:
             rows = [

@@ -39,7 +39,7 @@ _PP = _prefix_parities()
 
 
 class CapacityError(ValueError):
-    """Dimension exceeds the supported bitmask width."""
+    """A problem exceeds a supported size: the bitmask width or the ansatz cap."""
 
 
 def check_dim(m: int):

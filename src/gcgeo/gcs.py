@@ -130,13 +130,11 @@ def standard_complex_endo(n: int):
 
 
 def standard_symplectic_map(n: int):
-    """Shear map of dx1^dx2 + dx3^dx4 + ... on R^{2n}."""
-    m = 2 * n
-    w = linalg.zeros(m, m)
-    for k in range(n):
-        w[2 * k + 1][2 * k] = ONE
-        w[2 * k][2 * k + 1] = -ONE
-    return w
+    """Shear map of dx1^dx2 + dx3^dx4 + ... on R^{2n}.
+
+    In this convention it is the matrix of standard_complex_endo(n).
+    """
+    return standard_complex_endo(n)
 
 
 def quaternion_triple():

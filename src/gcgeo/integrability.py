@@ -15,7 +15,7 @@ from operator import add
 
 from .record import Record
 from .scalars import Poly, ZERO
-from .forms import MixedForm, coefficient_rows, covector_form, map_from_two_form
+from .forms import CapacityError, MixedForm, coefficient_rows, covector_form, map_from_two_form
 from .clifford import GenVector
 from .charts import Chart
 from .fields import (
@@ -28,6 +28,12 @@ from .fields import (
 )
 from .gcs import GCStructure, validate_gc
 from . import linalg
+
+
+# The largest ansatz that ansatz_system builds, as a bound on rows x unknowns.
+# An unsolvable ansatz near the cap takes seconds to eliminate (5.5e8: 3 s,
+# 1.9e9: 13 s on a 2-core machine); far above it, hours.
+ANSATZ_CAP = 10**9
 
 
 def monomials_up_to(chart: Chart, bound: int):
@@ -51,7 +57,24 @@ def ansatz_system(chart: Chart, slots, degree_bound: int, target=None):
     slot-major, then in monomials_up_to order.  There is one row
     {unknown: coefficient} per (key, exponent) that occurs, and rhs holds the
     target's coefficient for each row.  Returns (rows, rhs, unknowns).
+    Raises CapacityError, before building anything, when the system may have
+    more than ANSATZ_CAP rows x unknowns.
     """
+    target = target or {}
+    n_monos = comb(chart.dim + degree_bound, chart.dim)
+    # rows are (key, exponent) pairs: at most one per term of a slot
+    # coefficient per monomial, plus one per term of the target
+    slot_terms = sum(
+        len({t for f in slots if key in f for t in chart.lift(f[key]).terms})
+        for key in {key for f in slots for key in f}
+    )
+    target_terms = sum(len(chart.lift(c).terms) for c in target.values())
+    rows_max, unknowns_max = slot_terms * n_monos + target_terms, len(slots) * n_monos
+    if rows_max * unknowns_max > ANSATZ_CAP:
+        raise CapacityError(
+            f"the ansatz at degree bound {degree_bound} has up to {rows_max} x "
+            f"{unknowns_max} rows x unknowns, above the cap {ANSATZ_CAP}"
+        )
     monos = monomials_up_to(chart, degree_bound)
     unknowns = [(s, e) for s in range(len(slots)) for e in monos]
     rows = {}
@@ -64,7 +87,7 @@ def ansatz_system(chart: Chart, slots, degree_bound: int, target=None):
                     rows.setdefault((key, tuple(map(add, e, t))), {})[u] = x
             u += 1
     rhs = {}
-    for key, c in (target or {}).items():
+    for key, c in target.items():
         for t, x in chart.lift(c).terms.items():
             rows.setdefault((key, t), {})
             rhs[(key, t)] = x
@@ -81,12 +104,6 @@ def ansatz_polys(chart: Chart, coeffs, unknowns, nslots: int):
 
 class NotPoisson(ValueError):
     """The bivector of a modular field problem has [beta, beta] != 0."""
-
-
-# The largest witness ansatz the solver builds, as a bound on rows x unknowns.
-# An unsolvable ansatz near the cap takes seconds to eliminate (5.5e8: 3 s,
-# 1.9e9: 13 s on a 2-core machine); far above it, hours.
-ANSATZ_CAP = 10**9
 
 
 class WitnessReport(Record, frozen=True):
@@ -177,26 +194,16 @@ def check_spinor_integrability(
                 },
             )
     slots = [u.act(phi).terms for u in chart.coordinate_frame()]
-    # rows are (key, exponent) pairs: at most one per term of a slot
-    # coefficient per monomial, plus one per term of the target
-    slot_terms = sum(
-        len({t for f in slots if key in f for t in chart.lift(f[key]).terms})
-        for key in {key for f in slots for key in f}
-    )
-    target_terms = sum(len(chart.lift(c).terms) for c in target.terms.values())
     for b in range(degree_bound + 1):
-        monos = comb(m + b, m)
-        rows_max, unknowns_max = slot_terms * monos + target_terms, 2 * m * monos
-        if rows_max * unknowns_max > ANSATZ_CAP:
+        try:
+            rows, rhs, unknowns = ansatz_system(chart, slots, b, target.terms)
+        except CapacityError as e:
             return WitnessReport(
                 "inconclusive",
                 None,
                 b,
-                f"the ansatz at degree bound {b} has up to {rows_max} x {unknowns_max} "
-                f"rows x unknowns, above the cap {ANSATZ_CAP}; no witness of lower "
-                "degree and no pointwise obstruction found",
+                f"{e}; no witness of lower degree and no pointwise obstruction found",
             )
-        rows, rhs, unknowns = ansatz_system(chart, slots, b, target.terms)
         sol = linalg.solve(rows, rhs, len(unknowns))
         if sol is not None:
             polys = ansatz_polys(chart, sol, unknowns, 2 * m)

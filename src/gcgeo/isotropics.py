@@ -11,7 +11,7 @@ from __future__ import annotations
 from .record import Record
 from .scalars import HALF, ONE, ZERO, as_gauss
 from .forms import MixedForm, check_dim, covector_form
-from .clifford import GenVector, BlockTransform
+from .clifford import GenVector, BlockTransform, pairing_matrix
 from . import linalg
 
 
@@ -95,17 +95,15 @@ def canonical_form(vectors, dim: int) -> MaxIsotropic:
     """
     check_dim(dim)
     vecs = list(vectors)
-    # gram[i][j] = xi_i(Y_j) + eta_j(X_i) = 2 <u_i, u_j>
-    gram = linalg.mat_mul(
-        [v.coords() for v in vecs], linalg.transpose([v.covec + v.vec for v in vecs])
-    )
+    coords = [v.coords() for v in vecs]
+    gram = pairing_matrix(coords, coords)
     for i, row in enumerate(gram):
         for j in range(i, len(vecs)):
             if as_gauss(row[j]):
                 raise NotIsotropic(
                     f"basis vectors {i} and {j} have inner product {HALF * row[j]!r}, not 0"
                 )
-    rows = [[as_gauss(c) for c in v.coords()] for v in vecs]
+    rows = [[as_gauss(c) for c in r] for r in coords]
     red, piv = linalg.rref(rows)
     if len(piv) != dim:
         raise NotIsotropic(f"spanning set has rank {len(piv)}, expected {dim}")

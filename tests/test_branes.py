@@ -23,6 +23,7 @@ from gcgeo.gcs import (
     validate_gc,
 )
 from gcgeo.branes import (
+    BraneReport,
     SubmanifoldData,
     brane_check,
     generalized_tangent,
@@ -379,3 +380,245 @@ class TestSpaceFilling:
         assert code == 0 and body["verdict"] == "pass"
         assert body["certificate"]["space_filling_j_squared_ok"] is True
         assert "space_filling_j" in body["certificate"]
+
+
+# ---------------------------------------------------------------------------
+# the pairwise reference: generalized_tangent and brane_check as index loops,
+# pair by pair, differentiating the graph themselves
+# ---------------------------------------------------------------------------
+
+def ref_tangent_lifts(sub):
+    s_chart = sub.chart_s()
+    out = []
+    for a, name in enumerate(s_chart.names):
+        comps = [s_chart.zero()] * sub.ambient.dim
+        comps[sub.param_indices[a]] = s_chart.one()
+        for j, g in sub.graph.items():
+            comps[j] = g.diff(name)
+        out.append(comps)
+    return out
+
+
+def ref_conormals(sub):
+    s_chart = sub.chart_s()
+    out = []
+    for j in sorted(sub.graph):
+        comps = [s_chart.zero()] * sub.ambient.dim
+        comps[j] = s_chart.one()
+        for a, name in enumerate(s_chart.names):
+            dg = sub.graph[j].diff(name)
+            if dg:
+                comps[sub.param_indices[a]] = -dg
+        out.append(comps)
+    return out
+
+
+def ref_normal_residues(sub, vec_comps):
+    s_chart = sub.chart_s()
+    out = []
+    for j in sorted(sub.graph):
+        acc = s_chart.lift(vec_comps[j])
+        for a, name in enumerate(s_chart.names):
+            dg = sub.graph[j].diff(name)
+            if dg:
+                acc = acc - dg * vec_comps[sub.param_indices[a]]
+        out.append(acc)
+    return out
+
+
+def ref_generalized_tangent(sub):
+    s_chart = sub.chart_s()
+    m, ds = sub.ambient.dim, sub.dim_s
+    sections = []
+    for a, lift in enumerate(ref_tangent_lifts(sub)):
+        unit = [s_chart.one() if b == a else s_chart.zero() for b in range(ds)]
+        ix_f = sub.f2.contract(unit)
+        cov = [s_chart.zero()] * m
+        for b in range(ds):
+            c = ix_f.coeff(1 << b)
+            if c:
+                cov[sub.param_indices[b]] = s_chart.lift(c)
+        sections.append(GenVector(m, lift, cov))
+    for conormal in ref_conormals(sub):
+        sections.append(GenVector(m, [s_chart.zero()] * m, conormal))
+    for u in sections:
+        for v in sections:
+            assert not u.pair(v)
+    return sections
+
+
+def ref_brane_check(structure, sub):
+    """Every BraneReport field, decided pair by pair and vector by vector."""
+    s_chart = sub.chart_s()
+    m, ds = sub.ambient.dim, sub.dim_s
+    samples = [s_chart.point(*([0] * ds)), s_chart.point(*([1] * ds))]
+    tau = ref_generalized_tangent(sub)
+    jmat = sub.restrict_matrix(structure.matrix())
+    failures = []
+    for idx, u in enumerate(tau):
+        ju = GenVector.from_coords(linalg.mat_vec(jmat, list(u.coords())))
+        for jdx, w in enumerate(tau):
+            if ju.pair(w):
+                failures.append((idx, jdx))
+    blocks = structure.blocks()
+    symplectic_type = not any(map(any, blocks.a))
+    complex_type = not any(map(any, blocks.b_map + blocks.beta_map))
+    coiso = True
+    char_samples = []
+    pmap_r = sub.restrict_matrix(blocks.beta_map)
+    for p in samples:
+        pm = linalg.eval_matrix(pmap_r, p)
+        char_rows = []
+        for conormal in ref_conormals(sub):
+            xi = [c.eval(p) for c in conormal]
+            img = linalg.mat_vec(pm, xi)
+            resid = ref_normal_residues(sub, [Poly.const(s_chart.names, c) for c in img])
+            if any(r.eval(p) for r in resid):
+                coiso = False
+            if any(img):
+                char_rows.append(tuple(img))
+        char_samples.append(tuple(char_rows))
+    ell_samples = []
+    for p in samples:
+        rows = [[c.eval(p) for c in u.coords()] for u in tau]
+        jp = linalg.eval_matrix(jmat, p)
+        images = [linalg.mat_vec(jp, r) for r in rows]
+        coef_cols = [
+            [images[s][i] - IUNIT * rows[s][i] for s in range(len(rows))]
+            for i in range(2 * m)
+        ]
+        ker = linalg.kernel(coef_cols)
+        ell_samples.append(tuple(map(tuple, linalg.mat_mul(ker, rows))))
+    out = dict(
+        compatible=not failures, failures=tuple(failures[:8]), coisotropic=coiso,
+        lagrangian=None, complex_stable=None, f_type_11=None, sigma_basic=None,
+        space_filling_j=None, space_filling_j_squared_ok=None, sigma_20=None,
+        ell_frame_samples=tuple(ell_samples), characteristic_samples=tuple(char_samples),
+    )
+    if symplectic_type:
+        omega_pull = sub.pull_form(two_form_from_map(blocks.b_map))
+        if sub.graph:
+            out["lagrangian"] = 2 * ds == m and not sub.f2 and not omega_pull
+        sigma = sub.f2 + omega_pull.scale(IUNIT)
+        dsigma = d(s_chart, sigma)
+        out["sigma_basic"] = True
+        for p, char_rows in zip(samples, char_samples):
+            for xi_img in char_rows:
+                xs = sub.to_s_vector(list(xi_img))
+                if sigma.eval_at(p).contract(xs) or dsigma.eval_at(p).contract(xs):
+                    out["sigma_basic"] = False
+        if not sub.graph and sub.f2:
+            idx = sub.param_indices
+            p_s = [[pmap_r[i][k] for k in idx] for i in idx]
+            jnew = linalg.mat_mul(p_s, s_chart.lift_matrix(map_from_two_form(sub.f2)))
+            out["space_filling_j"] = tuple(tuple(row) for row in jnew)
+            jsq = linalg.mat_mul(jnew, jnew)
+            out["space_filling_j_squared_ok"] = all(
+                jsq[i][k] == (-ONE if i == k else ZERO) for i in range(m) for k in range(m)
+            )
+            out["sigma_20"] = False
+            if out["space_filling_j_squared_ok"]:
+                for orient in (IUNIT, -IUNIT):
+                    ok = True
+                    for a in range(m):
+                        ja = [jnew[i][a] for i in range(m)]
+                        ua = [s_chart.one() if t == a else s_chart.zero() for t in range(m)]
+                        if sigma.contract(ja) - sigma.contract(ua).scale(orient):
+                            ok = False
+                    if ok:
+                        out["sigma_20"] = True
+    if complex_type:
+        jendo = sub.restrict_matrix([[-x for x in row] for row in blocks.a])
+        out["complex_stable"] = True
+        jl = []
+        for lift in ref_tangent_lifts(sub):
+            img = linalg.mat_vec(jendo, list(lift))
+            if any(bool(r) for r in ref_normal_residues(sub, img)):
+                out["complex_stable"] = False
+            jl.append(img)
+        out["f_type_11"] = True
+        for a in range(ds):
+            for b in range(ds):
+                ja, jb = sub.to_s_vector(jl[a]), sub.to_s_vector(jl[b])
+                ua = [s_chart.one() if t == a else s_chart.zero() for t in range(ds)]
+                ub = [s_chart.one() if t == b else s_chart.zero() for t in range(ds)]
+                lhs = sub.f2.contract(ja).contract(jb).coeff(0)
+                rhs = sub.f2.contract(ua).contract(ub).coeff(0)
+                if lhs - rhs:
+                    out["f_type_11"] = False
+    return out
+
+
+def random_brane(rng, kind):
+    """A structure of the given block kind and a random trivialized graph.
+
+    Charts are real or complex-paired of dimension 2 or 4, graphs have degree
+    0 or 1, and F is constant or the d of a quadratic 1-form.
+    """
+    n = rng.r.choice((1, 2))
+    m = 2 * n
+    chart = Chart.complex_plane(n) if rng.r.random() < 0.5 else Chart.real(*CH.names[:m])
+    if kind == "symplectic":
+        s = rng.gc_structure(m, 0, 1, kinds=("gl",))
+    elif kind == "complex":
+        s = rng.gc_structure(m, n, 1, kinds=("gl",))
+    else:
+        s = rng.gc_structure(m, rng.r.randint(0, n), 2)
+    ds = rng.r.randint(1, m)
+    params = tuple(rng.r.sample(range(m), ds))
+    s_chart = Chart(tuple(chart.names[i] for i in params))
+    graph = {
+        j: rng.poly(s_chart, rng.r.choice((0, 1)), 2)
+        for j in range(m) if j not in params
+    }
+    f2 = None
+    if ds > 1 and rng.r.random() < 0.7:
+        if rng.r.random() < 0.5:
+            f2 = rng.two_form(ds, complex_ok=True)
+        else:
+            f2 = d(s_chart, MixedForm(ds, {1 << a: rng.poly(s_chart, 2, 2) for a in range(ds)}))
+    return s, SubmanifoldData(chart, params, graph, f2)
+
+
+def structured_branes():
+    """Compatible and space-filling cases that random graphs rarely reach."""
+    out = [(sy_dxdp(), plane((0, 1), (2, 3))), (sy_dxdp(), plane((0, 2), (1, 3)))]
+    for seed in range(6):
+        wmap, fmap = dense_space_filling(4, seed)
+        f = two_form_from_map(fmap)
+        out.append((j_symplectic(wmap), whole_chart(CH, f)))
+        out.append((j_symplectic(wmap), SubmanifoldData(CH, (1, 0, 3, 2), {}, f)))
+        out.append((j_symplectic(wmap), whole_chart(CH, f.scale(IUNIT))))
+    chc = Chart.complex_plane(2)
+    sj = j_complex(standard_complex_endo(2))
+    for f in (MixedForm(4, {0b0011: ONE}), MixedForm(4, {0b0101: ONE, 0b1010: -ONE})):
+        out.append((sj, whole_chart(chc, f)))
+    zero = Poly.zero(("x1", "x2"))
+    out.append((sj, SubmanifoldData(chc, (0, 1), {2: zero, 3: zero})))
+    return out
+
+
+class TestAgainstThePairwiseLoops:
+    FIELDS = BraneReport._fields
+
+    def assert_same(self, s, sub):
+        assert sub.tangent_lifts() == ref_tangent_lifts(sub)
+        assert sub.conormals() == ref_conormals(sub)
+        assert list(generalized_tangent(sub).sections) == ref_generalized_tangent(sub)
+        rep, ref = brane_check(s, sub), ref_brane_check(s, sub)
+        for name in self.FIELDS:
+            assert getattr(rep, name) == ref[name], name
+
+    @pytest.mark.parametrize("kind", ["symplectic", "complex", "conjugated"])
+    def test_random_branes(self, kind):
+        rng = Rng({"symplectic": 11, "complex": 12, "conjugated": 13}[kind])
+        for _ in range(70):
+            self.assert_same(*random_brane(rng, kind))
+
+    def test_structured_branes(self):
+        reached = set()
+        for s, sub in structured_branes():
+            self.assert_same(s, sub)
+            rep = brane_check(s, sub)
+            reached.add((rep.compatible, rep.sigma_20, rep.f_type_11))
+        assert {(True, True, None), (False, False, None), (False, None, False)} <= reached

@@ -12,12 +12,14 @@ from gcgeo.jobio import (
     Report,
     emit,
     form_json,
+    matrix_json,
     parse_form,
     parse_scalar,
     scalar_str,
 )
 from gcgeo.scalars import GaussRat, Poly, IUNIT
 from gcgeo.forms import MixedForm
+from gcgeo.gcs import j_complex, j_symplectic, standard_complex_endo
 from gcgeo.randgen import Rng
 
 
@@ -358,6 +360,35 @@ class TestCommands:
         error = json.loads(captured.out)["counterexample"]["error"]
         assert error.startswith("mv_a[0].coeff: ") and "scalar too large" in error
 
+    @pytest.mark.parametrize(
+        "command,j", [("brane-check", "complex"), ("brane-check", "symplectic"), ("pullback", None)]
+    )
+    def test_f_of_degree_other_than_2_exit_2(self, command, j, tmp_path, capsys):
+        # F = 1 + dx1 once passed under the complex J
+        doc = {
+            "schema_version": 1,
+            "command": command,
+            "chart": {"complex_dim": 2},
+            "submanifold": {
+                "params": [1, 2, 3, 4],
+                "f": [{"coeff": "1", "basis": []}, {"coeff": "1", "basis": [1]}],
+            },
+        }
+        if command == "pullback":
+            doc["dirac_frame"] = [{"vec": ["1" if k == i else "0" for k in range(4)]}
+                                  for i in range(4)]
+        else:
+            make = j_complex if j == "complex" else j_symplectic
+            doc["matrix"] = matrix_json(make(standard_complex_endo(2)).matrix())
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps(doc))
+        code = main([command, str(p)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert json.loads(captured.out)["counterexample"]["error"] == (
+            "submanifold: F must be a 2-form"
+        )
+
     def test_mathematical_fail_exit_1(self, tmp_path, capsys):
         doc = {
             "schema_version": 1,
@@ -546,6 +577,20 @@ class TestFlagOverrides:
         assert "degree bound 0" in body["counterexample"]["error"]
         code, out = run_cli(["pullback", str(p), "--degree-bound", "1"], capsys)
         assert code == 0 and json.loads(out)["certificate"]["frame"]
+
+    def test_pullback_over_the_ansatz_cap_exit_2(self):
+        # bound 160 has up to 26,082 x 52,164 rows x unknowns: refused before
+        # anything is built, where it used to end in a MemoryError
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "gcgeo.cli", "pullback", case("pullback_graph_b.json"),
+             "--degree-bound", "160"],
+            capture_output=True, text=True,
+        )
+        assert time.perf_counter() - t0 < 5.0
+        assert proc.returncode == 2 and proc.stderr == ""
+        error = json.loads(proc.stdout)["counterexample"]["error"]
+        assert error.startswith("the ansatz at degree bound 160 has up to ")
 
     def test_pullback_rank_jump_is_a_failure(self, tmp_path, capsys):
         # the section x1 d/dp1 vanishes on x1 = 0 only

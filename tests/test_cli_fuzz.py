@@ -6,7 +6,9 @@ JSON type: a small int, a string, a list, an object or null.  An int never
 replaces a number, and the strings hold no number above 1, so no mutation
 makes a size larger and the math stays as cheap as in the case files.  The
 run must end in exit code 0, 1 or 2 with no exception escaping `cli.main`;
-exit 1 must carry a counterexample.
+exit 1 must carry a counterexample.  A second property gives `brane-check`
+an F whose terms have random degrees 0..4: it must exit 2, located at
+`submanifold`, unless every term has degree 2.
 """
 
 import glob
@@ -17,6 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gcgeo.cli import main
+from gcgeo.gcs import j_complex, j_symplectic, standard_complex_endo
+from gcgeo.jobio import matrix_json
 
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
 
@@ -88,3 +92,39 @@ def test_mutated_document_exits_0_1_or_2(data, tmp_path_factory, capsys):
     assert code in (0, 1, 2)
     if code == 1:
         assert body["counterexample"]
+
+
+BASES = st.lists(
+    st.sampled_from([0, 1, 2, 2, 2, 3, 4]).flatmap(
+        lambda k: st.lists(st.integers(1, 4), min_size=k, max_size=k, unique=True).map(sorted)
+    ),
+    min_size=1, max_size=4, unique_by=tuple,
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bases=BASES, coeffs=st.lists(st.sampled_from(["1", "-2", "1/2", "i"]), min_size=4, max_size=4),
+       j=st.sampled_from(["complex", "symplectic"]))
+def test_f_of_any_other_degree_exits_2(bases, coeffs, j, tmp_path_factory, capsys):
+    # a space-filling brane whose F has terms of random degree 0..4
+    make = j_complex if j == "complex" else j_symplectic
+    doc = {
+        "schema_version": 1,
+        "command": "brane-check",
+        "chart": {"complex_dim": 2},
+        "matrix": matrix_json(make(standard_complex_endo(2)).matrix()),
+        "submanifold": {
+            "params": [1, 2, 3, 4],
+            "f": [{"coeff": c, "basis": b} for b, c in zip(bases, coeffs)],
+        },
+    }
+    job = tmp_path_factory.mktemp("f_degree") / "brane.json"
+    job.write_text(json.dumps(doc))
+    code = main(["brane-check", str(job)])
+    body = json.loads(capsys.readouterr().out)
+    if all(len(b) == 2 for b in bases):
+        assert code in (0, 1)
+    else:
+        assert code == 2
+        assert body["counterexample"]["error"] == "submanifold: F must be a 2-form"

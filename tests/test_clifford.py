@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from gcgeo.scalars import GaussRat, NoExactSquareRoot, IUNIT, ONE, ZERO
 from gcgeo.forms import MixedForm, map_from_two_form, mukai_coeff, two_form_from_map
-from gcgeo.clifford import BlockTransform, GenVector, SoElement, gl_pullback_inverse
+from gcgeo.charts import Chart
+from gcgeo.clifford import (
+    BlockTransform, GenVector, SoElement, gl_pullback_inverse, pairing_matrix,
+)
+from gcgeo.randgen import Rng
 from gcgeo import linalg
 
 from conftest import gauss_rats
@@ -51,6 +55,26 @@ class TestCliffordAction:
     def test_polarized_relation(self, v, w, phi):
         lhs = v.act(w.act(phi)) + w.act(v.act(phi))
         assert lhs == phi.scale(GaussRat(2) * v.pair(w))
+
+
+class TestPairingMatrix:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_twice_the_pairing_on_polynomial_sections(self, seed):
+        rng = Rng(seed)
+        chart = Chart.real("x", "y", "z")
+        a = [rng.section(chart, rng.r.randint(0, 2)) for _ in range(rng.r.randint(1, 4))]
+        b = [rng.section(chart, rng.r.randint(0, 2)) for _ in range(rng.r.randint(1, 4))]
+        got = pairing_matrix([u.coords() for u in a], [w.coords() for w in b])
+        assert len(got) == len(a) and all(len(row) == len(b) for row in got)
+        for u, row in zip(a, got):
+            for w, x in zip(b, row):
+                assert not x - GaussRat(2) * u.pair(w)
+
+    @given(st.lists(gen_vectors(), min_size=1, max_size=4), st.lists(gen_vectors(), max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_twice_the_pairing_on_constants(self, a, b):
+        got = pairing_matrix([u.coords() for u in a], [w.coords() for w in b])
+        assert got == [[GaussRat(2) * u.pair(w) for w in b] for u in a]
 
 
 class TestSpinAction:
