@@ -155,16 +155,18 @@ class MCReport(Record, frozen=True):
     residual: dict
 
 
-def eps_sharp(pair: LiePair, eps: dict, i: int) -> GenVector:
-    """The R-section eps^#(l_i) with <eps^# u, v> = eps(u, v).
+def eps_sharps(pair: LiePair, eps: dict) -> list:
+    """The R-sections eps^#(l_i), i = 0..m-1, with <eps^# u, v> = eps(u, v).
 
-    Its R-components d satisfy <eps^# l_i, l_j> = sum_k G_jk d_k = eps(l_i, l_j),
-    so d = G^-1 (i_{l_i} eps).
+    The R-components d of eps^#(l_i) satisfy <eps^# l_i, l_j> = sum_k G_jk d_k
+    = eps(l_i, l_j), so d = G^-1 (i_{l_i} eps); one product gives them all.
     """
     m = pair.chart.dim
-    contracted = MixedForm(m, eps).contract_blade(1 << i)
-    vals = [contracted.coeff(1 << j) for j in range(m)]
-    return _assemble(pair.frame_r, linalg.mat_vec(pair._gram_inv, vals), pair.chart)
+    form = MixedForm(m, eps)
+    contracted = [form.contract_blade(1 << i) for i in range(m)]
+    vals = [[c.coeff(1 << j) for c in contracted] for j in range(m)]
+    comps = linalg.transpose(linalg.mat_mul(pair._gram_inv, vals))
+    return [_assemble(pair.frame_r, d, pair.chart) for d in comps]
 
 
 def maurer_cartan(pair: LiePair, eps: dict) -> MCReport:
@@ -184,7 +186,7 @@ def maurer_cartan(pair: LiePair, eps: dict) -> MCReport:
             for w in secs:
                 if br.pair(w):
                     raise ValueError("L frame is not involutive; d_L is undefined")
-    deformed = [l + eps_sharp(pair, eps, i) for i, l in enumerate(secs)]
+    deformed = [l + s for l, s in zip(secs, eps_sharps(pair, eps))]
     residual: dict = {}
     for i in range(m):
         for j in range(i + 1, m - 1):

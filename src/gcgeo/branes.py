@@ -10,7 +10,7 @@ hypotheses are audited at sample points.
 from __future__ import annotations
 
 from .record import Record
-from .scalars import Poly, ONE, IUNIT
+from .scalars import Poly, ONE, IUNIT, ZERO, as_gauss, is_real
 from .forms import MixedForm, covector_form, two_form_from_map, map_from_two_form
 from .clifford import GenVector, pairing_matrix
 from .charts import Chart
@@ -28,9 +28,9 @@ class SubmanifoldData(Record, frozen=True):
     """A graph submanifold x_j = g_j(params) carrying a trivializing 2-form F.
 
     param_indices are the ambient coordinates restricting to coordinates on S;
-    graph maps each remaining coordinate index to a polynomial over the
-    parameter chart.  F is a 2-form on the parameter chart and must satisfy
-    dF = i*H exactly.
+    graph maps each remaining coordinate index to a real polynomial over the
+    parameter chart.  F is a real 2-form on the parameter chart and must
+    satisfy dF = i*H exactly.
     """
 
     ambient: Chart
@@ -50,10 +50,13 @@ class SubmanifoldData(Record, frozen=True):
             if g.vars != s_chart.names:
                 raise ValueError("graph polynomials must live on the parameter chart")
         # the embedding Jacobian: row i holds dx_i/dt_a, a unit row for a
-        # parameter and the gradient of g_i for a graphed coordinate
-        unit = linalg.identity(self.dim_s, s_chart.one(), s_chart.zero())
+        # parameter and the gradient of g_i for a graphed coordinate.  Here,
+        # in F's map, in restricted constants and in the conormals, constants
+        # stay GaussRats, so products of constant matrices keep to GaussRat
+        # arithmetic
+        unit = linalg.identity(self.dim_s)
         jac = [
-            [self.graph[i].diff(n) for n in s_chart.names]
+            [_constant(self.graph[i].diff(n)) for n in s_chart.names]
             if i in self.graph else unit[params.index(i)]
             for i in range(m)
         ]
@@ -63,8 +66,12 @@ class SubmanifoldData(Record, frozen=True):
             raise ValueError("F must live on the submanifold chart")
         if any(mask.bit_count() != 2 for mask in f2.terms):
             raise ValueError("F must be a 2-form")
+        if not all(map(is_real, f2.terms.values())):
+            raise ValueError("F must be a real 2-form")
+        if not all(map(is_real, self.graph.values())):
+            raise ValueError("graph polynomials must be real")
         object.__setattr__(self, "f2", s_chart.lift_form(f2))
-        object.__setattr__(self, "_f_map", s_chart.lift_matrix(map_from_two_form(f2)))
+        object.__setattr__(self, "_f_map", [[_constant(x) for x in r] for r in map_from_two_form(f2)])
         target = (
             self.pull_form(self.h.form)
             if self.h is not None
@@ -81,10 +88,11 @@ class SubmanifoldData(Record, frozen=True):
     def dim_s(self) -> int:
         return len(self.param_indices)
 
-    def restrict_scalar(self, p) -> Poly:
+    def restrict_scalar(self, p):
+        """p on S: a Poly over the parameter chart, or a GaussRat constant."""
         names = self.chart_s().names
         if not isinstance(p, Poly):
-            return Poly.const(names, p)
+            return as_gauss(p)
         return p.subs_into(names, {self.ambient.names[j]: g for j, g in self.graph.items()})
 
     def pull_form(self, phi: MixedForm) -> MixedForm:
@@ -109,11 +117,10 @@ class SubmanifoldData(Record, frozen=True):
 
     def conormals(self):
         """d(x_j - g_j): a frame of Ann(TS) in ambient components."""
-        s_chart = self.chart_s()
         out = []
         for j in sorted(self.graph):
-            comps = [s_chart.zero()] * self.ambient.dim
-            comps[j] = s_chart.one()
+            comps = [ZERO] * self.ambient.dim
+            comps[j] = ONE
             for i, dg in zip(self.param_indices, self._jac[j]):
                 comps[i] = -dg
             out.append(comps)
@@ -121,6 +128,13 @@ class SubmanifoldData(Record, frozen=True):
 
     def to_s_vector(self, vec_comps):
         return [vec_comps[i] for i in self.param_indices]
+
+
+def _constant(x):
+    """x as a GaussRat when it is a constant Poly, else x itself."""
+    if isinstance(x, Poly) and not any(map(any, x.terms)):
+        return x.terms.get((0,) * len(x.vars), ZERO)
+    return x
 
 
 def whole_chart(chart: Chart, f2: MixedForm | None = None) -> SubmanifoldData:
@@ -140,15 +154,14 @@ class GeneralizedTangent(Record, frozen=True):
 
 def generalized_tangent(sub: SubmanifoldData) -> GeneralizedTangent:
     m = sub.ambient.dim
-    zero = sub.chart_s().zero()
     rows = []
     for a, lift in enumerate(sub.tangent_lifts()):
         # (i_{e_a} F)_b is entry (b, a) of F's map
-        cov = [zero] * m
+        cov = [ZERO] * m
         for i, f_row in zip(sub.param_indices, sub._f_map):
             cov[i] = f_row[a]
         rows.append(lift + cov)
-    rows += [[zero] * m + conormal for conormal in sub.conormals()]
+    rows += [[ZERO] * m + conormal for conormal in sub.conormals()]
     if any(map(any, pairing_matrix(rows, rows))):
         raise AssertionError("generalized tangent frame is not isotropic")
     return GeneralizedTangent(sub, tuple(GenVector.from_coords(r) for r in rows))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .record import Record
-from .scalars import GaussRat, ONE, ZERO, IUNIT, HALF, as_gauss
+from .scalars import GaussRat, ONE, ZERO, IUNIT, HALF, as_gauss, is_real
 from .forms import MixedForm, check_dim, coefficient_rows, mukai_coeff, two_form_from_map
 from .clifford import GenVector, SoElement
 from .isotropics import (
@@ -60,7 +60,7 @@ class GCStructure(Record, frozen=True):
 
 
 def validate_gc(j) -> GCStructure:
-    """Check J^2 = -1 and orthogonality, with a diagnostic naming the failure.
+    """Check that J is real, J^2 = -1 and orthogonality, naming the failure.
 
     Given J^2 = -1, J is orthogonal for the pairing exactly when it lies in
     so(T + T*): J = [[A, beta], [B, -A^T]] with beta and B antisymmetric.
@@ -72,6 +72,10 @@ def validate_gc(j) -> GCStructure:
     m = side // 2
     check_dim(m)
     j = [list(r) for r in j]
+    for i, row in enumerate(j):
+        for k, x in enumerate(row):
+            if not is_real(x):
+                raise InvalidStructure(f"J is not real: entry ({i},{k}) is {x!r}")
     j2 = linalg.mat_mul(j, j)
     for i in range(side):
         for k in range(side):

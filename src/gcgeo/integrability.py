@@ -284,11 +284,11 @@ def deform_by_bivector(
     """
     m = chart.dim
     real_mv = beta_mv + beta_mv.conj()
-    bmap = chart.lift_matrix(map_from_two_form(real_mv) if real_mv else linalg.zeros(m, m))
-    one, zero = chart.lift_matrix(linalg.identity(m)), chart.lift_matrix(linalg.zeros(m, m))
+    bmap = map_from_two_form(real_mv) if real_mv else linalg.zeros(m, m)
+    one, zero = linalg.identity(m), linalg.zeros(m, m)
     e = linalg.from_blocks(one, bmap, zero, one)
     einv = linalg.from_blocks(one, [[-x for x in row] for row in bmap], zero, one)
-    jb = linalg.mat_mul(e, linalg.mat_mul(chart.lift_matrix(base.matrix()), einv))
+    jb = linalg.mat_mul(e, linalg.mat_mul(base.matrix(), einv))
     s = validate_gc(jb)
     # canonical spinor of the base complex structure, deformed by contraction
     omega = MixedForm.one(m)

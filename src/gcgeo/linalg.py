@@ -1,14 +1,22 @@
-"""Exact linear algebra over gaussian rationals, plus generic ring matrices.
+"""Exact linear algebra over gaussian rationals and their polynomials.
 
-Matrices are plain lists of lists.  Products, transposes and identity checks
-work for any scalar ring (GaussRat or Poly) by duck typing.  A map of T + T*
-is a 2n x 2n matrix in the basis (e_1..e_n, e^1..e^n); `from_blocks` and
-`blocks` are the only code that assembles or splits its four n x n blocks.  When every entry
-is a GaussRat, `mat_mul` and `mat_vec` run in the integer lane of `scalars`:
-each row of the left factor and each column of the right one (or the vector)
-is scaled to gaussian integers by the lcm of its denominators, products are
-added up in plain ints (skipping zero entries), and `GaussRat._raw` runs once
-per nonzero entry of the result.
+Matrices are plain lists of lists.  A map of T + T* is a 2n x 2n matrix in
+the basis (e_1..e_n, e^1..e^n); `from_blocks` and `blocks` are the only code
+that assembles or splits its four n x n blocks.
+
+Products run in the integer lane of `scalars`, in one kernel, `_product`;
+`mat_vec` is the one-column case of `mat_mul`.  Each row of the left factor
+and each column of the right one is scaled once to gaussian integers by the
+lcm of its coefficient denominators (`_lane`, which reads ints and Fractions
+as GaussRats and splits each Poly into its constant term and the rest), so
+constant terms add up in two plain ints per entry, skipping zero factors,
+and only the other terms of Polys go through a dict by exponent.
+`GaussRat._raw` runs once per nonzero coefficient of the result.  An entry
+of the product is ZERO when no nonzero products reach it, and a Poly exactly
+when one of them has a Poly factor, as the per-entry sum would give.  All
+nonzero Polys of both factors must be over one chart, whether or not they
+meet in a product, or `MismatchedVariables` is raised.  `eval_matrix`
+computes each monomial once per matrix.
 
 Row reduction, kernels, solves, ranks and inverses are defined over the
 GaussRat field and share one Gauss-Jordan core, `_eliminate`.  It works on
@@ -30,8 +38,11 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd, lcm
+from operator import add
 
-from .scalars import GaussRat, ONE, ZERO, all_gauss, as_gauss, lane, lane_dot
+from .scalars import (
+    GaussRat, MismatchedVariables, ONE, Poly, ZERO, all_gauss, as_gauss, lane,
+)
 
 
 def zeros(r, c):
@@ -43,81 +54,177 @@ def identity(n, one=ONE, zero=ZERO):
 
 
 def mat_mul(a, b):
-    if all(map(all_gauss, a)) and all(map(all_gauss, b)):
-        return _mat_mul_lane(a, b)
-    rb = len(b)
-    cb = len(b[0]) if rb else 0
-    out = []
-    for row in a:
-        acc = [None] * cb
-        for k in range(rb):
-            x = row[k]
-            if not x:
-                continue
-            brow = b[k]
-            for j in range(cb):
-                y = brow[j]
-                if not y:
-                    continue
-                t = x * y
-                acc[j] = t if acc[j] is None else acc[j] + t
-        out.append([ZERO if v is None else v for v in acc])
-    return out
-
-
-def _mat_mul_lane(a, b):
-    """a b for GaussRat entries: rows of a and columns of b on their own lanes.
-
-    Row i of the product accumulates a[i][k] times the nonzero integer
-    entries of row k of b in plain ints; entry (i, j) is then divided by the
-    common denominators of row i of a and column j of b.
-    """
-    cols = [lane(col) for col in zip(*b)]
-    dens = [lb for lb, _ in cols]
-    brows = [
-        [(j, c, d) for j, (c, d) in enumerate(r) if c or d]
-        for r in zip(*[ys for _, ys in cols])
-    ]
-    out = []
-    for row in a:
-        la, xs = lane(row)
-        us = [0] * len(dens)
-        vs = [0] * len(dens)
-        for (x, y), brow in zip(xs, brows):
-            if y:
-                for j, c, d in brow:
-                    us[j] += x * c - y * d
-                    vs[j] += x * d + y * c
-            elif x:
-                for j, c, d in brow:
-                    us[j] += x * c
-                    vs[j] += x * d
-        out.append([
-            GaussRat._raw(u, v, la * lb) if u or v else ZERO
-            for u, v, lb in zip(us, vs, dens)
-        ])
-    return out
+    """a b; an empty b is a product with no columns."""
+    if not b:
+        return [[] for _ in a]
+    if any(len(r) != len(b[0]) for r in b):
+        raise ValueError("the rows of a matrix differ in length")
+    return _product(a, list(zip(*b)), len(b))
 
 
 def mat_vec(a, v):
-    if all_gauss(v) and all(map(all_gauss, a)):
-        lv, ys = lane(v)
-        out = []
-        for row in a:
-            la, xs = lane(row)
-            u, w = lane_dot(xs, ys)
-            out.append(GaussRat._raw(u, w, la * lv) if u or w else ZERO)
-        return out
+    """a v, the one-column case of `mat_mul`."""
+    return [r[0] for r in _product(a, [v], len(v))]
+
+
+def _product(a, cols, k):
+    """a b for the columns cols of a right factor b with k rows.
+
+    Row i of the product accumulates the constant terms of a[i][t] b[t][j]
+    on the lanes of `_lane` in two plain ints per column, skipping zero
+    factors.  When Polys take part, a second pass over the row marks the
+    entries that have a product with a Poly factor and adds up their other
+    terms in a dict by exponent.  Entry (i, j) is then divided by the
+    denominators of row i of a and column j of b, one `GaussRat._raw` per
+    coefficient.
+    """
+    if any(map(k.__ne__, map(len, a))):
+        raise ValueError(
+            f"cannot multiply rows of lengths {sorted({len(r) for r in a})} by {k} rows"
+        )
+    charts = set()
+    cols = [_lane(col, charts) for col in cols]
+    rows = [_lane(row, charts) for row in a]
+    if len(charts) > 1:
+        raise MismatchedVariables(f"polynomials over {sorted(charts)} cannot be combined")
+    n = len(cols)
+    dens = [lb for lb, _ in cols]
+    # row t of b: (j, c, d) per nonzero constant term; when Polys take part
+    # also j per nonzero entry, j per nonzero Poly and (j, terms) per Poly
+    # with other terms
+    consts = [[] for _ in range(k)]
+    for j, (_, ys) in enumerate(cols):
+        for t, c, d, _ in ys:
+            if c or d:
+                consts[t].append((j, c, d))
+    if charts:
+        (names,) = charts
+        const = (0,) * len(names)
+        nonzero, polys, terms = [[] for _ in range(k)], [[] for _ in range(k)], [[] for _ in range(k)]
+        for j, (_, ys) in enumerate(cols):
+            for t, _, _, yt in ys:
+                nonzero[t].append(j)
+                if yt is not None:
+                    polys[t].append(j)
+                    if yt:
+                        terms[t].append((j, yt))
+    raw = GaussRat._raw
     out = []
-    for row in a:
-        s = None
-        for x, y in zip(row, v):
-            if not x or not y:
+    for la, xs in rows:
+        us = [0] * n
+        vs = [0] * n
+        for t, p, q, _ in xs:
+            if q:
+                for j, c, d in consts[t]:
+                    us[j] += p * c - q * d
+                    vs[j] += p * d + q * c
+            elif p:
+                for j, c, d in consts[t]:
+                    us[j] += p * c
+                    vs[j] += p * d
+        if not charts:
+            out.append([
+                raw(u, v, la * lb) if u or v else ZERO
+                for u, v, lb in zip(us, vs, dens)
+            ])
+            continue
+        marked, accs = set(), {}
+        for t, p, q, xt in xs:
+            if xt is None:
+                marked.update(polys[t])
+            else:
+                marked.update(nonzero[t])
+                if xt:
+                    for j, c, d in consts[t]:
+                        _add_scaled(accs, j, xt, c, d)
+                    for j, yt in terms[t]:
+                        for e1, r1, s1 in xt:
+                            _add_scaled(accs, j, [
+                                (tuple(map(add, e1, e2)), r2, s2) for e2, r2, s2 in yt
+                            ], r1, s1)
+            if p or q:
+                for j, yt in terms[t]:
+                    _add_scaled(accs, j, yt, p, q)
+        new = []
+        for j, (u, v, lb) in enumerate(zip(us, vs, dens)):
+            den = la * lb
+            if j not in marked:
+                new.append(raw(u, v, den) if u or v else ZERO)
                 continue
-            t = x * y
-            s = t if s is None else s + t
-        out.append(ZERO if s is None else s)
+            coeffs = {const: raw(u, v, den)} if u or v else {}
+            for e, (u, v) in accs.get(j, {}).items():
+                if u or v:
+                    coeffs[e] = raw(u, v, den)
+            new.append(Poly._raw(names, coeffs))
+        out.append(new)
     return out
+
+
+def _lane(cs, charts):
+    """(L, items): the nonzero entries of a row or column on one integer lane.
+
+    cs holds GaussRats and Polys (ints and Fractions read as GaussRats), and
+    L is the lcm of every coefficient denominator in it.  items lists
+    (k, a, b, terms) for each nonzero cs[k]: a + bi is L times its constant
+    term, and terms is None for a GaussRat and for a Poly lists (exponent,
+    c, d) with c + di L times each other term.  The variables of each
+    nonzero Poly are added to the set charts.
+    """
+    if all_gauss(cs):
+        lc = lcm(*[c.q for c in cs])
+        if lc == 1:
+            return 1, [(k, c.a, c.b, None) for k, c in enumerate(cs) if c.a or c.b]
+        return lc, [
+            (k, c.a * (s := lc // c.q), c.b * s, None)
+            for k, c in enumerate(cs)
+            if c.a or c.b
+        ]
+    parts, qs = [], []
+    for k, x in enumerate(cs):
+        if type(x) is Poly:
+            if x.terms:
+                charts.add(x.vars)
+                qs += [c.q for c in x.terms.values()]
+                parts.append((k, x))
+        else:
+            if type(x) is not GaussRat:
+                x = as_gauss(x)
+            if x.a or x.b:
+                qs.append(x.q)
+                parts.append((k, x))
+    lc = lcm(*qs)
+    items = []
+    for k, x in parts:
+        if type(x) is GaussRat:
+            items.append((k, x.a * (lc // x.q), x.b * (lc // x.q), None))
+            continue
+        const = (0,) * len(x.vars)
+        g = x.terms.get(const, ZERO)
+        rest = [
+            (e, c.a * (s := lc // c.q), c.b * s) for e, c in x.terms.items() if e != const
+        ]
+        items.append((k, g.a * (lc // g.q), g.b * (lc // g.q), rest))
+    return lc, items
+
+
+def _add_scaled(accs, j, terms, c, d):
+    """Add the lane terms (exponent, r, s), each times c + di, to accs[j].
+
+    accs[j] maps exponents to integer pairs [u, v] = u + vi; the exponents of
+    terms are distinct.
+    """
+    acc = accs.get(j)
+    if acc is None:
+        accs[j] = {e: [r * c - s * d, r * d + s * c] for e, r, s in terms}
+        return
+    for e, r, s in terms:
+        u, v = r * c - s * d, r * d + s * c
+        uv = acc.get(e)
+        if uv is None:
+            acc[e] = [u, v]
+        else:
+            uv[0] += u
+            uv[1] += v
 
 
 def from_blocks(a, b, c, d):
@@ -412,11 +519,23 @@ def span_equal(rows_a, rows_b) -> bool:
 
 
 def eval_matrix(m, point: dict):
-    """Evaluate a polynomial matrix at a chart point, yielding GaussRat entries."""
+    """Evaluate a polynomial matrix at a chart point, yielding GaussRat entries.
+
+    Poly entries over one chart share their coordinates and the values of
+    their monomials (`Poly._eval_at`), so each monomial is computed once per
+    matrix.
+    """
+    charts = {}
     out = []
     for row in m:
         new = []
         for x in row:
-            new.append(x.eval(point) if hasattr(x, "eval") else as_gauss(x))
+            if type(x) is Poly:
+                vals, monos = charts.get(x.vars) or charts.setdefault(
+                    x.vars, (x._values(point), {})
+                )
+                new.append(x._eval_at(vals, monos))
+            else:
+                new.append(as_gauss(x))
         out.append(new)
     return out

@@ -264,8 +264,10 @@ HALF = GaussRat(Fraction(1, 2))
 # each operand to gaussian integers by the lcm of its denominators, add up
 # products in plain ints and call GaussRat._raw once per output entry: the
 # common-denominator arithmetic of Geddes, Czapor and Labahn, "Algorithms for
-# Computer Algebra" (1992).  A kernel takes the lane only when all_gauss holds
-# for every operand; anything else (a Poly, an int) keeps the generic loop.
+# Computer Algebra" (1992).  A kernel takes this lane only when all_gauss holds
+# for every operand.  Wedges and pairings of anything else (a Poly, an int)
+# keep the generic loop; matrix products have a Poly lane of their own in
+# `linalg`.
 
 def all_gauss(cs) -> bool:
     """Whether every entry of cs is exactly a GaussRat."""
@@ -569,21 +571,39 @@ class Poly:
                 out[e2] = c if k == 1 else GaussRat._raw(k * c.a, k * c.b, c.q)
         return Poly._raw(self.vars, out)
 
-    def eval(self, point: dict) -> GaussRat:
-        """Substitute gaussian-rational coordinates for every variable."""
+    def _values(self, point: dict) -> list:
+        """The GaussRat coordinate of point for each variable, in order."""
         vals = []
         for v in self.vars:
             if v not in point:
                 raise MismatchedVariables(f"no value given for {v!r}")
             x = point[v]
             vals.append(x if isinstance(x, GaussRat) else GaussRat(x))
+        return vals
+
+    def eval(self, point: dict) -> GaussRat:
+        """Substitute gaussian-rational coordinates for every variable."""
+        return self._eval_at(self._values(point), {})
+
+    def _eval_at(self, vals: list, monos: dict) -> GaussRat:
+        """The value at the coordinates vals.
+
+        monos caches the value of each monomial at vals by exponent, so the
+        polynomials of a matrix over one chart compute each monomial once
+        (`linalg.eval_matrix`).
+        """
         acc = ZERO
         for e, c in self.terms.items():
-            t = c
-            for x, k in zip(vals, e):
-                if k:
-                    t = t * x**k
-            acc = acc + t
+            if any(e):
+                w = monos.get(e)
+                if w is None:
+                    w = ONE
+                    for y, k in zip(vals, e):
+                        if k:
+                            w = w * y**k
+                    monos[e] = w
+                c = c * w
+            acc = acc + c
         return acc
 
     def subs_into(self, target_vars: tuple, mapping: dict) -> "Poly":
@@ -673,6 +693,15 @@ def poly_str(p: Poly) -> str:
         else:
             bits.append(term)
     return " ".join(bits)
+
+
+def is_real(x) -> bool:
+    """Whether a scalar or Poly has only real coefficients."""
+    if type(x) is GaussRat:
+        return not x.b
+    if isinstance(x, Poly):
+        return not any(c.b for c in x.terms.values())
+    return not as_gauss(x).b
 
 
 def as_gauss(x) -> GaussRat:

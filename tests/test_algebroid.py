@@ -18,7 +18,7 @@ from gcgeo.algebroid import (
     LiePair,
     complex_pair,
     eps_from_bivector,
-    eps_sharp,
+    eps_sharps,
     maurer_cartan,
     r_lie_derivative,
     r_section_bracket,
@@ -77,8 +77,7 @@ class TestLiePair:
         e = c1.z(0) * c1.zbar(0) + c1.const(IUNIT)
         eps = {0b11: e}
         want = [[c1.zero(), e], [-e, c1.zero()]]
-        for i in range(2):
-            sharp = eps_sharp(rescaled, eps, i)
+        for i, sharp in enumerate(eps_sharps(rescaled, eps)):
             for j in range(2):
                 assert sharp.pair(rescaled.frame_l[j]) == want[i][j]
 
@@ -387,7 +386,7 @@ class TestMaurerCartan:
                     if rng.r.random() < 0.4:
                         eps[(1 << i) | (1 << j)] = rng.poly(C2, 1, 1, complex_ok=True)
             rep = maurer_cartan(pair, eps)
-            sharp = [eps_sharp(pair, eps, i) for i in range(m)]
+            sharp = eps_sharps(pair, eps)
             deformed = tuple(
                 l + s for l, s in zip(pair.frame_l, sharp)
             )

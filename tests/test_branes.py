@@ -574,7 +574,7 @@ def random_brane(rng, kind):
     f2 = None
     if ds > 1 and rng.r.random() < 0.7:
         if rng.r.random() < 0.5:
-            f2 = rng.two_form(ds, complex_ok=True)
+            f2 = rng.two_form(ds)
         else:
             f2 = d(s_chart, MixedForm(ds, {1 << a: rng.poly(s_chart, 2, 2) for a in range(ds)}))
     return s, SubmanifoldData(chart, params, graph, f2)
@@ -588,7 +588,7 @@ def structured_branes():
         f = two_form_from_map(fmap)
         out.append((j_symplectic(wmap), whole_chart(CH, f)))
         out.append((j_symplectic(wmap), SubmanifoldData(CH, (1, 0, 3, 2), {}, f)))
-        out.append((j_symplectic(wmap), whole_chart(CH, f.scale(IUNIT))))
+        out.append((j_symplectic(wmap), whole_chart(CH, f.scale(2))))
     chc = Chart.complex_plane(2)
     sj = j_complex(standard_complex_endo(2))
     for f in (MixedForm(4, {0b0011: ONE}), MixedForm(4, {0b0101: ONE, 0b1010: -ONE})):

@@ -389,6 +389,49 @@ class TestCommands:
             "submanifold: F must be a 2-form"
         )
 
+    @pytest.mark.parametrize("diag", [["i", "i", "-i", "-i"], ["i", "-i"]])
+    def test_non_real_j_is_not_a_structure(self, diag, tmp_path, capsys):
+        # diag(i, i, -i, -i) once passed as type 1, and diag(i, -i) failed
+        # as "T* cap J T* has odd dimension"
+        n = len(diag)
+        doc = {
+            "schema_version": 1,
+            "command": "validate-gcs",
+            "dim": n // 2,
+            "matrix": [[x if r == c else "0" for c in range(n)] for r, x in enumerate(diag)],
+        }
+        p = tmp_path / "j.json"
+        p.write_text(json.dumps(doc))
+        code, out = run_cli(["validate-gcs", str(p)], capsys)
+        assert code == 1
+        assert json.loads(out)["counterexample"] == {"violation": "J is not real: entry (0,0) is i"}
+
+    @pytest.mark.parametrize(
+        "submanifold,error",
+        [
+            # F = i dx^dy once passed with space-filling J = [[i, 0], [0, i]]
+            ({"params": [1, 2], "f": [{"coeff": "i", "basis": [1, 2]}]},
+             "submanifold: F must be a real 2-form"),
+            # the graph y = i x once passed as Lagrangian
+            ({"params": [1], "graph": {"y": "i*x"}},
+             "submanifold: graph polynomials must be real"),
+        ],
+    )
+    def test_non_real_brane_exits_2(self, submanifold, error, tmp_path, capsys):
+        doc = {
+            "schema_version": 1,
+            "command": "brane-check",
+            "chart": {"vars": ["x", "y"]},
+            "matrix": matrix_json(j_symplectic(standard_complex_endo(1)).matrix()),
+            "submanifold": submanifold,
+        }
+        p = tmp_path / "brane.json"
+        p.write_text(json.dumps(doc))
+        code = main(["brane-check", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert json.loads(captured.out)["counterexample"]["error"] == error
+
     def test_mathematical_fail_exit_1(self, tmp_path, capsys):
         doc = {
             "schema_version": 1,

@@ -91,6 +91,21 @@ class TestValidation:
         with pytest.raises(InvalidStructure, match="orthogonal: lower-left block B"):
             validate_gc(bad)
 
+    def test_non_real_j_fails_before_its_square(self):
+        # diag(i, i, -i, -i) squares to -1 and lies in so(T + T*), and used
+        # to validate as type 1; at m = 1 diag(i, -i) failed as an odd type
+        i, mi = IUNIT, -IUNIT
+        for diag in ((i, i, mi, mi), (i, mi)):
+            bad = [[x if r == c else ZERO for c in range(len(diag))] for r, x in enumerate(diag)]
+            with pytest.raises(InvalidStructure, match=r"^J is not real: entry \(0,0\) is i$"):
+                validate_gc(bad)
+        # a polynomial entry is real only when every coefficient is
+        chart = Chart.real("x", "y")
+        jm = [list(r) for r in chart.lift_matrix(sy(1).matrix())]
+        jm[0][3] = jm[0][3] + chart.var("x") * IUNIT
+        with pytest.raises(InvalidStructure, match=r"^J is not real: entry \(0,3\)"):
+            validate_gc(jm)
+
     @given(
         st.integers(0, 2**32 - 1), st.sampled_from([(2, 0), (2, 1), (4, 1), (4, 2)]), st.booleans()
     )

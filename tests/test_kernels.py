@@ -1,12 +1,15 @@
-"""Integer-lane GaussRat kernels against the per-entry loops they replace.
+"""Integer-lane kernels against the per-entry loops they replace.
 
 `MixedForm.wedge` (and so `exp_wedge`), `GenVector.pair`, `linalg.mat_mul`
-and `linalg.mat_vec` add up products of GaussRat operands in plain ints and
-normalise once per output entry.  The loops below are the term-by-term
-versions they replaced, kept as references: results must be equal entry by
-entry, with the same types and, for forms, the same blade order.  Operands
-holding a Poly, or an int, must take the loop; `merge_sign`'s prefix-parity
-table must agree with the bit loop it replaced.
+and `linalg.mat_vec` add up products in plain ints and normalise once per
+output entry.  The loops below are the term-by-term versions they replaced,
+kept as references: results must be equal entry by entry, with the same
+types and, for forms, the same blade order.  Wedges and pairings holding a
+Poly must take the loop.  Matrix products run GaussRat and Poly entries in
+one kernel, which does no per-entry Poly arithmetic.  `linalg.eval_matrix`
+and `Poly.eval` must give the term-by-term value, `eval_matrix` without
+calling `eval`.  `merge_sign`'s prefix-parity table must agree with the bit
+loop it replaced.
 """
 
 import random
@@ -17,10 +20,12 @@ from unittest.mock import patch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from gcgeo import clifford, forms, linalg
 from gcgeo.clifford import GenVector
 from gcgeo.forms import MixedForm, merge_sign
-from gcgeo.scalars import HALF, ONE, ZERO, GaussRat, Poly, add_term
+from gcgeo.scalars import HALF, ONE, ZERO, GaussRat, MismatchedVariables, Poly, add_term
 
 from conftest import gauss_rats, wide_gauss_rats
 
@@ -175,9 +180,43 @@ def matrix_pairs(draw, wide=False):
 
 
 @st.composite
-def polys(draw):
+def polys(draw, den=2):
     exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
-    return Poly(VARS, draw(st.dictionaries(exps, gauss_rats(), min_size=1, max_size=3)))
+    return Poly(VARS, draw(st.dictionaries(exps, gauss_rats(den=den), min_size=1, max_size=3)))
+
+
+@st.composite
+def poly_matrix_pairs(draw):
+    """a, b and v over a pool of values and their negatives.
+
+    The pool holds the GaussRat and Poly zeros, a GaussRat, a constant Poly
+    and two Polys, with denominators up to 6, so sums of products often
+    cancel and rows mix denominators.
+    """
+    pool = [
+        ZERO, Poly.zero(VARS), draw(gauss_rats(den=6)),
+        Poly.const(VARS, draw(gauss_rats(den=6))), draw(polys(6)), draw(polys(6)),
+    ]
+    values = st.sampled_from(pool + [-x for x in pool])
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    a = [draw(st.lists(values, min_size=k, max_size=k)) for _ in range(r)]
+    b = [draw(st.lists(values, min_size=c, max_size=c)) for _ in range(k)]
+    v = draw(st.lists(values, min_size=k, max_size=k))
+    return a, b, v
+
+
+def poly_eval_loop(p, point):
+    """p at point, term by term in GaussRat arithmetic."""
+    acc = ZERO
+    for e, c in p.terms.items():
+        for v, k in zip(p.vars, e):
+            c = c * point[v] ** k
+        acc = acc + c
+    return acc
+
+
+def eval_loop(m, point):
+    return [[poly_eval_loop(x, point) if isinstance(x, Poly) else x for x in row] for row in m]
 
 
 def with_polys(draw, values, share=0.5):
@@ -195,6 +234,19 @@ def no_lane():
     with ExitStack() as stack:
         for mod in (forms, clifford, linalg):
             stack.enter_context(patch.object(mod, "lane", _fail))
+        yield
+
+
+def _poly_arithmetic(*_):
+    raise AssertionError("a matrix kernel did per-entry Poly arithmetic")
+
+
+@contextmanager
+def no_poly_arithmetic():
+    """Make Poly products, sums and evaluation fail, so only lanes can run."""
+    with ExitStack() as stack:
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "eval"):
+            stack.enter_context(patch.object(Poly, name, _poly_arithmetic))
         yield
 
 
@@ -300,16 +352,86 @@ class TestMatrixProducts:
         same_matrix(linalg.mat_mul(z, linalg.identity(3)), z)
         same_entries(linalg.mat_vec(z, [ONE, ONE, ONE]), [ZERO] * 3)
 
+    def test_inner_dimensions_must_agree(self):
+        with pytest.raises(ValueError):
+            linalg.mat_mul([[ONE, ONE, ONE]], [[ONE], [ONE]])
+        with pytest.raises(ValueError):
+            linalg.mat_vec([[ONE, ONE, ONE]], [ONE])
+        with pytest.raises(ValueError):
+            linalg.mat_mul([[ONE, ONE]], [[ONE], [ONE, ONE]])
+        # an empty right factor is a product with no columns
+        assert linalg.mat_mul([[ONE, ONE]], []) == [[]]
+        assert linalg.mat_vec([[], []], []) == [ZERO, ZERO]
+
+    @settings(max_examples=200, deadline=None)
+    @given(poly_matrix_pairs())
+    def test_poly_entries_match_the_loop(self, abv):
+        a, b, v = abv
+        same_matrix(linalg.mat_mul(a, b), mat_mul_loop(a, b))
+        same_entries(linalg.mat_vec(a, v), mat_vec_loop(a, v))
+
+    def test_cancelling_constant_and_zero_entries(self):
+        x, y = (Poly.var(VARS, n) for n in VARS)
+        third, half = GaussRat(Fraction(1, 3)), GaussRat(Fraction(1, 2), 1)
+        a = [[x, x, Poly.zero(VARS)], [third, -third, ZERO], [Poly.const(VARS, half), third, y]]
+        b = [[y * half, third], [-y * half, third], [ONE, Poly.zero(VARS)]]
+        out = linalg.mat_mul(a, b)
+        same_matrix(out, mat_mul_loop(a, b))
+        # a Poly sum that cancels stays the empty Poly, a GaussRat one a
+        # GaussRat zero, and an entry no nonzero product reaches is ZERO
+        assert type(out[0][0]) is Poly and not out[0][0]
+        assert type(out[1][1]) is GaussRat and not out[1][1]
+        assert linalg.mat_mul([[Poly.zero(VARS)]], [[x]]) == [[ZERO]]
+        assert type(linalg.mat_mul([[Poly.zero(VARS)]], [[x]])[0][0]) is GaussRat
+
+    def test_int_and_fraction_operands_read_as_gauss(self):
+        x = Poly.var(VARS, "x")
+        out = linalg.mat_mul([[1, Fraction(1, 2)], [x, 2]], [[2], [GaussRat(0, 1)]])
+        same_matrix(out, [[GaussRat(2, Fraction(1, 2))], [x * 2 + GaussRat(0, 2)]])
+        same_entries(linalg.mat_vec([[3, 0]], [Fraction(1, 3), 5]), [ONE])
+
+    def test_polys_over_different_charts_do_not_mix(self):
+        x, u = Poly.var(VARS, "x"), Poly.var(("u",), "u")
+        with pytest.raises(MismatchedVariables):
+            linalg.mat_mul([[x, ONE]], [[ONE], [u]])
+        # all nonzero Polys of both factors share one chart, also when two
+        # charts never meet in a product, as in this block-diagonal one
+        block = [[x, ZERO], [ZERO, u]]
+        with pytest.raises(MismatchedVariables):
+            linalg.mat_mul(block, block)
+        with pytest.raises(MismatchedVariables):
+            linalg.mat_vec(block, [ONE, ZERO])
+        # a zero Poly has no chart to clash with
+        same_matrix(linalg.mat_mul([[x, Poly.zero(("u",))]], [[ONE], [ONE]]), [[x]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(poly_matrix_pairs(), st.tuples(gauss_rats(den=6), gauss_rats(den=6)))
+    def test_eval_matrix_matches_poly_eval(self, abv, xy):
+        point = dict(zip(VARS, xy))
+        for m in abv[:2]:
+            want = eval_loop(m, point)
+            same_matrix(linalg.eval_matrix(m, point), want)
+            same_matrix([[x.eval(point) if isinstance(x, Poly) else x for x in r] for r in m], want)
+        same_matrix(linalg.eval_matrix([[1, Fraction(1, 2)]], point), [[ONE, HALF]])
+        if any(isinstance(x, Poly) for row in abv[0] for x in row):
+            with pytest.raises(MismatchedVariables):
+                linalg.eval_matrix(abv[0], {"x": ONE})
+
     @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_poly_and_int_operands_take_the_loop(self, data):
-        a, b, v = data.draw(matrix_pairs())
-        if not (a and b and b[0]):
-            return
-        a = [with_polys(data.draw, row, share=0.3) for row in a]
-        b[0][0] = 1
-        v = with_polys(data.draw, v, share=0.3)
-        with no_lane():
-            same_matrix(linalg.mat_mul(a, b), mat_mul_loop(a, b))
-            if not all(type(c) is GaussRat for row in a for c in row + v):
-                same_entries(linalg.mat_vec(a, v), mat_vec_loop(a, v))
+    @given(poly_matrix_pairs(), st.tuples(gauss_rats(), gauss_rats()))
+    def test_no_per_entry_poly_arithmetic(self, abv, xy):
+        a, b, v = abv
+        point = dict(zip(VARS, xy))
+        rows = [r + r for r in b]
+        swapped = linalg.transpose([r[len(r) // 2:] + r[:len(r) // 2] for r in rows])
+        want = (
+            mat_mul_loop(a, b), mat_vec_loop(a, v), mat_mul_loop(rows, swapped),
+            eval_loop(a, point),
+        )
+        with no_poly_arithmetic():
+            got = (
+                linalg.mat_mul(a, b), linalg.mat_vec(a, v),
+                clifford.pairing_matrix(rows, rows), linalg.eval_matrix(a, point),
+            )
+        for g, w in zip(got, want):
+            same_matrix(g, w) if g and isinstance(g[0], list) else same_entries(g, w)

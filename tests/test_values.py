@@ -15,7 +15,7 @@ from gcgeo import linalg
 VARS = ("x", "y")
 G = GaussRat(Fraction(-3, 4), Fraction(5, 6))
 P = Poly(VARS, {(1, 0): G, (0, 2): IUNIT, (0, 0): ONE})
-SHEAR = [[GaussRat(0), G], [-G, GaussRat(0)]]
+SHEAR = [[GaussRat(0), G + G.conj()], [-G - G.conj(), GaussRat(0)]]
 
 
 def made_values():
@@ -62,7 +62,7 @@ def test_assignment_and_del_raise(label, value):
 
 
 def symplectic_b_transform():
-    """A GCStructure with fractional and imaginary entries: e^B J_omega e^-B."""
+    """A GCStructure with fractional entries: e^B J_omega e^-B for a real B."""
     j = j_symplectic(standard_symplectic_map(1)).matrix()
     e_b = BlockTransform(2, "B", SHEAR).orth_matrix()
     e_minus_b = BlockTransform(2, "B", [[-x for x in r] for r in SHEAR]).orth_matrix()
