@@ -26,6 +26,7 @@ part in eps is the Cartan differential d_L eps.
 from __future__ import annotations
 
 from .record import Record
+from .scalars import ZERO
 from .forms import MixedForm
 from .clifford import GenVector, endo_dual_action, pairing_matrix
 from .charts import Chart
@@ -194,7 +195,7 @@ def maurer_cartan(pair: LiePair, eps: dict) -> MCReport:
             for k in range(j + 1, m):
                 val = br.pair(deformed[k])
                 if val:
-                    residual[(1 << i) | (1 << j) | (1 << k)] = chart.lift(val)
+                    residual[(1 << i) | (1 << j) | (1 << k)] = val
     verdict = "pass" if not residual else "fail"
     return MCReport(verdict=verdict, residual=residual)
 
@@ -210,8 +211,8 @@ def eps_from_bivector(pair: LiePair, beta_mv) -> dict:
     images = []
     for l in pair.frame_l:
         contr = beta_mv.contract([c for c in l.covec])
-        vec = [chart.lift(contr.coeff(1 << t)) for t in range(m)]
-        images.append(GenVector(m, vec, [chart.zero()] * m))
+        vec = [contr.coeff(1 << t) for t in range(m)]
+        images.append(GenVector(m, vec, [ZERO] * m))
     out = {}
     for i in range(m):
         for j in range(i + 1, m):
@@ -230,23 +231,10 @@ def complex_pair(chart: Chart, h: ClosedThreeForm | None = None) -> LiePair:
     m = chart.dim
     if 2 * n != m:
         raise ValueError("chart must be fully complex-paired")
-    frame_l = [chart.lift_section(chart.del_zbar(k)) for k in range(n)]
-    frame_r = [chart.lift_section(chart.del_z(k)) for k in range(n)]
+    frame_l = [chart.del_zbar(k) for k in range(n)]
+    frame_r = [chart.del_z(k) for k in range(n)]
     for k in range(n):
-        dz = chart.dz(k)
-        frame_l.append(
-            GenVector(
-                m,
-                [chart.zero()] * m,
-                [chart.lift(dz.coeff(1 << i)) for i in range(m)],
-            )
-        )
-        dzb = chart.dzbar(k)
-        frame_r.append(
-            GenVector(
-                m,
-                [chart.zero()] * m,
-                [chart.lift(dzb.coeff(1 << i)) for i in range(m)],
-            )
-        )
+        dz, dzb = chart.dz(k), chart.dzbar(k)
+        frame_l.append(GenVector(m, [ZERO] * m, [dz.coeff(1 << i) for i in range(m)]))
+        frame_r.append(GenVector(m, [ZERO] * m, [dzb.coeff(1 << i) for i in range(m)]))
     return LiePair(chart, tuple(frame_l), tuple(frame_r), h)

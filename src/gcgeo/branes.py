@@ -70,7 +70,7 @@ class SubmanifoldData(Record, frozen=True):
             raise ValueError("F must be a real 2-form")
         if not all(map(is_real, self.graph.values())):
             raise ValueError("graph polynomials must be real")
-        object.__setattr__(self, "f2", s_chart.lift_form(f2))
+        object.__setattr__(self, "f2", f2)
         object.__setattr__(self, "_f_map", [[_constant(x) for x in r] for r in map_from_two_form(f2)])
         target = (
             self.pull_form(self.h.form)
@@ -131,10 +131,8 @@ class SubmanifoldData(Record, frozen=True):
 
 
 def _constant(x):
-    """x as a GaussRat when it is a constant Poly, else x itself."""
-    if isinstance(x, Poly) and not any(map(any, x.terms)):
-        return x.terms.get((0,) * len(x.vars), ZERO)
-    return x
+    """x as a GaussRat when it is constant, else x itself."""
+    return x.const_value() if x.is_const else x
 
 
 def whole_chart(chart: Chart, f2: MixedForm | None = None) -> SubmanifoldData:
@@ -215,12 +213,7 @@ def pullback_dirac(
     # covectors pull back by the transposed Jacobian
     pulled = linalg.mat_mul([c[m:] for c in combos], sub._jac)
     projected = [
-        GenVector(
-            ds,
-            [s_chart.lift(x) for x in sub.to_s_vector(c)],
-            [s_chart.lift(x) for x in cov],
-        )
-        for c, cov in zip(combos, pulled)
+        GenVector(ds, sub.to_s_vector(c), cov) for c, cov in zip(combos, pulled)
     ]
     # the pivot columns at a sample are the first generators independent there
     coords = linalg.transpose([u.coords() for u in projected])

@@ -4,6 +4,13 @@ A chart is a tuple of real variable names.  Holomorphic examples pair
 consecutive variables as z_k = x_{2k-1} + i x_{2k}; the paired calculus
 (dz, dzbar, del_z, del_zbar, holomorphic polynomials) is derived, keeping a
 single real polynomial scalar backend.
+
+Coefficients over a chart are mixed: a constant is a `GaussRat`, anything
+else a `Poly` over the chart's names, and every form, section and matrix
+operation takes the two side by side.  Nothing lifts a constant into the
+chart ring first; `GaussRat` answers the calls polynomial code makes of a
+coefficient (`diff`, `eval`, `total_degree`, `is_const`, `const_value`).
+The ring helpers below still return Polys, the constant ones too.
 """
 
 from __future__ import annotations
@@ -119,35 +126,3 @@ class Chart(Record, frozen=True):
         fa = f.diff(self.names[a])
         fb = f.diff(self.names[b])
         return HALF * fa + GaussRat(0, "1/2") * fb
-
-    # -- section helpers ------------------------------------------------------
-    def coordinate_vector(self, i: int) -> GenVector:
-        vec = [self.zero()] * self.dim
-        vec[i] = self.one()
-        return GenVector(self.dim, vec, [self.zero()] * self.dim)
-
-    def coordinate_covector(self, i: int) -> GenVector:
-        cov = [self.zero()] * self.dim
-        cov[i] = self.one()
-        return GenVector(self.dim, [self.zero()] * self.dim, cov)
-
-    def coordinate_frame(self) -> list:
-        """The 2m coordinate sections d/dx_1..d/dx_m, dx_1..dx_m of T + T*."""
-        m = self.dim
-        return [self.coordinate_vector(i) for i in range(m)] + [
-            self.coordinate_covector(i) for i in range(m)
-        ]
-
-    def lift(self, c) -> Poly:
-        """Coerce a constant scalar into the chart ring; a Poly is kept as is."""
-        return c if isinstance(c, Poly) else Poly.const(self.names, c)
-
-    def lift_form(self, phi: MixedForm) -> MixedForm:
-        """Coerce constant coefficients into the chart ring."""
-        return phi.map_coeffs(self.lift)
-
-    def lift_section(self, v: GenVector) -> GenVector:
-        return GenVector(self.dim, map(self.lift, v.vec), map(self.lift, v.covec))
-
-    def lift_matrix(self, mat):
-        return [[self.lift(c) for c in row] for row in mat]

@@ -156,7 +156,7 @@ def _frame_of(doc, chart, key="dirac_frame"):
     if not isinstance(frame_doc, list):
         raise JobError(f"{key} must be a list of sections", key)
     secs = [
-        chart.lift_section(parse_section(v, chart.dim, chart.names, f"{key}[{i}]"))
+        parse_section(v, chart.dim, chart.names, f"{key}[{i}]")
         for i, v in enumerate(frame_doc)
     ]
     try:
@@ -476,7 +476,7 @@ def cmd_ham_symmetry(doc):
         if not s.is_constant():
             raise JobError("non-constant structures need an explicit l_frame", "l_frame")
         lft = eigenbundle(s.eval_at(chart.point(*([0] * chart.dim))))
-        frame = DiracFrame(chart, tuple(chart.lift_section(v) for v in lft.basis))
+        frame = DiracFrame(chart, lft.basis)
     ok = is_symmetry(chart, df, frame, _twist_of(doc, chart))
     return "pass", {"section": section_json(df), "symmetry": ok}
 

@@ -113,8 +113,9 @@ class GenVector:
         return out
 
     def eval_at(self, point: dict) -> "GenVector":
-        ev = lambda c: c.eval(point) if hasattr(c, "eval") else c
-        return GenVector(self.dim, [ev(c) for c in self.vec], [ev(c) for c in self.covec])
+        return GenVector(
+            self.dim, [c.eval(point) for c in self.vec], [c.eval(point) for c in self.covec]
+        )
 
     def is_zero(self) -> bool:
         return not (any(self.vec) or any(self.covec))

@@ -105,12 +105,12 @@ def courant_bracket(
     x, xi = e1.vec, e1.covec
     y, eta = e2.vec, e2.covec
     vec = vf_bracket(chart, x, y)
-    eta_form = chart.lift_form(covector_form(m, eta))
-    xi_form = chart.lift_form(covector_form(m, xi))
+    eta_form = covector_form(m, eta)
+    xi_form = covector_form(m, xi)
     cov_form = lie_derivative_form(chart, x, eta_form) - d(chart, xi_form).contract(y)
     if h is not None and h.form:
         cov_form = cov_form + h.form.contract(y).contract(x)
-    cov = [chart.lift(cov_form.coeff(1 << i)) for i in range(m)]
+    cov = [cov_form.coeff(1 << i) for i in range(m)]
     return GenVector(m, vec, cov)
 
 
@@ -243,5 +243,5 @@ def b_transform_section(chart: Chart, b_form: MixedForm, e: GenVector) -> GenVec
     """X + xi -> X + xi + i_X B."""
     m = chart.dim
     extra = b_form.contract(e.vec)
-    cov = [chart.lift(e.covec[i] + extra.coeff(1 << i)) for i in range(m)]
+    cov = [e.covec[i] + extra.coeff(1 << i) for i in range(m)]
     return GenVector(m, e.vec, cov)

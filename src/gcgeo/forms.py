@@ -300,7 +300,7 @@ class MixedForm:
     def eval_at(self, point: dict) -> "MixedForm":
         out = {}
         for m, c in self.terms.items():
-            v = c.eval(point) if hasattr(c, "eval") else c
+            v = c.eval(point)
             if v:
                 out[m] = v
         return MixedForm(self.dim, out, self.variance)

@@ -14,6 +14,7 @@ linalg.from_blocks and linalg.blocks.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .record import Record
 from .scalars import GaussRat, ONE, ZERO, IUNIT, HALF, as_gauss, is_real
@@ -43,13 +44,10 @@ class GCStructure(Record, frozen=True):
         return [list(r) for r in self.j]
 
     def is_constant(self) -> bool:
-        return all(not hasattr(x, "terms") or x.is_const for r in self.j for x in r)
+        return all(x.is_const for r in self.j for x in r)
 
     def eval_at(self, point: dict) -> "GCStructure":
-        return GCStructure(self.dim, tuple(
-            tuple(x.eval(point) if hasattr(x, "eval") else x for x in row)
-            for row in self.j
-        ))
+        return GCStructure(self.dim, tuple(tuple(x.eval(point) for x in row) for row in self.j))
 
     def blocks(self) -> SoElement:
         a, beta, b, _ = linalg.blocks(self.j)
@@ -72,10 +70,9 @@ def validate_gc(j) -> GCStructure:
     m = side // 2
     check_dim(m)
     j = [list(r) for r in j]
-    for i, row in enumerate(j):
-        for k, x in enumerate(row):
-            if not is_real(x):
-                raise InvalidStructure(f"J is not real: entry ({i},{k}) is {x!r}")
+    if not all(map(is_real, chain.from_iterable(j))):
+        i, k = next((i, k) for i, row in enumerate(j) for k, x in enumerate(row) if not is_real(x))
+        raise InvalidStructure(f"J is not real: entry ({i},{k}) is {j[i][k]!r}")
     j2 = linalg.mat_mul(j, j)
     for i in range(side):
         for k in range(side):

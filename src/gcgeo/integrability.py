@@ -60,15 +60,25 @@ def ansatz_system(chart: Chart, slots, degree_bound: int, target=None):
     Raises CapacityError, before building anything, when the system may have
     more than ANSATZ_CAP rows x unknowns.
     """
-    target = target or {}
+    const = (0,) * chart.dim
+
+    def terms_of(c):
+        """The {exponent: coefficient} terms of a Poly or of a GaussRat constant."""
+        if isinstance(c, Poly):
+            return c.terms
+        return {const: c} if c else {}
+
+    slots = [[(key, terms_of(c)) for key, c in slot.items()] for slot in slots]
+    target = [(key, terms_of(c)) for key, c in (target or {}).items()]
     n_monos = comb(chart.dim + degree_bound, chart.dim)
     # rows are (key, exponent) pairs: at most one per term of a slot
     # coefficient per monomial, plus one per term of the target
-    slot_terms = sum(
-        len({t for f in slots if key in f for t in chart.lift(f[key]).terms})
-        for key in {key for f in slots for key in f}
-    )
-    target_terms = sum(len(chart.lift(c).terms) for c in target.values())
+    exps = {}
+    for slot in slots:
+        for key, cterms in slot:
+            exps.setdefault(key, set()).update(cterms)
+    slot_terms = sum(map(len, exps.values()))
+    target_terms = sum(len(cterms) for _, cterms in target)
     rows_max, unknowns_max = slot_terms * n_monos + target_terms, len(slots) * n_monos
     if rows_max * unknowns_max > ANSATZ_CAP:
         raise CapacityError(
@@ -80,15 +90,14 @@ def ansatz_system(chart: Chart, slots, degree_bound: int, target=None):
     rows = {}
     u = 0
     for slot in slots:
-        terms = [(key, chart.lift(c).terms) for key, c in slot.items()]
         for e in monos:
-            for key, cterms in terms:
+            for key, cterms in slot:
                 for t, x in cterms.items():
                     rows.setdefault((key, tuple(map(add, e, t))), {})[u] = x
             u += 1
     rhs = {}
-    for key, c in target.items():
-        for t, x in chart.lift(c).terms.items():
+    for key, cterms in target:
+        for t, x in cterms.items():
             rows.setdefault((key, t), {})
             rhs[(key, t)] = x
     return list(rows.values()), [rhs.get(k, ZERO) for k in rows], unknowns
@@ -112,6 +121,13 @@ class WitnessReport(Record, frozen=True):
     degree_bound: int
     detail: str
     counterexample: dict | None = None
+
+
+def _basis_frame(m: int) -> list:
+    """The 2m constant sections d/dx_1..d/dx_m, dx_1..dx_m of T + T*."""
+    return [GenVector.basis_vector(m, i) for i in range(m)] + [
+        GenVector.basis_covector(m, i) for i in range(m)
+    ]
 
 
 def _default_samples(chart: Chart):
@@ -145,13 +161,11 @@ def check_spinor_integrability(
     ANSATZ_CAP rows x unknowns, is inconclusive.
     """
     m = chart.dim
-    phi = chart.lift_form(phi)
     target = d_twisted(chart, phi, h)
     if witness is not None:
-        w = chart.lift_section(witness)
-        residual = target - w.act(phi)
+        residual = target - witness.act(phi)
         if not residual:
-            return WitnessReport("pass", w, 0, "supplied witness verified identically")
+            return WitnessReport("pass", witness, 0, "supplied witness verified identically")
         return WitnessReport(
             "fail",
             None,
@@ -168,14 +182,11 @@ def check_spinor_integrability(
         pdeg = max((c.total_degree() for c in phi.terms.values()), default=0)
         hdeg = 0
         if h is not None and h.form:
-            hdeg = max(
-                (c.total_degree() if isinstance(c, Poly) else 0 for c in h.form.terms.values()),
-                default=0,
-            )
+            hdeg = max((c.total_degree() for c in h.form.terms.values()), default=0)
         degree_bound = pdeg + hdeg + 1
     # the coordinate frame is constant, so its action commutes with evaluation
-    frame = [GenVector.basis_vector(m, i) for i in range(m)]
-    frame += [GenVector.basis_covector(m, i) for i in range(m)]
+    # and one frame serves the samples and the ansatz slots
+    frame = _basis_frame(m)
     samples = samples if samples is not None else _default_samples(chart)
     for p in samples:
         phi_p = phi.eval_at(p)
@@ -193,7 +204,7 @@ def check_spinor_integrability(
                     "identity": "d_H phi = (X + xi) . phi",
                 },
             )
-    slots = [u.act(phi).terms for u in chart.coordinate_frame()]
+    slots = [u.act(phi).terms for u in frame]
     for b in range(degree_bound + 1):
         try:
             rows, rhs, unknowns = ansatz_system(chart, slots, b, target.terms)
@@ -226,12 +237,12 @@ def check_spinor_integrability(
 def nijenhuis_field(chart: Chart, s: GCStructure, h: ClosedThreeForm | None = None):
     """N(e_a, e_b) over the coordinate frame of T + T*, as GenVector components."""
     m = chart.dim
-    jmat = chart.lift_matrix(s.matrix())
+    jmat = s.matrix()
 
     def japply(v: GenVector) -> GenVector:
         return GenVector.from_coords(linalg.mat_vec(jmat, v.coords()))
 
-    frame = chart.coordinate_frame()
+    frame = _basis_frame(m)
     out = {}
     for a in range(2 * m):
         for b in range(a + 1, 2 * m):
@@ -296,12 +307,12 @@ def deform_by_bivector(
         omega = omega.wedge(chart.dz(k))
     spinor = omega.exp_contract(beta_mv)
     # explicit eigenbundle frame: T_{0,1} plus the graph of beta over T*_{1,0}
-    sections = [chart.lift_section(chart.del_zbar(k)) for k in range(chart.n_complex)]
+    sections = [chart.del_zbar(k) for k in range(chart.n_complex)]
     for k in range(chart.n_complex):
         dzk = chart.dz(k)
-        cov = [chart.lift(dzk.coeff(1 << i)) for i in range(m)]
+        cov = [dzk.coeff(1 << i) for i in range(m)]
         vec_part = beta_mv.contract(cov)
-        vec = [chart.lift(vec_part.coeff(1 << i)) for i in range(m)]
+        vec = [vec_part.coeff(1 << i) for i in range(m)]
         sections.append(GenVector(m, vec, cov))
     frame = DiracFrame(chart, tuple(sections))
     return DeformationResult(structure=s, spinor=spinor, frame=frame, beta_mv=beta_mv)
@@ -381,15 +392,15 @@ def modular_vector_field(
     if list(volume.terms) != [top]:
         raise ValueError("volume must be a single top-degree blade")
     f = log_factor if log_factor is not None else chart.zero()
-    phi = chart.lift_form(volume).exp_contract(beta_mv)
+    phi = volume.exp_contract(beta_mv)
     if degree_bound is None:
         pdeg = max((c.total_degree() for c in phi.terms.values()), default=0)
         degree_bound = pdeg + f.total_degree() + 1
-    g = chart.lift(volume.terms[top])
+    g = volume.terms[top]
     df = [f.diff(n) for n in chart.names]
     vec = []
     # row j of map_from_two_form(beta) holds beta^{ij}, i = 0..m-1
-    for row in chart.lift_matrix(map_from_two_form(beta_mv)):
+    for row in map_from_two_form(beta_mv):
         div = sum(((g * b).diff(n) for b, n in zip(row, chart.names)), chart.zero())
         xj = (-div).divide(g)
         if xj is not None:
@@ -397,7 +408,7 @@ def modular_vector_field(
         if xj is None or xj.total_degree() > degree_bound:
             raise ValueError(f"no polynomial modular field up to degree {degree_bound}")
         vec.append(xj)
-    x = GenVector(m, vec, [chart.zero()] * m)
+    x = GenVector(m, vec, [ZERO] * m)
     if x.act(phi) != d(chart, phi) + covector_form(m, df).wedge(phi):
         raise AssertionError("modular field fails d phi + df ^ phi = X . phi")
     return x
@@ -412,8 +423,7 @@ def hamiltonian_section(chart: Chart, s: GCStructure, f_re: Poly, f_im: Poly) ->
     m = chart.dim
     d_re = [f_re.diff(n) for n in chart.names]
     d_im = [f_im.diff(n) for n in chart.names]
-    jmat = chart.lift_matrix(s.matrix())
-    jdim = linalg.mat_vec(jmat, [chart.zero()] * m + d_im)
+    jdim = linalg.mat_vec(s.matrix(), [ZERO] * m + d_im)
     vec = [-jdim[i] for i in range(m)]
     cov = [d_re[i] - jdim[m + i] for i in range(m)]
     return GenVector(m, vec, cov)

@@ -109,8 +109,13 @@ class GaussRat:
         return Fraction(self.b, self.q)
 
     # -- ring/field operations -------------------------------------------
+    # A Poly operand takes the operation at once (a constant coefficient
+    # meets Polys all the time), as its reflected method would after
+    # `_coerce` had refused it
     def __add__(self, other):
         if not isinstance(other, GaussRat):
+            if type(other) is Poly:
+                return other._plus_const(self)
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -126,6 +131,8 @@ class GaussRat:
 
     def __sub__(self, other):
         if not isinstance(other, GaussRat):
+            if type(other) is Poly:
+                return (-other)._plus_const(self)
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -152,6 +159,8 @@ class GaussRat:
 
     def __mul__(self, other):
         if not isinstance(other, GaussRat):
+            if type(other) is Poly:
+                return other._scaled(self)
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -218,7 +227,9 @@ class GaussRat:
         return hash((self.a, self.b, self.q))
 
     # -- constant-polynomial interface -------------------------------------
-    # lets mixed GaussRat/Poly coefficient collections share one code path
+    # The contract behind mixed coefficients: a constant stays a GaussRat,
+    # never a constant Poly, and polynomial code reads it through these
+    # methods, as it reads a Poly, with no lift and no type test
     def diff(self, name: str) -> "GaussRat":
         return ZERO
 
@@ -523,14 +534,20 @@ class Poly:
                 base = base * base
         return out
 
-    def divide(self, g: "Poly") -> "Poly | None":
+    def divide(self, g) -> "Poly | None":
         """The q with q * g == self, or None when g does not divide self.
 
         This is the division algorithm in lex order, exponent tuples compared
         as tuples.  A single divisor is a Groebner basis of its own ideal, so
         g divides exactly when the remainder is 0: when the leading monomial
         of g divides the leading monomial of each remainder on the way down.
+        A nonzero GaussRat g divides every polynomial; ZERO raises, as the
+        zero polynomial does.
         """
+        if isinstance(g, GaussRat):
+            if not g:
+                raise ZeroDivisionError("division by the zero polynomial")
+            return Poly._raw(self.vars, {e: c / g for e, c in self.terms.items()})
         terms = self._peer(g)
         if not terms:
             raise ZeroDivisionError("division by the zero polynomial")

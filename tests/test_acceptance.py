@@ -235,7 +235,7 @@ def test_criterion_08_interpolation_family(capsys):
     for (a, b) in [(0, 1), (Fraction(3, 5), Fraction(4, 5)), (Fraction(4, 5), Fraction(3, 5)), (1, 0)]:
         s = hyperkahler_interpolation(GaussRat(a), GaussRat(b))
         eig = eigenbundle(s)
-        frame = DiracFrame(r4, tuple(r4.lift_section(v) for v in eig.basis))
+        frame = DiracFrame(r4, eig.basis)
         assert is_involutive(frame, None)
     with capsys.disabled():
         announce("8 interpolation-family", 5.0, t0)
@@ -373,7 +373,7 @@ def test_criterion_11_brane_suite(capsys):
         b_amb = rng.poly_two_form(ch, 1)
         frame = DiracFrame(
             ch,
-            tuple(b_transform_section(ch, b_amb, ch.coordinate_vector(i)) for i in range(4)),
+            tuple(b_transform_section(ch, b_amb, GenVector.basis_vector(4, i)) for i in range(4)),
         )
         x1 = Poly.var(sn, "x1")
         sub = SubmanifoldData(ch, (0, 1), {2: x1 * x1, 3: zero})
@@ -382,7 +382,7 @@ def test_criterion_11_brane_suite(capsys):
         ib = sub.pull_form(b_amb)
         s_chart = sub.chart_s()
         want = [
-            b_transform_section(s_chart, ib, s_chart.coordinate_vector(i)).coords()
+            b_transform_section(s_chart, ib, GenVector.basis_vector(s_chart.dim, i)).coords()
             for i in range(2)
         ]
         got = [u.coords() for u in res.frame.sections]

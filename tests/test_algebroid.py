@@ -43,7 +43,7 @@ class TestLiePair:
 
     def test_non_transverse_rejected(self):
         ch = Chart.real("x", "y")
-        frame = (ch.coordinate_vector(0), ch.coordinate_vector(1))
+        frame = (GenVector.basis_vector(ch.dim, 0), GenVector.basis_vector(ch.dim, 1))
         with pytest.raises(ValueError, match="transverse"):
             LiePair(ch, frame, frame)
 
@@ -155,7 +155,7 @@ class TestAgainstTheMaskLoop:
     @staticmethod
     def twisted_pair():
         coeff = C2.z(0) * C2.zbar(1) + C2.z(1) ** 2
-        b = C2.lift_form(C2.dzbar(0).wedge(C2.dzbar(1))).scale(coeff)
+        b = C2.dzbar(0).wedge(C2.dzbar(1)).scale(coeff)
         return complex_pair(C2, ClosedThreeForm(C2, d(C2, b)))
 
     @staticmethod
@@ -392,7 +392,7 @@ class TestMaurerCartan:
             )
             frame = DiracFrame(C2, deformed)
             want = {
-                (1 << i) | (1 << j) | (1 << k): C2.lift(val)
+                (1 << i) | (1 << j) | (1 << k): val
                 for (i, j, k), val in involutivity_tensor(frame, None).items()
                 if j < k and val
             }

@@ -114,14 +114,14 @@ class TestGeneralizedTangent:
         sub = whole_chart(CH, f_amb)
         tau = generalized_tangent(sub)
         for i, u in enumerate(tau.sections):
-            want = b_transform_section(CH, CH.lift_form(f_amb), CH.coordinate_vector(i))
+            want = b_transform_section(CH, f_amb, GenVector.basis_vector(CH.dim, i))
             assert (u - want).is_zero()
 
 
 class TestPullback:
     def test_identity_pullback(self):
         sub = whole_chart(CH)
-        secs = tuple(CH.coordinate_vector(i) for i in range(4))
+        secs = tuple(GenVector.basis_vector(CH.dim, i) for i in range(4))
         frame = DiracFrame(CH, secs)
         res = pullback_dirac(frame, sub)
         assert len(res.frame.sections) == 4
@@ -129,7 +129,7 @@ class TestPullback:
 
     def test_cotangent_pullback(self):
         sub = plane((0, 1), (2, 3))
-        secs = tuple(CH.coordinate_covector(i) for i in range(4))
+        secs = tuple(GenVector.basis_covector(CH.dim, i) for i in range(4))
         frame = DiracFrame(CH, secs)
         res = pullback_dirac(frame, sub)
         # T*M pulls back to T*S
@@ -145,7 +145,7 @@ class TestPullback:
         for _ in range(5):
             b_amb = rng.poly_two_form(CH, 1)
             secs = tuple(
-                b_transform_section(CH, b_amb, CH.coordinate_vector(i)) for i in range(4)
+                b_transform_section(CH, b_amb, GenVector.basis_vector(CH.dim, i)) for i in range(4)
             )
             frame = DiracFrame(CH, secs)
             s_names = SN
@@ -155,7 +155,7 @@ class TestPullback:
             ib = sub.pull_form(b_amb)
             s_chart = sub.chart_s()
             want = tuple(
-                b_transform_section(s_chart, ib, s_chart.coordinate_vector(i))
+                b_transform_section(s_chart, ib, GenVector.basis_vector(s_chart.dim, i))
                 for i in range(2)
             )
             rows_got = [u.coords() for u in res.frame.sections]
@@ -175,9 +175,9 @@ class TestPullback:
             [CH.zero()] * 4,
         )
         # complete to a maximal isotropic: add dp-ish covectors and a tangent
-        sec2 = CH.coordinate_vector(0)
-        sec3 = CH.coordinate_covector(1)
-        sec4 = CH.coordinate_covector(3)
+        sec2 = GenVector.basis_vector(CH.dim, 0)
+        sec3 = GenVector.basis_covector(CH.dim, 1)
+        sec4 = GenVector.basis_covector(CH.dim, 3)
         frame = DiracFrame(CH, (sec1, sec2, sec3, sec4))
         sub = plane((0, 1), (2, 3))
         with pytest.raises(ValueError, match="rank"):
@@ -358,7 +358,7 @@ class TestSpaceFilling:
         f = MixedForm(4, {0b0011: R4.var("x1"), 0b0101: GaussRat(2), 0b1100: ONE})
         rep = brane_check(s, whole_chart(R4, f))
         lhs = linalg.mat_mul(s.blocks().b_map, [list(row) for row in rep.space_filling_j])
-        rhs = R4.lift_matrix(linalg.mat_scale(map_from_two_form(f), -ONE))
+        rhs = linalg.mat_scale(map_from_two_form(f), -ONE)
         assert linalg.mat_eq(lhs, rhs)
 
     def test_cli_brane_check(self, tmp_path, capsys):
@@ -417,7 +417,7 @@ def ref_normal_residues(sub, vec_comps):
     s_chart = sub.chart_s()
     out = []
     for j in sorted(sub.graph):
-        acc = s_chart.lift(vec_comps[j])
+        acc = vec_comps[j]
         for a, name in enumerate(s_chart.names):
             dg = sub.graph[j].diff(name)
             if dg:
@@ -437,7 +437,7 @@ def ref_generalized_tangent(sub):
         for b in range(ds):
             c = ix_f.coeff(1 << b)
             if c:
-                cov[sub.param_indices[b]] = s_chart.lift(c)
+                cov[sub.param_indices[b]] = c
         sections.append(GenVector(m, lift, cov))
     for conormal in ref_conormals(sub):
         sections.append(GenVector(m, [s_chart.zero()] * m, conormal))
@@ -510,7 +510,7 @@ def ref_brane_check(structure, sub):
         if not sub.graph and sub.f2:
             idx = sub.param_indices
             p_s = [[pmap_r[i][k] for k in idx] for i in idx]
-            jnew = linalg.mat_mul(p_s, s_chart.lift_matrix(map_from_two_form(sub.f2)))
+            jnew = linalg.mat_mul(p_s, map_from_two_form(sub.f2))
             out["space_filling_j"] = tuple(tuple(row) for row in jnew)
             jsq = linalg.mat_mul(jnew, jnew)
             out["space_filling_j_squared_ok"] = all(

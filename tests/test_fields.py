@@ -137,8 +137,8 @@ class TestExteriorCalculus:
 
 class TestCourantBracket:
     def test_spec_examples(self):
-        e1 = R3.coordinate_vector(0)
-        e2 = R3.coordinate_vector(1)
+        e1 = GenVector.basis_vector(R3.dim, 0)
+        e2 = GenVector.basis_vector(R3.dim, 1)
         assert courant_bracket(R3, e1, e2).is_zero()
         xdy = GenVector(3, [R3.zero()] * 3, [R3.zero(), R3.var("x"), R3.zero()])
         br = courant_bracket(R3, e1, xdy)
@@ -378,16 +378,16 @@ def _wedge_pair(i, j, coeff):
 
 class TestInvolutivity:
     def test_coordinate_frame(self):
-        frame = DiracFrame(R3, tuple(R3.coordinate_vector(i) for i in range(3)))
+        frame = DiracFrame(R3, tuple(GenVector.basis_vector(R3.dim, i) for i in range(3)))
         assert is_involutive(frame, None)
 
     def test_foliation_twist_vanishes_on_small_leaves(self):
         # a 3-form always pulls back to zero on 2-dimensional leaves, so
         # Delta + Ann(Delta) stays involutive for any twist in R3
         secs = (
-            R3.coordinate_vector(0),
-            R3.coordinate_vector(1),
-            R3.coordinate_covector(2),
+            GenVector.basis_vector(R3.dim, 0),
+            GenVector.basis_vector(R3.dim, 1),
+            GenVector.basis_covector(R3.dim, 2),
         )
         frame = DiracFrame(R3, secs)
         h = ClosedThreeForm(R3, MixedForm(3, {0b111: R3.one()}))
@@ -398,8 +398,8 @@ class TestInvolutivity:
         # Delta = span(d1, d2, d3) in R4 with H = dx1^dx2^dx3: H|_Delta != 0
         # and the obstruction is the H coefficient (halved by the pairing)
         ch = Chart.real("x1", "x2", "x3", "x4")
-        secs = tuple(ch.coordinate_vector(i) for i in range(3)) + (
-            ch.coordinate_covector(3),
+        secs = tuple(GenVector.basis_vector(ch.dim, i) for i in range(3)) + (
+            GenVector.basis_covector(ch.dim, 3),
         )
         frame = DiracFrame(ch, secs)
         h = ClosedThreeForm(ch, MixedForm(4, {0b0111: ch.one()}))
@@ -418,7 +418,6 @@ class TestInvolutivity:
             xi = [ch.one() if j == i else ch.zero() for j in range(2)]
             vec_form = beta.contract(xi)
             vec = [vec_form.coeff(1 << j) for j in range(2)]
-            vec = [c if isinstance(c, Poly) else ch.const(c) for c in vec]
             secs.append(GenVector(2, vec, xi))
         frame = DiracFrame(ch, tuple(secs))
         assert is_involutive(frame, None)
@@ -437,9 +436,8 @@ class TestInvolutivity:
                 unit = [ch.one() if j == i else ch.zero() for j in range(4)]
                 contr = e.contract(unit)
                 cov = [contr.coeff(1 << j) for j in range(4)]
-                cov = [c if isinstance(c, Poly) else ch.const(c) for c in cov]
                 secs.append(GenVector(4, unit, cov))
-            secs.append(ch.coordinate_covector(3))
+            secs.append(GenVector.basis_covector(ch.dim, 3))
             return DiracFrame(ch, tuple(secs))
 
         frame = graph_frame(eps)
@@ -452,11 +450,18 @@ class TestInvolutivity:
 
     def test_frame_validation(self):
         with pytest.raises(ValueError, match="inner product"):
-            DiracFrame(R3, (R3.coordinate_vector(0), R3.coordinate_covector(0), R3.coordinate_vector(2)))
+            DiracFrame(
+                R3,
+                (
+                    GenVector.basis_vector(R3.dim, 0),
+                    GenVector.basis_covector(R3.dim, 0),
+                    GenVector.basis_vector(R3.dim, 2),
+                ),
+            )
         secs = (
-            R3.coordinate_vector(0).scale(R3.var("x")),
-            R3.coordinate_vector(1),
-            R3.coordinate_covector(2),
+            GenVector.basis_vector(R3.dim, 0).scale(R3.var("x")),
+            GenVector.basis_vector(R3.dim, 1),
+            GenVector.basis_covector(R3.dim, 2),
         )
         with pytest.raises(ValueError, match="rank"):
             DiracFrame(R3, secs, samples=(R3.point(0, 0, 0),))

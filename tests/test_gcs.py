@@ -101,7 +101,7 @@ class TestValidation:
                 validate_gc(bad)
         # a polynomial entry is real only when every coefficient is
         chart = Chart.real("x", "y")
-        jm = [list(r) for r in chart.lift_matrix(sy(1).matrix())]
+        jm = [list(r) for r in sy(1).matrix()]
         jm[0][3] = jm[0][3] + chart.var("x") * IUNIT
         with pytest.raises(InvalidStructure, match=r"^J is not real: entry \(0,3\)"):
             validate_gc(jm)

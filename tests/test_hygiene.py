@@ -219,3 +219,27 @@ def test_detects_slotted_setattr():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_slotted_classes_use_bound_setters(path):
     assert slotted_setattr_calls(path.read_text()) == []
+
+
+def hasattr_calls(source: str):
+    """The lines that call `hasattr`.
+
+    A coefficient is a GaussRat or a Poly, and GaussRat answers the calls
+    polynomial code makes (`scalars`' constant-polynomial interface), so a
+    duck-typing guard in the package has nothing to test.
+    """
+    return [
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "hasattr"
+    ]
+
+
+def test_detects_hasattr_call():
+    src = "def f(c):\n    return c.eval(0) if hasattr(c, 'eval') else c\n\nNAME = 'hasattr'\n"
+    assert hasattr_calls(src) == [2]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_hasattr(path):
+    assert hasattr_calls(path.read_text()) == []

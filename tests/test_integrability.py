@@ -3,7 +3,7 @@ import time
 import pytest
 from fractions import Fraction
 
-from gcgeo.scalars import GaussRat, Poly, IUNIT, ONE, ZERO
+from gcgeo.scalars import GaussRat, IUNIT, ONE, ZERO
 from gcgeo.forms import MixedForm, map_from_two_form, two_form_from_map
 from gcgeo.clifford import GenVector
 from gcgeo.charts import Chart
@@ -71,16 +71,16 @@ def closed_on_samples_spinor() -> MixedForm:
 
 def nonclosed_omega_structure():
     om = nonclosed_invertible_omega()
-    omap = R4.lift_matrix(map_from_two_form(om))
+    omap = map_from_two_form(om)
     x2 = R4.var("x2")
-    oinv = R4.lift_matrix([
+    oinv = [
         [ZERO, ONE, ZERO, ZERO],
         [-ONE, ZERO, ZERO, -x2],
         [ZERO, ZERO, ZERO, ONE],
         [ZERO, x2, -ONE, ZERO],
-    ])
-    assert linalg.mat_eq(linalg.mat_mul(omap, oinv), R4.lift_matrix(linalg.identity(4)))
-    zero = R4.lift_matrix(linalg.zeros(4, 4))
+    ]
+    assert linalg.mat_eq(linalg.mat_mul(omap, oinv), linalg.identity(4))
+    zero = linalg.zeros(4, 4)
     minus_oinv = [[-x for x in row] for row in oinv]
     return validate_gc(linalg.from_blocks(zero, minus_oinv, omap, zero))
 
@@ -101,7 +101,7 @@ class TestWitnessSolver:
 
     def test_constant_symplectic_zero_witness(self):
         w = two_form_from_map(standard_symplectic_map(2))
-        phi = R4.lift_form(w.scale(IUNIT)).exp_wedge()
+        phi = w.scale(IUNIT).exp_wedge()
         rep = check_spinor_integrability(R4, phi)
         assert rep.verdict == "pass"
         assert rep.witness.is_zero()
@@ -118,7 +118,7 @@ class TestWitnessSolver:
 
     def test_supplied_wrong_witness_fails(self):
         rho = type_jump_spinor()
-        rep = check_spinor_integrability(C2, rho, witness=C2.coordinate_vector(0))
+        rep = check_spinor_integrability(C2, rho, witness=GenVector.basis_vector(C2.dim, 0))
         assert rep.verdict == "fail"
 
     def test_degree_bound_exhaustion_reported(self):
@@ -139,7 +139,7 @@ class TestWitnessSolver:
         # d_H e^{iw} = H ^ e^{iw} for the constant symplectic w, and at the
         # origin H ^ e^{iw} is not (X + xi) . e^{iw} for any X + xi
         w = two_form_from_map(standard_symplectic_map(2))
-        phi = R4.lift_form(w.scale(IUNIT)).exp_wedge()
+        phi = w.scale(IUNIT).exp_wedge()
         h = ClosedThreeForm(R4, MixedForm(4, {0b0111: R4.one()}))
         rep = check_spinor_integrability(R4, phi, h)
         assert rep.verdict == "fail"
@@ -204,7 +204,7 @@ class TestWitnessDimensionSweep:
     def test_pointwise_obstruction_at_dimension_8(self):
         # the default bound 5 meant 484,195 x 20,592 rows x unknowns
         chart = Chart.real(*(f"x{i + 1}" for i in range(8)))
-        phi = chart.lift_form(Rng(5).poly_two_form(chart, degree=1)).exp_wedge()
+        phi = Rng(5).poly_two_form(chart, degree=1).exp_wedge()
         t0 = time.perf_counter()
         rep = check_spinor_integrability(chart, phi)
         assert time.perf_counter() - t0 < 1.0
@@ -228,7 +228,7 @@ class TestWitnessDimensionSweep:
 class TestAnsatzSystem:
     def test_hand_checked_system(self):
         # u . (x, 2) over monomials {1, x, y}: columns run slot-major, the
-        # constant slot 2 is lifted into the chart ring, and zero entries vanish
+        # GaussRat 2 is read as one constant term, and zero entries vanish
         x, y = R2.coord(0), R2.coord(1)
         two = GaussRat(2)
         slots = [{"a": x}, {"b": two, "a": ZERO}]
@@ -264,7 +264,7 @@ class TestNijenhuis:
         # J_omega is a polynomial almost structure, and d omega != 0
         om = nonclosed_invertible_omega()
         s = nonclosed_omega_structure()
-        assert d(R4, R4.lift_form(om))
+        assert d(R4, om)
         comps = nijenhuis_field(R4, s, None)
         assert not nijenhuis_vanishes(comps)
 
@@ -275,13 +275,9 @@ class TestThreeWayAgreement:
         # constant symplectic: integrable
         s0 = j_symplectic(standard_symplectic_map(2))
         L0 = eigenbundle(s0)
-        fr0 = DiracFrame(R4, tuple(R4.lift_section(v) for v in L0.basis))
-        phi0 = R4.lift_form(
-            two_form_from_map(standard_symplectic_map(2)).scale(IUNIT)
-        ).exp_wedge()
-        from gcgeo.gcs import GCStructure
-
-        out.append((R4, GCStructure(4, tuple(tuple(R4.lift_matrix(s0.matrix())[i]) for i in range(8))), fr0, phi0, True))
+        fr0 = DiracFrame(R4, L0.basis)
+        phi0 = two_form_from_map(standard_symplectic_map(2)).scale(IUNIT).exp_wedge()
+        out.append((R4, s0, fr0, phi0, True))
         # deformed complex structure: integrable, type jumping
         beta = holomorphic_bivector(C2, {(0, 1): C2.z(0)})
         res = deform_by_bivector(C2, j_complex(standard_complex_endo(2)), beta)
@@ -295,7 +291,6 @@ class TestThreeWayAgreement:
             unit = [R4.one() if t == i else R4.zero() for t in range(m)]
             contr = om.contract(unit).scale(-IUNIT)
             cov = [contr.coeff(1 << t) for t in range(m)]
-            cov = [c if isinstance(c, Poly) else R4.const(c) for c in cov]
             secs.append(GenVector(m, unit, cov))
         frbad = DiracFrame(R4, tuple(secs))
         phibad = om.scale(IUNIT).exp_wedge()
@@ -321,7 +316,7 @@ class TestCircleFamily:
             a, b = GaussRat(a), GaussRat(b)
             secs = []
             for i in range(m):
-                xi = C2.coordinate_covector(i)
+                xi = GenVector.basis_covector(C2.dim, i)
                 jxi = GenVector.from_coords(linalg.mat_vec(jmat, xi.coords()))
                 secs.append(xi.scale(C2.const(a)) + jxi.scale(C2.const(b)))
             frame = DiracFrame(C2, tuple(secs))
@@ -333,7 +328,7 @@ class TestCircleFamily:
         for (a, b) in [(0, 1), (Fraction(3, 5), Fraction(4, 5)), (Fraction(4, 5), Fraction(3, 5)), (1, 0)]:
             s = hyperkahler_interpolation(GaussRat(a), GaussRat(b))
             L = eigenbundle(s)
-            frame = DiracFrame(R4, tuple(R4.lift_section(v) for v in L.basis))
+            frame = DiracFrame(R4, L.basis)
             assert is_involutive(frame, None)
 
 
@@ -346,7 +341,7 @@ class TestDeformation:
     def test_zero_deformation_is_identity(self):
         base = j_complex(standard_complex_endo(2))
         res = deform_by_bivector(C2, base, MixedForm.zero(4, "mv"))
-        assert linalg.mat_eq(res.structure.matrix(), C2.lift_matrix(base.matrix()))
+        assert linalg.mat_eq(res.structure.matrix(), base.matrix())
 
     def test_block_triangular_and_poisson(self):
         beta = holomorphic_bivector(C2, {(0, 1): C2.z(0) * C2.z(1)})
@@ -466,6 +461,14 @@ class TestModular:
             for i in range(2):
                 assert shifted.vec[i] == base.vec[i] + br.coeff(1 << i)
 
+    def test_gaussrat_volume(self):
+        # the volume coefficient stays a GaussRat: the divergence is divided
+        # by the constant exactly
+        beta = MixedForm(2, {0b11: R2.var("x")}, "mv")
+        xv = modular_vector_field(R2, beta, MixedForm.top(2, ONE))
+        assert repr(xv) == "(-1)*e_2"
+        assert modular_vector_field(R2, beta, MixedForm.top(2, GaussRat(-3))) == xv
+
     def test_constant_bivector_trivial(self):
         beta = MixedForm(2, {0b11: R2.one()}, "mv")
         vol = MixedForm(2, {0b11: R2.one()})
@@ -565,7 +568,7 @@ class TestHamiltonian:
         df = hamiltonian_section(R4, s, f_re, f_im)
         winv = linalg.inverse(standard_symplectic_map(2))
         d_im = [f_im.diff(n) for n in R4.names]
-        expected_vec = linalg.mat_vec(R4.lift_matrix(winv), d_im)
+        expected_vec = linalg.mat_vec(winv, d_im)
         assert list(df.vec) == list(expected_vec)
         assert list(df.covec) == [f_re.diff(n) for n in R4.names]
 
@@ -583,10 +586,7 @@ class TestHamiltonian:
         df = hamiltonian_section(C2, s, f_re, f_im)
         assert not any(df.vec)
         got = MixedForm(4, {1 << i: c for i, c in enumerate(df.covec) if c})
-        want = (C2.dzbar(1) + C2.dz(1)).map_coeffs(
-            lambda c: c if isinstance(c, Poly) else C2.const(c)
-        )
-        assert got == want
+        assert got == C2.dzbar(1) + C2.dz(1)
 
     def test_real_constant_is_zero(self):
         s = j_symplectic(standard_symplectic_map(2))
@@ -596,7 +596,7 @@ class TestHamiltonian:
     def test_symmetry_verdict(self):
         s = j_symplectic(standard_symplectic_map(2))
         L = eigenbundle(s)
-        frame = DiracFrame(R4, tuple(R4.lift_section(v) for v in L.basis))
+        frame = DiracFrame(R4, L.basis)
         f_re = R4.var("x1") * R4.var("x3")
         df = hamiltonian_section(R4, s, f_re, R4.zero())
         assert is_symmetry(R4, df, frame, None)
@@ -649,9 +649,7 @@ class TestGradedDecomposition:
         c3 = Chart.complex_plane(3)
         sj = j_complex(standard_complex_endo(3))
         h30 = c3.dz(0).wedge(c3.dz(1)).wedge(c3.dz(2))
-        h_real = (h30 + h30.conj()).map_coeffs(
-            lambda c: c if isinstance(c, Poly) else c3.const(c)
-        )
+        h_real = h30 + h30.conj()
         from gcgeo.fields import ClosedThreeForm
 
         h = ClosedThreeForm(c3, h_real)

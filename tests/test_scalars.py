@@ -333,3 +333,16 @@ class TestDivide:
             x.divide(Poly.zero(VARS))
         with pytest.raises(MismatchedVariables):
             x.divide(Poly.var(("z",), "z"))
+
+    def test_constant_divisor(self):
+        # a GaussRat divisor is exact division by a constant
+        x, y = P(x=1), P(y=1)
+        half = P(x=Fraction(1, 2)) - P(y=Fraction(3, 2)) * IUNIT
+        q = (x * IUNIT + 3 * y).divide(GaussRat(0, 2))
+        assert_raw_invariants(q)
+        assert q == half
+        assert x.divide(GaussRat(2)) == P(x=Fraction(1, 2))
+        assert Poly.zero(VARS).divide(GaussRat(3)) == Poly.zero(VARS)
+        for p in (x, Poly.zero(VARS)):
+            with pytest.raises(ZeroDivisionError):
+                p.divide(ZERO)
