@@ -9,7 +9,7 @@ components on a basis is built by wedging the dual coframe (`coframe`).
 from __future__ import annotations
 
 from .record import Record
-from .scalars import HALF, ONE, ZERO, as_gauss
+from .scalars import HALF, ONE, ZERO, as_gauss, lane
 from .forms import MixedForm, check_dim, covector_form
 from .clifford import GenVector, BlockTransform, pairing_matrix
 from . import linalg
@@ -203,29 +203,49 @@ def pure_spinor_line(iso: MaxIsotropic) -> MixedForm:
 
 
 def null_space(phi: MixedForm):
-    """All v with v . phi = 0, plus a purity flag.  Exact kernel computation."""
+    """All v with v . phi = 0, plus a purity flag.  Exact kernel computation.
+
+    phi is pure iff its null space has dimension m = phi.dim (Chevalley).
+    The coefficients of phi are put on one integer lane (`scalars.lane`), so
+    each blade of v . phi gives a row {column: (a, b)} of gaussian integers
+    over the 2m columns of V + V*, read straight from phi, and
+    `linalg.integer_kernel` takes them.  A pure spinor has 2^(m-1) such rows
+    and rank m, so nearly all of them are dependent: the elimination drops
+    them on its packed pivot tails, each with a bit-length bound that makes
+    the test exact (see `linalg`).  `max_isotropic_from_spinor` (so
+    `gcs.gc_from_pure_spinor` and the spinor round trips), `SpinorLine` and
+    the `null-space` and `type-map` commands all come here.  A coefficient
+    that is a non-constant Poly raises ValueError.
+    """
     if not phi:
         raise ValueError("the zero form has no null space")
     if phi.variance != "form":
         raise ValueError("null spaces are defined for forms")
     dim = phi.dim
-    terms = {mask: as_gauss(c) for mask, c in phi.terms.items()}
+    _, nums = lane([as_gauss(c) for c in phi.terms.values()])
+    terms = dict(zip(phi.terms, nums))
+    negs = {mask: (-a, -b) for mask, (a, b) in terms.items()}
 
     def row(target):
         # v . phi = i_X phi + xi ^ phi reaches blade `target` from the blade
         # target ^ e_i of phi: by contraction (column i) when i is not in
-        # target, by wedge (column dim + i) when it is; the sign is the same
+        # target, by wedge (column dim + i) when it is; the sign is the same,
+        # - when an odd number of the bits of target lie below i
         out = {}
+        odd = False
         for i in range(dim):
             bit = 1 << i
-            c = terms.get(target ^ bit)
-            if c is not None:
-                col = dim + i if target & bit else i
-                out[col] = -c if (target & (bit - 1)).bit_count() & 1 else c
+            c = (negs if odd else terms).get(target ^ bit)
+            if target & bit:
+                if c is not None:
+                    out[dim + i] = c
+                odd = not odd
+            elif c is not None:
+                out[i] = c
         return out
 
     targets = {mask ^ (1 << i) for mask in terms for i in range(dim)}
-    ker = linalg.kernel(map(row, targets), 2 * dim)
+    ker = linalg.integer_kernel(map(row, targets), 2 * dim)
     vectors = [GenVector.from_coords(v) for v in ker]
     return vectors, len(vectors) == dim
 

@@ -29,9 +29,22 @@ never visits a zero entry, and rows are read as it consumes them.  `rref`,
 `rank`, `inverse`, `row_space_basis` and the `span_*` tests take dense rows
 and return what a dense elimination returns.  `kernel` and `solve` also take
 dict rows plus a column count, which is how the polynomial-ansatz solvers
-and `isotropics.null_space` pass their tall, almost empty systems.  `det`
-keeps its own dense loop.  Nothing here inverts a Poly matrix: a
-space-filling brane reads omega^-1 off the Poisson block of J.
+pass their tall, almost empty systems.  `integer_kernel` is `kernel` for
+rows that are already gaussian integers; `isotropics.null_space` builds its
+rows that way, from one lane for all the coefficients of the spinor.
+
+Once a system of at most 24 columns has cleared twice as many dependent
+rows as it has columns, as the 2^m rows over 2m columns of a spinor's null
+space soon do, it also keeps each pivot tail as two ints, real and
+imaginary parts, with the entry at free column j in a slot of W = 160 bits
+(Kronecker substitution), packed again after each new pivot.  A later row
+is then dropped on four big-integer products per pivot it meets, when its
+packed residue is 0 and the bit lengths of its factors prove every slot
+below 2^W, which makes the test exact; any other row takes the integer
+step, so the result is the same.  Short systems and the wide ansatz
+systems of the witness and pullback solvers never pack.  `det` keeps its
+own dense loop.  Nothing here inverts a Poly matrix: a space-filling
+brane reads omega^-1 off the Poisson block of J.
 """
 
 from __future__ import annotations
@@ -308,14 +321,24 @@ def _rows(m, ncols=None):
     return map(_row, entries), ncols
 
 
-def _eliminate(rows):
+# Only a system at most this wide packs its pivot tails (`_packing`): the
+# null space of a spinor at m = 12 has 24 columns, while the sparse ansatz
+# systems of the witness and pullback solvers have hundreds, and packing
+# them costs more than it saves.
+_NARROW = 24
+# bits per slot of a packed tail; the dependent rows of generic spinors up to
+# m = 12 need at most about 140
+_SLOT = 160
+
+
+def _eliminate(rows, ncols):
     """Fraction-free Gauss-Jordan elimination over integer sparse rows.
 
-    rows are {column: (a, b)} maps of nonzero gaussian integers a + bi, each
-    standing for the line it spans; they are consumed.  Returns {pivot
-    column: (p, tail)}: the reduced row echelon form, pivot row by pivot
-    row, where the row is (p at the pivot column + tail) / p, p is a
-    positive integer and the tail holds the other nonzero entries.
+    rows are {column: (a, b)} maps of nonzero gaussian integers a + bi over
+    ncols columns, each standing for the line it spans; they are consumed.
+    Returns {pivot column: (p, tail)}: the reduced row echelon form, pivot
+    row by pivot row, where the row is (p at the pivot column + tail) / p, p
+    is a positive integer and the tail holds the other nonzero entries.
 
     Rows are added one at a time to the reduced form of the rows before
     them.  An added row r is cleared at the pivot columns it has entries in
@@ -329,12 +352,30 @@ def _eliminate(rows):
     of the denominators of the reduced row, and entries do not grow with
     the number of rows.  The reduced row echelon form is unique, so the
     result does not depend on the order of the rows.
+
+    A narrow system (at most `_NARROW` columns) is tall once the step has
+    cleared twice as many rows as it has columns, as it soon has in the
+    2^m rows over 2m columns of a spinor's null space.  From then on the
+    next cleared row packs the pivot tails (`_packing`) whenever they are
+    not packed, and until a new pivot comes a row is dropped without the
+    step when `_dependent` proves that the step would clear it.  Every
+    other row takes the step, so pivots and tails are the same either way.
+    A short system never packs: its few dependent rows would not pay for
+    the packing.
     """
     pivots = {}
+    packing = None
+    cleared = 0
     for r in rows:
         hits = [(c, *pivots[c]) for c in r if c in pivots]
         if hits:
+            if packing is not None and _dependent(r, hits, *packing):
+                continue
             r = _reduce(r, hits)
+            if not r:
+                cleared += 1
+                if packing is None and ncols <= _NARROW and cleared >= 2 * ncols:
+                    packing = _packing(pivots, ncols)
         if not r:
             continue
         c = min(r)
@@ -348,7 +389,71 @@ def _eliminate(rows):
             if c in t:
                 pivots[d] = _primitive(p * q, _reduce(t, [(c, p, r)]))
         pivots[c] = p, r
+        packing = None
     return pivots
+
+
+def _packing(pivots, ncols):
+    """(shifts, packed): the pivot tails of `_eliminate` packed into ints.
+
+    The columns below ncols or in a tail that are not pivots get one slot
+    each, in order: shifts maps such a column to _SLOT times its slot.
+    packed maps each pivot column to (re, im, bits): re and im are the sums
+    of x << shift and y << shift over the entries x + yi of its tail, which
+    has entries only at those columns, and every |x| and |y| is below
+    2^bits.
+    """
+    free = sorted({j for _, t in pivots.values() for j in t}.union(range(ncols)).difference(pivots))
+    shifts = dict(zip(free, range(0, _SLOT * len(free), _SLOT)))
+    packed = {}
+    for c, (_, t) in pivots.items():
+        re = im = top = 0
+        for j, (x, y) in t.items():
+            s = shifts[j]
+            re += x << s
+            im += y << s
+            top |= abs(x) | abs(y)
+        packed[c] = re, im, top.bit_length()
+    return shifts, packed
+
+
+def _dependent(r, hits, shifts, packed):
+    """Whether `_reduce(r, hits)` is empty, decided on the packed tails.
+
+    The packed residue L r - sum (L / p) r[c] tail_c holds the entry s_j of
+    the reduced row at column j in the slot of j, as sum s_j 2^(shift of j),
+    real and imaginary parts apart; it takes four products of an integer
+    and a packed tail per hit.  The answer is yes only when both parts are
+    0 and every |s_j| is proven below 2^_SLOT: then the lowest nonzero s_j
+    would be a multiple of 2^_SLOT, so every s_j is 0.  The proof bounds
+    each of the 1 + 2 len(hits) products that add up to s_j by the bit
+    lengths of its factors; a row it fails for takes the exact step.
+    """
+    lc = lcm(*(p for _, p, _ in hits))
+    limit = _SLOT - (2 * len(hits) + 1).bit_length()
+    re = im = top = 0
+    for j, (x, y) in r.items():
+        s = shifts.get(j)
+        if s is not None:
+            re += x << s
+            im += y << s
+            top |= abs(x) | abs(y)
+        elif j not in packed:
+            return False  # a column with no slot
+    if lc.bit_length() + top.bit_length() > limit:
+        return False
+    re *= lc
+    im *= lc
+    for c, p, _ in hits:
+        k = lc // p
+        x, y = r[c]
+        x, y = k * x, k * y
+        tr, ti, bits = packed[c]
+        if (abs(x) | abs(y)).bit_length() + bits > limit:
+            return False
+        re -= x * tr - y * ti
+        im -= x * ti + y * tr
+    return not (re or im)
 
 
 def _reduce(r, hits):
@@ -391,18 +496,18 @@ def _primitive(p, t):
     return p, t
 
 
-def _reduced(rows):
+def _reduced(rows, ncols):
     """{pivot column: tail}: the reduced rows, tails as GaussRat entries."""
     return {
         c: {j: GaussRat._raw(x, y, p) for j, (x, y) in t.items()}
-        for c, (p, t) in _eliminate(rows).items()
+        for c, (p, t) in _eliminate(rows, ncols).items()
     }
 
 
 def rref(m):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
     rows, ncols = _rows(m)
-    tails = _reduced(rows)
+    tails = _reduced(rows, ncols)
     piv = sorted(tails)
     red = []
     for c in piv:
@@ -416,7 +521,7 @@ def rref(m):
 
 
 def rank(m) -> int:
-    return len(_eliminate(_rows(m)[0]))
+    return len(_eliminate(*_rows(m)))
 
 
 def kernel(m, ncols=None):
@@ -426,14 +531,23 @@ def kernel(m, ncols=None):
     vector per non-pivot column f, with a 1 at f and 0 at the other
     non-pivot columns.
     """
-    rows, ncols = _rows(m, ncols)
-    tails = _reduced(rows)
+    return integer_kernel(*_rows(m, ncols))
+
+
+def integer_kernel(rows, ncols):
+    """`kernel` of gaussian-integer rows {column: (a, b)} over ncols columns.
+
+    Each row stands for the line it spans and has no zero entry, as in
+    `_eliminate`; `isotropics.null_space` builds its rows this way.
+    """
+    tails = _eliminate(rows, ncols)
     basis = {f: [ZERO] * ncols for f in range(ncols) if f not in tails}
     for f, v in basis.items():
         v[f] = ONE
-    for c, tail in tails.items():
-        for f, x in tail.items():
-            basis[f][c] = -x
+    raw = GaussRat._raw
+    for c, (p, tail) in tails.items():
+        for f, (x, y) in tail.items():
+            basis[f][c] = raw(-x, -y, p)
     return list(basis.values())
 
 
@@ -449,7 +563,7 @@ def solve(m, b, ncols=None):
         _row(chain(e, [(ncols, b[i])] if i < len(b) else []))
         for i, e in enumerate(entries)
     )
-    tails = _reduced(rows)
+    tails = _reduced(rows, ncols + 1)
     if ncols in tails:
         return None
     x = [ZERO] * ncols
@@ -461,7 +575,7 @@ def solve(m, b, ncols=None):
 def inverse(m):
     n = len(m)
     rows = (_row(chain(enumerate(row), [(n + i, ONE)])) for i, row in enumerate(m))
-    tails = _reduced(rows)
+    tails = _reduced(rows, 2 * n)
     if sorted(tails) != list(range(n)):
         raise ValueError("matrix is singular")
     out = []

@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcgeo.charts import Chart
 from gcgeo.scalars import GaussRat, IUNIT, ONE, ZERO
 from gcgeo.forms import MixedForm, map_from_two_form, mukai_coeff
 from gcgeo.clifford import BlockTransform, GenVector
@@ -445,3 +447,56 @@ class TestNullSpaceRows:
         vecs, pure = null_space(phi)
         want_vecs, want_pure = dense_null_space(phi)
         assert vecs == want_vecs and pure == want_pure
+
+    def test_constant_poly_coefficients_are_read_as_constants(self):
+        chart = Chart.real("x", "y")
+        phi = MixedForm.one(2) - blade(2, 1, 2).scale(GaussRat(Fraction(1, 3), 1))
+        lifted = MixedForm(2, {mask: chart.const(c) for mask, c in phi.terms.items()})
+        assert null_space(lifted) == null_space(phi)
+
+    def test_non_constant_poly_coefficient_is_refused(self):
+        chart = Chart.real("x", "y")
+        phi = MixedForm(2, {0: ONE, 0b11: chart.coord(0)})
+        with pytest.raises(ValueError, match="is not constant"):
+            null_space(phi)
+
+
+def dense_generic_spinor(m, seed):
+    """A B- then beta-transform of T with dense complex shears, and its spinor."""
+    rng = random.Random(seed)
+
+    def shear():
+        out = linalg.zeros(m, m)
+        for i in range(m):
+            for j in range(i + 1, m):
+                c = GaussRat(rng.choice([-2, -1, 1, 2]), rng.choice([-1, 0, 1]))
+                out[i][j], out[j][i] = c, -c
+        return out
+
+    planted = tangent_space(m)
+    for kind in ("B", "beta"):
+        planted = transform(planted, BlockTransform(m, kind, shear()))
+    return planted, pure_spinor_line(planted)
+
+
+class TestNullSpaceAtM12:
+    # 2^11 rows over 24 columns of rank 12: about 0.1 s each on a shared
+    # 2-core machine, against the bound of 20 s
+    BOUND_S = 20.0
+
+    def test_dense_pure_spinor_gives_the_planted_space(self):
+        planted, phi = dense_generic_spinor(12, 5)
+        assert len(phi.terms) == 1 << 11
+        start = time.perf_counter()
+        got = max_isotropic_from_spinor(phi)
+        assert time.perf_counter() - start < self.BOUND_S
+        assert got.equals(planted)
+
+    def test_pure_plus_noise_is_not_pure(self):
+        _, pure = dense_generic_spinor(12, 6)
+        phi = pure + Rng(6).form(12, terms=6)
+        start = time.perf_counter()
+        vecs, is_pure = null_space(phi)
+        assert time.perf_counter() - start < self.BOUND_S
+        assert not is_pure and len(vecs) < 12
+        assert all(not v.act(phi) for v in vecs)

@@ -5,17 +5,22 @@ with zero rows and columns, and empty; entries are small, or have
 numerators up to 10^6 and denominators up to 50, so that the integer rows
 of the elimination carry content to remove.  `rref` is compared with sympy and
 with the plain dense Gauss-Jordan loop below; kernels, solves and inverses
-are checked by their defining equations.
+are checked by their defining equations.  Tall systems, many combinations of
+a few rows, take the packed dependence test of narrow eliminations, and
+spinor null spaces are checked against the dense loop.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcgeo import linalg
-from gcgeo.isotropics import pure_spinor_line
+from gcgeo.clifford import GenVector
+from gcgeo.forms import MixedForm
+from gcgeo.isotropics import graph_of_two_form, max_isotropic_from_spinor, null_space, pure_spinor_line
 from gcgeo.randgen import Rng
 from gcgeo.scalars import GaussRat, ONE, ZERO
 
@@ -243,6 +248,107 @@ class TestWideEntries:
         assert linalg.mat_mul(linalg.inverse(m), m) == linalg.identity(len(m))
 
 
+def kernel_from_rref(red, piv, ncols):
+    """Reference: the kernel basis read off a reduced row echelon form."""
+    out = []
+    for f in (f for f in range(ncols) if f not in piv):
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for row, c in zip(red, piv):
+            v[c] = -row[f]
+        out.append(v)
+    return out
+
+
+# combination coefficients this large make a row's slot bound fail
+HUGE = 2**205
+
+
+@st.composite
+def tall_systems(draw):
+    """A few base rows and many gaussian-integer combinations of them.
+
+    Most rows are dependent, more than twice as many as there are columns,
+    so the elimination drops them on its packed pivot tails.  Some
+    combinations take a coefficient above 2^205, which puts entries above
+    2^200 and past the slot bound of `linalg._SLOT` bits, so those rows take
+    the exact step.
+    """
+    cols = draw(st.integers(1, 8))
+    base = [[draw(gauss_rats()) for _ in range(cols)] for _ in range(draw(st.integers(1, 4)))]
+    huge = draw(st.booleans())
+    rows = list(base)
+    for _ in range(draw(st.integers(2 * cols + 2, 2 * cols + 24))):
+        coeffs = []
+        for _ in base:
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            if huge and draw(st.integers(0, 3)) == 0:
+                a += HUGE * draw(st.sampled_from([-1, 1]))
+            coeffs.append(GaussRat(a, b))
+        rows.append([sum((k * r[j] for k, r in zip(coeffs, base)), ZERO) for j in range(cols)])
+    rows = draw(st.permutations(rows))
+    return rows
+
+
+class TestPackedDependence:
+    """Dependent rows of narrow systems dropped on packed pivot tails."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tall_systems())
+    def test_rref_and_kernel_match_dense_loop(self, m):
+        ncols = ncols_of(m)
+        red, piv = dense_rref(m)
+        assert linalg.rref(m) == (red, piv)
+        want = kernel_from_rref(red, piv, ncols)
+        assert linalg.kernel(m) == want
+        assert linalg.kernel(dict_rows(m), ncols) == want
+
+    @pytest.mark.parametrize("huge", [False, True], ids=["small", "huge"])
+    def test_drops_only_under_the_slot_bound(self, huge, monkeypatch):
+        rng = Rng(3)
+        base = [[rng.gauss(3) for _ in range(8)] for _ in range(3)]
+        k = GaussRat(HUGE if huge else 2, 1)
+        m = list(base)
+        for _ in range(40):
+            g = rng.gauss(2)
+            m.append([k * x + g * y - z for x, y, z in zip(*base)])
+        seen = []
+        dependent = linalg._dependent
+
+        def spy(*args):
+            seen.append(dependent(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(linalg, "_dependent", spy)
+        assert linalg.rref(m) == dense_rref(m)
+        # the first 2 * 8 dependent rows take the step, then the system packs
+        assert seen == [not huge] * (40 - 2 * 8)
+
+    def test_a_carry_between_slots_is_not_a_zero(self):
+        # pivot row e0 + e1; the row x e0 + (2^W + x) e1 - e2 leaves the
+        # residue 2^W at column 1 and -1 at column 2, whose packed sum
+        # 2^W * 2^0 - 1 * 2^W is 0: only the slot bound refuses it
+        w = linalg._SLOT
+        pivots = {0: (1, {1: (1, 0)})}
+        r = {0: (5, 0), 1: ((1 << w) + 5, 0), 2: (-1, 0)}
+        hits = [(0, 1, pivots[0][1])]
+        assert linalg._reduce(r, hits) == {1: (1 << w, 0), 2: (-1, 0)}
+        assert not linalg._dependent(r, hits, *linalg._packing(pivots, 3))
+
+    def test_a_column_without_a_slot_is_not_dropped(self):
+        # column 5 lies past the 3 columns that have slots
+        pivots = {0: (1, {1: (1, 0)})}
+        r = {0: (1, 0), 1: (1, 0), 5: (1, 0)}
+        hits = [(0, 1, pivots[0][1])]
+        assert linalg._reduce(r, hits) == {5: (1, 0)}
+        assert not linalg._dependent(r, hits, *linalg._packing(pivots, 3))
+
+    def test_rows_longer_than_the_first(self):
+        # dense rows read ncols off the first row; entries past it still count
+        m = [[ONE, ZERO]] + [[ZERO, ZERO, ONE, ONE]] * 12 + [[ZERO, ZERO, ONE, GaussRat(2)]]
+        assert linalg.rank(m) == 3
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_null_space_matrix_at_m8_matches_dense_loop(seed):
     rng = Rng(seed)
@@ -251,3 +357,47 @@ def test_null_space_matrix_at_m8_matches_dense_loop(seed):
         m = null_space_matrix(phi)
         assert len(m) == 256
         assert linalg.rref(m) == dense_rref(m)
+
+
+def dense_loop_null_space(phi):
+    """Reference: the kernel of null_space_matrix(phi) by the dense loop."""
+    red, piv = dense_rref(null_space_matrix(phi))
+    return [GenVector.from_coords(v) for v in kernel_from_rref(red, piv, 2 * phi.dim)]
+
+
+class TestNullSpaceLane:
+    """`null_space` reads integer rows off one lane for all of phi."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_m10_matches_dense_loop(self, seed):
+        rng = Rng(seed)
+        pure = pure_spinor_line(rng.isotropic(10))
+        noisy = pure + rng.form(10, terms=6)
+        for phi, want_pure in ((pure, True), (noisy, False)):
+            vecs, is_pure = null_space(phi)
+            assert vecs == dense_loop_null_space(phi)
+            assert is_pure == want_pure
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_large_distinct_denominators(self, m):
+        # each B_ij has two primes of its own as denominators, so the
+        # coefficients of e^-B have many distinct denominators, and one lane
+        # for all of phi is far from the lane of any one row; at m = 6 its
+        # numerators are past the slot bound of the packed test
+        primes = iter(p for p in range(9001, 10200, 2) if all(p % d for d in range(3, 101, 2)))
+        b = MixedForm(m, {
+            (1 << i) | (1 << j): GaussRat(Fraction(1, next(primes)), Fraction(1, next(primes)))
+            for i in range(m) for j in range(i + 1, m)
+        })
+        planted = graph_of_two_form(b)
+        pure = pure_spinor_line(planted)
+        whole = lcm(*(c.q for c in pure.terms.values()))
+        per_row = [lcm(*(x.q for x in row if x)) for row in null_space_matrix(pure) if any(row)]
+        assert min(per_row) < whole and len(set(per_row)) > m
+        noise = MixedForm(m, {3: GaussRat(Fraction(1, next(primes))), (1 << m) - 1: ONE})
+        for phi in (pure, pure + noise):
+            vecs, is_pure = null_space(phi)
+            want = dense_loop_null_space(phi)
+            assert vecs == want
+            assert is_pure == (len(want) == m)
+        assert max_isotropic_from_spinor(pure).equals(planted)
