@@ -308,7 +308,7 @@ class BlockTransform:
     def spinor(self, phi: MixedForm) -> MixedForm:
         """Spin-lift action: e^{-B}^phi, e^{i_beta}phi, or sqrt(det g)(g*)^{-1}phi."""
         if self.kind == "B":
-            return (-two_form_from_map(self.mat, "form")).exp_wedge().wedge(phi)
+            return (-two_form_from_map(self.mat, "form")).exp_wedge_on(phi)
         if self.kind == "beta":
             return phi.exp_contract(two_form_from_map(self.mat, "mv"))
         root = sqrt_exact(linalg.det(self.mat))

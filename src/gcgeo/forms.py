@@ -264,7 +264,7 @@ class MixedForm:
         acc = cur = self
         k = 1
         while True:
-            cur = step(cur).scale(GaussRat(Fraction(1, k)))
+            cur = step(cur).scale(GaussRat._raw(1, 0, k))
             if not cur:
                 return acc
             if k > self.dim + 1:
@@ -274,11 +274,27 @@ class MixedForm:
             acc = acc + cur
             k += 1
 
+    def exp_wedge_on(self, omega: "MixedForm") -> "MixedForm":
+        """e^self ^ omega, grown as omega + self ^ omega + self^2 ^ omega / 2! + ...
+
+        self must have even degrees, so it commutes with every form and the
+        series is e^self ^ omega term by term; its powers are never formed on
+        their own, and each step wedges self onto the last term, which starts
+        at the lowest degree of omega.  A degree-0 part makes e^self an
+        infinite series, refused here whatever omega is, as `exp_wedge` refuses it.
+        """
+        if any(m.bit_count() % 2 for m in self.terms):
+            raise ValueError("wedge exponential needs even degrees")
+        if 0 in self.terms:
+            raise ValueError(
+                "exponential series does not terminate: the exponent has a degree-0 part"
+            )
+        self._check_peer(omega)
+        return omega._exp_series(lambda c: c.wedge(self))
+
     def exp_wedge(self) -> "MixedForm":
         """Wedge exponential 1 + a + a^2/2! + ... for even-degree nilpotents."""
-        if self.terms and any(m.bit_count() % 2 for m in self.terms):
-            raise ValueError("wedge exponential needs even degrees")
-        return MixedForm.one(self.dim, self.variance)._exp_series(lambda c: c.wedge(self))
+        return self.exp_wedge_on(MixedForm.one(self.dim, self.variance))
 
     def exp_contract(self, mv: "MixedForm") -> "MixedForm":
         """e^{i_P} applied to this form: phi + i_P phi + i_P i_P phi / 2! + ..."""

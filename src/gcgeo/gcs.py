@@ -6,6 +6,18 @@ decomposition into a complex times a symplectic piece.  The canonical
 exponent is solved once, block by block, over the coframe dual to an adapted
 basis of Delta + N; the Darboux normal form is those blocks recombined.
 
+The verdicts are exact identities, each stated on data already held:
+
+- L cap conj L = 0 for the eigenbundle L is decided as rank(Im R) = m on its
+  canonical rows R (`MaxIsotropic.conj_intersection_dim`), since
+  [R; conj R] has rank m + rank(Im R).
+- The canonical exponent A = B + i omega is verified by
+  e^A ^ Omega = phi, grown on Omega (`MixedForm.exp_wedge_on`), and the
+  nondegeneracy by omega^{n-k} ^ (Omega ^ conj Omega) != 0, started from the
+  Omega ^ conj Omega that the adapted splitting already formed.
+- The Darboux form keeps the spinor line exactly when X ^ Omega = 0 for
+  X = conj(a101) + conj(a002) (see `darboux_point`).
+
 Matrices act on column coordinates in the basis (e_1..e_m, e^1..e^m); the
 blocks of J are (A, P_beta_map; B_map, -A^T), built and read through
 linalg.from_blocks and linalg.blocks.
@@ -169,17 +181,23 @@ def hyperkahler_interpolation(a, b) -> GCStructure:
 # ---------------------------------------------------------------------------
 
 def eigenbundle(s: GCStructure) -> MaxIsotropic:
-    """The +i eigenbundle as a maximal isotropic over the gaussian rationals."""
+    """The +i eigenbundle as a maximal isotropic over the gaussian rationals.
+
+    L = ker(J - i) must have dimension m and meet its conjugate only in 0.
+    The second is read off the canonical rows R of L: [R; conj R] spans
+    Re R and Im R, Re R keeps the unit pivots of R and Im R vanishes on
+    them, so dim(L cap conj L) = m - rank(Im R), and L cap conj L = 0
+    exactly when rank(Im R) = m.
+    """
     m = s.dim
-    a = [
-        [as_gauss(s.j[i][k]) - (IUNIT if i == k else ZERO) for k in range(2 * m)]
-        for i in range(2 * m)
-    ]
+    a = [[as_gauss(x) for x in row] for row in s.j]
+    for i, row in enumerate(a):
+        row[i] = row[i] - IUNIT
     ker = linalg.kernel(a)
     if len(ker) != m:
         raise InvalidStructure(f"+i eigenspace has dimension {len(ker)}, expected {m}")
     lft = canonical_form([GenVector.from_coords(v) for v in ker], m)
-    if lft.intersection_dim(lft.conj()) != 0:
+    if lft.conj_intersection_dim():
         raise InvalidStructure("eigenbundle meets its conjugate")
     return lft
 
@@ -198,10 +216,14 @@ def gc_type(s: GCStructure) -> int:
 
 
 def gc_from_pure_spinor(phi: MixedForm) -> GCStructure:
-    """The structure whose +i eigenbundle is the null space of phi."""
+    """The structure whose +i eigenbundle is the null space of phi.
+
+    The null space L must meet its conjugate only in 0, decided as
+    rank(Im R) = m on its canonical rows R (see `eigenbundle`).
+    """
     lft = max_isotropic_from_spinor(phi)
     m = phi.dim
-    if lft.intersection_dim(lft.conj()) != 0:
+    if lft.conj_intersection_dim():
         raise InvalidStructure("null space meets its conjugate; spinor not of complex type")
     if not mukai_coeff(phi, phi.conj()):
         raise InvalidStructure("degenerate spinor: (phi, conj phi) = 0")
@@ -237,8 +259,8 @@ class CanonicalSpinorData(Record, frozen=True):
 def _realify(vectors):
     rows = []
     for v in vectors:
-        re = [GaussRat(c.re) for c in v]
-        im = [GaussRat(c.im) for c in v]
+        re = [GaussRat._raw(c.a, 0, c.q) for c in v]
+        im = [GaussRat._raw(c.b, 0, c.q) for c in v]
         if any(re):
             rows.append(re)
         if any(im):
@@ -248,7 +270,10 @@ def _realify(vectors):
 
 
 def _adapted_splitting(omega_k: MixedForm):
-    """Delta = ker(Omega ^ conj Omega), a real complement N, and N_{1,0}."""
+    """Delta = ker(Omega ^ conj Omega), a real complement N, and N_{1,0}.
+
+    Returns (delta_rows, comp, n10, n01, Omega ^ conj Omega).
+    """
     m = omega_k.dim
     oo = omega_k.wedge(omega_k.conj())
     rows, _ = coefficient_rows([GenVector.basis_vector(m, i).act(oo) for i in range(m)])
@@ -268,7 +293,7 @@ def _adapted_splitting(omega_k: MixedForm):
             full[c] = coeff
         n01.append(full)
     n10 = [[c.conj() for c in v] for v in n01]
-    return delta_rows, comp, n10, n01
+    return delta_rows, comp, n10, n01, oo
 
 
 def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
@@ -276,6 +301,13 @@ def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
 
     The exponent is solved over the coframe e'^a dual to the adapted basis
     (Delta, N_{1,0}, N_{0,1}), in its (2,0,0), (1,0,1) and (0,0,2) blocks.
+    Two identities are verified exactly:
+
+    - e^A ^ Omega = phi, with the series grown on Omega: Omega + A ^ Omega +
+      A ^ A ^ Omega / 2 + ..., which equals e^A ^ Omega because A is even
+      (`MixedForm.exp_wedge_on`);
+    - omega^{n-k} ^ Omega ^ conj Omega != 0, as omega^{n-k} wedged onto the
+      Omega ^ conj Omega of the adapted splitting, since even forms commute.
     """
     lft = eigenbundle(s)
     k = lft.type
@@ -286,7 +318,7 @@ def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
         raise InvalidStructure("degenerate structure: (phi, conj phi) = 0")
     m = s.dim
     omega_k = phi.degree_part(k)
-    delta_rows, comp, n10, n01 = _adapted_splitting(omega_k)
+    delta_rows, comp, n10, n01, power = _adapted_splitting(omega_k)
     nd, kk = len(delta_rows), len(n10)
     if nd + 2 * kk != m:
         raise InvalidStructure(f"adapted basis has {nd + 2 * kk} vectors, expected {m}")
@@ -311,15 +343,13 @@ def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
         parts.append(acc)
     a200, a101, a002 = parts
     a2 = a200 + a101 + a002
-    if not a2.exp_wedge().wedge(omega_k) == phi:
+    if a2.exp_wedge_on(omega_k) != phi:
         raise InvalidStructure("exp(A) ^ Omega does not reproduce the generator")
     b2 = (a2 + a2.conj()).scale(HALF)
     om2 = (a2 - a2.conj()).scale(GaussRat(0, Fraction(-1, 2)))
-    n = s.half_dim
-    power = MixedForm.one(m)
-    for _ in range(n - k):
+    for _ in range(s.half_dim - k):
         power = power.wedge(om2)
-    if not power.wedge(omega_k).wedge(omega_k.conj()):
+    if not power:
         raise InvalidStructure("omega^{n-k} ^ Omega ^ conj(Omega) vanishes")
     return CanonicalSpinorData(
         k=k,
@@ -401,6 +431,15 @@ def darboux_point(s: GCStructure) -> DarbouxData:
     same spinor line as the canonical generator, omega0 nondegenerate on the
     symplectic distribution, and Omega inducing the transverse complex
     structure.
+
+    The spinor line is checked as X ^ Omega = 0 for X = conj(a101) +
+    conj(a002), without growing the exponential again.  Btilde + i omega0 =
+    a2 + X, and `canonical_spinor` verified e^{a2} ^ Omega = phi, so
+    e^{Btilde + i omega0} ^ Omega = e^{a2} ^ (e^X ^ Omega).  If X ^ Omega = 0
+    then e^X ^ Omega = Omega and the form is phi itself.  Conversely, if it
+    is c phi, then e^{a2} ^ (e^X ^ Omega - c Omega) = 0, and e^{a2} is
+    invertible, so e^X ^ Omega = c Omega; its degree-k part gives c = 1 and
+    its degree-(k+2) part X ^ Omega = 0.
     """
     data = canonical_spinor(s)
     a200, a101, a002 = data.a200, data.a101, data.a002
@@ -410,8 +449,7 @@ def darboux_point(s: GCStructure) -> DarbouxData:
         + (a002 + a002.conj())
     )
     omega0 = (a200 - a200.conj()).scale(GaussRat(0, Fraction(-1, 2)))
-    gen = (btilde + omega0.scale(IUNIT)).exp_wedge().wedge(data.omega_k)
-    if not gen.proportional_to(data.generator):
+    if (a101.conj() + a002.conj()).wedge(data.omega_k):
         raise InvalidStructure("darboux normal form lost the spinor line")
     delta = data.delta_basis
     gram = [[iu.contract(v).coeff(0) for v in delta] for iu in map(omega0.contract, delta)]

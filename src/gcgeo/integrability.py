@@ -355,7 +355,7 @@ def deform_graph_pointwise(s: GCStructure, eps_matrix) -> GCStructure:
                 w = w + dual[k].scale(eps_matrix[j][k])
         new_basis.append(w)
     new_l = canonical_form(new_basis, m)
-    if new_l.intersection_dim(new_l.conj()) != 0:
+    if new_l.conj_intersection_dim():
         raise ValueError("deformation is singular: graph meets its conjugate")
     phi = pure_spinor_line(new_l)
     return gc_from_pure_spinor(phi)

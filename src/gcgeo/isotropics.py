@@ -3,13 +3,15 @@
 Everything here is pointwise linear algebra over gaussian rationals: canonical
 (Delta, eps) data, spinor lines in both directions, single-block transforms,
 and the tensor product of linear Dirac structures.  A 2-form given by its
-components on a basis is built by wedging the dual coframe (`coframe`).
+components on a basis is built over the dual coframe (`coframe`); on the
+canonical Delta, in reduced row echelon form, that coframe is the pivot
+coordinates (`_extension_of_eps`).
 """
 
 from __future__ import annotations
 
 from .record import Record
-from .scalars import HALF, ONE, ZERO, as_gauss, lane
+from .scalars import HALF, ZERO, GaussRat, as_gauss, lane
 from .forms import MixedForm, check_dim, covector_form
 from .clifford import GenVector, BlockTransform, pairing_matrix
 from . import linalg
@@ -26,9 +28,11 @@ class NotPure(ValueError):
 class MaxIsotropic(Record, frozen=True):
     """Maximal isotropic with canonical data.
 
-    delta_basis spans the projection to V; eps[a][b] is the induced 2-form on
-    that basis; type k = dim - dim(delta); parity = k mod 2.  The original
-    spanning basis is kept alongside.
+    basis holds the canonical rows, the reduced row echelon form of the
+    spanning set; delta_basis spans the projection to V (the V parts of the
+    rows pivoting in V, so itself in reduced row echelon form); eps[a][b] is
+    the induced 2-form on that basis; type k = dim - dim(delta);
+    parity = k mod 2.
     """
 
     dim: int
@@ -42,7 +46,22 @@ class MaxIsotropic(Record, frozen=True):
         return [v.coords() for v in self.basis]
 
     def conj(self) -> "MaxIsotropic":
-        return canonical_form([v.conj() for v in self.basis], self.dim)
+        """The conjugate space, read off the canonical data.
+
+        Conjugation commutes with row reduction and the pivots of the reduced
+        rows are 1, which is real, so the conjugated canonical rows are the
+        canonical rows of the conjugate: the same pivots, type and parity,
+        with Delta and eps conjugated entry by entry.  The reduced row echelon
+        form is unique, so this is `canonical_form` of the conjugated rows.
+        """
+        return MaxIsotropic(
+            dim=self.dim,
+            basis=tuple(v.conj() for v in self.basis),
+            delta_basis=_conj_rows(self.delta_basis),
+            eps=_conj_rows(self.eps),
+            type=self.type,
+            parity=self.parity,
+        )
 
     def flip(self) -> "MaxIsotropic":
         """Reversal L -> L^T = {X - xi}."""
@@ -58,8 +77,20 @@ class MaxIsotropic(Record, frozen=True):
         joint = linalg.rank(self.rows() + other.rows())
         return self.dim + other.dim - joint
 
+    def conj_intersection_dim(self) -> int:
+        """dim(L cap conj L) = m - rank(Im R), for R the canonical rows.
+
+        [R; conj R] spans the rows of Re R and Im R.  Re R has the unit
+        pivots of R and Im R vanishes on the pivot columns, so no nonzero
+        combination of Re R lies in the span of Im R, and
+        rank [R; conj R] = m + rank(Im R) = 2m - dim(L cap conj L).
+        """
+        im = [[GaussRat._raw(x.b, 0, x.q) for x in v.coords()] for v in self.basis]
+        return self.dim - linalg.rank(im)
+
     def is_real(self) -> bool:
-        return self.equals(self.conj())
+        """L = conj L, that is Im R = 0 for the canonical rows R (see `conj`)."""
+        return not any(x.b for v in self.basis for x in v.coords())
 
 
 class SpinorLine(Record, frozen=True):
@@ -82,6 +113,10 @@ class SpinorLine(Record, frozen=True):
 
     def annihilator(self) -> "MaxIsotropic":
         return max_isotropic_from_spinor(self.generator)
+
+
+def _conj_rows(rows):
+    return tuple(tuple(x.conj() for x in r) for r in rows)
 
 
 def spinor_line_of(iso: "MaxIsotropic") -> SpinorLine:
@@ -163,43 +198,48 @@ def _ann_basis(delta_rows, dim):
     return linalg.kernel([list(r) for r in delta_rows])
 
 
-def coframe(basis, variance="form"):
+def coframe(basis):
     """The 1-forms e'^a dual to a basis e'_a of V: e'^a(e'_b) = delta_ab.
 
     They are the rows of the inverse of the matrix whose columns are the
-    basis vectors; with variance "mv" they are vectors dual to covectors.
+    basis vectors.
     """
     cinv = linalg.inverse(linalg.transpose([list(v) for v in basis]))
-    return [covector_form(len(basis), row, variance) for row in cinv]
+    return [covector_form(len(basis), row) for row in cinv]
 
 
-def _extension_of_eps(delta_rows, eps, dim, variance="form"):
+def _extension_of_eps(iso: MaxIsotropic, variance="form"):
     """sum_{a<b} eps_ab e'^a ^ e'^b: the 2-form with i*B = eps on Delta.
 
-    The coframe is dual to Delta plus a pivot complement, so B vanishes on
-    the complement.
+    The coframe e'^a is dual to Delta plus the unit vectors off its pivots,
+    so B vanishes on that complement.  The sum is one congruence: for R the
+    rows e'^a and E the antisymmetric matrix with E_ab = eps_ab for a < b,
+    e'^a ^ e'^b has components R_ai R_bj - R_aj R_bi, so
+    B(e_i, e_j) = (R^T E R)_ij.  Delta is in reduced row echelon form
+    (`canonical_form`), so e'^a is the coordinate covector of the pivot
+    column p_a of row a, R selects the pivot columns, and R^T E R is eps
+    placed at (p_a, p_b), with p_a < p_b for a < b.
     """
-    _, piv = linalg.rref([list(r) for r in delta_rows])
-    units = [[ONE if i == c else ZERO for i in range(dim)] for c in range(dim) if c not in piv]
-    e = coframe(list(delta_rows) + units, variance)
-    out = MixedForm.zero(dim, variance)
-    for a, row in enumerate(eps):
-        for b in range(a + 1, len(row)):
-            if row[b]:
-                out = out + e[a].wedge(e[b]).scale(row[b])
-    return out
+    piv = [next(i for i, x in enumerate(row) if x) for row in iso.delta_basis]
+    terms = {
+        (1 << piv[a]) | (1 << piv[b]): row[b]
+        for a, row in enumerate(iso.eps)
+        for b in range(a + 1, len(row))
+    }
+    return MixedForm(iso.dim, terms, variance)
 
 
 def pure_spinor_line(iso: MaxIsotropic) -> MixedForm:
     """Generator of the pure spinor line K_L = e^B theta_1 ^ ... ^ theta_k.
 
-    B extends -eps off Delta, vanishing on a pivot-selected complement.
+    B extends -eps off Delta, vanishing on a pivot-selected complement; the
+    exponential is grown on Omega = theta_1 ^ ... ^ theta_k (`exp_wedge_on`).
     """
     dim = iso.dim
-    phi = (-_extension_of_eps(iso.delta_basis, iso.eps, dim)).exp_wedge()
+    omega = MixedForm.one(dim)
     for th in _ann_basis(iso.delta_basis, dim):
-        phi = phi.wedge(covector_form(dim, th))
-    return phi
+        omega = omega.wedge(covector_form(dim, th))
+    return (-_extension_of_eps(iso)).exp_wedge_on(omega)
 
 
 def null_space(phi: MixedForm):
@@ -271,7 +311,7 @@ def graph_over_cotangent(iso: MaxIsotropic):
     )
     f_basis = swapped.delta_basis
     gamma = swapped.eps
-    beta_mv = _extension_of_eps(f_basis, gamma, dim, "mv")
+    beta_mv = _extension_of_eps(swapped, "mv")
     return list(f_basis), [list(r) for r in gamma], beta_mv
 
 

@@ -6,7 +6,12 @@ coframe dual to an adapted basis, and solve their mask systems through
 `forms.coefficient_rows`.  The references below are the earlier dense
 constructions, kept here as oracles: 2-forms conjugated by the inverse
 change of basis with two m x m products, and one dense matrix per system
-with a row per blade.  Every comparison is exact equality.
+with a row per blade.  The data read off canonical rows is checked the same
+way: `MaxIsotropic.conj` against re-reducing the conjugated rows, the
+rank-of-Im test against `intersection_dim` with that conjugate,
+`_extension_of_eps` against its sum of coframe wedges, and
+`exp_wedge_on` against the exponential wedged afterwards.  Every comparison
+is exact equality.
 """
 
 from fractions import Fraction
@@ -14,7 +19,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from gcgeo import gcs, linalg
+from gcgeo.charts import Chart
 from gcgeo.clifford import BlockTransform, GenVector
 from gcgeo.forms import MixedForm, coefficient_rows, covector_form, map_from_two_form, two_form_from_map
 from gcgeo.gcs import canonical_spinor, darboux_point, eigenbundle, validate_gc
@@ -28,7 +36,7 @@ from gcgeo.isotropics import (
     transform,
 )
 from gcgeo.randgen import Rng
-from gcgeo.scalars import HALF, ONE, ZERO, GaussRat, as_gauss
+from gcgeo.scalars import HALF, ONE, ZERO, GaussRat, Poly, as_gauss
 
 from conftest import gauss_rats, wide_gauss_rats
 
@@ -264,7 +272,7 @@ def test_spinor_lines_match_dense_construction(iso):
     assert dual_spinor_of(iso) == want
     for variance in ("form", "mv"):
         bcomp = dense_extension_of_eps(iso.delta_basis, iso.eps, m)
-        assert _extension_of_eps(iso.delta_basis, iso.eps, m, variance) == two_form_from_map(
+        assert _extension_of_eps(iso, variance) == two_form_from_map(
             linalg.transpose(bcomp), variance
         )
 
@@ -273,9 +281,8 @@ def test_spinor_lines_match_dense_construction(iso):
 @given(st.integers(1, 8), st.integers(0, 10**6))
 def test_coframe_is_dual_to_the_basis(m, seed):
     basis = Rng(seed).gl_matrix(m)
-    for variance in ("form", "mv"):
-        e = coframe(basis, variance)
-        assert [[f.contract(v).coeff(0) for v in basis] for f in e] == linalg.identity(m)
+    e = coframe(basis)
+    assert [[f.contract(v).coeff(0) for v in basis] for f in e] == linalg.identity(m)
 
 
 @st.composite
@@ -300,3 +307,118 @@ def test_coefficient_rows_match_dense_mask_matrix(system):
     mat = [[c.coeff(mask) for c in cols] for mask in masks]
     want = linalg.solve(mat, [target.coeff(mask) for mask in masks]) if mat else [ZERO] * n
     assert linalg.solve(rows, rhs, n) == want
+
+
+# ---------------------------------------------------------------------------
+# data read off the canonical rows, against the re-derivations it replaced
+# ---------------------------------------------------------------------------
+
+def reduced_conj(iso):
+    """The conjugate by re-reducing the conjugated rows."""
+    return canonical_form([v.conj() for v in iso.basis], iso.dim)
+
+
+def wedge_sum_extension(iso, variance):
+    """sum_{a<b} eps_ab e'^a ^ e'^b over the coframe dual to Delta plus a pivot complement."""
+    dim = iso.dim
+    _, piv = linalg.rref([list(r) for r in iso.delta_basis]) if iso.delta_basis else (None, [])
+    units = [[ONE if i == c else ZERO for i in range(dim)] for c in range(dim) if c not in piv]
+    cinv = linalg.inverse(linalg.transpose([list(r) for r in iso.delta_basis] + units))
+    e = [covector_form(dim, row, variance) for row in cinv]
+    out = MixedForm.zero(dim, variance)
+    for a, row in enumerate(iso.eps):
+        for b in range(a + 1, len(row)):
+            out = out + e[a].wedge(e[b]).scale(row[b])
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(isotropics())
+def test_conj_reads_off_canonical_rows(iso):
+    assert iso.conj() == reduced_conj(iso)
+    assert iso.conj().conj() == iso
+
+
+@settings(max_examples=80, deadline=None)
+@given(isotropics())
+def test_rank_of_imaginary_rows_is_the_conjugate_intersection(iso):
+    want = iso.intersection_dim(reduced_conj(iso))
+    assert iso.conj_intersection_dim() == want
+    assert iso.is_real() == iso.equals(reduced_conj(iso)) == (want == iso.dim)
+
+
+@settings(max_examples=80, deadline=None)
+@given(isotropics())
+def test_extension_of_eps_congruence_matches_wedge_sum(iso):
+    for variance in ("form", "mv"):
+        assert _extension_of_eps(iso, variance) == wedge_sum_extension(iso, variance)
+
+
+def exp_by_powers(a):
+    """1 + a + a^2/2! + ..., each power formed on its own."""
+    acc = power = MixedForm.one(a.dim, a.variance)
+    k = 1
+    while True:
+        power = power.wedge(a).scale(GaussRat(Fraction(1, k)))
+        if not power:
+            return acc
+        acc = acc + power
+        k += 1
+
+
+R2 = Chart.real("x", "y")
+
+
+@st.composite
+def polys(draw):
+    """A GaussRat or a Poly in x, y of degree at most 2, so a form mixes both."""
+    if draw(st.booleans()):
+        return draw(gauss_rats())
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return Poly(R2.names, draw(st.dictionaries(exps, gauss_rats(), min_size=1, max_size=3)))
+
+
+@st.composite
+def exponent_and_form(draw, coeffs):
+    m = draw(st.integers(1, 6))
+    even = [mask for mask in range(1, 1 << m) if mask.bit_count() % 2 == 0]
+    a = {}
+    if even:
+        a = draw(st.dictionaries(st.sampled_from(even), coeffs, max_size=5))
+    omega = draw(st.dictionaries(st.integers(0, (1 << m) - 1), coeffs, max_size=6))
+    variance = draw(st.sampled_from(["form", "mv"]))
+    return MixedForm(m, a, variance), MixedForm(m, omega, variance)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(exponent_and_form(gauss_rats()), exponent_and_form(wide_gauss_rats())))
+def test_exp_wedge_on_matches_exponential_then_wedge(pair):
+    a, omega = pair
+    want = a.exp_wedge().wedge(omega)
+    assert a.exp_wedge_on(omega) == want == exp_by_powers(a).wedge(omega)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponent_and_form(polys()))
+def test_exp_wedge_on_matches_with_poly_coefficients(pair):
+    a, omega = pair
+    want = a.exp_wedge().wedge(omega)
+    assert a.exp_wedge_on(omega) == want == exp_by_powers(a).wedge(omega)
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ({0b1: ONE}, "wedge exponential needs even degrees"),
+        ({0b111: HALF}, "wedge exponential needs even degrees"),
+        ({0: ONE}, "exponential series does not terminate: the exponent has a degree-0 part"),
+        ({0: Poly(R2.names, {(1, 0): ONE})}, "exponential series does not terminate"),
+    ],
+)
+@pytest.mark.parametrize("omega", [MixedForm.zero(3), MixedForm.one(3), MixedForm(3, {0b110: ONE})])
+def test_exp_wedge_on_refuses_what_exp_wedge_refuses(extra, message, omega):
+    a = MixedForm(3, {0b011: ONE, **extra})
+    with pytest.raises(ValueError, match=message):
+        a.exp_wedge().wedge(omega)
+    with pytest.raises(ValueError, match=message):
+        a.exp_wedge_on(omega)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,23 @@ class TestEigenbundle:
         L = eigenbundle(s)
         assert L.type == 1
         assert L.intersection_dim(L.conj()) == 0
+
+    @pytest.mark.parametrize(
+        "diagonal,message",
+        [
+            ((IUNIT,) * 4, "+i eigenspace has dimension 4, expected 2"),
+            ((ZERO,) * 4, "+i eigenspace has dimension 0, expected 2"),
+            ((IUNIT, IUNIT, -IUNIT, -IUNIT), "eigenbundle meets its conjugate"),
+        ],
+    )
+    def test_unvalidated_structure_refused(self, diagonal, message):
+        # a raw GCStructure skips validate_gc, so both eigenbundle checks are
+        # reachable: i Id and 0 give the wrong dimension, and diag(i, i, -i, -i)
+        # has the real eigenbundle V, which is its own conjugate
+        j = tuple(tuple(d if r == c else ZERO for c in range(4)) for r, d in enumerate(diagonal))
+        with pytest.raises(InvalidStructure) as err:
+            eigenbundle(GCStructure(2, j))
+        assert str(err.value) == message
 
 
 class TestTypeAndSpinor:
@@ -418,8 +436,9 @@ class TestFromSpinor:
 
     def test_rejects_real_spinor(self):
         # 1 has null space V with V = conj(V): not a complex polarization
-        with pytest.raises(InvalidStructure):
+        with pytest.raises(InvalidStructure) as err:
             gc_from_pure_spinor(MixedForm.one(2))
+        assert str(err.value) == "null space meets its conjugate; spinor not of complex type"
 
 
 class TestDarbouxInvariantBatch:
@@ -435,3 +454,45 @@ class TestDarbouxInvariantBatch:
                 (data.btilde + data.omega0.scale(IUNIT)).exp_wedge().wedge(data.omega_k)
             )
             assert regen.proportional_to(data.generator)
+
+
+def dense_structure(m, k, seed):
+    """complex-k plus symplectic, conjugated by a B shear and then a GL map,
+    every off-diagonal entry of both nonzero (one of +-1, +-1/2)."""
+    r = random.Random(seed)
+
+    def pick():
+        return GaussRat(r.choice([-1, 1, Fraction(-1, 2), Fraction(1, 2)]))
+
+    shear = linalg.zeros(m, m)
+    lo, up = linalg.identity(m), linalg.identity(m)
+    for i in range(m):
+        for j in range(i):
+            c = pick()
+            shear[i][j], shear[j][i] = c, -c
+            lo[i][j], up[j][i] = pick(), pick()
+    g = linalg.mat_mul(lo, up)
+    j = Rng(0).gc_structure(m, k, conjugations=0).matrix()
+    for t, t_inv in (
+        (BlockTransform(m, "B", shear), BlockTransform(m, "B", [[-x for x in row] for row in shear])),
+        (BlockTransform(m, "gl", g), BlockTransform(m, "gl", linalg.inverse(g))),
+    ):
+        j = linalg.mat_mul(t.orth_matrix(), linalg.mat_mul(j, t_inv.orth_matrix()))
+    return validate_gc(j)
+
+
+class TestDarbouxAtM12:
+    # k = 5 takes about 0.4 s and k = 0 about 0.15 s on a shared 2-core
+    # machine, against the bound of 20 s
+    BOUND_S = 20.0
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_dense_structure_in_bounded_time(self, k):
+        s = dense_structure(12, k, seed=k)
+        start = time.perf_counter()
+        data = darboux_point(s)
+        assert time.perf_counter() - start < self.BOUND_S
+        assert data.k == k and len(data.delta_frame) == 12 - 2 * k
+        assert len(data.generator.terms) > 1000
+        regen = (data.btilde + data.omega0.scale(IUNIT)).exp_wedge_on(data.omega_k)
+        assert regen.proportional_to(data.generator)

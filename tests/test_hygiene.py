@@ -243,3 +243,36 @@ def test_detects_hasattr_call():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_hasattr(path):
     assert hasattr_calls(path.read_text()) == []
+
+
+def exp_then_wedge_calls(source: str):
+    """The lines that call `.exp_wedge().wedge(...)`.
+
+    `MixedForm.exp_wedge_on` grows e^A ^ Omega as one series that starts at
+    Omega; forming e^A first and wedging it afterwards computes every power
+    of A on its own.
+    """
+    return [
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "wedge"
+        and isinstance(n.func.value, ast.Call)
+        and isinstance(n.func.value.func, ast.Attribute)
+        and n.func.value.func.attr == "exp_wedge"
+    ]
+
+
+def test_detects_exp_then_wedge():
+    src = (
+        "def f(a, w):\n    return a.exp_wedge().wedge(w)\n\n"
+        "def g(a, w):\n    return (\n        (-a)\n        .exp_wedge()\n        .wedge(w)\n    )\n\n"
+        "def h(a, w):\n    return a.exp_wedge_on(w).wedge(w), a.exp_wedge(), w.wedge(a)\n"
+    )
+    assert exp_then_wedge_calls(src) == [2, 6]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_exp_then_wedge(path):
+    assert exp_then_wedge_calls(path.read_text()) == []

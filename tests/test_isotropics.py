@@ -84,7 +84,7 @@ class TestCanonicalForm:
             m = 3
             L = rng.isotropic(m, steps=2, complex_ok=False)
             delta = [list(r) for r in L.delta_basis]
-            bform = _extension_of_eps(delta, L.eps, m)
+            bform = _extension_of_eps(L)
             rebuilt = []
             for d in delta:
                 cov = bform.contract(d)  # i_d B
