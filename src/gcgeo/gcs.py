@@ -2,19 +2,23 @@
 
 Validation, the +i eigenbundle, type and canonical spinor extraction, the
 spinorial Z-grading, the Poisson block, and the constructive pointwise
-decomposition into a complex times a symplectic piece.  The canonical
-exponent is solved once, block by block, over the coframe dual to an adapted
-basis of Delta + N; the Darboux normal form is those blocks recombined.
+decomposition into a complex times a symplectic piece.  The symplectic
+distribution Delta is the image of the Poisson block beta, and the canonical
+exponent is read off phi by contraction with a frame of N_{1,0}; the Darboux
+normal form is its blocks over the adapted basis (Delta, N_{1,0}, N_{0,1})
+recombined.
 
 The verdicts are exact identities, each stated on data already held:
 
 - L cap conj L = 0 for the eigenbundle L is decided as rank(Im R) = m on its
   canonical rows R (`MaxIsotropic.conj_intersection_dim`), since
   [R; conj R] has rank m + rank(Im R).
-- The canonical exponent A = B + i omega is verified by
+- The type is half of m - rank(beta), from the same reduction of beta that
+  gives Delta = im beta (`_symplectic_distribution`).
+- The canonical exponent A = B + i omega, read off as
+  A = i_{v_k}...i_{v_1} phi_{k+2} / i_{v_k}...i_{v_1} Omega, is verified by
   e^A ^ Omega = phi, grown on Omega (`MixedForm.exp_wedge_on`), and the
-  nondegeneracy by omega^{n-k} ^ (Omega ^ conj Omega) != 0, started from the
-  Omega ^ conj Omega that the adapted splitting already formed.
+  nondegeneracy by omega^{n-k} ^ Omega ^ conj Omega != 0.
 - The Darboux form keeps the spinor line exactly when X ^ Omega = 0 for
   X = conj(a101) + conj(a002) (see `darboux_point`).
 
@@ -30,7 +34,9 @@ from itertools import chain
 
 from .record import Record
 from .scalars import GaussRat, ONE, ZERO, IUNIT, HALF, as_gauss, is_real
-from .forms import MixedForm, check_dim, coefficient_rows, mukai_coeff, two_form_from_map
+from .forms import (
+    MixedForm, check_dim, coefficient_rows, map_from_two_form, mukai_coeff, two_form_from_map,
+)
 from .clifford import GenVector, SoElement
 from .isotropics import (
     MaxIsotropic, canonical_form, coframe, max_isotropic_from_spinor, pure_spinor_line,
@@ -202,17 +208,28 @@ def eigenbundle(s: GCStructure) -> MaxIsotropic:
     return lft
 
 
-def gc_type(s: GCStructure) -> int:
-    """Half the real dimension of T* cap J(T*).
+def _symplectic_distribution(s: GCStructure):
+    """Delta = im beta in reduced rows, the columns off its pivots, and the type.
 
+    beta = pi_T o J|_{T*} is the Poisson structure of J and its image is the
+    symplectic distribution (Gualtieri, arXiv:math/0703298, relation to
+    Poisson geometry).  beta is antisymmetric, so its rows span im beta too.
     J(0, xi) = (beta xi, -A^T xi) lies in T* exactly when beta xi = 0, and J
-    is injective, so T* cap J(T*) has the dimension of ker beta.
+    is injective, so T* cap J(T*) has the dimension of ker beta, twice the
+    type.  Returns (delta_rows, comp, type).
     """
+    m = s.dim
     _, beta, _, _ = linalg.blocks(s.j)
-    inter = s.dim - linalg.rank([[as_gauss(x) for x in row] for row in beta])
+    red, piv = linalg.rref([[as_gauss(x) for x in row] for row in beta])
+    inter = m - len(piv)
     if inter % 2:
         raise InvalidStructure("T* cap J T* has odd dimension")
-    return inter // 2
+    return red[: len(piv)], [c for c in range(m) if c not in piv], inter // 2
+
+
+def gc_type(s: GCStructure) -> int:
+    """Half the real dimension of T* cap J(T*), from the rank of beta."""
+    return _symplectic_distribution(s)[2]
 
 
 def gc_from_pure_spinor(phi: MixedForm) -> GCStructure:
@@ -246,7 +263,7 @@ class CanonicalSpinorData(Record, frozen=True):
     omega_k: MixedForm  # the decomposable lowest piece
     b2: MixedForm  # real 2-form
     om2: MixedForm  # real 2-form
-    a2: MixedForm  # b2 + i om2, the solved exponent: a200 + a101 + a002
+    a2: MixedForm  # b2 + i om2, the exponent read off phi: a200 + a101 + a002
     a200: MixedForm  # the (2,0,0) block, on Delta x Delta
     a101: MixedForm  # the (1,0,1) block, on Delta x N_{0,1}
     a002: MixedForm  # the (0,0,2) block, on N_{0,1} x N_{0,1}
@@ -256,97 +273,78 @@ class CanonicalSpinorData(Record, frozen=True):
     n10: tuple  # complex basis of N_{1,0}
 
 
-def _realify(vectors):
-    rows = []
-    for v in vectors:
-        re = [GaussRat._raw(c.a, 0, c.q) for c in v]
-        im = [GaussRat._raw(c.b, 0, c.q) for c in v]
-        if any(re):
-            rows.append(re)
-        if any(im):
-            rows.append(im)
-    basis = linalg.row_space_basis(rows)
-    return basis
+def _transverse_splitting(omega_k: MixedForm, comp):
+    """N_{1,0} and N_{0,1} in the span N of the unit vectors e_c, c in comp.
 
-
-def _adapted_splitting(omega_k: MixedForm):
-    """Delta = ker(Omega ^ conj Omega), a real complement N, and N_{1,0}.
-
-    Returns (delta_rows, comp, n10, n01, Omega ^ conj Omega).
+    By the convention Omega spans det N*_{1,0}, N_{0,1} is the space of
+    vectors of N x C that kill Omega.  Returns (n10, n01).
     """
     m = omega_k.dim
-    oo = omega_k.wedge(omega_k.conj())
-    rows, _ = coefficient_rows([GenVector.basis_vector(m, i).act(oo) for i in range(m)])
-    ker = linalg.kernel(rows, m)
-    delta_rows = _realify(ker)
-    if len(delta_rows) != len(ker):
-        raise InvalidStructure("symplectic distribution is not conjugation stable")
-    _, piv = linalg.rref(delta_rows)
-    comp = [c for c in range(m) if c not in piv]
-    # N_{1,0}: by the convention Omega spans det N*_{1,0}, the (0,1)
-    # vectors of span(comp) x C kill Omega
-    rows, _ = coefficient_rows([GenVector.basis_vector(m, c).act(omega_k) for c in comp])
+    rows, _ = coefficient_rows([omega_k.contract_blade(1 << c) for c in comp])
     n01 = []
     for v in linalg.kernel(rows, len(comp)):
         full = [ZERO] * m
         for coeff, c in zip(v, comp):
             full[c] = coeff
         n01.append(full)
-    n10 = [[c.conj() for c in v] for v in n01]
-    return delta_rows, comp, n10, n01, oo
+    return [[c.conj() for c in v] for v in n01], n01
 
 
 def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
-    """Type and the canonical generator, solved into exp(B + i omega) ^ Omega.
+    """Type and the canonical generator, read off as exp(B + i omega) ^ Omega.
 
-    The exponent is solved over the coframe e'^a dual to the adapted basis
-    (Delta, N_{1,0}, N_{0,1}), in its (2,0,0), (1,0,1) and (0,0,2) blocks.
+    The adapted basis is (Delta, N_{1,0}, N_{0,1}), with e'^a its dual
+    coframe.  Delta is the image of the Poisson structure beta (Gualtieri,
+    arXiv:math/0703298, relation to Poisson geometry), reduced once
+    (`_symplectic_distribution`).  The exponent
+    A = a200 + a101 + a002 has no e'^a dual to the frame v_1..v_k of
+    N_{1,0}, so i_v A = 0 and i_v(A ^ Omega) = A ^ i_v Omega for each v_j
+    (A is even); hence
+    A = i_{v_k}...i_{v_1} phi_{k+2} / i_{v_k}...i_{v_1} Omega.  The blocks
+    a200 and a002 are the congruences P^T M_A P by the projectors
+    P = sum_a v_a e'^a onto Delta and onto N_{0,1}, and a101 is the rest.
     Two identities are verified exactly:
 
     - e^A ^ Omega = phi, with the series grown on Omega: Omega + A ^ Omega +
       A ^ A ^ Omega / 2 + ..., which equals e^A ^ Omega because A is even
       (`MixedForm.exp_wedge_on`);
-    - omega^{n-k} ^ Omega ^ conj Omega != 0, as omega^{n-k} wedged onto the
-      Omega ^ conj Omega of the adapted splitting, since even forms commute.
+    - omega^{n-k} ^ Omega ^ conj Omega != 0.
     """
     lft = eigenbundle(s)
     k = lft.type
-    if k != gc_type(s):
+    delta_rows, comp, k_beta = _symplectic_distribution(s)
+    if k != k_beta:
         raise InvalidStructure("eigenbundle type disagrees with dim(T* cap JT*)/2")
     phi = pure_spinor_line(lft)
     if not mukai_coeff(phi, phi.conj()):
         raise InvalidStructure("degenerate structure: (phi, conj phi) = 0")
     m = s.dim
     omega_k = phi.degree_part(k)
-    delta_rows, comp, n10, n01, power = _adapted_splitting(omega_k)
+    n10, n01 = _transverse_splitting(omega_k, comp)
     nd, kk = len(delta_rows), len(n10)
     if nd + 2 * kk != m:
         raise InvalidStructure(f"adapted basis has {nd + 2 * kk} vectors, expected {m}")
-    e = coframe(delta_rows + n10 + n01)
-    o = nd + kk
-    blocks = [
-        [e[i].wedge(e[j]) for i in range(nd) for j in range(i + 1, nd)],
-        [e[i].wedge(e[o + j]) for i in range(nd) for j in range(kk)],
-        [e[o + i].wedge(e[o + j]) for i in range(kk) for j in range(i + 1, kk)],
-    ]
-    images = [f.wedge(omega_k) for block in blocks for f in block]
-    rows, rhs = coefficient_rows(images, phi.degree_part(k + 2))
-    sol = linalg.solve(rows, rhs, len(images))
-    if sol is None:
-        raise InvalidStructure("canonical exponent solve is inconsistent")
-    coeffs = iter(sol)
-    parts = []
-    for block in blocks:
-        acc = MixedForm.zero(m)
-        for f in block:
-            acc = acc + f.scale(next(coeffs))
-        parts.append(acc)
-    a200, a101, a002 = parts
-    a2 = a200 + a101 + a002
+    top, low = phi.degree_part(k + 2), omega_k
+    for v in n10:
+        top, low = top.contract(v), low.contract(v)
+    a2 = top.scale(ONE / low.coeff(0))
+    frame = delta_rows + n10 + n01
+    e = coframe(frame)
+    amap = map_from_two_form(a2)
+
+    def block(lo, hi):
+        if lo == hi:
+            return MixedForm.zero(m)
+        p = linalg.mat_mul(linalg.transpose(frame[lo:hi]), e[lo:hi])
+        return two_form_from_map(linalg.mat_mul(linalg.transpose(p), linalg.mat_mul(amap, p)))
+
+    a200, a002 = block(0, nd), block(nd + kk, m)
+    a101 = a2 - a200 - a002
     if a2.exp_wedge_on(omega_k) != phi:
         raise InvalidStructure("exp(A) ^ Omega does not reproduce the generator")
     b2 = (a2 + a2.conj()).scale(HALF)
     om2 = (a2 - a2.conj()).scale(GaussRat(0, Fraction(-1, 2)))
+    power = omega_k.wedge(omega_k.conj())
     for _ in range(s.half_dim - k):
         power = power.wedge(om2)
     if not power:

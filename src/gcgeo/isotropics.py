@@ -199,13 +199,12 @@ def _ann_basis(delta_rows, dim):
 
 
 def coframe(basis):
-    """The 1-forms e'^a dual to a basis e'_a of V: e'^a(e'_b) = delta_ab.
+    """The covectors e'^a dual to a basis e'_a of V, e'^a(e'_b) = delta_ab, as rows.
 
     They are the rows of the inverse of the matrix whose columns are the
     basis vectors.
     """
-    cinv = linalg.inverse(linalg.transpose([list(v) for v in basis]))
-    return [covector_form(len(basis), row) for row in cinv]
+    return linalg.inverse(linalg.transpose([list(v) for v in basis]))
 
 
 def _extension_of_eps(iso: MaxIsotropic, variance="form"):

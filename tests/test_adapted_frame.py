@@ -6,12 +6,15 @@ coframe dual to an adapted basis, and solve their mask systems through
 `forms.coefficient_rows`.  The references below are the earlier dense
 constructions, kept here as oracles: 2-forms conjugated by the inverse
 change of basis with two m x m products, and one dense matrix per system
-with a row per blade.  The data read off canonical rows is checked the same
-way: `MaxIsotropic.conj` against re-reducing the conjugated rows, the
-rank-of-Im test against `intersection_dim` with that conjugate,
-`_extension_of_eps` against its sum of coframe wedges, and
-`exp_wedge_on` against the exponential wedged afterwards.  Every comparison
-is exact equality.
+with a row per blade.  `canonical_spinor` takes Delta = im beta and reads
+its exponent off phi by contraction; its reference is the solve it
+replaced, with Delta = ker(Omega ^ conj Omega), the exponent solved over
+the coframe images e'^a ^ e'^b ^ Omega, and the blocks summed.  The data
+read off canonical rows is checked the same way: `MaxIsotropic.conj`
+against re-reducing the conjugated rows, the rank-of-Im test against
+`intersection_dim` with that conjugate, `_extension_of_eps` against its
+sum of coframe wedges, and `exp_wedge_on` against the exponential wedged
+afterwards.  Every comparison is exact equality.
 """
 
 from fractions import Fraction
@@ -93,13 +96,23 @@ def dense_kernel(cols, empty):
     return linalg.kernel(mat) if mat else empty
 
 
+def realify(vectors):
+    """Reduced rows spanning the real and imaginary parts of complex vectors."""
+    rows = []
+    for v in vectors:
+        re = [GaussRat(c.re) for c in v]
+        im = [GaussRat(c.im) for c in v]
+        rows += [r for r in (re, im) if any(r)]
+    return linalg.row_space_basis(rows)
+
+
 def dense_adapted_splitting(omega_k):
     m = omega_k.dim
     oo = omega_k.wedge(omega_k.conj())
     ker = dense_kernel(
         [GenVector.basis_vector(m, i).act(oo) for i in range(m)], linalg.identity(m)
     )
-    delta_rows = gcs._realify(ker)
+    delta_rows = realify(ker)
     _, piv = linalg.rref([list(r) for r in delta_rows]) if delta_rows else (None, [])
     comp = [c for c in range(m) if c not in piv]
     n_ker = dense_kernel([GenVector.basis_vector(m, c).act(omega_k) for c in comp], [])
@@ -249,12 +262,129 @@ def test_canonical_spinor_and_darboux_match_dense_construction(s):
 @given(structures())
 def test_adapted_splitting_matches_dense_kernels(s):
     omega_k = canonical_spinor(s).omega_k
-    got = gcs._adapted_splitting(omega_k)
+    delta_rows, comp, _ = gcs._symplectic_distribution(s)
+    n10, n01 = gcs._transverse_splitting(omega_k, comp)
     want = dense_adapted_splitting(omega_k)
-    assert [[list(r) for r in part] for part in (got[0], got[2], got[3])] == [
+    assert [[list(r) for r in part] for part in (delta_rows, n10, n01)] == [
         [list(r) for r in part] for part in (want[0], want[2], want[3])
     ]
-    assert list(got[1]) == list(want[1])
+    assert list(comp) == list(want[1])
+
+
+def solved_canonical(s):
+    """CanonicalSpinorData with Delta = ker(Omega ^ conj Omega) and the exponent solved.
+
+    The exponent is solved over the images e'^a ^ e'^b ^ Omega of the
+    (2,0,0), (1,0,1) and (0,0,2) coframe blocks, and each block is the sum
+    of its basis 2-forms scaled by the solution.
+    """
+    lft = eigenbundle(s)
+    k = lft.type
+    phi = pure_spinor_line(lft)
+    m = s.dim
+    omega_k = phi.degree_part(k)
+    delta_rows, comp, n10, n01 = dense_adapted_splitting(omega_k)
+    nd, kk = len(delta_rows), len(n10)
+    e = [covector_form(m, row) for row in coframe(delta_rows + n10 + n01)]
+    o = nd + kk
+    blocks = [
+        [e[i].wedge(e[j]) for i in range(nd) for j in range(i + 1, nd)],
+        [e[i].wedge(e[o + j]) for i in range(nd) for j in range(kk)],
+        [e[o + i].wedge(e[o + j]) for i in range(kk) for j in range(i + 1, kk)],
+    ]
+    images = [f.wedge(omega_k) for block in blocks for f in block]
+    rows, rhs = coefficient_rows(images, phi.degree_part(k + 2))
+    sol = linalg.solve(rows, rhs, len(images))
+    assert sol is not None
+    coeffs = iter(sol)
+    parts = []
+    for block in blocks:
+        acc = MixedForm.zero(m)
+        for f in block:
+            acc = acc + f.scale(next(coeffs))
+        parts.append(acc)
+    a200, a101, a002 = parts
+    a2 = a200 + a101 + a002
+    return gcs.CanonicalSpinorData(
+        k=k,
+        omega_k=omega_k,
+        b2=(a2 + a2.conj()).scale(HALF),
+        om2=(a2 - a2.conj()).scale(GaussRat(0, Fraction(-1, 2))),
+        a2=a2,
+        a200=a200,
+        a101=a101,
+        a002=a002,
+        generator=phi,
+        delta_basis=tuple(tuple(r) for r in delta_rows),
+        n_complement=tuple(comp),
+        n10=tuple(tuple(v) for v in n10),
+    )
+
+
+def solved_darboux(data):
+    """DarbouxData recombined from the blocks of solved_canonical."""
+    a200, a101, a002 = data.a200, data.a101, data.a002
+    return gcs.DarbouxData(
+        k=data.k,
+        btilde=(a200 + a200.conj()).scale(HALF) + (a101 + a101.conj()) + (a002 + a002.conj()),
+        omega0=(a200 - a200.conj()).scale(GaussRat(0, Fraction(-1, 2))),
+        delta_frame=data.delta_basis,
+        n_complement=data.n_complement,
+        n10_frame=data.n10,
+        generator=data.generator,
+        omega_k=data.omega_k,
+    )
+
+
+def dense_transform(r, m, kind):
+    """A B, beta or gl transform whose off-diagonal entries are all one of +-1, +-1/2."""
+
+    def pick():
+        return GaussRat(r.choice([-1, 1, Fraction(-1, 2), Fraction(1, 2)]))
+
+    if kind == "gl":
+        lo, up = linalg.identity(m), linalg.identity(m)
+        for i in range(m):
+            for j in range(i):
+                lo[i][j], up[j][i] = pick(), pick()
+        return BlockTransform(m, "gl", linalg.mat_mul(lo, up))
+    mat = linalg.zeros(m, m)
+    for i in range(m):
+        for j in range(i):
+            c = pick()
+            mat[i][j], mat[j][i] = c, -c
+    return BlockTransform(m, kind, mat)
+
+
+def seeded_structure(m, k, kinds, dense, seed):
+    """Complex-k plus symplectic conjugated by blocks of the given kinds.
+
+    Sparse: three randgen conjugations, each of a kind drawn from `kinds`.
+    Dense: one transform of each kind in a seeded order, every off-diagonal
+    entry nonzero.  A beta block may lower the type; B and gl blocks keep it.
+    """
+    rng = Rng(seed)
+    if not dense:
+        return rng.gc_structure(m, k, conjugations=3, kinds=kinds)
+    kinds = list(kinds)
+    rng.r.shuffle(kinds)
+    j = Rng(0).gc_structure(m, k, conjugations=0).matrix()
+    for kind in kinds:
+        o = dense_transform(rng.r, m, kind).orth_matrix()
+        j = linalg.mat_mul(o, linalg.mat_mul(j, linalg.inverse(o)))
+    return validate_gc(j)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+@pytest.mark.parametrize("kinds", [("B", "gl"), ("B", "beta", "gl")], ids=["B-gl", "B-beta-gl"])
+@pytest.mark.parametrize("m,k", [(m, k) for m in range(2, 11, 2) for k in range(m // 2 + 1)])
+def test_canonical_spinor_and_darboux_match_the_solve(m, k, kinds, dense):
+    s = seeded_structure(m, k, kinds, dense, seed=100 * m + k)
+    data = canonical_spinor(s)
+    assert data.k == k or "beta" in kinds
+    want = solved_canonical(s)
+    assert data == want
+    assert darboux_point(s) == solved_darboux(want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -281,7 +411,7 @@ def test_spinor_lines_match_dense_construction(iso):
 @given(st.integers(1, 8), st.integers(0, 10**6))
 def test_coframe_is_dual_to_the_basis(m, seed):
     basis = Rng(seed).gl_matrix(m)
-    e = coframe(basis)
+    e = [covector_form(m, row) for row in coframe(basis)]
     assert [[f.contract(v).coeff(0) for v in basis] for f in e] == linalg.identity(m)
 
 
