@@ -18,9 +18,10 @@ and the Lie derivative along an R-section b is the derivation
 
 with pi(b) acting on coefficients and C* = `clifford.endo_dual_action`.
 
-The Maurer-Cartan residual is the involutivity tensor of the deformed graph
-(1 + eps)L itself: it vanishes iff d_L eps + 1/2 [eps, eps] = 0, whose linear
-part in eps is the Cartan differential d_L eps.
+The Maurer-Cartan residual is the involutivity tensor (the Courant tensor
+in Lambda^3 L*, `fields.involutivity_tensor`) of the deformed graph
+(1 + eps)L: it vanishes iff d_L eps + 1/2 [eps, eps] = 0, whose linear part
+in eps is the Cartan differential d_L eps.
 """
 
 from __future__ import annotations
@@ -30,12 +31,16 @@ from .scalars import ZERO
 from .forms import MixedForm
 from .clifford import GenVector, endo_dual_action, pairing_matrix
 from .charts import Chart
-from .fields import ClosedThreeForm, courant_bracket
+from .fields import ClosedThreeForm, DiracFrame, courant_bracket, involutivity_tensor
 from . import linalg
 
 
 class LiePair(Record, frozen=True):
-    """Transverse frames for L and its complement R = L*, with a twist."""
+    """Transverse frames for L and its complement R = L*, with a twist.
+
+    The L frame must be a `DiracFrame` whose involutivity tensor
+    (`fields.involutivity_tensor`) vanishes, so that d_L is defined.
+    """
 
     chart: Chart
     frame_l: tuple
@@ -46,12 +51,12 @@ class LiePair(Record, frozen=True):
         m = self.chart.dim
         if len(self.frame_l) != m or len(self.frame_r) != m:
             raise ValueError(f"each frame needs {m} sections")
-        for name, frame in (("L", self.frame_l), ("R", self.frame_r)):
-            coords = [u.coords() for u in frame]
-            for i, row in enumerate(pairing_matrix(coords, coords)):
-                for j in range(i, m):
-                    if row[j]:
-                        raise ValueError(f"frame {name} is not isotropic at ({i},{j})")
+        frame_l = DiracFrame(self.chart, self.frame_l)
+        coords = [u.coords() for u in self.frame_r]
+        for i, row in enumerate(pairing_matrix(coords, coords)):
+            for j in range(i, m):
+                if row[j]:
+                    raise ValueError(f"frame R is not isotropic at ({i},{j})")
         gram = self.pairing()
         if not all(x.is_const for row in gram for x in row):
             raise ValueError("frame pairing must be constant; renormalize the frames")
@@ -62,6 +67,8 @@ class LiePair(Record, frozen=True):
             raise ValueError("frames are not transverse") from None
         object.__setattr__(self, "_gram", consts)
         object.__setattr__(self, "_gram_inv", gram_inv)
+        if involutivity_tensor(frame_l, self.h):
+            raise ValueError("L frame is not involutive; d_L is undefined")
 
     def pairing(self):
         return [[u.pair(a) for a in self.frame_r] for u in self.frame_l]
@@ -114,11 +121,15 @@ def _along(chart: Chart, vec, form: MixedForm) -> MixedForm:
 def r_section_bracket(pair: LiePair, a_comps, b_comps):
     """Bracket of two R-sections given by frame components, as components."""
     chart = pair.chart
-    a_sec = _assemble(pair.frame_r, a_comps, chart)
-    b_sec = _assemble(pair.frame_r, b_comps, chart)
-    br = courant_bracket(chart, a_sec, b_sec, pair.h)
-    lpart = pair.l_components(br)
-    if any(lpart):
+    return _r_bracket(
+        pair, _assemble(pair.frame_r, a_comps, chart), _assemble(pair.frame_r, b_comps, chart)
+    )
+
+
+def _r_bracket(pair: LiePair, a_sec: GenVector, b_sec: GenVector):
+    """R-components of [a, b]_H for R-sections, which must stay in R."""
+    br = courant_bracket(pair.chart, a_sec, b_sec, pair.h)
+    if any(pair.l_components(br)):
         raise ValueError("bracket left the complement frame")
     return pair.r_components(br)
 
@@ -143,7 +154,7 @@ def r_lie_derivative(pair: LiePair, b_comps, mu: dict) -> dict:
     m = chart.dim
     form = MixedForm(m, mu)
     b_sec = _assemble(pair.frame_r, b_comps, chart)
-    c = [r_section_bracket(pair, b_comps, unit) for unit in linalg.identity(m)]
+    c = [_r_bracket(pair, b_sec, r) for r in pair.frame_r]
     return (_along(chart, b_sec.vec, form) + endo_dual_action(c, form)).terms
 
 
@@ -173,31 +184,14 @@ def eps_sharps(pair: LiePair, eps: dict) -> list:
 def maurer_cartan(pair: LiePair, eps: dict) -> MCReport:
     """The involutivity tensor of the deformed graph (1 + eps)L.
 
-    The residual components are <[x + eps#x, y + eps#y]_H, z + eps#z> over
-    L-frame triples i < j < k, keyed by the mask of {i, j, k}; the deformed
-    graph is involutive iff they all vanish, which is the Maurer-Cartan
-    equation d_L eps + 1/2 [eps, eps] = 0.
+    The residual holds <[x + eps#x, y + eps#y]_H, z + eps#z> over L-frame
+    triples i < j < k, keyed by the mask of {i, j, k}; the deformed graph is
+    involutive iff it is empty, which is the Maurer-Cartan equation
+    d_L eps + 1/2 [eps, eps] = 0.
     """
-    chart = pair.chart
-    m = chart.dim
-    secs = pair.frame_l
-    for i in range(m):
-        for j in range(i + 1, m):
-            br = courant_bracket(chart, secs[i], secs[j], pair.h)
-            for w in secs:
-                if br.pair(w):
-                    raise ValueError("L frame is not involutive; d_L is undefined")
-    deformed = [l + s for l, s in zip(secs, eps_sharps(pair, eps))]
-    residual: dict = {}
-    for i in range(m):
-        for j in range(i + 1, m - 1):
-            br = courant_bracket(chart, deformed[i], deformed[j], pair.h)
-            for k in range(j + 1, m):
-                val = br.pair(deformed[k])
-                if val:
-                    residual[(1 << i) | (1 << j) | (1 << k)] = val
-    verdict = "pass" if not residual else "fail"
-    return MCReport(verdict=verdict, residual=residual)
+    deformed = tuple(l + s for l, s in zip(pair.frame_l, eps_sharps(pair, eps)))
+    residual = involutivity_tensor(DiracFrame(pair.chart, deformed), pair.h)
+    return MCReport(verdict="fail" if residual else "pass", residual=residual)
 
 
 def eps_from_bivector(pair: LiePair, beta_mv) -> dict:

@@ -491,7 +491,7 @@ def cmd_pullback(doc):
     )
     return "pass", {
         "frame": [section_json(u) for u in res.frame.sections],
-        "involutive": all(not v for v in res.involutivity.values()),
+        "involutive": not res.involutivity,
     }
 
 

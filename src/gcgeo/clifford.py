@@ -160,12 +160,8 @@ def endo_dual_action(a, phi: MixedForm) -> MixedForm:
     acc = MixedForm.zero(dim)
     for j in range(dim):
         contracted = phi.contract_blade(1 << j)
-        if not contracted:
-            continue
-        for i in range(dim):
-            c = a[j][i]
-            if c:
-                acc = acc + MixedForm(dim, {1 << i: c}).wedge(contracted)
+        if contracted:
+            acc = acc + covector_form(dim, a[j]).wedge(contracted)
     return acc
 
 

@@ -220,23 +220,29 @@ class DiracFrame(Record, frozen=True):
 def involutivity_tensor(
     frame: DiracFrame, h: ClosedThreeForm | None = None
 ) -> dict:
-    """T(e_i, e_j; e_k) = <[e_i, e_j]_H, e_k> for i < j and every k.
+    """The Courant tensor T(e_i, e_j, e_k) = <[e_i, e_j]_H, e_k> in Lambda^3 L*.
 
-    All components vanish exactly iff the frame spans a Dirac structure.
+    The nonzero components with i < j < k, keyed by the mask of {i, j, k}.
+    On an identically isotropic frame T is totally skew: axiom C4,
+    pi(x)<y, z> = <[x, y], z> + <y, [x, z]>, with [x, x] = d<x, x> = 0.  So
+    the frame spans a Dirac structure iff the result is empty.
     """
     chart = frame.chart
-    out = {}
     secs = frame.sections
-    for i in range(len(secs)):
-        for j in range(i + 1, len(secs)):
+    m = len(secs)
+    out = {}
+    for i in range(m):
+        for j in range(i + 1, m - 1):
             br = courant_bracket(chart, secs[i], secs[j], h)
-            for k, w in enumerate(secs):
-                out[(i, j, k)] = br.pair(w)
+            for k in range(j + 1, m):
+                val = br.pair(secs[k])
+                if val:
+                    out[(1 << i) | (1 << j) | (1 << k)] = val
     return out
 
 
 def is_involutive(frame: DiracFrame, h: ClosedThreeForm | None = None) -> bool:
-    return all(not v for v in involutivity_tensor(frame, h).values())
+    return not involutivity_tensor(frame, h)
 
 
 def b_transform_section(chart: Chart, b_form: MixedForm, e: GenVector) -> GenVector:

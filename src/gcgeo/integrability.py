@@ -435,10 +435,14 @@ def is_symmetry(
     frame: DiracFrame,
     h: ClosedThreeForm | None = None,
 ) -> bool:
-    """[v, frame of L] stays in L, checked via self-orthogonality of L."""
-    for u in frame.sections:
+    """[v, frame of L] stays in L, checked via self-orthogonality of L.
+
+    <[v, u_j], u_k> is skew in (j, k) on an isotropic frame (axiom C4), so
+    only the pairs k > j are checked.
+    """
+    secs = frame.sections
+    for j, u in enumerate(secs[:-1]):
         br = courant_bracket(chart, section, u, h)
-        for w in frame.sections:
-            if br.pair(w):
-                return False
+        if any(br.pair(w) for w in secs[j + 1:]):
+            return False
     return True

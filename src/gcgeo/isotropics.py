@@ -333,26 +333,12 @@ def tensor_product(l1: MaxIsotropic, l2: MaxIsotropic) -> MaxIsotropic:
     m = l1.dim
     rows1 = l1.rows()
     rows2 = l2.rows()
-    n1, n2 = len(rows1), len(rows2)
-    constraint = []
-    for coord in range(m):
-        constraint.append(
-            [rows1[i][coord] for i in range(n1)]
-            + [-rows2[j][coord] for j in range(n2)]
-        )
-    ker = linalg.kernel(constraint)
-    candidates = []
-    for sol in ker:
-        c1, c2 = sol[:n1], sol[n1:]
-        coords = [ZERO] * (2 * m)
-        for ci, row in zip(c1, rows1):
-            for t in range(2 * m):
-                coords[t] = coords[t] + ci * row[t]
-        for cj, row in zip(c2, rows2):
-            for t in range(m, 2 * m):
-                coords[t] = coords[t] + cj * row[t]
-        candidates.append(coords)
-    basis_rows = linalg.row_space_basis(candidates)
+    constraint = [
+        [r[coord] for r in rows1] + [-r[coord] for r in rows2] for coord in range(m)
+    ]
+    # a kernel vector (c1, c2) gives sum c1 rows1 + (0, sum c2 covec of rows2)
+    stacked = rows1 + [[ZERO] * m + row[m:] for row in rows2]
+    basis_rows = linalg.row_space_basis(linalg.mat_mul(linalg.kernel(constraint), stacked))
     if len(basis_rows) != m:
         raise NotIsotropic(
             f"tensor product span has rank {len(basis_rows)}, expected {m}"

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from gcgeo import algebroid, fields
 from gcgeo.scalars import GaussRat, Poly, IUNIT, ONE, ZERO, HALF
 from gcgeo.forms import MixedForm
 from gcgeo.clifford import GenVector
@@ -11,7 +12,6 @@ from gcgeo.fields import (
     DiracFrame,
     courant_bracket,
     d,
-    involutivity_tensor,
     is_involutive,
 )
 from gcgeo.algebroid import (
@@ -24,6 +24,8 @@ from gcgeo.algebroid import (
     r_section_bracket,
 )
 from gcgeo.randgen import Rng
+
+from test_fields import all_k_involutivity_tensor, assert_skew_extension
 
 
 C2 = Chart.complex_plane(2)
@@ -46,6 +48,13 @@ class TestLiePair:
         frame = (GenVector.basis_vector(ch.dim, 0), GenVector.basis_vector(ch.dim, 1))
         with pytest.raises(ValueError, match="transverse"):
             LiePair(ch, frame, frame)
+
+    def test_non_involutive_l_rejected(self):
+        # H = dx1^dx3^dx5 pairs [del_zbar1, del_zbar2]_H = i i H with del_zbar3
+        c3 = Chart.complex_plane(3)
+        h = ClosedThreeForm(c3, MixedForm(6, {0b010101: c3.one()}))
+        with pytest.raises(ValueError, match="L frame is not involutive; d_L is undefined"):
+            complex_pair(c3, h)
 
     @staticmethod
     def rescaled_c1():
@@ -172,6 +181,26 @@ class TestAgainstTheMaskLoop:
         secs = pair.frame_l
         c = pair.l_components(courant_bracket(C2, secs[0], secs[1], pair.h))
         assert c[2] and c[3]
+
+    def test_maurer_cartan_brackets_only_the_deformed_frame(self, monkeypatch):
+        calls = []
+
+        def counting(chart, e1, e2, h=None):
+            calls.append((e1, e2))
+            return courant_bracket(chart, e1, e2, h)
+
+        monkeypatch.setattr(algebroid, "courant_bracket", counting)
+        monkeypatch.setattr(fields, "courant_bracket", counting)
+        pair = self.twisted_pair()
+        m = C2.dim
+        secs = pair.frame_l
+        # construction's involutivity check: the pairs i < j < m - 1 of L, each once
+        assert calls == [(secs[i], secs[j]) for i in range(m) for j in range(i + 1, m - 1)]
+        calls.clear()
+        eps = {0b0011: C2.z(0) * C2.zbar(1), 0b0110: C2.zbar(0), 0b1001: C2.z(1)}
+        deformed = [l + s for l, s in zip(secs, eps_sharps(pair, eps))]
+        maurer_cartan(pair, eps)
+        assert calls == [(deformed[i], deformed[j]) for i in range(m) for j in range(i + 1, m - 1)]
 
     def test_d_l_matches_reference(self):
         pair = self.twisted_pair()
@@ -391,12 +420,14 @@ class TestMaurerCartan:
                 l + s for l, s in zip(pair.frame_l, sharp)
             )
             frame = DiracFrame(C2, deformed)
+            full = all_k_involutivity_tensor(frame, None)
             want = {
                 (1 << i) | (1 << j) | (1 << k): val
-                for (i, j, k), val in involutivity_tensor(frame, None).items()
+                for (i, j, k), val in full.items()
                 if j < k and val
             }
             assert rep.residual == want
+            assert_skew_extension(rep.residual, full, C2.zero())
             seen.add(rep.verdict)
             assert (rep.verdict == "pass") == is_involutive(frame, None)
         assert seen == {"pass", "fail"}, "family must exercise both verdicts"

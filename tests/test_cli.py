@@ -432,6 +432,34 @@ class TestCommands:
         assert code == 2 and captured.err == ""
         assert json.loads(captured.out)["counterexample"]["error"] == error
 
+    def test_maurer_cartan_on_non_involutive_l_exit_2(self, tmp_path, capsys):
+        # H = dx1^dx3^dx5 twists [del_zbar1, del_zbar2] out of L on C^3
+        doc = {
+            "schema_version": 1,
+            "command": "maurer-cartan",
+            "chart": {"complex_dim": 3},
+            "h": [{"coeff": "1", "basis": [1, 3, 5]}],
+            "eps": [],
+        }
+        p = tmp_path / "mc.json"
+        p.write_text(json.dumps(doc))
+        code = main(["maurer-cartan", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        lines = [line for line in captured.out.splitlines() if '"timing_ms"' not in line]
+        assert lines == [
+            "{",
+            '  "certificate": null,',
+            '  "command": "maurer-cartan",',
+            '  "counterexample": {',
+            '    "error": "L frame is not involutive; d_L is undefined"',
+            "  },",
+            '  "seed": null,',
+            '  "tool_version": "0.1.0",',
+            '  "verdict": "error"',
+            "}",
+        ]
+
     def test_mathematical_fail_exit_1(self, tmp_path, capsys):
         doc = {
             "schema_version": 1,

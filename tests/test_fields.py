@@ -376,7 +376,66 @@ def _wedge_pair(i, j, coeff):
     return MixedForm(3, {mask: coeff if sign > 0 else -coeff}, "mv")
 
 
+def all_k_involutivity_tensor(frame, h):
+    """<[e_i, e_j]_H, e_k> for i < j and every k, keyed by (i, j, k)."""
+    secs = frame.sections
+    out = {}
+    for i in range(len(secs)):
+        for j in range(i + 1, len(secs)):
+            br = courant_bracket(frame.chart, secs[i], secs[j], h)
+            for k, w in enumerate(secs):
+                out[(i, j, k)] = br.pair(w)
+    return out
+
+
+def assert_skew_extension(t, full, zero):
+    """The all-k tensor full is the totally skew extension of the i < j < k tensor t."""
+    for (i, j, k), val in full.items():
+        if k in (i, j):
+            assert not val, (i, j, k)
+            continue
+        want = t.get((1 << i) | (1 << j) | (1 << k), zero)
+        if not i < j < k:
+            # (i, j, k) with i < j is one transposition from sorted order
+            # when k < j and k > i, and two when k < i
+            want = want if k < i else -want
+        assert not (val - want), (i, j, k)
+
+
+def _random_graph_frame(rng, chart, bivector):
+    """The graph of a random polynomial 2-form (or bivector) over the chart."""
+    m = chart.dim
+    terms = {(1 << i) | (1 << j): rng.poly(chart, 2) for i in range(m) for j in range(i + 1, m)}
+    if not bivector:
+        b = MixedForm(m, terms)
+        secs = [b_transform_section(chart, b, GenVector.basis_vector(m, i)) for i in range(m)]
+    else:
+        beta = MixedForm(m, terms, "mv")
+        secs = []
+        for i in range(m):
+            cov = GenVector.basis_covector(m, i).covec
+            contr = beta.contract(cov)
+            secs.append(GenVector(m, [contr.coeff(1 << t) for t in range(m)], cov))
+    return DiracFrame(chart, tuple(secs))
+
+
 class TestInvolutivity:
+    def test_tensor_is_the_skew_part_of_the_all_k_tensor(self):
+        # on an isotropic frame <[e_i, e_j], e_k> is totally skew (axiom C4),
+        # so the i < j < k components determine the all-k tensor
+        ch = Chart.real("x1", "x2", "x3", "x4")
+        rng = Rng(41)
+        nonzero = {False: 0, True: 0}
+        for n in range(12):
+            frame = _random_graph_frame(rng, ch, bivector=n % 2 == 1)
+            twisted = n >= 6
+            h = ClosedThreeForm(ch, d(ch, rng.poly_two_form(ch, 2))) if twisted else None
+            t = involutivity_tensor(frame, h)
+            assert all(mask.bit_count() == 3 and val for mask, val in t.items())
+            assert_skew_extension(t, all_k_involutivity_tensor(frame, h), ch.zero())
+            nonzero[twisted] += len(t)
+        assert all(nonzero.values()), "family must reach nonzero components with and without a twist"
+
     def test_coordinate_frame(self):
         frame = DiracFrame(R3, tuple(GenVector.basis_vector(R3.dim, i) for i in range(3)))
         assert is_involutive(frame, None)
@@ -404,7 +463,7 @@ class TestInvolutivity:
         frame = DiracFrame(ch, secs)
         h = ClosedThreeForm(ch, MixedForm(4, {0b0111: ch.one()}))
         t = involutivity_tensor(frame, h)
-        assert t[(0, 1, 2)] == ch.const(GaussRat("-1/2"))
+        assert t[0b0111] == ch.const(GaussRat("-1/2"))
         assert not is_involutive(frame, h)
         assert is_involutive(frame, None)
 
