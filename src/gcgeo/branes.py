@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from .record import Record
 from .scalars import Poly, ONE, IUNIT, ZERO, as_gauss, is_real
-from .forms import MixedForm, covector_form, two_form_from_map, map_from_two_form
+from .forms import CapacityError, MixedForm, covector_form, two_form_from_map, map_from_two_form
 from .clifford import GenVector, pairing_matrix
 from .charts import Chart
 from .fields import ClosedThreeForm, DiracFrame, d, involutivity_tensor
 from .gcs import GCStructure
-from .integrability import ansatz_polys, ansatz_system
+from .integrability import KERNEL_CAP, ansatz_polys, ansatz_system
 from . import linalg
 
 
@@ -173,14 +173,18 @@ def _polynomial_kernel(s_chart: Chart, rows, ncols: int, samples, degree_bound: 
     """Kernel generators of a polynomial matrix, by bounded-degree ansatz.
 
     The pointwise kernel dimension must agree across samples (constant rank).
-    An ansatz above integrability.ANSATZ_CAP raises CapacityError.
+    An ansatz above integrability.ANSATZ_CAP, or a kernel basis above
+    integrability.KERNEL_CAP, raises CapacityError before it is built.
     """
     kdims = {ncols - linalg.rank(linalg.eval_matrix(rows, p)) if rows else ncols for p in samples}
     if len(kdims) > 1:
         raise NotSmooth("rank jump across sample points: non-smooth pullback")
     slots = [{r: row[c] for r, row in enumerate(rows)} for c in range(ncols)]
     eq_rows, _, unknowns = ansatz_system(s_chart, slots, degree_bound)
-    ker = linalg.kernel(eq_rows, len(unknowns))
+    try:
+        ker = linalg.kernel(eq_rows, len(unknowns), KERNEL_CAP)
+    except CapacityError as e:
+        raise CapacityError(f"the kernel at degree bound {degree_bound} has {e}") from None
     return [ansatz_polys(s_chart, k, unknowns, ncols) for k in ker]
 
 

@@ -6,7 +6,8 @@ decomposition into a complex times a symplectic piece.  The symplectic
 distribution Delta is the image of the Poisson block beta, and the canonical
 exponent is read off phi by contraction with a frame of N_{1,0}; the Darboux
 normal form is its blocks over the adapted basis (Delta, N_{1,0}, N_{0,1})
-recombined.
+recombined.  The canonical rows of L = ker(J - i) come from one elimination
+of J - i, its columns reversed (`eigenbundle`).
 
 The verdicts are exact identities, each stated on data already held:
 
@@ -17,8 +18,9 @@ The verdicts are exact identities, each stated on data already held:
   gives Delta = im beta (`_symplectic_distribution`).
 - The canonical exponent A = B + i omega, read off as
   A = i_{v_k}...i_{v_1} phi_{k+2} / i_{v_k}...i_{v_1} Omega, is verified by
-  e^A ^ Omega = phi, grown on Omega (`MixedForm.exp_wedge_on`), and the
-  nondegeneracy by omega^{n-k} ^ Omega ^ conj Omega != 0.
+  e^A ^ Omega = phi, decided on its degree-(k+2) part A ^ Omega = phi_{k+2}
+  by Cartan's lemma (`_check_exponent`), and the nondegeneracy by
+  omega^{n-k} ^ Omega ^ conj Omega != 0.
 - The Darboux form keeps the spinor line exactly when X ^ Omega = 0 for
   X = conj(a101) + conj(a002) (see `darboux_point`).
 
@@ -39,7 +41,8 @@ from .forms import (
 )
 from .clifford import GenVector, SoElement
 from .isotropics import (
-    MaxIsotropic, canonical_form, coframe, max_isotropic_from_spinor, pure_spinor_line,
+    MaxIsotropic, coframe, isotropic_rows, max_isotropic_from_spinor, pure_spinor_line,
+    reduced_form,
 )
 from . import linalg
 
@@ -190,19 +193,29 @@ def eigenbundle(s: GCStructure) -> MaxIsotropic:
     """The +i eigenbundle as a maximal isotropic over the gaussian rationals.
 
     L = ker(J - i) must have dimension m and meet its conjugate only in 0.
-    The second is read off the canonical rows R of L: [R; conj R] spans
-    Re R and Im R, Re R keeps the unit pivots of R and Im R vanishes on
-    them, so dim(L cap conj L) = m - rank(Im R), and L cap conj L = 0
-    exactly when rank(Im R) = m.
+    Its canonical rows come from one elimination, of J - i with its 2m
+    columns in reverse order.  The kernel basis of that elimination has one
+    vector per free column f' of the reversed matrix, with a 1 at f', 0 at
+    the other free columns, and its other nonzeros at pivot columns c' < f',
+    since a reduced pivot row has entries only after its pivot.  Reversed
+    back, with f = 2m - 1 - f', each vector has a 1 at f, 0 at the other
+    free columns and nonzeros only after f; ordered by f, the vectors are in
+    reduced row echelon form, which is unique, so they are the canonical
+    rows of L (`isotropics.reduced_form`), with no second reduction.
+    L cap conj L = 0 is read off those rows R: [R; conj R] spans Re R and
+    Im R, Re R keeps the unit pivots of R and Im R vanishes on them, so
+    dim(L cap conj L) = m - rank(Im R), and L cap conj L = 0 exactly when
+    rank(Im R) = m.
     """
     m = s.dim
-    a = [[as_gauss(x) for x in row] for row in s.j]
+    last = 2 * m - 1
+    a = [[as_gauss(x) for x in reversed(row)] for row in s.j]
     for i, row in enumerate(a):
-        row[i] = row[i] - IUNIT
+        row[last - i] = row[last - i] - IUNIT
     ker = linalg.kernel(a)
     if len(ker) != m:
         raise InvalidStructure(f"+i eigenspace has dimension {len(ker)}, expected {m}")
-    lft = canonical_form([GenVector.from_coords(v) for v in ker], m)
+    lft = reduced_form(isotropic_rows([v[::-1] for v in reversed(ker)]), m)
     if lft.conj_intersection_dim():
         raise InvalidStructure("eigenbundle meets its conjugate")
     return lft
@@ -290,6 +303,21 @@ def _transverse_splitting(omega_k: MixedForm, comp):
     return [[c.conj() for c in v] for v in n01], n01
 
 
+def _check_exponent(a2: MixedForm, omega_k: MixedForm, phi: MixedForm, k: int):
+    """Raise unless e^A ^ Omega = phi for A = a2, decided as A ^ Omega = phi_{k+2}.
+
+    phi = e^{B'} ^ Omega by construction (`pure_spinor_line`), with Omega =
+    theta_1 ^ ... ^ theta_k decomposable, so phi_{k+2} = B' ^ Omega.  If
+    A ^ Omega = B' ^ Omega, then (A - B') ^ Omega = 0, and Cartan's lemma
+    puts A - B' in the ideal of the theta's: every power (A - B')^j with
+    j > 0 dies on Omega, so e^{A - B'} ^ Omega = Omega and, 2-forms
+    commuting, e^A ^ Omega = e^{B'} ^ e^{A - B'} ^ Omega = phi.  Conversely,
+    A ^ Omega = phi_{k+2} is the degree-(k+2) part of e^A ^ Omega = phi.
+    """
+    if a2.wedge(omega_k) != phi.degree_part(k + 2):
+        raise InvalidStructure("exp(A) ^ Omega does not reproduce the generator")
+
+
 def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
     """Type and the canonical generator, read off as exp(B + i omega) ^ Omega.
 
@@ -301,13 +329,16 @@ def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
     N_{1,0}, so i_v A = 0 and i_v(A ^ Omega) = A ^ i_v Omega for each v_j
     (A is even); hence
     A = i_{v_k}...i_{v_1} phi_{k+2} / i_{v_k}...i_{v_1} Omega.  The blocks
-    a200 and a002 are the congruences P^T M_A P by the projectors
-    P = sum_a v_a e'^a onto Delta and onto N_{0,1}, and a101 is the rest.
+    a200 and a002 are the congruences P^T M_A P = E^T (F M_A F^T) E by the
+    projectors P = F^T E = sum_a v_a e'^a onto Delta and onto N_{0,1}, and
+    a101 is the rest.  Only those coframe rows E are built.  Delta is in
+    reduced rows and N is spanned by unit vectors off its pivots p_a, so
+    e'^a = dx^{p_a} on Delta.  On N_{0,1}, e'^a is the coframe of N on the
+    complement columns (a 2k x 2k inverse) extended by e'^a(Delta_b) = 0,
+    which puts minus its pairing with Delta_b at the pivot p_b.
     Two identities are verified exactly:
 
-    - e^A ^ Omega = phi, with the series grown on Omega: Omega + A ^ Omega +
-      A ^ A ^ Omega / 2 + ..., which equals e^A ^ Omega because A is even
-      (`MixedForm.exp_wedge_on`);
+    - e^A ^ Omega = phi, decided on its degree-(k+2) part (`_check_exponent`);
     - omega^{n-k} ^ Omega ^ conj Omega != 0.
     """
     lft = eigenbundle(s)
@@ -328,20 +359,25 @@ def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
     for v in n10:
         top, low = top.contract(v), low.contract(v)
     a2 = top.scale(ONE / low.coeff(0))
-    frame = delta_rows + n10 + n01
-    e = coframe(frame)
+    _check_exponent(a2, omega_k, phi, k)
     amap = map_from_two_form(a2)
 
-    def block(lo, hi):
-        if lo == hi:
+    def block(f, e):
+        if not f:
             return MixedForm.zero(m)
-        p = linalg.mat_mul(linalg.transpose(frame[lo:hi]), e[lo:hi])
-        return two_form_from_map(linalg.mat_mul(linalg.transpose(p), linalg.mat_mul(amap, p)))
+        g = linalg.mat_mul(f, linalg.mat_mul(amap, linalg.transpose(f)))
+        return two_form_from_map(linalg.mat_mul(linalg.transpose(e), linalg.mat_mul(g, e)))
 
-    a200, a002 = block(0, nd), block(nd + kk, m)
+    piv = [c for c in range(m) if c not in comp]
+    units = [[ONE if c == p else ZERO for c in range(m)] for p in piv]
+    on_comp = coframe([[v[c] for c in comp] for v in n10 + n01])[kk:]
+    at_piv = linalg.mat_mul(on_comp, [[-d[c] for d in delta_rows] for c in comp])
+    e01 = [[ZERO] * m for _ in on_comp]
+    for full, row, at in zip(e01, on_comp, at_piv):
+        for c, x in zip(comp + piv, row + at):
+            full[c] = x
+    a200, a002 = block(delta_rows, units), block(n01, e01)
     a101 = a2 - a200 - a002
-    if a2.exp_wedge_on(omega_k) != phi:
-        raise InvalidStructure("exp(A) ^ Omega does not reproduce the generator")
     b2 = (a2 + a2.conj()).scale(HALF)
     om2 = (a2 - a2.conj()).scale(GaussRat(0, Fraction(-1, 2)))
     power = omega_k.wedge(omega_k.conj())

@@ -34,6 +34,12 @@ from . import linalg
 # An unsolvable ansatz near the cap takes seconds to eliminate (5.5e8: 3 s,
 # 1.9e9: 13 s on a 2-core machine); far above it, hours.
 ANSATZ_CAP = 10**9
+# The largest kernel basis, as nullity x unknowns, that an ansatz solver
+# builds.  The pullback of cases/pullback_graph_b.json at degree bound 80
+# eliminates in about 1 s but has 6,642 x 13,284 basis entries, which took
+# about 20 s and 0.7 GB to build on a 2-core machine; bound 45 (9.3e6
+# entries, about 3 s) stays under the cap.
+KERNEL_CAP = 10**7
 
 
 def monomials_up_to(chart: Chart, bound: int):

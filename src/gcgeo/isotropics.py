@@ -2,10 +2,12 @@
 
 Everything here is pointwise linear algebra over gaussian rationals: canonical
 (Delta, eps) data, spinor lines in both directions, single-block transforms,
-and the tensor product of linear Dirac structures.  A 2-form given by its
-components on a basis is built over the dual coframe (`coframe`); on the
-canonical Delta, in reduced row echelon form, that coframe is the pivot
-coordinates (`_extension_of_eps`).
+and the tensor product of linear Dirac structures.  `canonical_form` checks
+and reduces a spanning set; `reduced_form` reads the canonical data off rows
+already reduced, as `gcs.eigenbundle` gets them from one elimination.  A
+2-form given by its components on a basis is built over the dual coframe
+(`coframe`); on the canonical Delta, in reduced row echelon form, that
+coframe is the pivot coordinates (`_extension_of_eps`).
 """
 
 from __future__ import annotations
@@ -127,35 +129,47 @@ def canonical_form(vectors, dim: int) -> MaxIsotropic:
     """Validate a spanning set and compute canonical (Delta, eps, type, parity).
 
     Raises NotIsotropic naming the offending pair, or on rank deficiency.
+    The rows are reduced once and read off by `reduced_form`.
     """
     check_dim(dim)
-    vecs = list(vectors)
-    coords = [v.coords() for v in vecs]
+    red, piv = linalg.rref(isotropic_rows([v.coords() for v in vectors]))
+    if len(piv) != dim:
+        raise NotIsotropic(f"spanning set has rank {len(piv)}, expected {dim}")
+    return reduced_form(red[:dim], dim)
+
+
+def isotropic_rows(coords):
+    """The coordinate rows as GaussRats, once every pair is checked to pair to 0.
+
+    Raises NotIsotropic naming the first pair (i, j), i <= j, that does not.
+    """
     gram = pairing_matrix(coords, coords)
     for i, row in enumerate(gram):
-        for j in range(i, len(vecs)):
+        for j in range(i, len(coords)):
             if as_gauss(row[j]):
                 raise NotIsotropic(
                     f"basis vectors {i} and {j} have inner product {HALF * row[j]!r}, not 0"
                 )
-    rows = [[as_gauss(c) for c in r] for r in coords]
-    red, piv = linalg.rref(rows)
-    if len(piv) != dim:
-        raise NotIsotropic(f"spanning set has rank {len(piv)}, expected {dim}")
+    return [[as_gauss(c) for c in r] for r in coords]
+
+
+def reduced_form(rows, dim: int) -> MaxIsotropic:
+    """The canonical data of the span of dim rows already in reduced row echelon form.
+
+    Entries before a row's pivot are 0 and the pivot is 1, so a row pivots
+    in V exactly when its V part is nonzero: those rows are the lifts of
+    Delta, in pivot order, and the rest annihilate V.
+    """
     lifts = []
     ann = []
-    for r, c in zip(red, piv):
-        if c < dim:
-            lifts.append(GenVector.from_coords(r))
-        else:
-            ann.append(GenVector.from_coords(r))
+    for r in rows:
+        (lifts if any(r[:dim]) else ann).append(GenVector.from_coords(r))
     delta = [list(v.vec) for v in lifts]
     k = dim - len(delta)
     eps = linalg.mat_mul([u.covec for u in lifts], linalg.transpose([w.vec for w in lifts]))
-    basis = tuple(lifts + ann)
     return MaxIsotropic(
         dim=dim,
-        basis=basis,
+        basis=tuple(lifts + ann),
         delta_basis=tuple(tuple(d) for d in delta),
         eps=tuple(tuple(row) for row in eps),
         type=k,

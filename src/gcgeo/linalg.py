@@ -56,6 +56,7 @@ from operator import add
 from .scalars import (
     GaussRat, MismatchedVariables, ONE, Poly, ZERO, all_gauss, as_gauss, lane,
 )
+from .forms import CapacityError
 
 
 def zeros(r, c):
@@ -524,23 +525,31 @@ def rank(m) -> int:
     return len(_eliminate(*_rows(m)))
 
 
-def kernel(m, ncols=None):
+def kernel(m, ncols=None, cap=None):
     """Basis of the right kernel of m, as a list of vectors.
 
     m is dense, or an iterable of dict rows over ncols columns.  There is one
     vector per non-pivot column f, with a 1 at f and 0 at the other
-    non-pivot columns.
+    non-pivot columns.  With a cap, a basis of more than cap entries
+    (nullity x ncols) raises CapacityError once the elimination gives the
+    nullity, before any vector is built.
     """
-    return integer_kernel(*_rows(m, ncols))
+    return integer_kernel(*_rows(m, ncols), cap)
 
 
-def integer_kernel(rows, ncols):
+def integer_kernel(rows, ncols, cap=None):
     """`kernel` of gaussian-integer rows {column: (a, b)} over ncols columns.
 
     Each row stands for the line it spans and has no zero entry, as in
     `_eliminate`; `isotropics.null_space` builds its rows this way.
     """
     tails = _eliminate(rows, ncols)
+    nullity = ncols - len(tails)
+    if cap is not None and nullity * ncols > cap:
+        raise CapacityError(
+            f"nullity {nullity} over {ncols} unknowns, {nullity * ncols} basis entries, "
+            f"above the cap {cap}"
+        )
     basis = {f: [ZERO] * ncols for f in range(ncols) if f not in tails}
     for f, v in basis.items():
         v[f] = ONE

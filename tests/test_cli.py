@@ -663,6 +663,24 @@ class TestFlagOverrides:
         error = json.loads(proc.stdout)["counterexample"]["error"]
         assert error.startswith("the ansatz at degree bound 160 has up to ")
 
+    def test_pullback_over_the_kernel_cap_exit_2(self):
+        # bound 80 is under the ansatz cap, but its kernel basis has 6,642 x
+        # 13,284 entries: refused once the elimination (about 1 s) gives the
+        # nullity, where building the basis took about 20 s and 0.7 GB
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "gcgeo.cli", "pullback", case("pullback_graph_b.json"),
+             "--degree-bound", "80"],
+            capture_output=True, text=True,
+        )
+        assert time.perf_counter() - t0 < 10.0
+        assert proc.returncode == 2 and proc.stderr == ""
+        error = json.loads(proc.stdout)["counterexample"]["error"]
+        assert error == (
+            "the kernel at degree bound 80 has nullity 6642 over 13284 unknowns, "
+            "88232328 basis entries, above the cap 10000000"
+        )
+
     def test_pullback_rank_jump_is_a_failure(self, tmp_path, capsys):
         # the section x1 d/dp1 vanishes on x1 = 0 only
         doc = {

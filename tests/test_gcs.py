@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcgeo.scalars import GaussRat, IUNIT, ONE, ZERO
-from gcgeo.forms import MixedForm, map_from_two_form, mukai_coeff, two_form_from_map
+from gcgeo.forms import MixedForm, covector_form, map_from_two_form, mukai_coeff, two_form_from_map
 from gcgeo.clifford import BlockTransform, GenVector
 from gcgeo.charts import Chart
 from gcgeo.integrability import deform_by_bivector, holomorphic_bivector
 from gcgeo.isotropics import (
+    _ann_basis,
     canonical_form,
     cotangent_space,
     max_isotropic_from_spinor,
@@ -22,6 +23,7 @@ from gcgeo.isotropics import (
 )
 from gcgeo.gcs import (
     GCStructure,
+    _check_exponent,
     InvalidStructure,
     canonical_spinor,
     darboux_point,
@@ -205,6 +207,22 @@ class TestEigenbundle:
         with pytest.raises(InvalidStructure) as err:
             eigenbundle(GCStructure(2, j))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("m,k", [(m, k) for m in range(2, 13, 2) for k in range(m // 2 + 1)])
+    def test_one_elimination_equals_the_reduced_kernel(self, m, k, dense):
+        # the reference reduces twice: the kernel of J - i, then its rref
+        if dense:
+            s = dense_structure(m, k, seed=m + k)
+        else:
+            s = Rng(10 * m + k).gc_structure(m, k, conjugations=3, kinds=("B", "gl"))
+        a = [list(row) for row in s.j]
+        for i, row in enumerate(a):
+            row[i] = row[i] - IUNIT
+        want = canonical_form([GenVector.from_coords(v) for v in linalg.kernel(a)], m)
+        got = eigenbundle(s)
+        assert got == want and repr(got) == repr(want)
+        assert got.type == k
 
 
 class TestTypeAndSpinor:
@@ -395,6 +413,37 @@ class TestDarboux:
             assert data.k == k
             regen = (data.btilde + data.omega0.scale(IUNIT)).exp_wedge().wedge(data.omega_k)
             assert regen.proportional_to(data.generator)
+
+
+class TestExponentCheck:
+    """e^A ^ Omega = phi is decided as A ^ Omega = phi_{k+2} (`gcs._check_exponent`).
+
+    A term of the theta-ideal added to the exponent read off phi keeps both
+    identities; a term outside it breaks both, and the check raises.
+    """
+
+    @pytest.mark.parametrize("m,k", [(4, 0), (4, 1), (6, 1), (6, 2), (8, 2), (8, 3)])
+    def test_theta_ideal_passes_and_the_rest_raises(self, m, k):
+        s = dense_structure(m, k, seed=7 * m + k)
+        data = canonical_spinor(s)
+        phi, omega_k, a2 = data.generator, data.omega_k, data.a2
+        r = random.Random(m + k)
+
+        def covector():
+            return covector_form(m, [GaussRat(r.randint(-3, 3), r.randint(-3, 3)) for _ in range(m)])
+
+        if k:
+            theta = covector_form(m, _ann_basis(eigenbundle(s).delta_basis, m)[0])
+            assert not theta.wedge(omega_k)
+            inside = a2 + theta.wedge(covector())
+            assert inside != a2
+            _check_exponent(inside, omega_k, phi, k)
+            assert inside.exp_wedge_on(omega_k) == phi
+        outside = a2 + covector().wedge(covector())
+        assert outside.wedge(omega_k) != a2.wedge(omega_k)
+        with pytest.raises(InvalidStructure, match="does not reproduce the generator"):
+            _check_exponent(outside, omega_k, phi, k)
+        assert outside.exp_wedge_on(omega_k) != phi
 
 
 class TestInterpolation:

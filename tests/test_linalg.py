@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from gcgeo import linalg
 from gcgeo.clifford import GenVector
-from gcgeo.forms import MixedForm
+from gcgeo.forms import CapacityError, MixedForm
 from gcgeo.isotropics import graph_of_two_form, max_isotropic_from_spinor, null_space, pure_spinor_line
 from gcgeo.randgen import Rng
 from gcgeo.scalars import GaussRat, ONE, ZERO
@@ -150,6 +150,45 @@ class TestKernel:
     def test_no_rows_gives_identity(self):
         assert linalg.kernel([], 3) == linalg.identity(3)
         assert linalg.kernel([{}, {}], 2) == linalg.identity(2)
+
+    def test_cap_bounds_nullity_times_columns(self):
+        m = [[ONE, ONE, ZERO]]
+        assert len(linalg.kernel(m, cap=6)) == 2
+        with pytest.raises(CapacityError, match="nullity 2 over 3 unknowns, 6 basis entries, above the cap 5"):
+            linalg.kernel(m, cap=5)
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """A product of an r x t and a t x c matrix, t below min(r, c): rank deficient."""
+    r, c = draw(st.integers(2, 6)), draw(st.integers(2, 7))
+    t = draw(st.integers(1, min(r, c) - 1))
+    entries = draw(st.sampled_from([gauss_rats(), wide_gauss_rats()]))
+    left = draw(matrices(rows=r, cols=t, entries=entries))
+    return linalg.mat_mul(left, draw(matrices(rows=t, cols=c, entries=entries)))
+
+
+def reversed_kernel(m):
+    """The kernel of m eliminated with its columns reversed, each vector reversed back."""
+    return [v[::-1] for v in reversed(linalg.kernel([row[::-1] for row in m]))]
+
+
+class TestReversedKernel:
+    """Eliminating with the columns reversed gives the kernel in reduced row echelon form.
+
+    A vector of the reversed basis has a 1 at its free column f, 0 at the
+    other free columns and its other nonzeros after f, so ordered by f the
+    vectors are the unique reduced rows of the kernel; `gcs.eigenbundle`
+    reads the canonical rows of L = ker(J - i) this way.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(matrices(), matrices(entries=wide_gauss_rats()), low_rank_matrices()))
+    def test_is_the_rref_of_the_kernel_basis(self, m):
+        ker = linalg.kernel(m)
+        want = dense_rref(ker)[0][: len(ker)]
+        assert reversed_kernel(m) == want
+        assert want == linalg.rref(ker)[0][: len(ker)]
 
 
 class TestSolve:
