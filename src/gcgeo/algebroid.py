@@ -188,9 +188,14 @@ def maurer_cartan(pair: LiePair, eps: dict) -> MCReport:
     triples i < j < k, keyed by the mask of {i, j, k}; the deformed graph is
     involutive iff it is empty, which is the Maurer-Cartan equation
     d_L eps + 1/2 [eps, eps] = 0.
+
+    The deformed frame is a `DiracFrame` by construction, so it is built
+    unchecked: LiePair has validated that L and R are isotropic, eps^# maps
+    into R with <eps^# u, v> = eps(u, v), and eps is skew, so
+    <l_i + eps#l_i, l_j + eps#l_j> = eps(l_j, l_i) + eps(l_i, l_j) = 0.
     """
     deformed = tuple(l + s for l, s in zip(pair.frame_l, eps_sharps(pair, eps)))
-    residual = involutivity_tensor(DiracFrame(pair.chart, deformed), pair.h)
+    residual = involutivity_tensor(DiracFrame._trusted(pair.chart, deformed), pair.h)
     return MCReport(verdict="fail" if residual else "pass", residual=residual)
 
 

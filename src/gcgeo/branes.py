@@ -194,6 +194,12 @@ class PullbackResult(Record, frozen=True):
     involutivity: dict
 
 
+def default_samples(s_chart: Chart) -> list:
+    """The points of S checked when no samples are given: all zeros and all ones."""
+    ds = s_chart.dim
+    return [s_chart.point(*([0] * ds)), s_chart.point(*([1] * ds))]
+
+
 def pullback_dirac(
     frame: DiracFrame,
     sub: SubmanifoldData,
@@ -208,7 +214,7 @@ def pullback_dirac(
     m = sub.ambient.dim
     ds = sub.dim_s
     if samples is None:
-        samples = [s_chart.point(*([0] * ds)), s_chart.point(*([1] * ds))]
+        samples = default_samples(s_chart)
     restricted = sub.restrict_matrix([u.coords() for u in frame.sections])
     # a combination lies in K-perp iff the conormals annihilate its vector part
     rows = linalg.mat_mul(sub.conormals(), linalg.transpose([r[:m] for r in restricted]))
@@ -272,7 +278,7 @@ def brane_check(
     m = sub.ambient.dim
     ds = sub.dim_s
     if samples is None:
-        samples = [s_chart.point(*([0] * ds)), s_chart.point(*([1] * ds))]
+        samples = default_samples(s_chart)
     tau = [u.coords() for u in generalized_tangent(sub).sections]
     jmat = sub.restrict_matrix(structure.matrix())
     jtau = linalg.mat_mul(tau, linalg.transpose(jmat))

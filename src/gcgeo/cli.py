@@ -2,8 +2,9 @@
 
 Exit codes: 0 = pass, 1 = mathematical fail, 2 = every outcome that is not a
 decided verdict (malformed documents, invalid structures or isotropics,
-capacity limits, exhausted degree bounds, and command lines outside the
-grammar of `parse_args`, which print a usage line to stderr).
+capacity limits, exhausted degree bounds, a stdout that the reader closed
+before the output was written, and command lines outside the grammar of
+`parse_args`, which print a usage line to stderr).
 
 Every command is one row of `COMMANDS`, a handler that reads only the job
 document.  Two rules hold for all of them:
@@ -11,7 +12,9 @@ document.  Two rules hold for all of them:
 * A flag overrides the document field of the same name: `--seed`, `--cases`,
   `--degree-bound` (field `degree_bound`) and `--samples` are merged into the
   document once, before the handler runs, over the command's declared
-  `defaults`.  The report records the seed so resolved.
+  `defaults`.  The report records the seed so resolved.  Only a command
+  declared with `samples=True` reads `samples`, points in `parse_point`'s
+  list form; any other exits 2 when the merged document has them.
 * A command's decided failure is the one exception it declares,
   `@command(name, decided="module.Exception")`.  `run_job` turns that
   exception into a `"fail"` report with a `violation`; every other
@@ -28,6 +31,7 @@ all of its gcgeo modules.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 
@@ -54,13 +58,16 @@ from .jobio import (
 COMMANDS = {}  # name -> cmd_* handler: doc -> (verdict, certificate or counterexample)
 DECIDED = {}  # name -> "module.Exception", the command's mathematical fail
 DEFAULTS = {}  # name -> document fields used when neither flag nor document sets them
+READS_SAMPLES = set()  # names of the commands that read the field `samples`
 
 
-def command(name, decided=None, defaults=None):
+def command(name, decided=None, defaults=None, samples=False):
     def deco(fn):
         COMMANDS[name] = fn
         DECIDED[name] = decided
         DEFAULTS[name] = defaults or {}
+        if samples:
+            READS_SAMPLES.add(name)
         return fn
 
     return deco
@@ -292,7 +299,7 @@ def cmd_validate_gcs(doc):
     return "pass", cert
 
 
-@command("type-map")
+@command("type-map", samples=True)
 def cmd_type_map(doc):
     from .forms import mukai_coeff
     from .gcs import gc_type
@@ -356,7 +363,7 @@ def cmd_poisson_of(doc):
 # field commands
 # ---------------------------------------------------------------------------
 
-@command("check-integrable")
+@command("check-integrable", samples=True)
 def cmd_check_integrable(doc):
     from .integrability import check_spinor_integrability
     chart = _chart_of(doc)
@@ -417,7 +424,7 @@ def cmd_maurer_cartan(doc):
     return "fail", {"frame_mask": bad, "residual": scalar_str(rep.residual[bad])}
 
 
-@command("deform")
+@command("deform", samples=True)
 def cmd_deform(doc):
     from .gcs import j_complex, standard_complex_endo
     from .integrability import deform_by_bivector, holomorphic_bivector
@@ -481,18 +488,26 @@ def cmd_ham_symmetry(doc):
     return "pass", {"section": section_json(df), "symmetry": ok}
 
 
-@command("pullback", decided="branes.NotSmooth", defaults={"degree_bound": 2})
+@command("pullback", decided="branes.NotSmooth", defaults={"degree_bound": 2}, samples=True)
 def cmd_pullback(doc):
     from .branes import pullback_dirac
     chart = _chart_of(doc)
     sub = _submanifold_of(doc, chart)
     res = pullback_dirac(
-        _frame_of(doc, chart), sub, degree_bound=_int_of(doc, "degree_bound", minimum=0)
+        _frame_of(doc, chart), sub, samples=_s_samples_of(doc, sub),
+        degree_bound=_int_of(doc, "degree_bound", minimum=0),
     )
     return "pass", {
         "frame": [section_json(u) for u in res.frame.sections],
         "involutive": not res.involutivity,
     }
+
+
+def _s_samples_of(doc, sub):
+    """The default points of S plus the points doc["samples"] of S's parameter chart."""
+    from .branes import default_samples
+    s_chart = sub.chart_s()
+    return default_samples(s_chart) + (_samples_of(doc, s_chart) or [])
 
 
 def _submanifold_of(doc, chart):
@@ -525,11 +540,12 @@ def _submanifold_of(doc, chart):
         raise JobError(str(e), "submanifold")
 
 
-@command("brane-check")
+@command("brane-check", samples=True)
 def cmd_brane_check(doc):
     from .branes import brane_check
     chart = _chart_of(doc)
-    rep = brane_check(_structure_of(doc, chart.names), _submanifold_of(doc, chart))
+    sub = _submanifold_of(doc, chart)
+    rep = brane_check(_structure_of(doc, chart.names), sub, _s_samples_of(doc, sub))
     body = {
         "coisotropic": rep.coisotropic,
         "lagrangian": rep.lagrangian,
@@ -637,6 +653,8 @@ def run_job(command_name: str, doc: dict, flags: dict) -> Report:
         except RecursionError:
             raise JobError("--samples is nested too deeply") from None
     doc = {**DEFAULTS[command_name], **doc, **flags}
+    if "samples" in doc and command_name not in READS_SAMPLES:
+        raise JobError(f"{command_name} does not read samples", "samples")
     seed = _int_of(doc, "seed", None)
     decided = decided_failure(command_name)
     try:
@@ -654,8 +672,7 @@ def main(argv=None) -> int:
         print(f"{USAGE}\ngcgeo: error: {e}", file=sys.stderr)
         return 2
     if "show" in args:
-        print(args["show"])
-        return 0
+        return _write(args["show"], 0)
     flags = args["flags"]
     t0 = time.perf_counter()
     try:
@@ -667,8 +684,23 @@ def main(argv=None) -> int:
         report = Report(args["command"], "error", counterexample={"error": str(e)},
                         seed=flags.get("seed"))
     report.timing_ms = (time.perf_counter() - t0) * 1000.0
-    print(emit(report, args["format"]))
-    return report.exit_code()
+    return _write(emit(report, args["format"]), report.exit_code())
+
+
+def _write(text: str, code: int) -> int:
+    """Print text to stdout and return code, or 2 when the reader has closed it.
+
+    The output is lost, so no verdict stands.  stdout then points at devnull,
+    so the flush at shutdown does not fail on the closed pipe again.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -10,11 +10,11 @@ at degree bounds 0, 1, ... up to a bound, and stops at the first that solves.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, lcm
 from operator import add
 
 from .record import Record
-from .scalars import Poly, ZERO
+from .scalars import GaussRat, Poly, ZERO, as_gauss, poly_lane
 from .forms import CapacityError, MixedForm, coefficient_rows, covector_form, map_from_two_form
 from .clifford import GenVector
 from .charts import Chart
@@ -62,20 +62,48 @@ def ansatz_system(chart: Chart, slots, degree_bound: int, target=None):
     Unknown (s, e) multiplies slot s by the monomial x^e; unknowns run
     slot-major, then in monomials_up_to order.  There is one row
     {unknown: coefficient} per (key, exponent) that occurs, and rhs holds the
-    target's coefficient for each row.  Returns (rows, rhs, unknowns).
-    Raises CapacityError, before building anything, when the system may have
-    more than ANSATZ_CAP rows x unknowns.
+    target's coefficient for each row.  Every coefficient is read off the
+    integers of its Poly (`poly_lane`) and scaled by one L, the lcm of the
+    denominators of the slots and the target, so rows and rhs are L times
+    that system, with the same solutions, and hold gaussian integers.
+    Returns (rows, rhs, unknowns).  Raises CapacityError, before building
+    anything, when the system may have more than ANSATZ_CAP rows x unknowns.
     """
     const = (0,) * chart.dim
 
-    def terms_of(c):
-        """The {exponent: coefficient} terms of a Poly or of a GaussRat constant."""
+    def lane_of(c):
+        """(q, {exponent: (a, b)}) of a Poly or of a scalar constant."""
         if isinstance(c, Poly):
-            return c.terms
-        return {const: c} if c else {}
+            return poly_lane(c)
+        g = as_gauss(c)
+        return g.q, ({const: (g.a, g.b)} if g else {})
 
-    slots = [[(key, terms_of(c)) for key, c in slot.items()] for slot in slots]
-    target = [(key, terms_of(c)) for key, c in (target or {}).items()]
+    slots = [[(key, lane_of(c)) for key, c in slot.items()] for slot in slots]
+    target = [(key, lane_of(c)) for key, c in (target or {}).items()]
+    lc = lcm(*[q for slot in slots for _, (q, _) in slot], *[q for _, (q, _) in target])
+
+    # the rows keep their entries for the whole solve: one GaussRat per
+    # distinct value, not per slot term, keeps the ansatz from filling the
+    # heap (and the garbage collector's young generation) with copies
+    values = {}
+
+    def scaled(lanes):
+        """Each (key, (q, nums)) as (key, {exponent: L times its coefficient})."""
+        out = []
+        for key, (q, nums) in lanes:
+            s = lc // q
+            terms = {}
+            for e, (a, b) in nums.items():
+                ab = a * s, b * s
+                g = values.get(ab)
+                if g is None:
+                    g = values[ab] = GaussRat(*ab)
+                terms[e] = g
+            out.append((key, terms))
+        return out
+
+    slots = [scaled(slot) for slot in slots]
+    target = scaled(target)
     n_monos = comb(chart.dim + degree_bound, chart.dim)
     # rows are (key, exponent) pairs: at most one per term of a slot
     # coefficient per monomial, plus one per term of the target

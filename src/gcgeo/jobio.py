@@ -14,11 +14,11 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from . import __version__
 from .record import Record
-from .scalars import GaussRat, Poly, gauss_str, poly_str
+from .scalars import GaussRat, Poly, gauss_str, poly_lane, poly_str
 from .forms import MAX_DIM, MixedForm
 from .clifford import GenVector
 from .charts import Chart
@@ -73,9 +73,8 @@ def _height(p: Poly) -> int:
     No real or imaginary part, numerator or denominator of a coefficient of
     p has more bits than this.
     """
-    cs = p.terms.values()
-    den = lcm(*(c.q for c in cs))
-    top = max((max(abs(c.a), abs(c.b)) * (den // c.q) for c in cs), default=0)
+    den, nums = poly_lane(p)
+    top = max((max(abs(a), abs(b)) for a, b in nums.values()), default=0)
     return den.bit_length() + top.bit_length()
 
 
@@ -108,7 +107,7 @@ class _ScalarParser:
     def _mul(self, a: Poly, b: Poly) -> Poly:
         # each entry of the product of L_a a and L_b b sums min(ta, tb)
         # products of gaussian integers
-        ta, tb = len(a.terms), len(b.terms)
+        ta, tb = len(poly_lane(a)[1]), len(poly_lane(b)[1])
         self._bound(ta * tb, _height(a) + _height(b) + min(ta, tb).bit_length() + 1)
         return a * b
 
@@ -116,7 +115,7 @@ class _ScalarParser:
         # each entry of (L base)^n is at most (2 t max|L base|)^n, and base^n
         # has at most one term per multiset of n of base's t terms; the height
         # goes first, as it bounds n and so the cost of comb
-        t = len(base.terms)
+        t = len(poly_lane(base)[1])
         self._bound(1, n * (_height(base) + t.bit_length() + 1))
         self._bound(comb(n + t - 1, t - 1) if t else 1, 0)
         return base ** n

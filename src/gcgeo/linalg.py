@@ -11,7 +11,8 @@ lcm of its coefficient denominators (`_lane`, which reads ints and Fractions
 as GaussRats and splits each Poly into its constant term and the rest), so
 constant terms add up in two plain ints per entry, skipping zero factors,
 and only the other terms of Polys go through a dict by exponent.
-`GaussRat._raw` runs once per nonzero coefficient of the result.  An entry
+`GaussRat._raw` runs once per nonzero constant entry of the result, and a
+Poly entry is built from its integers with one content gcd.  An entry
 of the product is ZERO when no nonzero products reach it, and a Poly exactly
 when one of them has a Poly factor, as the per-entry sum would give.  All
 nonzero Polys of both factors must be over one chart, whether or not they
@@ -54,7 +55,8 @@ from math import gcd, lcm
 from operator import add
 
 from .scalars import (
-    GaussRat, MismatchedVariables, ONE, Poly, ZERO, all_gauss, as_gauss, lane,
+    GaussRat, MismatchedVariables, ONE, Poly, ZERO, all_gauss, as_gauss, lane, lane_poly,
+    poly_lane,
 )
 from .forms import CapacityError
 
@@ -89,8 +91,8 @@ def _product(a, cols, k):
     factors.  When Polys take part, a second pass over the row marks the
     entries that have a product with a Poly factor and adds up their other
     terms in a dict by exponent.  Entry (i, j) is then divided by the
-    denominators of row i of a and column j of b, one `GaussRat._raw` per
-    coefficient.
+    denominators of row i of a and column j of b: one `GaussRat._raw` for a
+    constant entry, one content gcd for a Poly entry (`lane_poly`).
     """
     if any(map(k.__ne__, map(len, a))):
         raise ValueError(
@@ -165,11 +167,11 @@ def _product(a, cols, k):
             if j not in marked:
                 new.append(raw(u, v, den) if u or v else ZERO)
                 continue
-            coeffs = {const: raw(u, v, den)} if u or v else {}
+            nums = {const: (u, v)} if u or v else {}
             for e, (u, v) in accs.get(j, {}).items():
                 if u or v:
-                    coeffs[e] = raw(u, v, den)
-            new.append(Poly._raw(names, coeffs))
+                    nums[e] = u, v
+            new.append(lane_poly(names, den, nums))
         out.append(new)
     return out
 
@@ -178,11 +180,11 @@ def _lane(cs, charts):
     """(L, items): the nonzero entries of a row or column on one integer lane.
 
     cs holds GaussRats and Polys (ints and Fractions read as GaussRats), and
-    L is the lcm of every coefficient denominator in it.  items lists
-    (k, a, b, terms) for each nonzero cs[k]: a + bi is L times its constant
-    term, and terms is None for a GaussRat and for a Poly lists (exponent,
-    c, d) with c + di L times each other term.  The variables of each
-    nonzero Poly are added to the set charts.
+    L is the lcm of their denominators, one per Poly (`poly_lane`).  items
+    lists (k, a, b, terms) for each nonzero cs[k]: a + bi is L times its
+    constant term, and terms is None for a GaussRat and for a Poly lists
+    (exponent, c, d) with c + di L times each other term.  The variables of
+    each nonzero Poly are added to the set charts.
     """
     if all_gauss(cs):
         lc = lcm(*[c.q for c in cs])
@@ -196,28 +198,28 @@ def _lane(cs, charts):
     parts, qs = [], []
     for k, x in enumerate(cs):
         if type(x) is Poly:
-            if x.terms:
+            if x:
                 charts.add(x.vars)
-                qs += [c.q for c in x.terms.values()]
-                parts.append((k, x))
+                q, nums = poly_lane(x)
+                qs.append(q)
+                parts.append((k, x.vars, nums))
         else:
             if type(x) is not GaussRat:
                 x = as_gauss(x)
             if x.a or x.b:
                 qs.append(x.q)
-                parts.append((k, x))
+                parts.append((k, None, x))
     lc = lcm(*qs)
     items = []
-    for k, x in parts:
-        if type(x) is GaussRat:
-            items.append((k, x.a * (lc // x.q), x.b * (lc // x.q), None))
+    for (k, names, x), q in zip(parts, qs):
+        s = lc // q
+        if names is None:
+            items.append((k, x.a * s, x.b * s, None))
             continue
-        const = (0,) * len(x.vars)
-        g = x.terms.get(const, ZERO)
-        rest = [
-            (e, c.a * (s := lc // c.q), c.b * s) for e, c in x.terms.items() if e != const
-        ]
-        items.append((k, g.a * (lc // g.q), g.b * (lc // g.q), rest))
+        const = (0,) * len(names)
+        a, b = x.get(const, (0, 0))
+        rest = [(e, c * s, d * s) for e, (c, d) in x.items() if e != const]
+        items.append((k, a * s, b * s, rest))
     return lc, items
 
 

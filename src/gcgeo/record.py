@@ -7,6 +7,8 @@ holds them as strings in definition order, so nothing is evaluated.  A Record
 gets `__init__` (arguments, then defaults, then `__post_init__`), the
 dataclass `repr` and same-class `==`; a frozen one also hashes its field tuple
 and refuses assignment.  A `factory(list)` default is made anew per instance.
+`_trusted` builds a Record from fields its caller has proved valid: the
+constructor without `__post_init__`, for checks that hold by construction.
 """
 
 from __future__ import annotations
@@ -40,6 +42,16 @@ class Record:
             cls.__hash__ = _field_hash
 
     def __init__(self, *args, **kwargs):
+        self._fill(args, kwargs)
+        self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, *args, **kwargs):
+        out = object.__new__(cls)
+        out._fill(args, kwargs)
+        return out
+
+    def _fill(self, args, kwargs):
         fields = self._fields
         if len(args) > len(fields):
             raise TypeError(f"{type(self).__name__} has {len(fields)} fields, got {len(args)}")
@@ -58,7 +70,6 @@ class Record:
             setter(self, name, value)
         if kwargs:
             raise TypeError(f"{type(self).__name__} got unknown or repeated {sorted(kwargs)}")
-        self.__post_init__()
 
     def __post_init__(self):
         pass

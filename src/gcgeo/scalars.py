@@ -10,6 +10,13 @@ write the slots through the slot descriptors' setters, bound once at import
 brings (a + b i)/q to lowest terms with q > 0.  `__neg__`, `conj` and the
 integer path of `__init__` need no gcd and write the slots directly.  Pickling
 and copying rebuild a value through `_raw` from its slots.
+
+A Poly keeps its coefficients as gaussian integers over one denominator q,
+in the normal form gcd(q, every integer) = 1, so its arithmetic runs on plain
+ints and normalises each result once (`lane_poly`), where a map of GaussRats
+would normalise every term.  Its GaussRat coefficients, `.terms`, are built
+only when read; `poly_lane` and `lane_poly` carry the integers across module
+boundaries.  Pickling and copying rebuild a Poly from its slots.
 """
 
 from __future__ import annotations
@@ -360,24 +367,42 @@ def sqrt_exact(g: GaussRat) -> GaussRat:
 
 
 class Poly:
-    """Sparse polynomial over GaussRat in named chart variables.
+    """Sparse polynomial over Q(i) in named chart variables.
 
-    Terms map exponent tuples to nonzero coefficients.  Variables are real:
-    conjugation only conjugates coefficients.  `divide` is exact division:
-    it returns the quotient, or None when the divisor does not divide.
+    A Poly is stored as gaussian integers over one denominator: `vars`, a
+    positive int q and {exponent tuple: (a, b)} with every a + bi nonzero,
+    so the coefficient of x^e is (a + bi)/q.  In the normal form gcd(q,
+    every a, every b) = 1, and q = 1 for zero, so equal polynomials have
+    equal slots.  `+ - *`, negation, `conj`, `diff`, `==` and the predicates
+    run on plain ints, and each result takes one content gcd (`lane_poly`),
+    skipped when its denominator is 1: the common-denominator arithmetic of
+    Geddes, Czapor and Labahn, "Algorithms for Computer Algebra" (1992).
 
-    `Poly(vars, terms)` copies `terms` and drops its zero coefficients.
-    `Poly._raw(vars, terms)` stores both as given and checks nothing, so its
-    caller promises that `vars` is a tuple, that every key of `terms` is a
-    tuple of len(vars) ints, that every value is a nonzero GaussRat, and that
-    no one changes `terms` afterwards.
+    `.terms` is the read-only {exponent: GaussRat} view of the coefficients.
+    It is built on first read and cached, so arithmetic never builds a
+    GaussRat per term.  Code outside this module reads the integers through
+    `poly_lane` and builds from them through `lane_poly`.
+
+    Variables are real: conjugation only conjugates coefficients.  `divide`
+    is exact division: it returns the quotient, or None when the divisor
+    does not divide.
+
+    `Poly(vars, terms)` takes scalar coefficients and drops the zero ones.
+    `Poly._raw(vars, terms)` takes a tuple `vars` and nonzero GaussRat
+    coefficients keyed by tuples of len(vars) ints, and checks nothing;
+    `Poly._make(vars, q, nums)` takes the slots in normal form as they are.
+    The caller of either promises that no one changes the dict afterwards.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_q", "_nums", "_view")
 
     def __init__(self, vars: tuple, terms: dict):
+        gs = {e: g for e, c in terms.items() if (g := as_gauss(c))}
+        q, pairs = lane(gs.values())
         _set_vars(self, tuple(vars))
-        _set_terms(self, {e: c for e, c in terms.items() if c})
+        _set_pq(self, q)
+        _set_nums(self, dict(zip(gs, pairs)))
+        _set_view(self, None)
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -385,21 +410,47 @@ class Poly:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return Poly._raw, (self.vars, self.terms)
+        # the view travels too, so a copy has every slot of its original
+        return Poly._make, (self.vars, self._q, self._nums, self._view)
+
+    @staticmethod
+    def _make(vars: tuple, q: int, nums: dict, view=None) -> "Poly":
+        out = _new(Poly)
+        _set_vars(out, vars)
+        _set_pq(out, q)
+        _set_nums(out, nums)
+        _set_view(out, view)
+        return out
 
     @staticmethod
     def _raw(vars: tuple, terms: dict) -> "Poly":
-        out = _new(Poly)
-        _set_vars(out, vars)
-        _set_terms(out, terms)
-        return out
+        # GaussRats in lowest terms, put on the lcm q of their denominators,
+        # are in normal form: each prime power in q is a term's denominator's,
+        # and that term's two integers are not both multiples of the prime
+        q, pairs = lane(terms.values())
+        return Poly._make(vars, q, dict(zip(terms, pairs)))
+
+    @property
+    def terms(self) -> dict:
+        """{exponent: GaussRat}, the coefficients; built once, never to be changed."""
+        view = self._view
+        if view is None:
+            view = self._gauss_terms()
+            _set_view(self, view)
+        return view
+
+    def _gauss_terms(self) -> dict:
+        q, raw = self._q, GaussRat._raw
+        return {e: raw(a, b, q) for e, (a, b) in self._nums.items()}
 
     # -- constructors -----------------------------------------------------
     @classmethod
     def const(cls, vars, c) -> "Poly":
         c = c if isinstance(c, GaussRat) else GaussRat(c)
         vars = tuple(vars)
-        return Poly._raw(vars, {(0,) * len(vars): c} if c else {})
+        if not c:
+            return Poly._make(vars, 1, {})
+        return Poly._make(vars, c.q, {(0,) * len(vars): (c.a, c.b)})
 
     @classmethod
     def var(cls, vars, name) -> "Poly":
@@ -407,117 +458,112 @@ class Poly:
         if name not in vars:
             raise MismatchedVariables(f"{name!r} is not a chart variable of {vars}")
         e = tuple(1 if v == name else 0 for v in vars)
-        return Poly._raw(vars, {e: ONE})
+        return Poly._make(vars, 1, {e: (1, 0)})
 
     @classmethod
     def zero(cls, vars) -> "Poly":
-        return Poly._raw(tuple(vars), {})
+        return Poly._make(tuple(vars), 1, {})
 
     # -- helpers -----------------------------------------------------------
     def _peer(self, other: "Poly") -> dict:
-        """The terms of a Poly over the same variables."""
+        """The integers of a Poly over the same variables."""
         if other.vars != self.vars:
             raise MismatchedVariables(
                 f"polynomials over {self.vars} and {other.vars} cannot be combined"
             )
-        return other.terms
+        return other._nums
 
     def _plus_const(self, g: GaussRat) -> "Poly":
-        if not g:
-            return self
-        out = dict(self.terms)
-        add_term(out, (0,) * len(self.vars), g)
-        return Poly._raw(self.vars, out)
+        return self._combine(Poly.const(self.vars, g), 1) if g else self
 
     def _scaled(self, g: GaussRat) -> "Poly":
         if not g:
-            return Poly._raw(self.vars, {})
-        return Poly._raw(self.vars, {e: c * g for e, c in self.terms.items()})
+            return Poly._make(self.vars, 1, {})
+        return lane_poly(self.vars, self._q * g.q, _times(self._nums, g.a, g.b))
+
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other, for sign 1 or -1."""
+        nums = self._peer(other)
+        if not nums:
+            return self
+        q1, q2 = self._q, other._q
+        k = gcd(q1, q2)
+        s1, s2 = q2 // k, q1 // k
+        out = dict(self._nums) if s1 == 1 else _times(self._nums, s1, 0)
+        nums = _times(nums, s2 * sign, 0)
+        get = out.get
+        for e, (c, d) in nums.items():
+            uv = get(e)
+            if uv is None:
+                out[e] = c, d
+            else:
+                c += uv[0]
+                d += uv[1]
+                if c or d:
+                    out[e] = c, d
+                else:
+                    del out[e]
+        return lane_poly(self.vars, q1 * s1, out)
 
     # -- ring operations ----------------------------------------------------
     def __add__(self, other):
-        if not isinstance(other, Poly):
+        if type(other) is not Poly:
             g = _coerce(other)
             if g is NotImplemented:
                 return NotImplemented
             return self._plus_const(g)
-        terms = self._peer(other)
-        if not terms:
-            return self
-        if not self.terms:
+        if not self._nums:
+            self._peer(other)
             return other
-        out = dict(self.terms)
-        get = out.get
-        for e, c in terms.items():
-            s = get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s = s + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Poly._raw(self.vars, out)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
+        if type(other) is not Poly:
             g = _coerce(other)
             if g is NotImplemented:
                 return NotImplemented
             return self._plus_const(-g)
-        terms = self._peer(other)
-        if not terms:
-            return self
-        out = dict(self.terms)
-        get = out.get
-        for e, c in terms.items():
-            s = get(e)
-            if s is None:
-                out[e] = -c
-            else:
-                s = s - c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Poly._raw(self.vars, out)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Poly._raw(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.vars, self._q, {e: (-a, -b) for e, (a, b) in self._nums.items()})
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
+        if type(other) is not Poly:
             g = _coerce(other)
             if g is NotImplemented:
                 return NotImplemented
             return self._scaled(g)
-        a, b = self.terms, self._peer(other)
-        if not a:
+        x, y = self._nums, self._peer(other)
+        if not x:
             return self
-        if not b:
+        if not y:
             return other
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
+        q = self._q * other._q
+        if len(x) == 1:
+            x, y = y, x
+        if len(y) == 1:
             # a monomial factor maps distinct exponents to distinct exponents
-            ((e2, c2),) = b.items()
-            if not any(e2):
-                return Poly._raw(self.vars, {e: c * c2 for e, c in a.items()})
-            return Poly._raw(self.vars, {tuple(map(_add, e, e2)): c * c2 for e, c in a.items()})
+            ((e2, (c, d)),) = y.items()
+            if any(e2):
+                x = {tuple(map(_add, e, e2)): ab for e, ab in x.items()}
+            return lane_poly(self.vars, q, _times(x, c, d))
         out: dict = {}
         get = out.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
+        for e1, (a, b) in x.items():
+            for e2, (c, d) in y.items():
                 e = tuple(map(_add, e1, e2))
-                s = get(e)
-                out[e] = c1 * c2 if s is None else s + c1 * c2
-        return Poly._raw(self.vars, {e: c for e, c in out.items() if c})
+                uv = get(e)
+                if uv is None:
+                    out[e] = a * c - b * d, a * d + b * c
+                else:
+                    out[e] = uv[0] + a * c - b * d, uv[1] + a * d + b * c
+        return lane_poly(self.vars, q, {e: uv for e, uv in out.items() if uv[0] or uv[1]})
 
     __rmul__ = __mul__
 
@@ -542,19 +588,21 @@ class Poly:
         g divides exactly when the remainder is 0: when the leading monomial
         of g divides the leading monomial of each remainder on the way down.
         A nonzero GaussRat g divides every polynomial; ZERO raises, as the
-        zero polynomial does.
+        zero polynomial does.  Quotient coefficients are GaussRats on the
+        way: they have the norm of g's leading coefficient in their
+        denominators, which a common denominator would carry into every term.
         """
         if isinstance(g, GaussRat):
             if not g:
                 raise ZeroDivisionError("division by the zero polynomial")
-            return Poly._raw(self.vars, {e: c / g for e, c in self.terms.items()})
-        terms = self._peer(g)
-        if not terms:
+            return self._scaled(ONE / g)
+        if not self._peer(g):
             raise ZeroDivisionError("division by the zero polynomial")
+        terms = g._gauss_terms()
         lead = max(terms)
         lc = terms[lead]
         tail = [(e, c) for e, c in terms.items() if e != lead]
-        rem = dict(self.terms)
+        rem = self._gauss_terms()
         out = {}
         while rem:
             e = max(rem)
@@ -568,7 +616,7 @@ class Poly:
         return Poly._raw(self.vars, out)
 
     def conj(self) -> "Poly":
-        return Poly._raw(self.vars, {e: c.conj() for e, c in self.terms.items()})
+        return Poly._make(self.vars, self._q, {e: (a, -b) for e, (a, b) in self._nums.items()})
 
     # -- calculus ------------------------------------------------------------
     def diff(self, name: str) -> "Poly":
@@ -581,12 +629,12 @@ class Poly:
             ) from None
         out = {}
         # lowering e[i] is injective on the terms it keeps, so nothing collides
-        for e, c in self.terms.items():
+        for e, ab in self._nums.items():
             k = e[i]
             if k:
                 e2 = e[:i] + (k - 1,) + e[i + 1 :]
-                out[e2] = c if k == 1 else GaussRat._raw(k * c.a, k * c.b, c.q)
-        return Poly._raw(self.vars, out)
+                out[e2] = ab if k == 1 else (k * ab[0], k * ab[1])
+        return lane_poly(self.vars, self._q, out)
 
     def _values(self, point: dict) -> list:
         """The GaussRat coordinate of point for each variable, in order."""
@@ -607,21 +655,22 @@ class Poly:
 
         monos caches the value of each monomial at vals by exponent, so the
         polynomials of a matrix over one chart compute each monomial once
-        (`linalg.eval_matrix`).
+        (`linalg.eval_matrix`).  The monomial values go on one integer lane,
+        so the sum runs over integers and is divided once.
         """
-        acc = ZERO
-        for e, c in self.terms.items():
-            if any(e):
-                w = monos.get(e)
-                if w is None:
-                    w = ONE
-                    for y, k in zip(vals, e):
-                        if k:
-                            w = w * y**k
-                    monos[e] = w
-                c = c * w
-            acc = acc + c
-        return acc
+        ws = []
+        for e in self._nums:
+            w = monos.get(e)
+            if w is None:
+                w = ONE
+                for y, k in zip(vals, e):
+                    if k:
+                        w = w * y**k
+                monos[e] = w
+            ws.append(w)
+        den, lw = lane(ws)
+        u, v = lane_dot(self._nums.values(), lw)
+        return GaussRat._raw(u, v, den * self._q)
 
     def subs_into(self, target_vars: tuple, mapping: dict) -> "Poly":
         """Substitute variables by polynomials over a (possibly new) chart.
@@ -642,7 +691,7 @@ class Poly:
                 img = Poly.var(target_vars, v)
             images.append(img)
         acc = Poly.zero(target_vars)
-        for e, c in self.terms.items():
+        for e, c in self._gauss_terms().items():
             t = Poly.const(target_vars, c)
             for img, k in zip(images, e):
                 if k:
@@ -652,35 +701,84 @@ class Poly:
 
     # -- predicates ------------------------------------------------------------
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._nums)
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.vars == other.vars and self.terms == other.terms
+        if type(other) is Poly:
+            return self.vars == other.vars and self._q == other._q and self._nums == other._nums
         g = _coerce(other)
         if g is NotImplemented:
             return NotImplemented
-        return self.terms == Poly.const(self.vars, g).terms
+        if not g:
+            return not self._nums
+        return self._q == g.q and self._nums == {(0,) * len(self.vars): (g.a, g.b)}
 
     @property
     def is_const(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self._nums)
 
     def const_value(self) -> GaussRat:
-        if not self.terms:
+        nums = self._nums
+        if not nums:
             return ZERO
-        if not self.is_const:
+        if len(nums) > 1 or any(next(iter(nums))):
             raise ValueError(f"{self!r} is not constant")
-        return next(iter(self.terms.values()))
+        ((a, b),) = nums.values()
+        return GaussRat._raw(a, b, self._q)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self._nums), default=0)
 
     def __repr__(self):
         return poly_str(self)
 
 
-_set_vars, _set_terms = Poly.vars.__set__, Poly.terms.__set__
+_set_vars, _set_pq, _set_nums, _set_view = (
+    Poly.vars.__set__, Poly._q.__set__, Poly._nums.__set__, Poly._view.__set__
+)
+
+
+def _times(nums: dict, c: int, d: int) -> dict:
+    """nums times the gaussian integer c + di: nums itself when that is 1."""
+    if d:
+        return {e: (a * c - b * d, a * d + b * c) for e, (a, b) in nums.items()}
+    if c == 1:
+        return nums
+    return {e: (a * c, b * c) for e, (a, b) in nums.items()}
+
+
+def lane_poly(vars: tuple, q: int, nums: dict) -> Poly:
+    """The Poly sum (a + bi)/q x^e over nums, brought to normal form.
+
+    q > 0, and nums holds nonzero pairs keyed by tuples of len(vars) ints; it
+    is taken over, so no one changes it afterwards.  The content gcd runs
+    only when q > 1 and stops as soon as it reaches 1.
+    """
+    if q != 1:
+        g = q
+        for a, b in nums.values():
+            g = gcd(g, a, b)
+            if g == 1:
+                break
+        else:  # g divides every integer, and g = q when nums is empty
+            q //= g
+            if nums:
+                nums = {e: (a // g, b // g) for e, (a, b) in nums.items()}
+    out = _new(Poly)
+    _set_vars(out, vars)
+    _set_pq(out, q)
+    _set_nums(out, nums)
+    _set_view(out, None)
+    return out
+
+
+def poly_lane(p: Poly):
+    """(q, nums): p as gaussian integers over one denominator.
+
+    nums maps each exponent to (a, b) with the coefficient (a + bi)/q, and
+    gcd(q, every a, every b) = 1.  It is p's own map: read it, never change it.
+    """
+    return p._q, p._nums
 
 
 def poly_str(p: Poly) -> str:
@@ -717,7 +815,7 @@ def is_real(x) -> bool:
     if type(x) is GaussRat:
         return not x.b
     if isinstance(x, Poly):
-        return not any(c.b for c in x.terms.values())
+        return not any(b for _, b in x._nums.values())
     return not as_gauss(x).b
 
 

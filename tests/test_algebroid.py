@@ -432,6 +432,18 @@ class TestMaurerCartan:
             assert (rep.verdict == "pass") == is_involutive(frame, None)
         assert seen == {"pass", "fail"}, "family must exercise both verdicts"
 
+    def test_deformed_frame_is_built_unchecked(self, monkeypatch):
+        # (1 + eps)L is isotropic by construction (see `maurer_cartan`), and
+        # `test_verdict_matches_deformed_graph_involutivity` checks it anyway
+        pair = complex_pair(C2)
+        eps = eps_from_bivector(pair, _holo_bivector(C2.z(0) * C2.z(1)))
+
+        def refuse(*_):
+            raise AssertionError("the deformed frame was checked for isotropy")
+
+        monkeypatch.setattr(fields, "pairing_matrix", refuse)
+        assert maurer_cartan(pair, eps).verdict == "pass"
+
     def test_linear_part_is_d_l(self):
         # R(t eps) = t d_L eps + t^2 Q + t^3 C, so 3R(eps) - 3/2 R(2eps) + 1/3 R(3eps) = d_L eps
         pair = complex_pair(C2)

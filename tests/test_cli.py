@@ -556,6 +556,53 @@ class TestFlagOverrides:
         types = json.loads(out)["certificate"]["types"]
         assert [e["type"] for e in types] == [2, 0]
 
+    # L is the graph of (x - 2)(x - 3) d_x ^ d_y, S is y = 0: i*L is TS where the
+    # bivector is nonzero and T*S at x = 2 and x = 3, off the default samples
+    NON_SMOOTH = {
+        "schema_version": 1, "command": "pullback",
+        "chart": {"vars": ["x", "y"]},
+        "submanifold": {"params": [1], "graph": {"y": "0"}},
+        "dirac_frame": [{"vec": ["0", "x^2-5*x+6"], "covec": ["1", "0"]},
+                        {"vec": ["-x^2+5*x-6", "0"], "covec": ["0", "1"]}],
+    }
+
+    def test_pullback_samples_find_the_rank_jump(self, tmp_path, capsys):
+        p = tmp_path / "non_smooth.json"
+        p.write_text(json.dumps(self.NON_SMOOTH))
+        code, out = run_cli(["pullback", str(p), "--samples", '[["2"]]'], capsys)
+        assert code == 1 and "rank jump" in json.loads(out)["counterexample"]["violation"]
+        p.write_text(json.dumps({**self.NON_SMOOTH, "samples": [["3"]]}))
+        code, out = run_cli(["pullback", str(p)], capsys)
+        assert code == 1 and "rank jump" in json.loads(out)["counterexample"]["violation"]
+
+    @pytest.mark.parametrize("command_name,filename", [
+        ("pullback", "pullback_graph_b.json"), ("brane-check", "brane_lagrangian.json"),
+    ])
+    def test_samples_are_points_of_s(self, command_name, filename, capsys):
+        # S has fewer coordinates than the ambient chart; extra points keep
+        # the verdict of a smooth case, and a point of the wrong size is refused
+        code, out = run_cli([command_name, case(filename), "--samples", '[["2", "-1"]]'], capsys)
+        assert code == 0, out
+        code, out = run_cli([command_name, case(filename), "--samples", '[["2"]]'], capsys)
+        assert code == 2
+        assert json.loads(out)["counterexample"]["error"].startswith("samples[0]: ")
+
+    @pytest.mark.parametrize("command_name,filename", [
+        ("mukai", "mukai_even_m4.json"), ("modular", "modular_poisson.json"),
+        ("axiom-suite", "axiom_suite_r3.json"),
+    ])
+    def test_samples_refused_where_unread(self, command_name, filename, tmp_path, capsys):
+        code, out = run_cli([command_name, case(filename), "--samples", "[]"], capsys)
+        assert code == 2
+        error = json.loads(out)["counterexample"]["error"]
+        assert error == f"samples: {command_name} does not read samples"
+        with open(case(filename)) as f:
+            doc = json.load(f)
+        p = tmp_path / filename
+        p.write_text(json.dumps({**doc, "samples": [["0"]]}))
+        code, out = run_cli([command_name, str(p)], capsys)
+        assert code == 2 and json.loads(out)["counterexample"]["error"].startswith("samples: ")
+
     def test_deep_samples_flag_exit_2(self, capsys):
         deep = "[" * 100_000 + "]" * 100_000
         code = main(["type-map", case("type_map_grid.json"), "--samples", deep])
@@ -818,6 +865,19 @@ class TestCommandLine:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("usage: gcgeo") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [["mukai", MUKAI], ["mukai", MUKAI, "--format", "text"],
+                                      ["--help"]])
+    def test_closed_stdout_exits_2_quietly(self, argv):
+        # the reader is gone before the child writes: the output is lost, no
+        # verdict stands, and nothing is printed to stderr
+        proc = subprocess.Popen([sys.executable, "-m", "gcgeo.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == b""
 
     @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["mukai", "-h"], ["mukai", MUKAI, "--help"]])
     def test_help(self, argv, capsys):

@@ -276,3 +276,48 @@ def test_detects_exp_then_wedge():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_exp_then_wedge(path):
     assert exp_then_wedge_calls(path.read_text()) == []
+
+
+def private_slots(source: str, cls: str):
+    """The private names in the `__slots__` of class cls in source."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                ):
+                    return {
+                        n.value for n in ast.walk(stmt.value)
+                        if isinstance(n, ast.Constant) and n.value.startswith("_")
+                    }
+    return set()
+
+
+def slot_reads(source: str, names):
+    """(attribute, line) of each access to one of the attribute names."""
+    return [
+        (n.attr, n.lineno)
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and n.attr in names
+    ]
+
+
+POLY_SLOTS = private_slots((SRC / "scalars.py").read_text(), "Poly")
+
+
+def test_detects_poly_slot_reads():
+    src = (
+        "class Poly:\n    __slots__ = ('vars', '_q', '_nums')\n\n"
+        "def f(p):\n    q, nums = poly_lane(p)\n    return p._nums, p.vars, p.q\n"
+    )
+    assert private_slots(src, "Poly") == {"_q", "_nums"}
+    assert slot_reads(src, {"_q", "_nums"}) == [("_nums", 6)]
+    assert {"_q", "_nums"} <= POLY_SLOTS
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "scalars.py"], ids=lambda p: p.name
+)
+def test_poly_storage_is_read_through_the_accessor(path):
+    # a Poly's integers are read outside scalars only through `poly_lane`
+    assert slot_reads(path.read_text(), POLY_SLOTS) == []

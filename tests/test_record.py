@@ -10,6 +10,7 @@ import pytest
 
 from gcgeo import __version__
 from gcgeo.charts import Chart
+from gcgeo.clifford import GenVector
 from gcgeo.fields import DiracFrame
 from gcgeo.gcs import GCStructure
 from gcgeo.jobio import Report
@@ -136,3 +137,18 @@ def test_post_init_checks_still_raise():
         DiracFrame(Chart.real("x", "y"), ())
     with pytest.raises(ValueError, match="exactly one"):
         Report("mukai", "pass")
+
+
+def test_trusted_skips_post_init_only():
+    chart = Chart.real("x", "y")
+    secs = (GenVector.basis_vector(2, 0), GenVector.basis_vector(2, 1))
+    checked = DiracFrame(chart, secs)
+    assert DiracFrame._trusted(chart, secs) == checked
+    assert DiracFrame._trusted(chart, sections=secs, samples=()) == checked
+    # no isotropy check: the caller has proved what __post_init__ would test
+    bad = (GenVector.basis_vector(2, 0), GenVector.basis_covector(2, 0))
+    with pytest.raises(ValueError, match="inner product"):
+        DiracFrame(chart, bad)
+    assert DiracFrame._trusted(chart, bad).sections == bad
+    with pytest.raises(TypeError):
+        DiracFrame._trusted(chart)
