@@ -205,19 +205,25 @@ class MixedForm:
         is contraction by the covector with those components.
         """
         out: dict = {}
+        # the sign of removing i is odd after an odd number of lower bits;
+        # it goes on the factor coeffs[i], negated once per index, so no
+        # product is built twice
+        negs = {}
         for mask, c in self.terms.items():
             rem = mask
+            odd = False
             while rem:
                 low = rem & -rem
                 i = low.bit_length() - 1
                 rem ^= low
                 x = coeffs[i]
-                if not x:
-                    continue
-                t = x * c
-                if contract_sign(mask, i) < 0:
-                    t = -t
-                add_term(out, mask ^ low, t)
+                if x:
+                    if odd:
+                        x = negs.get(i)
+                        if x is None:
+                            x = negs[i] = -coeffs[i]
+                    add_term(out, mask ^ low, x * c)
+                odd = not odd
         return MixedForm._raw(self.dim, out, self.variance)
 
     def contract_blade(self, blade_mask: int) -> "MixedForm":

@@ -13,7 +13,7 @@ coframe is the pivot coordinates (`_extension_of_eps`).
 from __future__ import annotations
 
 from .record import Record
-from .scalars import HALF, ZERO, GaussRat, as_gauss, lane
+from .scalars import HALF, ZERO, GaussRat, all_gauss, as_gauss, lane
 from .forms import MixedForm, check_dim, covector_form
 from .clifford import GenVector, BlockTransform, pairing_matrix
 from . import linalg
@@ -259,24 +259,179 @@ def null_space(phi: MixedForm):
     """All v with v . phi = 0, plus a purity flag.  Exact kernel computation.
 
     phi is pure iff its null space has dimension m = phi.dim (Chevalley).
-    The coefficients of phi are put on one integer lane (`scalars.lane`), so
-    each blade of v . phi gives a row {column: (a, b)} of gaussian integers
-    over the 2m columns of V + V*, read straight from phi, and
-    `linalg.integer_kernel` takes them.  A pure spinor has 2^(m-1) such rows
-    and rank m, so nearly all of them are dependent: the elimination drops
-    them on its packed pivot tails, each with a bit-length bound that makes
-    the test exact (see `linalg`).  `max_isotropic_from_spinor` (so
-    `gcs.gc_from_pure_spinor` and the spinor round trips), `SpinorLine` and
-    the `null-space` and `type-map` commands all come here.  A coefficient
-    that is a non-constant Poly raises ValueError.
+    The coefficients of phi are put on one integer lane (`_lane_terms`), and
+    purity is decided on them before any row of v . phi = 0 is built
+    (Gualtieri, arXiv:math/0703298, section 2, after Chevalley):
+
+    - The flip.  I0 is the nonzero blade of lowest degree, ties broken by
+      mask, and psi = prod_{i in I0} (e_i + e^i) . phi (`_flipped`).  Each
+      factor is a Pin(m, m) reflection, so it preserves purity, and it maps
+      blade J to J ^ {i}, so psi_0 = +-phi_I0 != 0.
+    - The recursion.  A pure spinor with psi_0 != 0 has type 0, so it is
+      psi_0 e^B, and the coefficient of e^J in e^B is the Pfaffian Pf(B_J).
+      Expanding Pf along the row of j0 = min J gives, for every even J with
+      |J| >= 4,
+          psi_0 psi_J = sum_{k in J, k > j0} (-1)^#{J strictly between j0 and k}
+                        psi_{j0 k} psi_{J - {j0, k}}.
+      Conversely, if psi has no odd blade and every recursion holds,
+      induction on |J| gives psi_J = psi_0 Pf(B_J) with B_ij = psi_ij / psi_0,
+      so psi = psi_0 e^B is pure (`_is_exp_two_form`).  A failed check
+      therefore means that phi is not pure.  The identities are homogeneous
+      of degree 2, so they hold on the lane exactly when they hold for phi.
+
+    A pure phi has L_phi spanned by m vectors read off psi (`_pure_rows`).
+    L_phi is maximal isotropic, so it is its own orthogonal: the kernel of
+    the m rows <., v>, the vectors with V and V* swapped.
+    `linalg.integer_kernel` returns it in the basis that the full system
+    of v . phi = 0 gives, since that basis depends only on the kernel: one
+    vector per free column f, with a 1 at f and 0 at the other free columns.
+
+    When the check fails, each blade of v . phi gives a row {column: (a, b)}
+    of gaussian integers over the 2m columns of V + V*, read straight from
+    phi (`_action_rows`), and `linalg.integer_kernel` eliminates them into
+    the smaller null space, dropping most of them on its packed pivot tails
+    (see `linalg`).  `max_isotropic_from_spinor` (so `gcs.gc_from_pure_spinor`
+    and the spinor round trips), `SpinorLine` and the `null-space` and
+    `type-map` commands all come here.  A coefficient that is a non-constant
+    Poly raises ValueError.
     """
+    dim = phi.dim
+    terms = _lane_terms(phi)
+    rows = _pure_rows(terms, dim)
+    if rows is None:
+        rows = _action_rows(terms, dim)
+    else:
+        rows = [{(c + dim) % (2 * dim): x for c, x in r.items()} for r in rows]
+    ker = linalg.integer_kernel(rows, 2 * dim)
+    vectors = [GenVector.from_coords(v) for v in ker]
+    return vectors, len(vectors) == dim
+
+
+def _lane_terms(phi: MixedForm):
+    """{mask: (a, b)}: the coefficients of a nonzero form phi on one integer lane."""
     if not phi:
         raise ValueError("the zero form has no null space")
     if phi.variance != "form":
         raise ValueError("null spaces are defined for forms")
-    dim = phi.dim
-    _, nums = lane([as_gauss(c) for c in phi.terms.values()])
-    terms = dict(zip(phi.terms, nums))
+    cs = list(phi.terms.values())
+    if not all_gauss(cs):
+        cs = [as_gauss(c) for c in cs]
+    return dict(zip(phi.terms, lane(cs)[1]))
+
+
+def _pure_rows(terms, dim):
+    """Rows {column: (a, b)} of m vectors spanning L_phi, or None if phi is not pure.
+
+    phi is given by its lane terms.  Vector i of L_psi is psi_0 e_i -
+    sum_k psi_ik e^k (psi_ki = -psi_ik), since i_{e_i} e^B =
+    (sum_k B_ik e^k) ^ e^B.  For u = e_i + e^i, L_psi = u L_phi u, and
+    u v u = 2 <u, v> u - v swaps X_i and xi_i of v and negates the rest, so
+    up to the sign of each vector L_phi is L_psi with (X_k, xi_k) ->
+    (-xi_k, -X_k) at each k in I0.  Column k holds X_k, column dim + k xi_k.
+    """
+    flip = 0 if 0 in terms else min(terms, key=lambda mask: (mask.bit_count(), mask))
+    psi = _flipped(terms, flip)
+    if not _is_exp_two_form(psi, dim):
+        return None
+    a0, b0 = psi[0]
+    rows = []
+    for i in range(dim):
+        bit = 1 << i
+        row = {}
+        for k in range(dim):
+            flipped = flip >> k & 1
+            if k == i:
+                if flipped:
+                    row[dim + k] = -a0, -b0
+                else:
+                    row[k] = a0, b0
+                continue
+            x = psi.get(bit | (1 << k))
+            if x is None:
+                continue
+            a, b = x if i < k else (-x[0], -x[1])  # psi_ik
+            if flipped:
+                row[k] = a, b
+            else:
+                row[dim + k] = -a, -b
+        rows.append(row)
+    return rows
+
+
+def _flipped(terms, flip):
+    """prod_{i in flip} (e_i + e^i) . phi on the lane terms {mask: (a, b)} of phi.
+
+    e_i + e^i maps blade J to J ^ {i}, by contraction or by wedge, with the
+    sign (-1)^#{bits of J below i}; the lowest i acts first.
+    """
+    if not flip:
+        return terms
+    psi = {}
+    for mask, (a, b) in terms.items():
+        odd = False
+        rem = flip
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            if (mask & (low - 1)).bit_count() & 1:
+                odd = not odd
+            mask ^= low
+        psi[mask] = (-a, -b) if odd else (a, b)
+    return psi
+
+
+def _is_exp_two_form(psi, dim):
+    """Whether psi, lane terms with psi_0 != 0, is psi_0 e^B for a 2-form B.
+
+    True exactly when psi has no odd blade and the Pfaffian recursion of
+    `null_space` holds at every even J with |J| >= 4, in Z[i]; the blades
+    are tried in ascending order and the first failure answers.  Each
+    gaussian integer a + bi is packed as a + b s with s = 2^w: modulo
+    N = s^2 + 1, s^2 = -1, so one integer product stands for a product in
+    Z[i].  A recursion has at most dim products, each part of each below
+    2^(2 top + 1) for top the bit length of the parts of psi, so the real
+    and imaginary parts u, v of its residue lie below s / 2, and
+    u + v s = 0 mod N, with |u + v s| < N, forces u = v = 0.
+    """
+    top = 0
+    for mask, (a, b) in psi.items():
+        if mask.bit_count() & 1:
+            return False
+        top |= abs(a) | abs(b)
+    w = 2 * top.bit_length() + dim.bit_length() + 3
+    vals = [0] * (1 << dim)
+    for mask, (a, b) in psi.items():
+        vals[mask] = a + (b << w)
+    mod = (1 << 2 * w) + 1
+    p0 = vals[0]
+    for mask in range(15, 1 << dim):
+        n = mask.bit_count()
+        if n & 1 or n < 4:
+            continue
+        low = mask & -mask
+        rest = mask ^ low
+        acc = -p0 * vals[mask]
+        neg = False
+        rem = rest
+        while rem:
+            k = rem & -rem
+            rem ^= k
+            if neg:
+                acc -= vals[low | k] * vals[rest ^ k]
+            else:
+                acc += vals[low | k] * vals[rest ^ k]
+            neg = not neg
+        if acc % mod:
+            return False
+    return True
+
+
+def _action_rows(terms, dim):
+    """The rows {column: (a, b)} of v . phi = 0, one per blade it reaches.
+
+    phi is given by its lane terms {mask: (a, b)}; rows are built as the
+    elimination reads them.
+    """
     negs = {mask: (-a, -b) for mask, (a, b) in terms.items()}
 
     def row(target):
@@ -297,17 +452,26 @@ def null_space(phi: MixedForm):
                 out[i] = c
         return out
 
-    targets = {mask ^ (1 << i) for mask in terms for i in range(dim)}
-    ker = linalg.integer_kernel(map(row, targets), 2 * dim)
-    vectors = [GenVector.from_coords(v) for v in ker]
-    return vectors, len(vectors) == dim
+    return map(row, {mask ^ (1 << i) for mask in terms for i in range(dim)})
 
 
 def max_isotropic_from_spinor(phi: MixedForm) -> MaxIsotropic:
-    vecs, pure = null_space(phi)
-    if not pure:
+    """L_phi with its canonical data, for a pure spinor phi.
+
+    The null space needs no isotropy check: the Clifford relation gives
+    v . v . phi = <v, v> phi, so v . phi = 0 and phi != 0 make <v, v> = 0,
+    and <u, v> = 0 follows for u, v in the null space from
+    2 <u, v> = <u + v, u + v> - <u, u> - <v, v>.  A pure phi has a null
+    space of dimension m, so the m vectors that `null_space` reads off the
+    flipped spinor (`_pure_rows`) are reduced once (`linalg.integer_rref`)
+    and read off by `reduced_form`.
+    """
+    rows = _pure_rows(_lane_terms(phi), phi.dim)
+    if rows is None:
+        vecs, _ = null_space(phi)
         raise NotPure(f"null space has dimension {len(vecs)}, expected {phi.dim}")
-    return canonical_form(vecs, phi.dim)
+    red, _ = linalg.integer_rref(rows, 2 * phi.dim)
+    return reduced_form(red, phi.dim)
 
 
 def graph_over_cotangent(iso: MaxIsotropic):

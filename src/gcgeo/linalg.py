@@ -30,22 +30,28 @@ never visits a zero entry, and rows are read as it consumes them.  `rref`,
 `rank`, `inverse`, `row_space_basis` and the `span_*` tests take dense rows
 and return what a dense elimination returns.  `kernel` and `solve` also take
 dict rows plus a column count, which is how the polynomial-ansatz solvers
-pass their tall, almost empty systems.  `integer_kernel` is `kernel` for
-rows that are already gaussian integers; `isotropics.null_space` builds its
-rows that way, from one lane for all the coefficients of the spinor.
+pass their tall, almost empty systems.  `integer_kernel` and
+`integer_rref` are `kernel` and `rref` for rows that are already gaussian
+integers; `isotropics.null_space` builds its rows that way, from one lane
+for all the coefficients of the spinor.
 
 Once a system of at most 24 columns has cleared twice as many dependent
-rows as it has columns, as the 2^m rows over 2m columns of a spinor's null
-space soon do, it also keeps each pivot tail as two ints, real and
+rows as it has columns, it also keeps each pivot tail as two ints, real and
 imaginary parts, with the entry at free column j in a slot of W = 160 bits
 (Kronecker substitution), packed again after each new pivot.  A later row
 is then dropped on four big-integer products per pivot it meets, when its
 packed residue is 0 and the bit lengths of its factors prove every slot
 below 2^W, which makes the test exact; any other row takes the integer
-step, so the result is the same.  Short systems and the wide ansatz
-systems of the witness and pullback solvers never pack.  `det` keeps its
-own dense loop.  Nothing here inverts a Poly matrix: a space-filling
-brane reads omega^-1 off the Poisson block of J.
+step, so the result is the same.  Over two seeded cycles of each in-process
+benchmark workload, the systems that pack are the 9-column solves of
+`integrability.check_spinor_integrability` (16 at degree 2, 6 at degree 3)
+and the kernels of the transverse splitting in `gcs.canonical_spinor` (4,
+at m = 6 and 8); the rows of v . phi = 0 for a non-pure spinor pack too,
+while a pure spinor's null space comes from m rows (`isotropics.null_space`).
+Short systems and the wide ansatz systems of the witness and pullback
+solvers never pack.  `det` keeps its own dense loop.  Nothing here inverts
+a Poly matrix: a space-filling brane reads omega^-1 off the Poisson block
+of J.
 """
 
 from __future__ import annotations
@@ -325,9 +331,10 @@ def _rows(m, ncols=None):
 
 
 # Only a system at most this wide packs its pivot tails (`_packing`): the
-# null space of a spinor at m = 12 has 24 columns, while the sparse ansatz
-# systems of the witness and pullback solvers have hundreds, and packing
-# them costs more than it saves.
+# tall 9-column solves of the spinor witness, the splitting kernels of
+# `darboux_point` and the null space of a non-pure spinor (24 columns at
+# m = 12) do, while the sparse ansatz systems of the witness and pullback
+# solvers have hundreds, and packing them costs more than it saves.
 _NARROW = 24
 # bits per slot of a packed tail; the dependent rows of generic spinors up to
 # m = 12 need at most about 140
@@ -509,7 +516,18 @@ def _reduced(rows, ncols):
 
 def rref(m):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    rows, ncols = _rows(m)
+    red, piv = integer_rref(*_rows(m))
+    red += [[ZERO] * len(m[0]) for _ in range(len(m) - len(piv))]
+    return red, piv
+
+
+def integer_rref(rows, ncols):
+    """`rref` of gaussian-integer rows {column: (a, b)} over ncols columns.
+
+    Each row stands for the line it spans and has no zero entry, as in
+    `_eliminate`.  Only the nonzero rows of the reduced form are returned,
+    dense, with their pivot columns.
+    """
     tails = _reduced(rows, ncols)
     piv = sorted(tails)
     red = []
@@ -519,7 +537,6 @@ def rref(m):
         for j, x in tails[c].items():
             row[j] = x
         red.append(row)
-    red += [[ZERO] * ncols for _ in range(len(m) - len(piv))]
     return red, piv
 
 
@@ -543,7 +560,9 @@ def integer_kernel(rows, ncols, cap=None):
     """`kernel` of gaussian-integer rows {column: (a, b)} over ncols columns.
 
     Each row stands for the line it spans and has no zero entry, as in
-    `_eliminate`; `isotropics.null_space` builds its rows this way.
+    `_eliminate`.  `isotropics.null_space` builds its rows this way: m rows
+    for a pure spinor, which never pack, and the 2^(m-1) or so rows of
+    v . phi = 0 for any other, most of them dropped on the packed tails.
     """
     tails = _eliminate(rows, ncols)
     nullity = ncols - len(tails)

@@ -139,6 +139,55 @@ class TestContraction:
         assert mat[1][0] == ONE and mat[0][1] == -ONE
 
 
+def contract_by_negated_products(form, coeffs):
+    """Reference contraction: each product x c, negated for an odd sign."""
+    out = {}
+    for mask, c in form.terms.items():
+        for i in indices(mask):
+            x = coeffs[i]
+            if not x:
+                continue
+            t = x * c
+            if contract_sign(mask, i) < 0:
+                t = -t
+            key = mask ^ (1 << i)
+            if key in out:
+                out[key] = out[key] + t
+                if not out[key]:
+                    del out[key]
+            else:
+                out[key] = t
+    return out
+
+
+class TestContractionSigns:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_values_and_types_match_the_negated_products(self, data):
+        # the odd sign goes on the factor now; every coefficient keeps its
+        # value and its type, GaussRat or Poly
+        from gcgeo.charts import Chart
+        from gcgeo.randgen import Rng
+
+        chart = Chart.real("x", "y")
+        rng = Rng(data.draw(st.integers(0, 10**6)))
+        m = data.draw(st.integers(1, 5))
+        scalar = st.one_of(
+            st.just(ZERO),
+            gauss_rats(),
+            st.builds(lambda: rng.poly(chart, 2, 3, complex_ok=True)),
+        )
+        masks = st.integers(0, (1 << m) - 1)
+        terms = data.draw(st.dictionaries(masks, scalar, max_size=8))
+        variance = data.draw(st.sampled_from(["form", "mv"]))
+        form = MixedForm(m, terms, variance)
+        coeffs = data.draw(st.lists(scalar, min_size=m, max_size=m))
+        got = form.contract(coeffs).terms
+        want = contract_by_negated_products(form, coeffs)
+        assert got == want
+        assert [type(got[k]) for k in got] == [type(want[k]) for k in got]
+
+
 class TestMukai:
     def test_even_examples_m4(self):
         m = 4

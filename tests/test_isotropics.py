@@ -1,5 +1,6 @@
 import random
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -480,7 +481,8 @@ def dense_generic_spinor(m, seed):
 
 
 class TestNullSpaceAtM12:
-    # 2^11 rows over 24 columns of rank 12: about 0.1 s each on a shared
+    # a pure spinor is decided by its Pfaffians and 12 rows, pure + noise
+    # by 2^11 rows over 24 columns: about 0.01 s and 0.1 s on a shared
     # 2-core machine, against the bound of 20 s
     BOUND_S = 20.0
 
@@ -500,3 +502,185 @@ class TestNullSpaceAtM12:
         assert time.perf_counter() - start < self.BOUND_S
         assert not is_pure and len(vecs) < 12
         assert all(not v.act(phi) for v in vecs)
+
+
+def reference_rows(phi):
+    """The rows of v . phi = 0 over one lane, as `null_space` built them for every phi.
+
+    One row {column: (a, b)} per blade that v . phi reaches: from the blade
+    target ^ e_i of phi by contraction (column i) when i is not in target, by
+    wedge (column m + i) when it is, negated when an odd number of the bits
+    of target lie below i.
+    """
+    from gcgeo.scalars import as_gauss, lane
+
+    m = phi.dim
+    _, nums = lane([as_gauss(c) for c in phi.terms.values()])
+    terms = dict(zip(phi.terms, nums))
+    rows = []
+    for target in sorted({mask ^ (1 << i) for mask in terms for i in range(m)}):
+        row = {}
+        odd = False
+        for i in range(m):
+            c = terms.get(target ^ (1 << i))
+            if c is not None:
+                row[m * bool(target >> i & 1) + i] = (-c[0], -c[1]) if odd else c
+            odd ^= bool(target >> i & 1)
+        rows.append(row)
+    return rows
+
+
+def reference_null_space(phi):
+    vectors = [GenVector.from_coords(v)
+               for v in linalg.integer_kernel(reference_rows(phi), 2 * phi.dim)]
+    return vectors, len(vectors) == phi.dim
+
+
+def typed_isotropic(m, k, rng, kinds):
+    """span(e^1..e^k, e_(k+1)..e_m), of type k, moved by block transforms of the given kinds.
+
+    B and GL keep the type; beta changes it by an even number.
+    """
+    iso = canonical_form(
+        [GenVector.basis_covector(m, i) for i in range(k)]
+        + [GenVector.basis_vector(m, i) for i in range(k, m)],
+        m,
+    )
+    for kind in kinds:
+        if kind == "gl":
+            t = BlockTransform(m, "gl", rng.gl_matrix(m))
+        else:
+            t = BlockTransform(m, kind, rng.antisym_map(m, 1, True))
+        iso = transform(iso, t)
+    return iso
+
+
+@contextmanager
+def no_action_rows():
+    """Fail if `null_space` builds a row of v . phi = 0 inside the block."""
+    from gcgeo import isotropics
+
+    def refuse(*_):
+        raise AssertionError("a pure spinor took the row elimination")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(isotropics, "_action_rows", refuse)
+        yield
+
+
+@st.composite
+def flipped_pure_spinors(draw):
+    """c . pure_spinor_line(L) for L of any type k = 0..m at m <= 8, moved by B, beta, GL."""
+    m = draw(st.integers(1, 8))
+    k = draw(st.integers(0, m))
+    kinds = draw(st.lists(st.sampled_from(["B", "beta", "gl"]), max_size=3))
+    iso = typed_isotropic(m, k, Rng(draw(st.integers(0, 10**6))), kinds)
+    c = draw(gauss_rats().filter(bool))
+    return iso, pure_spinor_line(iso).scale(c)
+
+
+class TestPfaffianPurity:
+    """`null_space` decides purity by the flip and the Pfaffian recursion."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(flipped_pure_spinors())
+    def test_pure_spinors_build_no_rows(self, case):
+        iso, phi = case
+        with no_action_rows():
+            vecs, pure = null_space(phi)
+        assert pure
+        assert (vecs, pure) == dense_null_space(phi)
+        assert canonical_form(vecs, phi.dim).equals(iso)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_every_type_with_a_beta_last(self, m):
+        # I0 is nonempty whenever the type is, and GL and beta move its blade
+        rng = Rng(40 + m)
+        for k in range(m + 1):
+            for kinds in (["gl"], ["B", "gl"], ["gl", "beta"], ["B", "beta", "gl"]):
+                phi = pure_spinor_line(typed_isotropic(m, k, rng, kinds))
+                with no_action_rows():
+                    got = null_space(phi)
+                assert got == dense_null_space(phi)
+
+    def test_perturbed_top_coefficient_fails_at_the_last_pfaffian(self):
+        # a dense spinor of type 0, plus a change of the top coefficient: no
+        # other recursion reads it, so only the last one, at the top blade, fails
+        from gcgeo import isotropics
+
+        for m, seed in ((4, 1), (6, 2), (8, 3)):
+            _, pure = dense_generic_spinor(m, seed)
+            top = (1 << m) - 1
+            assert 0 in pure.terms and top in pure.terms
+            phi = pure + MixedForm(m, {top: GaussRat(1, 1)})
+            assert isotropics._is_exp_two_form(isotropics._lane_terms(pure), m)
+            assert not isotropics._is_exp_two_form(isotropics._lane_terms(phi), m)
+            vecs, is_pure = null_space(phi)
+            assert not is_pure
+            assert (vecs, is_pure) == dense_null_space(phi)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_mixed_parity_is_not_pure(self, m):
+        rng = Rng(70 + m)
+        for k in range(m + 1):
+            pure = pure_spinor_line(typed_isotropic(m, k, rng, ["B", "gl"]))
+            odd = next(mask for mask in range(1 << m) if (mask.bit_count() + k) % 2)
+            phi = pure + MixedForm(m, {odd: GaussRat(2, -1)})
+            vecs, is_pure = null_space(phi)
+            assert not is_pure
+            assert (vecs, is_pure) == dense_null_space(phi)
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7])
+    def test_perturbed_degree_four_with_a_degree_zero_part(self, m):
+        rng = Rng(90 + m)
+        pure = pure_spinor_line(typed_isotropic(m, 0, rng, ["B", "B"]))
+        assert 0 in pure.terms
+        for mask in {0b1111, 0b1111 << (m - 4)}:
+            phi = pure + MixedForm(m, {mask: GaussRat(0, 3)})
+            vecs, is_pure = null_space(phi)
+            assert not is_pure
+            assert (vecs, is_pure) == dense_null_space(phi)
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 6])
+    def test_types_at_m12_against_the_rows(self, k):
+        m = 12
+        iso = typed_isotropic(m, k, Rng(120 + k), ["B", "gl"])
+        assert iso.type == k
+        phi = pure_spinor_line(iso)
+        want = reference_null_space(phi)
+        assert want[1]
+        with no_action_rows():
+            assert null_space(phi) == want
+
+
+class TestCanonicalDataOfASpinor:
+    def test_no_pairing_check(self, monkeypatch):
+        # the null space of a spinor is isotropic by the Clifford relation,
+        # so max_isotropic_from_spinor reads its canonical data unchecked
+        from gcgeo import isotropics
+
+        rng = Rng(31)
+        cases = []
+        for m in range(1, 7):
+            for k in range(m + 1):
+                iso = typed_isotropic(m, k, rng, ["B", "beta", "gl"])
+                phi = pure_spinor_line(iso)
+                cases.append((iso, phi, canonical_form(null_space(phi)[0], m)))
+
+        def refuse(*_):
+            raise AssertionError("the null space was checked for isotropy")
+
+        monkeypatch.setattr(isotropics, "pairing_matrix", refuse)
+        for iso, phi, want in cases:
+            got = max_isotropic_from_spinor(phi)
+            assert got == want
+            assert got.equals(iso)
+
+    def test_not_pure_message(self):
+        with pytest.raises(NotPure) as err:
+            max_isotropic_from_spinor(MixedForm.one(4) + MixedForm.top(4))
+        assert str(err.value) == "null space has dimension 0, expected 4"
+        phi = pure_spinor_line(tangent_space(3)) + MixedForm.top(3)
+        with pytest.raises(NotPure) as err:
+            max_isotropic_from_spinor(phi)
+        assert str(err.value) == f"null space has dimension {len(null_space(phi)[0])}, expected 3"

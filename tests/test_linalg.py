@@ -123,6 +123,14 @@ class TestRref:
         rnd.shuffle(shuffled)
         assert linalg.rref(shuffled) == linalg.rref(m)
 
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(entries=st.builds(GaussRat, st.integers(-9, 9), st.integers(-9, 9))))
+    def test_integer_rows(self, m):
+        # gaussian-integer rows give the nonzero rows of the dense rref
+        rows = [{j: (x.a, x.b) for j, x in enumerate(row) if x} for row in m]
+        red, piv = linalg.rref(m)
+        assert linalg.integer_rref(rows, ncols_of(m)) == (red[: len(piv)], piv)
+
     def test_empty(self):
         assert linalg.rref([]) == ([], [])
         assert linalg.rref([[], []]) == ([[], []], [])
