@@ -180,9 +180,9 @@ def _polynomial_kernel(s_chart: Chart, rows, ncols: int, samples, degree_bound: 
     if len(kdims) > 1:
         raise NotSmooth("rank jump across sample points: non-smooth pullback")
     slots = [{r: row[c] for r, row in enumerate(rows)} for c in range(ncols)]
-    eq_rows, _, unknowns = ansatz_system(s_chart, slots, degree_bound)
+    eq_rows, unknowns = ansatz_system(s_chart, slots, degree_bound)
     try:
-        ker = linalg.kernel(eq_rows, len(unknowns), KERNEL_CAP)
+        ker = linalg.integer_kernel(eq_rows, len(unknowns), KERNEL_CAP)
     except CapacityError as e:
         raise CapacityError(f"the kernel at degree bound {degree_bound} has {e}") from None
     return [ansatz_polys(s_chart, k, unknowns, ncols) for k in ker]

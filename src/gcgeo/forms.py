@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussRat, ONE, ZERO, add_term, all_gauss, lane
+from .scalars import GaussRat, ONE, Poly, ZERO, add_term, all_gauss, lane
 
 MAX_DIM = 12
 _ODD_INDICES = sum(1 << i for i in range(1, MAX_DIM, 2))
@@ -320,12 +320,23 @@ class MixedForm:
 
     # -- evaluation ----------------------------------------------------------------
     def eval_at(self, point: dict) -> "MixedForm":
+        """The form with each coefficient evaluated at a chart point.
+
+        The Poly coefficients over one chart share their coordinates and the
+        values of their monomials (`Poly._eval_at`), as in
+        `linalg.eval_matrix`, so each monomial is computed once per call.
+        """
+        charts = {}
         out = {}
         for m, c in self.terms.items():
-            v = c.eval(point)
-            if v:
-                out[m] = v
-        return MixedForm(self.dim, out, self.variance)
+            if type(c) is Poly:
+                vals, monos = charts.get(c.vars) or charts.setdefault(
+                    c.vars, (c._values(point), {})
+                )
+                c = c._eval_at(vals, monos)
+            if c:
+                out[m] = c
+        return MixedForm._raw(self.dim, out, self.variance)
 
     def map_coeffs(self, f) -> "MixedForm":
         return MixedForm(self.dim, {m: f(c) for m, c in self.terms.items()}, self.variance)

@@ -5,6 +5,15 @@ The witness solver first solves d_H phi = (X + xi) . phi pointwise at sample
 points, where an unsolvable point decides failure.  It then turns the equation
 into exact linear systems over the unknown polynomial coefficients of X + xi,
 at degree bounds 0, 1, ... up to a bound, and stops at the first that solves.
+
+Both stages hand `linalg.integer_solve` rows of gaussian integers
+{column: (a, b)}, with the right-hand side at the column after the last
+unknown, and read back only that column of each pivot row.  At a sample p,
+phi(p) and d_H phi(p) go on one integer lane and the rows are those of
+v . phi(p) = 0 (`isotropics._action_rows`) with d_H phi(p) on the right.
+The ansatz rows (`ansatz_system`) are the coefficients of the slots and the
+target scaled by one L, the lcm of their denominators, read off the integers
+of each Poly.
 """
 
 from __future__ import annotations
@@ -14,8 +23,8 @@ from math import comb, lcm
 from operator import add
 
 from .record import Record
-from .scalars import GaussRat, Poly, ZERO, as_gauss, poly_lane
-from .forms import CapacityError, MixedForm, coefficient_rows, covector_form, map_from_two_form
+from .scalars import Poly, ZERO, as_gauss, lane, poly_lane
+from .forms import CapacityError, MixedForm, covector_form, map_from_two_form
 from .clifford import GenVector
 from .charts import Chart
 from .fields import (
@@ -27,6 +36,7 @@ from .fields import (
     schouten,
 )
 from .gcs import GCStructure, validate_gc
+from .isotropics import _action_rows
 from . import linalg
 
 
@@ -56,18 +66,22 @@ def monomials_up_to(chart: Chart, bound: int):
 
 
 def ansatz_system(chart: Chart, slots, degree_bound: int, target=None):
-    """Sparse rows of sum_{(s, e)} u_{s,e} x^e slots[s] = target, by coefficients.
+    """Gaussian-integer rows of sum_{(s, e)} u_{s,e} x^e slots[s] = target, by coefficients.
 
     slots[s] and target map keys (form masks, matrix rows) to scalars or Polys.
     Unknown (s, e) multiplies slot s by the monomial x^e; unknowns run
     slot-major, then in monomials_up_to order.  There is one row
-    {unknown: coefficient} per (key, exponent) that occurs, and rhs holds the
-    target's coefficient for each row.  Every coefficient is read off the
-    integers of its Poly (`poly_lane`) and scaled by one L, the lcm of the
-    denominators of the slots and the target, so rows and rhs are L times
-    that system, with the same solutions, and hold gaussian integers.
-    Returns (rows, rhs, unknowns).  Raises CapacityError, before building
-    anything, when the system may have more than ANSATZ_CAP rows x unknowns.
+    {unknown: (a, b)} per (key, exponent) that occurs, and the target's
+    coefficient of that (key, exponent), if nonzero, sits at the right-hand
+    column len(unknowns), as `linalg.integer_solve` takes them.  Every
+    coefficient is read off the integers of its Poly (`poly_lane`) and
+    scaled by one L, the lcm of the denominators of the slots and the
+    target, so each entry a + bi is L times the coefficient, a and b
+    integers, and the rows have the solutions of the system.  Without a
+    target no row has a right-hand entry, and `linalg.integer_kernel` takes
+    the rows as they are.  Returns (rows, unknowns).  Raises CapacityError,
+    before building anything, when the system may have more than ANSATZ_CAP
+    rows x unknowns.
     """
     const = (0,) * chart.dim
 
@@ -82,24 +96,14 @@ def ansatz_system(chart: Chart, slots, degree_bound: int, target=None):
     target = [(key, lane_of(c)) for key, c in (target or {}).items()]
     lc = lcm(*[q for slot in slots for _, (q, _) in slot], *[q for _, (q, _) in target])
 
-    # the rows keep their entries for the whole solve: one GaussRat per
-    # distinct value, not per slot term, keeps the ansatz from filling the
-    # heap (and the garbage collector's young generation) with copies
-    values = {}
-
     def scaled(lanes):
         """Each (key, (q, nums)) as (key, {exponent: L times its coefficient})."""
         out = []
         for key, (q, nums) in lanes:
             s = lc // q
-            terms = {}
-            for e, (a, b) in nums.items():
-                ab = a * s, b * s
-                g = values.get(ab)
-                if g is None:
-                    g = values[ab] = GaussRat(*ab)
-                terms[e] = g
-            out.append((key, terms))
+            if s != 1:
+                nums = {e: (a * s, b * s) for e, (a, b) in nums.items()}
+            out.append((key, nums))
         return out
 
     slots = [scaled(slot) for slot in slots]
@@ -129,12 +133,11 @@ def ansatz_system(chart: Chart, slots, degree_bound: int, target=None):
                 for t, x in cterms.items():
                     rows.setdefault((key, tuple(map(add, e, t))), {})[u] = x
             u += 1
-    rhs = {}
+    rhs = len(unknowns)
     for key, cterms in target:
         for t, x in cterms.items():
-            rows.setdefault((key, t), {})
-            rhs[(key, t)] = x
-    return list(rows.values()), [rhs.get(k, ZERO) for k in rows], unknowns
+            rows.setdefault((key, t), {})[rhs] = x
+    return list(rows.values()), unknowns
 
 
 def ansatz_polys(chart: Chart, coeffs, unknowns, nslots: int):
@@ -162,6 +165,44 @@ def _basis_frame(m: int) -> list:
     return [GenVector.basis_vector(m, i) for i in range(m)] + [
         GenVector.basis_covector(m, i) for i in range(m)
     ]
+
+
+def _frame_slots(phi: MixedForm) -> list:
+    """The terms of u . phi for u in `_basis_frame`, read off phi.
+
+    d/dx_i . phi = i_{d/dx_i} phi and dx_i . phi = dx_i ^ phi move a blade J
+    of phi to J ^ {i}, contraction when J holds i and wedge when it does not,
+    with the sign (-1)^#{bits of J below i}.  Blades come in the order of
+    phi's terms, as `GenVector.act` gives them.
+    """
+    m = phi.dim
+    slots = [{} for _ in range(2 * m)]
+    for mask, c in phi.terms.items():
+        neg = None
+        for i in range(m):
+            bit = 1 << i
+            x = c
+            if (mask & (bit - 1)).bit_count() & 1:
+                if neg is None:
+                    neg = -c
+                x = neg
+            slots[i if mask & bit else m + i][mask ^ bit] = x
+    return slots
+
+
+def _sample_rows(phi_p: MixedForm, target_p: MixedForm):
+    """Rows of sum_j x_j (u_j . phi_p) = target_p over `_basis_frame`, augmented.
+
+    phi_p and target_p are constant forms, put on one integer lane.  The
+    rows are those of v . phi_p = 0 (`isotropics._action_rows`), columns
+    0..2m-1, with target_p's coefficient of each blade at column 2m; a blade
+    that only the target reaches gives the row {2m: t}.
+    """
+    n = len(phi_p.terms)
+    pairs = lane([*phi_p.terms.values(), *target_p.terms.values()])[1]
+    return _action_rows(
+        dict(zip(phi_p.terms, pairs[:n])), phi_p.dim, dict(zip(target_p.terms, pairs[n:]))
+    )
 
 
 def _default_samples(chart: Chart):
@@ -218,16 +259,12 @@ def check_spinor_integrability(
         if h is not None and h.form:
             hdeg = max((c.total_degree() for c in h.form.terms.values()), default=0)
         degree_bound = pdeg + hdeg + 1
-    # the coordinate frame is constant, so its action commutes with evaluation
-    # and one frame serves the samples and the ansatz slots
-    frame = _basis_frame(m)
     samples = samples if samples is not None else _default_samples(chart)
     for p in samples:
         phi_p = phi.eval_at(p)
         if not phi_p:
             continue
-        rows_p, rhs_p = coefficient_rows([u.act(phi_p) for u in frame], target.eval_at(p))
-        if linalg.solve(rows_p, rhs_p, 2 * m) is None:
+        if linalg.integer_solve(_sample_rows(phi_p, target.eval_at(p)), 2 * m) is None:
             return WitnessReport(
                 "fail",
                 None,
@@ -238,10 +275,10 @@ def check_spinor_integrability(
                     "identity": "d_H phi = (X + xi) . phi",
                 },
             )
-    slots = [u.act(phi).terms for u in frame]
+    slots = _frame_slots(phi)
     for b in range(degree_bound + 1):
         try:
-            rows, rhs, unknowns = ansatz_system(chart, slots, b, target.terms)
+            rows, unknowns = ansatz_system(chart, slots, b, target.terms)
         except CapacityError as e:
             return WitnessReport(
                 "inconclusive",
@@ -249,7 +286,7 @@ def check_spinor_integrability(
                 b,
                 f"{e}; no witness of lower degree and no pointwise obstruction found",
             )
-        sol = linalg.solve(rows, rhs, len(unknowns))
+        sol = linalg.integer_solve(rows, len(unknowns))
         if sol is not None:
             polys = ansatz_polys(chart, sol, unknowns, 2 * m)
             w = GenVector(m, polys[:m], polys[m:])

@@ -426,11 +426,15 @@ def _is_exp_two_form(psi, dim):
     return True
 
 
-def _action_rows(terms, dim):
+def _action_rows(terms, dim, rhs=None):
     """The rows {column: (a, b)} of v . phi = 0, one per blade it reaches.
 
     phi is given by its lane terms {mask: (a, b)}; rows are built as the
-    elimination reads them.
+    elimination reads them.  With rhs, lane terms {mask: (a, b)} of a form t
+    on phi's lane, they are the augmented rows of v . phi = t instead: each
+    row also holds t's coefficient of its blade at column 2 dim, and a blade
+    of t that v . phi does not reach gives the row {2 dim: t's coefficient}
+    (`integrability.check_spinor_integrability` solves them at its samples).
     """
     negs = {mask: (-a, -b) for mask, (a, b) in terms.items()}
 
@@ -452,7 +456,18 @@ def _action_rows(terms, dim):
                 out[i] = c
         return out
 
-    return map(row, {mask ^ (1 << i) for mask in terms for i in range(dim)})
+    blades = {mask ^ (1 << i) for mask in terms for i in range(dim)}
+    if rhs is None:
+        return map(row, blades)
+
+    def augmented(target):
+        out = row(target)
+        t = rhs.get(target)
+        if t is not None:
+            out[2 * dim] = t
+        return out
+
+    return map(augmented, blades.union(rhs))
 
 
 def max_isotropic_from_spinor(phi: MixedForm) -> MaxIsotropic:

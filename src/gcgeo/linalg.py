@@ -29,11 +29,14 @@ inside the loop; `GaussRat._raw` runs once per entry of the result.  The core
 never visits a zero entry, and rows are read as it consumes them.  `rref`,
 `rank`, `inverse`, `row_space_basis` and the `span_*` tests take dense rows
 and return what a dense elimination returns.  `kernel` and `solve` also take
-dict rows plus a column count, which is how the polynomial-ansatz solvers
-pass their tall, almost empty systems.  `integer_kernel` and
-`integer_rref` are `kernel` and `rref` for rows that are already gaussian
-integers; `isotropics.null_space` builds its rows that way, from one lane
-for all the coefficients of the spinor.
+dict rows plus a column count.  `integer_kernel`, `integer_rref` and
+`integer_solve` are `kernel`, `rref` and `solve` for rows that are already
+gaussian integers; `isotropics.null_space` builds its rows that way, from
+one lane for all the coefficients of the spinor, and so do the polynomial
+ansatz of `integrability.ansatz_system`, whose tall, almost empty systems
+go to `integer_solve` in the spinor witness and to `integer_kernel` in the
+pullback (`branes`), and the witness's sample systems.  `integer_solve`
+builds one `GaussRat._raw` per pivot, from the right-hand entry of its row.
 
 Once a system of at most 24 columns has cleared twice as many dependent
 rows as it has columns, it also keeps each pivot tail as two ints, real and
@@ -593,12 +596,29 @@ def solve(m, b, ncols=None):
         _row(chain(e, [(ncols, b[i])] if i < len(b) else []))
         for i, e in enumerate(entries)
     )
-    tails = _reduced(rows, ncols + 1)
-    if ncols in tails:
+    return integer_solve(rows, ncols)
+
+
+def integer_solve(rows, ncols):
+    """`solve` of gaussian-integer rows {column: (a, b)} over ncols unknowns.
+
+    Each row is augmented: its entry at column ncols, if any, is the right
+    hand side, and it stands for the line it spans with no zero entry, as in
+    `_eliminate`.  None when the right-hand column becomes a pivot; else
+    x_c = (that pivot row's right-hand entry) / p at each pivot c, one
+    `GaussRat._raw` each, and 0 at every free column.  The witness of
+    `integrability.check_spinor_integrability` passes its sample and ansatz
+    rows this way.
+    """
+    pivots = _eliminate(rows, ncols + 1)
+    if ncols in pivots:
         return None
     x = [ZERO] * ncols
-    for c, tail in tails.items():
-        x[c] = tail.get(ncols, ZERO)
+    raw = GaussRat._raw
+    for c, (p, tail) in pivots.items():
+        t = tail.get(ncols)
+        if t is not None:
+            x[c] = raw(*t, p)
     return x
 
 

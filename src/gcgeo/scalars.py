@@ -300,7 +300,7 @@ def lane(cs):
     lc = lcm(*[c.q for c in cs])
     if lc == 1:
         return 1, [(c.a, c.b) for c in cs]
-    return lc, [(c.a * (lc // c.q), c.b * (lc // c.q)) for c in cs]
+    return lc, [(c.a * (s := lc // c.q), c.b * s) for c in cs]
 
 
 def lane_dot(xs, ys):

@@ -387,3 +387,21 @@ class TestMukaiFromComplements:
             mukai_coeff(MixedForm.one(3), MixedForm.one(4))
         with pytest.raises(ValueError, match="variance"):
             mukai_coeff(MixedForm.one(3), MixedForm.one(3, "mv"))
+
+
+class TestEvalAt:
+    def test_matches_each_coefficient_evaluated(self):
+        from gcgeo.charts import Chart
+        from gcgeo.randgen import Rng
+
+        chart = Chart.real("x", "y", "z")
+        rng = Rng(3)
+        for _ in range(20):
+            terms = {mask: rng.poly(chart, 3, 4, True) for mask in range(1, 8)}
+            terms[0] = rng.gauss(3, True)
+            phi = MixedForm(3, terms)
+            p = chart.point(*(rng.gauss(3, True) for _ in range(3)))
+            want = {mask: c.eval(p) for mask, c in phi.terms.items()}
+            got = phi.eval_at(p)
+            assert got.terms == {mask: c for mask, c in want.items() if c}
+            assert all(type(c) is GaussRat for c in got.terms.values())

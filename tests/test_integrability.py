@@ -194,6 +194,87 @@ class TestWitnessSolver:
         )
 
 
+def lane_cases():
+    """Seeded spinors on R^4 (with and without a twist) and C^2, with their H."""
+    out = []
+    for seed in range(4):
+        rng = Rng(seed)
+        phi = rng.poly_two_form(R4, degree=1 + seed % 2).exp_wedge()
+        h = ClosedThreeForm(R4, MixedForm(4, {0b0111: R4.var("x2") + GaussRat(seed, 3)}))
+        out += [(R4, phi, None), (R4, phi, h)]
+        out.append((C2, rng.poly_two_form(C2, degree=1).scale(IUNIT).exp_wedge(), None))
+        f = sum((C2.z(0) ** a * C2.z(1) * rng.gauss(2, True) for a in range(3)), C2.zero())
+        out.append((C2, C2.dz(0).wedge(C2.dz(1)) + MixedForm(4, {0: f + C2.z(0)}), None))
+    return out
+
+
+class TestIntegerLane:
+    """The witness's systems go to the elimination as gaussian-integer rows."""
+
+    def test_no_scalar_rows_before_the_witness_check(self, monkeypatch):
+        from gcgeo import forms
+
+        def refuse(name):
+            def call(*_, **__):
+                raise AssertionError(f"the witness called {name}")
+            return call
+
+        events = []
+        solve, act = linalg.integer_solve, GenVector.act
+
+        def logged_solve(rows, ncols):
+            events.append("solve")
+            return solve(rows, ncols)
+
+        def logged_act(self, phi):
+            events.append("act")
+            return act(self, phi)
+
+        monkeypatch.setattr(linalg, "_row", refuse("linalg._row"))
+        monkeypatch.setattr(forms, "coefficient_rows", refuse("forms.coefficient_rows"))
+        monkeypatch.setattr(linalg, "integer_solve", logged_solve)
+        monkeypatch.setattr(GenVector, "act", logged_act)
+        beta = holomorphic_bivector(C2, {(0, 1): C2.z(0) * C2.z(0)})
+        rho = deform_by_bivector(C2, j_complex(standard_complex_endo(2)), beta).spinor
+        rep = check_spinor_integrability(C2, rho)
+        assert rep.verdict == "pass" and rep.degree_bound == 1
+        # six samples and bounds 0 and 1, then the one check of the witness
+        assert events == ["solve"] * 8 + ["act"]
+
+    def test_sample_rows_match_the_action_columns(self):
+        from gcgeo.fields import d_twisted
+        from gcgeo.forms import coefficient_rows
+        from gcgeo.integrability import _basis_frame, _default_samples, _sample_rows
+
+        seen = set()
+        for chart, phi, h in lane_cases():
+            m = chart.dim
+            frame = _basis_frame(m)
+            target = d_twisted(chart, phi, h)
+            for p in _default_samples(chart):
+                phi_p, target_p = phi.eval_at(p), target.eval_at(p)
+                if not phi_p:
+                    continue
+                # reference: the columns u . phi_p of the frame, as GaussRat rows
+                want = linalg.solve(
+                    *coefficient_rows([u.act(phi_p) for u in frame], target_p), 2 * m
+                )
+                got = linalg.integer_solve(_sample_rows(phi_p, target_p), 2 * m)
+                assert got == want
+                seen.add(got is None)
+        assert seen == {True, False}
+
+    def test_frame_slots_are_the_frame_action(self):
+        from gcgeo.integrability import _basis_frame, _frame_slots
+
+        constant = two_form_from_map(standard_symplectic_map(2)).scale(IUNIT).exp_wedge()
+        for chart, phi, _ in lane_cases() + [(R4, constant, None)]:
+            want = [u.act(phi).terms for u in _basis_frame(chart.dim)]
+            got = _frame_slots(phi)
+            assert got == want
+            assert [list(s) for s in got] == [list(s) for s in want]
+
+
 class TestWitnessDimensionSweep:
     """Free witness solves that once built an ansatz far too large to solve.
 
@@ -233,18 +314,21 @@ class TestAnsatzSystem:
         two = GaussRat(2)
         slots = [{"a": x}, {"b": two, "a": ZERO}]
         target = {"a": GaussRat(3) * x * y, "b": GaussRat(4) * y}
-        rows, rhs, unknowns = ansatz_system(R2, slots, 1, target)
+        rows, unknowns = ansatz_system(R2, slots, 1, target)
         monos = [(0, 0), (1, 0), (0, 1)]
         assert unknowns == [(s, e) for s in range(2) for e in monos]
-        assert rows == [{0: ONE}, {1: ONE}, {2: ONE}, {3: two}, {4: two}, {5: two}]
-        assert rhs == [ZERO, ZERO, GaussRat(3), ZERO, ZERO, GaussRat(4)]
-        sol = linalg.solve(rows, rhs, len(unknowns))
+        # gaussian integers over L = 1, the target at the right-hand column 6
+        assert rows == [
+            {0: (1, 0)}, {1: (1, 0)}, {2: (1, 0), 6: (3, 0)},
+            {3: (2, 0)}, {4: (2, 0)}, {5: (2, 0), 6: (4, 0)},
+        ]
+        sol = linalg.integer_solve(rows, len(unknowns))
         assert ansatz_polys(R2, sol, unknowns, 2) == [GaussRat(3) * y, two * y]
 
     def test_target_only_rows(self):
-        rows, rhs, _ = ansatz_system(R2, [{0: R2.coord(0)}], 0, {1: R2.one()})
-        assert rows == [{0: ONE}, {}] and rhs == [ZERO, ONE]
-        assert linalg.solve(rows, rhs, 1) is None
+        rows, _ = ansatz_system(R2, [{0: R2.coord(0)}], 0, {1: R2.one()})
+        assert rows == [{0: (1, 0)}, {1: (1, 0)}]
+        assert linalg.integer_solve(rows, 1) is None
 
 
 class TestNijenhuis:

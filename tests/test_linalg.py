@@ -234,6 +234,45 @@ class TestSolve:
         assert linalg.rank([row + [y] for row, y in zip(padded, padded_b)]) == linalg.rank(m) + 1
 
 
+class TestIntegerSolve:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_solve_and_the_dense_loop(self, data):
+        m = data.draw(st.one_of(matrices(), matrices(entries=wide_gauss_rats())))
+        n = ncols_of(m)
+        kind = data.draw(st.sampled_from(["any", "zero", "consistent"]))
+        if kind == "any":
+            b = [data.draw(gauss_rats()) for _ in m]
+        elif kind == "zero":
+            b = [ZERO] * len(m)
+        else:
+            b = mat_vec(m, [data.draw(gauss_rats()) for _ in range(n)])
+        aug = [row + [y] for row, y in zip(m, b)]
+        got = linalg.integer_solve([linalg._row(enumerate(r)) for r in aug], n)
+        assert got == linalg.solve(m, b)
+        red, piv = dense_rref(aug)
+        if n in piv:
+            assert got is None and kind == "any"
+        else:
+            want = [ZERO] * n
+            for row, c in zip(red, piv):
+                want[c] = row[n]
+            assert got == want
+        rows = [linalg._row(enumerate(r)) for r in aug]
+        data.draw(st.randoms(use_true_random=False)).shuffle(rows)
+        assert linalg.integer_solve(rows, n) == got
+
+    def test_empty_and_free_systems(self):
+        assert linalg.integer_solve([], 0) == []
+        assert linalg.integer_solve([], 2) == [ZERO, ZERO]
+        assert linalg.integer_solve([{}, {}], 3) == [ZERO] * 3
+        assert linalg.integer_solve([{}, {2: (1, 0)}], 2) is None
+        # 2 x0 + 2 x1 = 3i: x0 = 3i/2, x1 free
+        assert linalg.integer_solve([{0: (2, 0), 1: (2, 0), 2: (0, 3)}], 2) == [
+            GaussRat(0, Fraction(3, 2)), ZERO,
+        ]
+
+
 class TestInverse:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda n: matrices(rows=n, cols=n)))
