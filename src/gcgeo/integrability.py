@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import comb, lcm
-from operator import add
 
 from .record import Record
-from .scalars import Poly, ZERO, as_gauss, lane, poly_lane
+from .scalars import Poly, ZERO, as_gauss, lane, pack, poly_lane
 from .forms import CapacityError, MixedForm, covector_form, map_from_two_form
 from .clifford import GenVector
 from .charts import Chart
@@ -83,14 +82,12 @@ def ansatz_system(chart: Chart, slots, degree_bound: int, target=None):
     before building anything, when the system may have more than ANSATZ_CAP
     rows x unknowns.
     """
-    const = (0,) * chart.dim
-
     def lane_of(c):
-        """(q, {exponent: (a, b)}) of a Poly or of a scalar constant."""
+        """(q, {packed exponent: (a, b)}) of a Poly or of a scalar constant."""
         if isinstance(c, Poly):
             return poly_lane(c)
         g = as_gauss(c)
-        return g.q, ({const: (g.a, g.b)} if g else {})
+        return g.q, ({0: (g.a, g.b)} if g else {})
 
     slots = [[(key, lane_of(c)) for key, c in slot.items()] for slot in slots]
     target = [(key, lane_of(c)) for key, c in (target or {}).items()]
@@ -125,13 +122,16 @@ def ansatz_system(chart: Chart, slots, degree_bound: int, target=None):
         )
     monos = monomials_up_to(chart, degree_bound)
     unknowns = [(s, e) for s in range(len(slots)) for e in monos]
+    # rows are keyed by packed exponents: a sum of two packed keys is only
+    # compared, never stored in a Poly, so a guard bit it sets does no harm
+    monos = [pack(e, chart.dim) for e in monos]
     rows = {}
     u = 0
     for slot in slots:
         for e in monos:
             for key, cterms in slot:
                 for t, x in cterms.items():
-                    rows.setdefault((key, tuple(map(add, e, t))), {})[u] = x
+                    rows.setdefault((key, e + t), {})[u] = x
             u += 1
     rhs = len(unknowns)
     for key, cterms in target:

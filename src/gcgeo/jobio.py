@@ -5,8 +5,10 @@ rationals "1/2+1/3i", polynomials "x1^2*z - 2/5".  Forms are arrays of
 {"coeff": str, "basis": [1-based indices]}; matrices are row-major arrays of
 scalar strings.  A number of more than SCALAR_LIMIT digits is refused, and
 so, before it is computed, is a product or power that could pass SCALAR_LIMIT
-terms or coefficient bits.  Reports serialize deterministically (sorted
-keys); the timing field is the only non-reproducible entry.
+terms or coefficient bits; one whose exponent passes `scalars.MAX_EXPONENT`
+is refused when the arithmetic raises ExponentOverflow.  Reports serialize
+deterministically (sorted keys); the timing field is the only
+non-reproducible entry.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from math import comb
 
 from . import __version__
 from .record import Record
-from .scalars import GaussRat, Poly, gauss_str, poly_lane, poly_str
+from .scalars import (
+    MAX_EXPONENT, ExponentOverflow, GaussRat, Poly, gauss_str, poly_lane, poly_str,
+)
 from .forms import MAX_DIM, MixedForm
 from .clifford import GenVector
 from .charts import Chart
@@ -121,7 +125,13 @@ class _ScalarParser:
         return base ** n
 
     def parse(self) -> Poly:
-        v = self.expr()
+        try:
+            v = self.expr()
+        except ExponentOverflow:
+            raise JobError(
+                f"scalar too large: a product or power passes exponent {MAX_EXPONENT}",
+                self.location,
+            ) from None
         if self.pos != len(self.toks):
             raise JobError("trailing tokens in scalar", self.location)
         return v

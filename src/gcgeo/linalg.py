@@ -61,11 +61,10 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd, lcm
-from operator import add
 
 from .scalars import (
-    GaussRat, MismatchedVariables, ONE, Poly, ZERO, all_gauss, as_gauss, lane, lane_poly,
-    poly_lane,
+    GaussRat, MismatchedVariables, ONE, Poly, ZERO, all_gauss, as_gauss, guard_exponents, lane,
+    lane_poly, poly_lane,
 )
 from .forms import CapacityError
 
@@ -99,9 +98,11 @@ def _product(a, cols, k):
     on the lanes of `_lane` in two plain ints per column, skipping zero
     factors.  When Polys take part, a second pass over the row marks the
     entries that have a product with a Poly factor and adds up their other
-    terms in a dict by exponent.  Entry (i, j) is then divided by the
-    denominators of row i of a and column j of b: one `GaussRat._raw` for a
-    constant entry, one content gcd for a Poly entry (`lane_poly`).
+    terms in a dict by packed exponent, a product's exponent the sum of its
+    factors'.  Entry (i, j) is then divided by the denominators of row i of
+    a and column j of b: one `GaussRat._raw` for a constant entry, one guard
+    check (`guard_exponents`) and one content gcd for a Poly entry
+    (`lane_poly`).
     """
     if any(map(k.__ne__, map(len, a))):
         raise ValueError(
@@ -124,7 +125,6 @@ def _product(a, cols, k):
                 consts[t].append((j, c, d))
     if charts:
         (names,) = charts
-        const = (0,) * len(names)
         nonzero, polys, terms = [[] for _ in range(k)], [[] for _ in range(k)], [[] for _ in range(k)]
         for j, (_, ys) in enumerate(cols):
             for t, _, _, yt in ys:
@@ -165,7 +165,7 @@ def _product(a, cols, k):
                     for j, yt in terms[t]:
                         for e1, r1, s1 in xt:
                             _add_scaled(accs, j, [
-                                (tuple(map(add, e1, e2)), r2, s2) for e2, r2, s2 in yt
+                                (e1 + e2, r2, s2) for e2, r2, s2 in yt
                             ], r1, s1)
             if p or q:
                 for j, yt in terms[t]:
@@ -176,10 +176,11 @@ def _product(a, cols, k):
             if j not in marked:
                 new.append(raw(u, v, den) if u or v else ZERO)
                 continue
-            nums = {const: (u, v)} if u or v else {}
+            nums = {0: (u, v)} if u or v else {}
             for e, (u, v) in accs.get(j, {}).items():
                 if u or v:
                     nums[e] = u, v
+            guard_exponents(names, nums)
             new.append(lane_poly(names, den, nums))
         out.append(new)
     return out
@@ -192,8 +193,8 @@ def _lane(cs, charts):
     L is the lcm of their denominators, one per Poly (`poly_lane`).  items
     lists (k, a, b, terms) for each nonzero cs[k]: a + bi is L times its
     constant term, and terms is None for a GaussRat and for a Poly lists
-    (exponent, c, d) with c + di L times each other term.  The variables of
-    each nonzero Poly are added to the set charts.
+    (packed exponent, c, d) with c + di L times each other term.  The
+    variables of each nonzero Poly are added to the set charts.
     """
     if all_gauss(cs):
         lc = lcm(*[c.q for c in cs])
@@ -225,9 +226,8 @@ def _lane(cs, charts):
         if names is None:
             items.append((k, x.a * s, x.b * s, None))
             continue
-        const = (0,) * len(names)
-        a, b = x.get(const, (0, 0))
-        rest = [(e, c * s, d * s) for e, (c, d) in x.items() if e != const]
+        a, b = x.get(0, (0, 0))
+        rest = [(e, c * s, d * s) for e, (c, d) in x.items() if e]
         items.append((k, a * s, b * s, rest))
     return lc, items
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .scalars import GaussRat, Poly
+from .scalars import GaussRat, Poly, add_term
 from .forms import MixedForm, two_form_from_map
 from .clifford import GenVector, BlockTransform
 from .charts import Chart
@@ -31,13 +31,16 @@ class Rng:
         return GaussRat(re, im)
 
     def poly(self, chart: Chart, degree: int = 2, terms: int = 3, complex_ok: bool = False) -> Poly:
-        acc = chart.zero()
+        """The sum of `terms` random terms, repeated exponents added up."""
+        out = {}
         for _ in range(terms):
             exps = [0] * chart.dim
             for _ in range(self.r.randint(0, degree)):
                 exps[self.r.randrange(chart.dim)] += 1
-            acc = acc + Poly(chart.names, {tuple(exps): self.gauss(2, complex_ok)})
-        return acc
+            c = self.gauss(2, complex_ok)
+            if c:
+                add_term(out, tuple(exps), c)
+        return Poly._raw(chart.names, out)
 
     def section(self, chart: Chart, degree: int = 2) -> GenVector:
         m = chart.dim

@@ -16,14 +16,17 @@ in the normal form gcd(q, every integer) = 1, so its arithmetic runs on plain
 ints and normalises each result once (`lane_poly`), where a map of GaussRats
 would normalise every term.  Its GaussRat coefficients, `.terms`, are built
 only when read; `poly_lane` and `lane_poly` carry the integers across module
-boundaries.  Pickling and copying rebuild a Poly from its slots.
+boundaries.  Its exponents are packed, one int per monomial (`pack`), so a
+product of monomials is one int addition.  Pickling and copying rebuild a
+Poly from its slots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt, lcm
-from operator import add as _add, lt as _lt, sub as _sub
+from operator import add as _add, lt as _lt, or_ as _or, sub as _sub
 
 
 class NoExactSquareRoot(ArithmeticError):
@@ -32,6 +35,10 @@ class NoExactSquareRoot(ArithmeticError):
 
 class MismatchedVariables(ValueError):
     """Raised when combining polynomials over different variable sets."""
+
+
+class ExponentOverflow(ValueError):
+    """Raised when an exponent of a Poly would pass MAX_EXPONENT."""
 
 
 def _fr(x) -> Fraction:
@@ -366,11 +373,82 @@ def sqrt_exact(g: GaussRat) -> GaussRat:
     return root
 
 
+# -- packed exponents ---------------------------------------------------------
+# A monomial x^e over n variables is one int: e[i] in the W-bit field at bit
+# W (n - 1 - i), variable 0 in the highest field, so int order is the lex
+# order of exponent tuples.  The top bit of each field is a guard bit that no
+# stored exponent sets (Monagan and Pearce, "Polynomial division using
+# dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
+
+_W = 32
+_FIELD = (1 << _W) - 1
+MAX_EXPONENT = (1 << (_W - 1)) - 1
+_GUARD_MASKS = {}  # n: the guard bits of n fields, each computed on first use
+
+
+def pack(e, n: int) -> int:
+    """The packed key of the exponent tuple e of n nonnegative ints."""
+    if len(e) != n:
+        raise ValueError(f"exponent {tuple(e)} is not over {n} variables")
+    key = 0
+    for k in e:
+        if not 0 <= k <= MAX_EXPONENT:
+            if k < 0:
+                raise ValueError(f"negative exponent in {tuple(e)}")
+            raise ExponentOverflow(f"exponent {k} passes {MAX_EXPONENT}")
+        key = key << _W | k
+    return key
+
+
+def unpack(key: int, n: int) -> tuple:
+    """The exponent tuple of a packed key over n variables."""
+    out = [0] * n
+    i = n - 1
+    while key:
+        out[i] = key & _FIELD
+        key >>= _W
+        i -= 1
+    return tuple(out)
+
+
+def guard_exponents(vars: tuple, keys) -> None:
+    """Raise ExponentOverflow when a key of sums of two packed keys sets a guard bit.
+
+    Each field of a stored key is at most MAX_EXPONENT = 2^(W-1) - 1, so a
+    field of the sum of two keys is at most 2^W - 2 and fits its W bits: no
+    carry crosses into the next field, and the sum passes MAX_EXPONENT
+    exactly where it sets that field's guard bit.  One OR over the keys
+    checks every field of a result at once.
+    """
+    n = len(vars)
+    mask = _GUARD_MASKS.get(n)
+    if mask is None:
+        mask = _GUARD_MASKS[n] = sum(1 << (_W * i + _W - 1) for i in range(n))
+    if reduce(_or, keys, 0) & mask:
+        raise ExponentOverflow(
+            f"an exponent of a polynomial over {vars} passes {MAX_EXPONENT}"
+        )
+
+
+def _gauss_pow(a: int, b: int, k: int):
+    """(a + bi)^k as an integer pair, for k >= 1."""
+    if not b:
+        return a**k, 0
+    c, d = 1, 0
+    while True:
+        if k & 1:
+            c, d = c * a - d * b, c * b + d * a
+        k >>= 1
+        if not k:
+            return c, d
+        a, b = a * a - b * b, 2 * a * b
+
+
 class Poly:
     """Sparse polynomial over Q(i) in named chart variables.
 
     A Poly is stored as gaussian integers over one denominator: `vars`, a
-    positive int q and {exponent tuple: (a, b)} with every a + bi nonzero,
+    positive int q and {packed exponent: (a, b)} with every a + bi nonzero,
     so the coefficient of x^e is (a + bi)/q.  In the normal form gcd(q,
     every a, every b) = 1, and q = 1 for zero, so equal polynomials have
     equal slots.  `+ - *`, negation, `conj`, `diff`, `==` and the predicates
@@ -378,18 +456,30 @@ class Poly:
     skipped when its denominator is 1: the common-denominator arithmetic of
     Geddes, Czapor and Labahn, "Algorithms for Computer Algebra" (1992).
 
-    `.terms` is the read-only {exponent: GaussRat} view of the coefficients.
-    It is built on first read and cached, so arithmetic never builds a
-    GaussRat per term.  Code outside this module reads the integers through
-    `poly_lane` and builds from them through `lane_poly`.
+    An exponent tuple e is packed into one int (`pack`): e[i] sits in the
+    W-bit field at bit W (n - 1 - i), W = 32, so the constant monomial is 0
+    and int order is tuple lex order.  Each field's top bit is a guard bit,
+    clear in every stored key, so an exponent is at most MAX_EXPONENT =
+    2^31 - 1.  A product of monomials is the sum of their keys: two fields
+    below 2^(W-1) add to less than 2^W, so no carry crosses a field, and
+    the one OR of `guard_exponents` over a product's keys raises
+    ExponentOverflow where a sum set a guard bit.  `diff` subtracts
+    1 << shift from keys whose field at shift is nonzero, which borrows
+    nothing.
+
+    `.terms` is the read-only {exponent tuple: GaussRat} view of the
+    coefficients.  It is built on first read and cached, so arithmetic never
+    builds a GaussRat per term or unpacks a key.  Code outside this module
+    reads the integers through `poly_lane` and builds from them through
+    `lane_poly`.
 
     Variables are real: conjugation only conjugates coefficients.  `divide`
     is exact division: it returns the quotient, or None when the divisor
     does not divide.
 
-    `Poly(vars, terms)` takes scalar coefficients and drops the zero ones.
-    `Poly._raw(vars, terms)` takes a tuple `vars` and nonzero GaussRat
-    coefficients keyed by tuples of len(vars) ints, and checks nothing;
+    `Poly(vars, terms)` takes scalar coefficients keyed by exponent tuples
+    and drops the zero ones.  `Poly._raw(vars, terms)` takes a tuple `vars`
+    and nonzero GaussRat coefficients keyed by tuples of len(vars) ints;
     `Poly._make(vars, q, nums)` takes the slots in normal form as they are.
     The caller of either promises that no one changes the dict afterwards.
     """
@@ -397,9 +487,11 @@ class Poly:
     __slots__ = ("vars", "_q", "_nums", "_view")
 
     def __init__(self, vars: tuple, terms: dict):
-        gs = {e: g for e, c in terms.items() if (g := as_gauss(c))}
+        vars = tuple(vars)
+        n = len(vars)
+        gs = {pack(e, n): g for e, c in terms.items() if (g := as_gauss(c))}
         q, pairs = lane(gs.values())
-        _set_vars(self, tuple(vars))
+        _set_vars(self, vars)
         _set_pq(self, q)
         _set_nums(self, dict(zip(gs, pairs)))
         _set_view(self, None)
@@ -428,11 +520,12 @@ class Poly:
         # are in normal form: each prime power in q is a term's denominator's,
         # and that term's two integers are not both multiples of the prime
         q, pairs = lane(terms.values())
-        return Poly._make(vars, q, dict(zip(terms, pairs)))
+        n = len(vars)
+        return Poly._make(vars, q, {pack(e, n): ab for e, ab in zip(terms, pairs)})
 
     @property
     def terms(self) -> dict:
-        """{exponent: GaussRat}, the coefficients; built once, never to be changed."""
+        """{exponent tuple: GaussRat}, the coefficients; built once, never to be changed."""
         view = self._view
         if view is None:
             view = self._gauss_terms()
@@ -440,8 +533,8 @@ class Poly:
         return view
 
     def _gauss_terms(self) -> dict:
-        q, raw = self._q, GaussRat._raw
-        return {e: raw(a, b, q) for e, (a, b) in self._nums.items()}
+        q, raw, n = self._q, GaussRat._raw, len(self.vars)
+        return {unpack(e, n): raw(a, b, q) for e, (a, b) in self._nums.items()}
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -450,15 +543,14 @@ class Poly:
         vars = tuple(vars)
         if not c:
             return Poly._make(vars, 1, {})
-        return Poly._make(vars, c.q, {(0,) * len(vars): (c.a, c.b)})
+        return Poly._make(vars, c.q, {0: (c.a, c.b)})
 
     @classmethod
     def var(cls, vars, name) -> "Poly":
         vars = tuple(vars)
         if name not in vars:
             raise MismatchedVariables(f"{name!r} is not a chart variable of {vars}")
-        e = tuple(1 if v == name else 0 for v in vars)
-        return Poly._make(vars, 1, {e: (1, 0)})
+        return Poly._make(vars, 1, {1 << _W * (len(vars) - 1 - vars.index(name)): (1, 0)})
 
     @classmethod
     def zero(cls, vars) -> "Poly":
@@ -482,23 +574,26 @@ class Poly:
         return lane_poly(self.vars, self._q * g.q, _times(self._nums, g.a, g.b))
 
     def _combine(self, other: "Poly", sign: int) -> "Poly":
-        """self + sign * other, for sign 1 or -1."""
+        """self + sign * other, for sign 1 or -1.
+
+        Over the common denominator, the merge loop scales other's integers
+        by s, the sign included, so no scaled copy of other is built.
+        """
         nums = self._peer(other)
         if not nums:
             return self
         q1, q2 = self._q, other._q
         k = gcd(q1, q2)
-        s1, s2 = q2 // k, q1 // k
+        s1, s = q2 // k, q1 // k * sign
         out = dict(self._nums) if s1 == 1 else _times(self._nums, s1, 0)
-        nums = _times(nums, s2 * sign, 0)
         get = out.get
         for e, (c, d) in nums.items():
             uv = get(e)
             if uv is None:
-                out[e] = c, d
+                out[e] = c * s, d * s
             else:
-                c += uv[0]
-                d += uv[1]
+                c = uv[0] + c * s
+                d = uv[1] + d * s
                 if c or d:
                     out[e] = c, d
                 else:
@@ -550,20 +645,23 @@ class Poly:
         if len(y) == 1:
             # a monomial factor maps distinct exponents to distinct exponents
             ((e2, (c, d)),) = y.items()
-            if any(e2):
-                x = {tuple(map(_add, e, e2)): ab for e, ab in x.items()}
+            if e2:
+                x = {e + e2: ab for e, ab in x.items()}
+                guard_exponents(self.vars, x)
             return lane_poly(self.vars, q, _times(x, c, d))
         out: dict = {}
         get = out.get
         for e1, (a, b) in x.items():
             for e2, (c, d) in y.items():
-                e = tuple(map(_add, e1, e2))
+                e = e1 + e2
                 uv = get(e)
                 if uv is None:
                     out[e] = a * c - b * d, a * d + b * c
                 else:
                     out[e] = uv[0] + a * c - b * d, uv[1] + a * d + b * c
-        return lane_poly(self.vars, q, {e: uv for e, uv in out.items() if uv[0] or uv[1]})
+        out = {e: uv for e, uv in out.items() if uv[0] or uv[1]}
+        guard_exponents(self.vars, out)
+        return lane_poly(self.vars, q, out)
 
     __rmul__ = __mul__
 
@@ -627,50 +725,63 @@ class Poly:
             raise MismatchedVariables(
                 f"{name!r} is not a chart variable of {self.vars}"
             ) from None
+        shift = _W * (len(self.vars) - 1 - i)
+        one = 1 << shift
         out = {}
-        # lowering e[i] is injective on the terms it keeps, so nothing collides
+        # lowering field i is injective on the terms it keeps, so nothing collides
         for e, ab in self._nums.items():
-            k = e[i]
+            k = e >> shift & _FIELD
             if k:
-                e2 = e[:i] + (k - 1,) + e[i + 1 :]
-                out[e2] = ab if k == 1 else (k * ab[0], k * ab[1])
+                out[e - one] = ab if k == 1 else (k * ab[0], k * ab[1])
         return lane_poly(self.vars, self._q, out)
 
-    def _values(self, point: dict) -> list:
-        """The GaussRat coordinate of point for each variable, in order."""
+    def _values(self, point: dict):
+        """The coordinates of point on one integer lane: (L, tables).
+
+        Coordinate i is tables[i][1] / L, and tables[i] maps k to the
+        integer pair of the k-th power of that numerator; `_monomial` adds
+        the powers it needs.
+        """
         vals = []
         for v in self.vars:
             if v not in point:
                 raise MismatchedVariables(f"no value given for {v!r}")
             x = point[v]
             vals.append(x if isinstance(x, GaussRat) else GaussRat(x))
-        return vals
+        lc, pairs = lane(vals)
+        return lc, [{1: ab} for ab in pairs]
 
     def eval(self, point: dict) -> GaussRat:
         """Substitute gaussian-rational coordinates for every variable."""
         return self._eval_at(self._values(point), {})
 
-    def _eval_at(self, vals: list, monos: dict) -> GaussRat:
-        """The value at the coordinates vals.
+    def _eval_at(self, vals, monos: dict) -> GaussRat:
+        """The value at the coordinates vals = (L, tables) of `_values`.
 
-        monos caches the value of each monomial at vals by exponent, so the
-        polynomials of a matrix over one chart compute each monomial once
-        (`linalg.eval_matrix`).  The monomial values go on one integer lane,
-        so the sum runs over integers and is divided once.
+        monos caches, by packed exponent, each monomial's value at vals as
+        (degree, c, d) with the value (c + di) / L^degree, and the degree 0
+        when L = 1; so the polynomials of a matrix over one chart compute
+        each monomial once (`linalg.eval_matrix`).  The sum runs over
+        integers, one partial sum per degree, and is divided once.
         """
-        ws = []
-        for e in self._nums:
+        lc, tables = vals
+        sums = {}
+        for e, (a, b) in self._nums.items():
             w = monos.get(e)
             if w is None:
-                w = ONE
-                for y, k in zip(vals, e):
-                    if k:
-                        w = w * y**k
-                monos[e] = w
-            ws.append(w)
-        den, lw = lane(ws)
-        u, v = lane_dot(self._nums.values(), lw)
-        return GaussRat._raw(u, v, den * self._q)
+                w = monos[e] = _monomial(e, lc, tables)
+            deg, c, d = w
+            if c or d:
+                u, v = a * c - b * d, a * d + b * c
+                s = sums.get(deg)
+                sums[deg] = (u, v) if s is None else (s[0] + u, s[1] + v)
+        top = max(sums, default=0)
+        u = v = 0
+        for deg, (s, t) in sums.items():
+            f = lc ** (top - deg)
+            u += s * f
+            v += t * f
+        return GaussRat._raw(u, v, self._q * lc**top)
 
     def subs_into(self, target_vars: tuple, mapping: dict) -> "Poly":
         """Substitute variables by polynomials over a (possibly new) chart.
@@ -711,23 +822,31 @@ class Poly:
             return NotImplemented
         if not g:
             return not self._nums
-        return self._q == g.q and self._nums == {(0,) * len(self.vars): (g.a, g.b)}
+        return self._q == g.q and self._nums == {0: (g.a, g.b)}
 
     @property
     def is_const(self) -> bool:
-        return all(not any(e) for e in self._nums)
+        return not any(self._nums)
 
     def const_value(self) -> GaussRat:
         nums = self._nums
         if not nums:
             return ZERO
-        if len(nums) > 1 or any(next(iter(nums))):
+        if len(nums) > 1 or next(iter(nums)):
             raise ValueError(f"{self!r} is not constant")
         ((a, b),) = nums.values()
         return GaussRat._raw(a, b, self._q)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self._nums), default=0)
+        top = 0
+        for e in self._nums:
+            deg = 0
+            while e:
+                deg += e & _FIELD
+                e >>= _W
+            if deg > top:
+                top = deg
+        return top
 
     def __repr__(self):
         return poly_str(self)
@@ -736,6 +855,24 @@ class Poly:
 _set_vars, _set_pq, _set_nums, _set_view = (
     Poly.vars.__set__, Poly._q.__set__, Poly._nums.__set__, Poly._view.__set__
 )
+
+
+def _monomial(e: int, lc: int, tables: list):
+    """(degree, c, d): the monomial of packed key e at `Poly._values` coordinates."""
+    c, d, deg = 1, 0, 0
+    i = len(tables) - 1
+    while e:
+        k = e & _FIELD
+        if k:
+            t = tables[i]
+            p = t.get(k)
+            if p is None:
+                p = t[k] = _gauss_pow(*t[1], k)
+            c, d = c * p[0] - d * p[1], c * p[1] + d * p[0]
+            deg += k
+        e >>= _W
+        i -= 1
+    return (deg if lc != 1 else 0), c, d
 
 
 def _times(nums: dict, c: int, d: int) -> dict:
@@ -750,9 +887,10 @@ def _times(nums: dict, c: int, d: int) -> dict:
 def lane_poly(vars: tuple, q: int, nums: dict) -> Poly:
     """The Poly sum (a + bi)/q x^e over nums, brought to normal form.
 
-    q > 0, and nums holds nonzero pairs keyed by tuples of len(vars) ints; it
-    is taken over, so no one changes it afterwards.  The content gcd runs
-    only when q > 1 and stops as soon as it reaches 1.
+    q > 0, and nums holds nonzero pairs keyed by packed exponents over
+    len(vars) variables (`pack`), none with a guard bit set; it is taken
+    over, so no one changes it afterwards.  The content gcd runs only when
+    q > 1 and stops as soon as it reaches 1.
     """
     if q != 1:
         g = q
@@ -775,8 +913,9 @@ def lane_poly(vars: tuple, q: int, nums: dict) -> Poly:
 def poly_lane(p: Poly):
     """(q, nums): p as gaussian integers over one denominator.
 
-    nums maps each exponent to (a, b) with the coefficient (a + bi)/q, and
-    gcd(q, every a, every b) = 1.  It is p's own map: read it, never change it.
+    nums maps each packed exponent (`pack`; `unpack` reads it back) to (a, b)
+    with the coefficient (a + bi)/q, and gcd(q, every a, every b) = 1.  It is
+    p's own map: read it, never change it.
     """
     return p._q, p._nums
 

@@ -361,7 +361,31 @@ class TestCommands:
         assert error.startswith("mv_a[0].coeff: ") and "scalar too large" in error
 
     @pytest.mark.parametrize(
-        "command,j", [("brane-check", "complex"), ("brane-check", "symplectic"), ("pullback", None)]
+        "coeff_a,coeff_b,error",
+        [
+            ("1", "(((x^1024)^1024)^1024)*(((x^1024)^1024)^1024)",
+             "mv_b[0].coeff: scalar too large: a product or power passes exponent 2147483647"),
+            ("1", "(((x^1024)^1024)^1024)^2",
+             "mv_b[0].coeff: scalar too large: a product or power passes exponent 2147483647"),
+            ("((x^1024)^1024)^1024*x^1024", "((x^1024)^1024)^1024*x^1024",
+             "an exponent of a polynomial over ('x', 'y') passes 2147483647"),
+        ],
+        ids=["product-chain", "power", "in-the-bracket"],
+    )
+    def test_exponent_past_the_field_width_exit_2(self, coeff_a, coeff_b, error, tmp_path):
+        # each term is a single monomial, admitted by the height and term
+        # bounds, whose exponent x^(2^31) or more no packed field holds
+        doc = json.loads(schouten_with_coeff(coeff_a))
+        doc["mv_b"][0]["coeff"] = coeff_b
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-m", "gcgeo.cli", "schouten", str(p)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stderr == ""
+        assert json.loads(proc.stdout)["counterexample"]["error"] == error
+
+    @pytest.mark.parametrize(
+        "command,j",[("brane-check", "complex"), ("brane-check", "symplectic"), ("pullback", None)]
     )
     def test_f_of_degree_other_than_2_exit_2(self, command, j, tmp_path, capsys):
         # F = 1 + dx1 once passed under the complex J

@@ -15,7 +15,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gcgeo.scalars import GaussRat, Poly, ZERO, poly_lane
+from gcgeo.linalg import mat_mul
+from gcgeo.scalars import (
+    MAX_EXPONENT, ONE, ExponentOverflow, GaussRat, Poly, ZERO, pack, poly_lane, unpack,
+)
 
 sp = pytest.importorskip("sympy")
 
@@ -34,15 +37,15 @@ def coeffs(draw):
     return GaussRat(re, im)
 
 
-def polys(vars, max_terms=4, max_exp=3):
-    exps = st.tuples(*[st.integers(0, max_exp)] * len(vars))
+def polys(vars, max_terms=4, exponent=st.integers(0, 3)):
+    exps = st.tuples(*[exponent] * len(vars))
     return st.dictionaries(exps, coeffs(), max_size=max_terms).map(lambda t: Poly(vars, t))
 
 
 @st.composite
-def poly_pair(draw, max_terms=4, max_exp=3):
+def poly_pair(draw, max_terms=4, exponent=st.integers(0, 3)):
     vars = draw(st.sampled_from(VARSETS))
-    return vars, draw(polys(vars, max_terms, max_exp)), draw(polys(vars, max_terms, max_exp))
+    return vars, draw(polys(vars, max_terms, exponent)), draw(polys(vars, max_terms, exponent))
 
 
 def gauss_expr(g):
@@ -54,7 +57,8 @@ def expr(p):
     q, nums = poly_lane(p)
     syms = [SYMS[v] for v in p.vars]
     return sp.Add(*[
-        (sp.Rational(a, q) + sp.I * sp.Rational(b, q)) * sp.Mul(*[s**k for s, k in zip(syms, e)])
+        (sp.Rational(a, q) + sp.I * sp.Rational(b, q))
+        * sp.Mul(*[s**k for s, k in zip(syms, unpack(e, len(p.vars)))])
         for e, (a, b) in nums.items()
     ])
 
@@ -68,7 +72,7 @@ def assert_normal(p):
     assert q > 0
     assert gcd(q, *(z for ab in nums.values() for z in ab)) == 1
     assert all(a or b for a, b in nums.values())
-    assert all(isinstance(e, tuple) and len(e) == len(p.vars) for e in nums)
+    assert all(type(e) is int and pack(unpack(e, len(p.vars)), len(p.vars)) == e for e in nums)
     if not nums:
         assert q == 1
 
@@ -119,7 +123,7 @@ class TestAgainstSympy:
             assert_normal(dp)
             same(dp, sp.diff(expr(p), SYMS[v]))
 
-    @given(poly_pair(max_terms=3, max_exp=2), st.integers(0, 3))
+    @given(poly_pair(max_terms=3, exponent=st.integers(0, 2)), st.integers(0, 3))
     @ORACLE
     def test_power(self, pq, n):
         _, p, _ = pq
@@ -206,3 +210,97 @@ class TestTermsView:
         assert all(type(c) is GaussRat and c for c in view.values())
         again = pickle.loads(pickle.dumps(p))
         assert again == p == fresh and again.terms == view == fresh.terms
+
+
+# -- packed exponents: every field up to MAX_EXPONENT -------------------------
+
+WIDE = st.one_of(
+    st.integers(0, 3), st.integers(MAX_EXPONENT - 3, MAX_EXPONENT), st.integers(0, MAX_EXPONENT)
+)
+UNITS = [GaussRat(0), GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1)]
+
+
+def ref_eval(s, point):
+    out = ZERO
+    for e, c in s.items():
+        for y, k in zip(point, e):
+            c = c * y**k
+        out = out + c
+    return out
+
+
+class TestPackedExponents:
+    @given(poly_pair(exponent=WIDE), st.lists(st.sampled_from(UNITS), min_size=3, max_size=3))
+    @ORACLE
+    def test_against_the_term_by_term_reference(self, pq, coords):
+        vars, p, q = pq
+        s, t = dict(p.terms), dict(q.terms)
+        for result, terms in [(p + q, ref_add(s, t)), (p - q, ref_add(s, t, -1))]:
+            assert_normal(result)
+            assert result.terms == terms
+        prod = ref_mul(s, t)
+        if any(k > MAX_EXPONENT for e in prod for k in e):
+            with pytest.raises(ExponentOverflow):
+                p * q
+        else:
+            assert_normal(p * q)
+            assert (p * q).terms == prod
+            if q:
+                # dividing anything else can take about MAX_EXPONENT steps
+                assert (p * q).divide(q) == p
+        for i, v in enumerate(vars):
+            assert_normal(p.diff(v))
+            assert p.diff(v).terms == ref_diff(s, i)
+        point = coords[: len(vars)]
+        assert p.eval(dict(zip(vars, point))) == ref_eval(s, point)
+        assert p.total_degree() == max((sum(e) for e in s), default=0)
+        assert p.is_const == all(not any(e) for e in s)
+        again = pickle.loads(pickle.dumps(p))
+        assert again == p and poly_lane(again) == poly_lane(p) and again.terms == s
+
+    def test_int_order_is_lex_order(self):
+        es = [(0, MAX_EXPONENT, 5), (1, 0, 0), (0, 0, MAX_EXPONENT), (1, 0, 1), (0, 1, 0)]
+        assert sorted(es, key=lambda e: pack(e, 3)) == sorted(es)
+        assert [unpack(pack(e, 3), 3) for e in es] == es
+        assert pack((0, 0, 0), 3) == 0 and unpack(0, 2) == (0, 0)
+
+
+class TestExponentOverflow:
+    def test_a_product_past_the_width_raises(self):
+        for vars in VARSETS:
+            n = len(vars)
+            for i, v in enumerate(vars):
+                top = Poly(vars, {tuple(MAX_EXPONENT if j == i else 0 for j in range(n)): 1})
+                x = Poly.var(vars, v)
+                assert (top * 1).diff(v).diff(v).total_degree() == MAX_EXPONENT - 2
+                # a monomial factor, a general product and a power
+                for product in (lambda: top * x, lambda: (top + 1) * (x + 1),
+                                lambda: (x ** (1 << 30)) ** 2):
+                    with pytest.raises(ExponentOverflow):
+                        product()
+
+    def test_no_field_carries_into_the_next(self):
+        # y^MAX * y may not read back as x * y^0; every other field stays exact
+        vars = ("x", "y", "z")
+        top = Poly(vars, {(2, MAX_EXPONENT, 3): 1})
+        with pytest.raises(ExponentOverflow):
+            top * Poly.var(vars, "y")
+        assert (top * Poly.var(vars, "x") * Poly.var(vars, "z")).terms == {
+            (3, MAX_EXPONENT, 4): ONE
+        }
+
+    def test_a_matrix_product_past_the_width_raises(self):
+        vars = ("x", "y")
+        top = Poly(vars, {(MAX_EXPONENT, 0): 1, (0, 0): 1})
+        x = Poly.var(vars, "x") + 2
+        with pytest.raises(ExponentOverflow):
+            mat_mul([[top, GaussRat(1)]], [[x], [GaussRat(3)]])
+        assert mat_mul([[top]], [[Poly.var(vars, "y")]]) == [[top * Poly.var(vars, "y")]]
+
+    @pytest.mark.parametrize(
+        "e,error", [((MAX_EXPONENT + 1, 0), ExponentOverflow), ((-1, 0), ValueError),
+                    ((1,), ValueError)],
+    )
+    def test_unpackable_exponents_are_refused(self, e, error):
+        with pytest.raises(error):
+            Poly(("x", "y"), {e: 1})
