@@ -4,13 +4,18 @@ bundles of trivializations, and brane compatibility classification.
 Submanifolds are polynomial graphs over a subset of chart coordinates (affine
 subspaces are the degree-1 case).  Ambient objects restrict by substituting
 the graph equations, so everything stays polynomial and exact; constant-rank
-hypotheses are audited at sample points.
+hypotheses are audited at sample points.  `brane_check` decides the sample
+block of a brane whose tau and J tau are constant once for all its samples,
+and builds the rows of its ell kernel as gaussian integers on the integer
+lane of `scalars`.
 """
 
 from __future__ import annotations
 
+from math import lcm
+
 from .record import Record
-from .scalars import Poly, ONE, IUNIT, ZERO, as_gauss, is_real
+from .scalars import Poly, ONE, IUNIT, ZERO, as_gauss, is_real, lane
 from .forms import CapacityError, MixedForm, covector_form, two_form_from_map, map_from_two_form
 from .clifford import GenVector, pairing_matrix
 from .charts import Chart
@@ -264,6 +269,43 @@ class BraneReport(Record, frozen=True):
     characteristic_samples: tuple
 
 
+def _sample_block(tau, jtau, p, m: int, ds: int):
+    """(coisotropic there, characteristic rows, ell frame) at the sample p.
+
+    tau holds the ds tangent rows, then the conormal rows; jtau their images
+    under J.
+    """
+    rows = linalg.eval_matrix(tau, p)
+    images = linalg.eval_matrix(jtau, p)
+    p_images = [img[:m] for img in images[ds:]]
+    resid = linalg.mat_mul(p_images, linalg.transpose([r[m:] for r in rows[ds:]]))
+    char = tuple(tuple(v) for v in p_images if any(v))
+    ker = linalg.integer_kernel(_ell_rows(images, rows), len(rows))
+    return not any(map(any, resid)), char, tuple(map(tuple, linalg.mat_mul(ker, rows)))
+
+
+def _ell_rows(images, rows):
+    """The rows of (J tau - i tau)^T as gaussian-integer rows {s: (u, v)}.
+
+    Row k holds x - iy at column s, for x = images[s][k] and y = rows[s][k]
+    (GaussRats).  Column k of each matrix is put on one lane, x = (a + bi)/L
+    and y = (c + di)/M, so with N = lcm(L, M) the entry is N^-1 times
+    (a N/L + d N/M) + (b N/L - c N/M) i; a row stands for the line it spans.
+    """
+    for xs, ys in zip(zip(*images), zip(*rows)):
+        lx, xs = lane(xs)
+        ly, ys = lane(ys)
+        n = lcm(lx, ly)
+        s, t = n // lx, n // ly
+        row = {}
+        for j, ((a, b), (c, d)) in enumerate(zip(xs, ys)):
+            u, v = a * s + d * t, b * s - c * t
+            if u or v:
+                row[j] = u, v
+        if row:
+            yield row
+
+
 def brane_check(
     structure: GCStructure, sub: SubmanifoldData, samples=None
 ) -> BraneReport:
@@ -273,6 +315,13 @@ def brane_check(
     the vanishing of the pairing matrix [<J tau_i, tau_j>], as polynomial
     identities.  Case certificates are attached where the ambient structure
     is of pure symplectic or complex block type.
+
+    At each sample the report records whether P(N*S) lies in TS, the
+    characteristic rows and a frame of ell = ker(J - i) cap (tau x C).  When
+    tau and J tau hold no Poly, the sample block is decided once and every
+    sample gets its result; otherwise it is evaluated sample by sample.  The
+    rows of (J tau - i tau)^T go to `linalg.integer_kernel` as gaussian
+    integers built from the lanes of their columns (`_ell_rows`).
     """
     s_chart = sub.chart_s()
     m = sub.ambient.dim
@@ -295,20 +344,15 @@ def brane_check(
     # at each sample: the conormal rows of tau are (0, xi), so the vector
     # parts of their images are P(N*S), in TS iff the conormals annihilate
     # them; nonzero ones span the characteristic distribution.  ell is
-    # ker(J - i) cap (tau x C)
-    coiso = True
-    char_samples = []
-    ell_samples = []
-    for p in samples:
-        rows = linalg.eval_matrix(tau, p)
-        images = linalg.eval_matrix(jtau, p)
-        p_images = [img[:m] for img in images[ds:]]
-        resid = linalg.mat_mul(p_images, linalg.transpose([r[m:] for r in rows[ds:]]))
-        coiso = coiso and not any(map(any, resid))
-        char_samples.append(tuple(tuple(v) for v in p_images if any(v)))
-        shifted = [[x - IUNIT * y for x, y in zip(img, r)] for img, r in zip(images, rows)]
-        ker = linalg.kernel(linalg.transpose(shifted))
-        ell_samples.append(tuple(map(tuple, linalg.mat_mul(ker, rows))))
+    # ker(J - i) cap (tau x C).  Without a Poly in tau and J tau every
+    # sample gives the same matrices, so the block is decided once
+    if any(type(x) is Poly for row in tau + jtau for x in row):
+        decided = [_sample_block(tau, jtau, p, m, ds) for p in samples]
+    else:
+        decided = [_sample_block(tau, jtau, samples[0], m, ds)] * len(samples) if samples else []
+    coiso = all(ok for ok, _, _ in decided)
+    char_samples = [char for _, char, _ in decided]
+    ell_samples = [ell for _, _, ell in decided]
     lagrangian = None
     sigma_basic = None
     complex_stable = None

@@ -9,13 +9,16 @@ prefix-parity table `_PP`.
 When both factors have only GaussRat coefficients, `wedge` runs in the
 integer lane of `scalars`: each factor is scaled to gaussian integers by the
 lcm of its denominators, the products are added up as integer pairs per
-output blade, and `GaussRat._raw` runs once per output coefficient.  Poly
-coefficients, alone or mixed with GaussRat ones, keep the term-by-term loop.
+output blade, and `GaussRat._raw` runs once per output coefficient.  The
+Mukai pairing `mukai_coeff` adds up its complementary products in plain
+ints too, and normalises once.  Poly coefficients, alone or mixed with
+GaussRat ones, keep the term-by-term loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .scalars import GaussRat, ONE, Poly, ZERO, add_term, all_gauss, lane
 
@@ -437,9 +440,17 @@ def mukai_coeff(s: MixedForm, t: MixedForm):
     A degree-k blade with indices I pairs with the reversal sign
     (-1)^{k(k-1)/2} times the merge sign (-1)^{sum(I) - k(k-1)/2}, that is
     with (-1)^{sum(I)}: the parity of the odd indices in I.
+
+    When both forms have only GaussRat coefficients, the signed products
+    are added up in plain ints, two per product of denominators, and
+    `GaussRat._raw` runs once (`_mukai_lane`); a sum that cancels is ZERO.
+    Poly coefficients, alone or mixed with GaussRat ones, keep the
+    term-by-term loop.
     """
     s._check_peer(t)
     top = (1 << s.dim) - 1
+    if all_gauss(s.terms.values()) and all_gauss(t.terms.values()):
+        return _mukai_lane(s.terms, t.terms, top)
     acc = ZERO
     for mask, c in s.terms.items():
         d = t.terms.get(top ^ mask)
@@ -449,6 +460,40 @@ def mukai_coeff(s: MixedForm, t: MixedForm):
         if not acc:
             acc = ZERO
     return acc
+
+
+def _mukai_lane(ts: dict, tt: dict, top: int) -> GaussRat:
+    """`mukai_coeff` of GaussRat terms ts and tt, in the integer lane.
+
+    The signed product of (a + bi)/q and (c + di)/r is added to the integer
+    pair kept for the denominator qr; the few pairs are then brought to the
+    lcm of their denominators and added, and `GaussRat._raw` runs once.
+    """
+    sums = {}
+    get = tt.get
+    for mask, x in ts.items():
+        y = get(top ^ mask)
+        if y is None:
+            continue
+        a, b, c, d = x.a, x.b, y.a, y.b
+        if (mask & _ODD_INDICES).bit_count() & 1:
+            c, d = -c, -d
+        q = x.q * y.q
+        acc = sums.get(q)
+        if acc is None:
+            sums[q] = [a * c - b * d, a * d + b * c]
+        else:
+            acc[0] += a * c - b * d
+            acc[1] += a * d + b * c
+    if not sums:
+        return ZERO
+    lc = lcm(*sums)
+    u = v = 0
+    for q, (x, y) in sums.items():
+        s = lc // q
+        u += x * s
+        v += y * s
+    return GaussRat._raw(u, v, lc) if u or v else ZERO
 
 
 def covector_form(dim: int, coeffs, variance="form") -> MixedForm:

@@ -35,7 +35,9 @@ gaussian integers; `isotropics.null_space` builds its rows that way, from
 one lane for all the coefficients of the spinor, and so do the polynomial
 ansatz of `integrability.ansatz_system`, whose tall, almost empty systems
 go to `integer_solve` in the spinor witness and to `integer_kernel` in the
-pullback (`branes`), and the witness's sample systems.  `integer_solve`
+pullback (`branes`), the witness's sample systems, and the rows of
+(J tau - i tau)^T whose kernel gives the ell frame of `branes.brane_check`,
+built from the lanes of the columns of J tau and tau.  `integer_solve`
 builds one `GaussRat._raw` per pivot, from the right-hand entry of its row.
 
 Once a system of at most 24 columns has cleared twice as many dependent
@@ -565,7 +567,9 @@ def integer_kernel(rows, ncols, cap=None):
     Each row stands for the line it spans and has no zero entry, as in
     `_eliminate`.  `isotropics.null_space` builds its rows this way: m rows
     for a pure spinor, which never pack, and the 2^(m-1) or so rows of
-    v . phi = 0 for any other, most of them dropped on the packed tails.
+    v . phi = 0 for any other, most of them dropped on the packed tails;
+    `branes.brane_check` builds the 2m rows of (J tau - i tau)^T over m
+    columns that give its ell frame.
     """
     tails = _eliminate(rows, ncols)
     nullity = ncols - len(tails)

@@ -41,6 +41,15 @@ class ExponentOverflow(ValueError):
     """Raised when an exponent of a Poly would pass MAX_EXPONENT."""
 
 
+class QuotientTooLarge(ValueError):
+    """Raised when `Poly.divide` would form more than DIVIDE_CAP term products."""
+
+
+# the most products of a quotient term and a divisor term that `Poly.divide`
+# forms: about a second of work, where x^(2^30) / (x + 1) would take an hour
+DIVIDE_CAP = 1 << 18
+
+
 def _fr(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -689,6 +698,12 @@ class Poly:
         zero polynomial does.  Quotient coefficients are GaussRats on the
         way: they have the norm of g's leading coefficient in their
         denominators, which a common denominator would carry into every term.
+
+        Each quotient term costs one product per term of g, and a remainder
+        can step down through every monomial below its leading one, as
+        x^n / (x + 1) takes n steps before it fails.  A division that would
+        pass DIVIDE_CAP such products raises QuotientTooLarge before the
+        next quotient term.
         """
         if isinstance(g, GaussRat):
             if not g:
@@ -700,12 +715,18 @@ class Poly:
         lead = max(terms)
         lc = terms[lead]
         tail = [(e, c) for e, c in terms.items() if e != lead]
+        steps = DIVIDE_CAP // len(terms)
         rem = self._gauss_terms()
         out = {}
         while rem:
             e = max(rem)
             if any(map(_lt, e, lead)):
                 return None
+            if len(out) == steps:
+                raise QuotientTooLarge(
+                    f"dividing by a polynomial of {len(terms)} terms passes {steps} quotient "
+                    f"terms, above the cap of {DIVIDE_CAP} term products"
+                )
             c = rem.pop(e) / lc
             shift = tuple(map(_sub, e, lead))
             out[shift] = c

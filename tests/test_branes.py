@@ -447,11 +447,12 @@ def ref_generalized_tangent(sub):
     return sections
 
 
-def ref_brane_check(structure, sub):
+def ref_brane_check(structure, sub, samples=None):
     """Every BraneReport field, decided pair by pair and vector by vector."""
     s_chart = sub.chart_s()
     m, ds = sub.ambient.dim, sub.dim_s
-    samples = [s_chart.point(*([0] * ds)), s_chart.point(*([1] * ds))]
+    if samples is None:
+        samples = [s_chart.point(*([0] * ds)), s_chart.point(*([1] * ds))]
     tau = ref_generalized_tangent(sub)
     jmat = sub.restrict_matrix(structure.matrix())
     failures = []
@@ -598,8 +599,21 @@ def structured_branes():
     return out
 
 
+def three_samples(s_chart):
+    """The two default samples and one point off them.
+
+    The third point is not real, so where tau is polynomial its rows there
+    have imaginary parts, which the rows of (J tau - i tau)^T must keep
+    apart from the -i tau they also carry.
+    """
+    ds = s_chart.dim
+    off = [GaussRat(Fraction((-1) ** k * (k + 2), k + 1), Fraction(1, k + 2)) for k in range(ds)]
+    return [s_chart.point(*([0] * ds)), s_chart.point(*([1] * ds)), s_chart.point(*off)]
+
+
 class TestAgainstThePairwiseLoops:
     FIELDS = BraneReport._fields
+    PER_SAMPLE = ("ell_frame_samples", "characteristic_samples")
 
     def assert_same(self, s, sub):
         assert sub.tangent_lifts() == ref_tangent_lifts(sub)
@@ -608,6 +622,15 @@ class TestAgainstThePairwiseLoops:
         rep, ref = brane_check(s, sub), ref_brane_check(s, sub)
         for name in self.FIELDS:
             assert getattr(rep, name) == ref[name], name
+        samples = three_samples(sub.chart_s())
+        rep, ref = brane_check(s, sub, samples), ref_brane_check(s, sub, samples)
+        for name in self.FIELDS:
+            if name in self.PER_SAMPLE:
+                assert len(getattr(rep, name)) == len(samples), name
+                for k, (got, want) in enumerate(zip(getattr(rep, name), ref[name])):
+                    assert got == want, (name, k)
+            else:
+                assert getattr(rep, name) == ref[name], name
 
     @pytest.mark.parametrize("kind", ["symplectic", "complex", "conjugated"])
     def test_random_branes(self, kind):
@@ -622,3 +645,53 @@ class TestAgainstThePairwiseLoops:
             rep = brane_check(s, sub)
             reached.add((rep.compatible, rep.sigma_20, rep.f_type_11))
         assert {(True, True, None), (False, False, None), (False, None, False)} <= reached
+
+
+class TestSampleBlock:
+    """The ell kernel runs once for a constant brane, once per sample otherwise."""
+
+    def kernel_calls(self, monkeypatch, structure, sub, samples):
+        calls = []
+        kernel = linalg.integer_kernel
+
+        def counted(rows, ncols, cap=None):
+            calls.append(ncols)
+            return kernel(rows, ncols, cap)
+
+        monkeypatch.setattr(linalg, "integer_kernel", counted)
+        return brane_check(structure, sub, samples=samples), len(calls)
+
+    def test_constant_brane_decided_once(self, monkeypatch):
+        wmap, fmap = dense_space_filling(4, 0)
+        s, sub = j_symplectic(wmap), whole_chart(CH, two_form_from_map(fmap))
+        samples = three_samples(CH)
+        rep, calls = self.kernel_calls(monkeypatch, s, sub, samples)
+        assert calls == 1
+        ref = ref_brane_check(s, sub, samples)
+        assert len(rep.ell_frame_samples) == len(rep.characteristic_samples) == 3
+        assert rep.ell_frame_samples == ref["ell_frame_samples"]
+        assert rep.characteristic_samples == ref["characteristic_samples"]
+        assert rep.coisotropic == ref["coisotropic"]
+
+    def test_no_samples(self, monkeypatch):
+        wmap, fmap = dense_space_filling(4, 0)
+        rep, calls = self.kernel_calls(
+            monkeypatch, j_symplectic(wmap), whole_chart(CH, two_form_from_map(fmap)), []
+        )
+        assert calls == 0
+        assert rep.ell_frame_samples == rep.characteristic_samples == ()
+        assert rep.coisotropic
+
+    def test_polynomial_j_once_per_sample(self, monkeypatch):
+        # J holds x2, which stays a coordinate of the graph x3 = x4 = 0
+        s = nonclosed_omega_structure()
+        zero = Poly.zero(("x1", "x2"))
+        sub = SubmanifoldData(R4, (0, 1), {2: zero, 3: zero})
+        assert any(isinstance(x, Poly) for row in sub.restrict_matrix(s.matrix()) for x in row)
+        samples = three_samples(sub.chart_s())
+        rep, calls = self.kernel_calls(monkeypatch, s, sub, samples)
+        assert calls == 3
+        ref = ref_brane_check(s, sub, samples)
+        assert rep.ell_frame_samples == ref["ell_frame_samples"]
+        assert rep.characteristic_samples == ref["characteristic_samples"]
+        assert len(set(rep.characteristic_samples)) == 3

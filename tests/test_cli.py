@@ -685,6 +685,20 @@ class TestFlagOverrides:
         body = json.loads(captured.out)
         assert body["verdict"] == "error" and body["counterexample"]["error"] == error
 
+    def test_modular_long_division_exit_2(self, tmp_path):
+        # the divergence holds x^(2^30), which division by the volume x + 1
+        # would step down through one power at a time
+        with open(case("modular_poisson.json")) as f:
+            doc = json.load(f)
+        doc["bivector"] = [{"coeff": "((x^1024)^1024)^1024*y", "basis": [1, 2]}]
+        doc["volume"] = [{"coeff": "x+1", "basis": [1, 2]}]
+        p = tmp_path / "long.json"
+        p.write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-m", "gcgeo.cli", "modular", str(p)],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2 and proc.stderr == ""
+        assert "above the cap of" in json.loads(proc.stdout)["counterexample"]["error"]
+
     def test_modular_not_poisson_exit_1(self, tmp_path, capsys):
         doc = {
             "schema_version": 1,

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from gcgeo.forms import (
     two_form_from_map,
 )
 
-from conftest import gauss_rats
+from conftest import gauss_rats, wide_gauss_rats
 
 
 def blade(dim, *idx, coeff=ONE, variance="form"):
@@ -340,6 +341,22 @@ def mukai_by_wedge(s, t):
     return s.reversal().wedge(t).coeff((1 << s.dim) - 1)
 
 
+def _no_lane(*_):
+    raise AssertionError("the integer lane ran on a non-GaussRat operand")
+
+
+def mukai_loop(s, t):
+    """Reference: the complementary products added up term by term."""
+    top = (1 << s.dim) - 1
+    acc = ZERO
+    for mask, c in s.terms.items():
+        d = t.terms.get(top ^ mask)
+        if d is not None:
+            sign = -1 if sum(i for i in range(s.dim) if mask >> i & 1) % 2 else 1
+            acc = acc + c * d * sign
+    return acc
+
+
 @st.composite
 def mukai_pairs(draw, coeffs=gauss_rats(), max_dim=8):
     """(s, t) of one dimension, with some blades of t complementary to s.
@@ -380,6 +397,57 @@ class TestMukaiFromComplements:
         coeffs = st.builds(lambda: rng.poly(chart, 2, 2, complex_ok=True))
         s, t = data.draw(mukai_pairs(coeffs, max_dim=5))
         got, want = mukai_coeff(s, t), mukai_by_wedge(s, t)
+        assert got == want and type(got) is type(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mukai_pairs(wide_gauss_rats()))
+    def test_wide_coefficients(self, st_pair):
+        s, t = st_pair
+        got = mukai_coeff(s, t)
+        assert got == mukai_by_wedge(s, t) == mukai_loop(s, t) and type(got) is GaussRat
+
+    def test_cancellation_is_zero(self):
+        # 1 pairs with e12 by +1, e12 with 1 by -1
+        s = MixedForm(2, {0: GaussRat(Fraction(1, 3)), 0b11: GaussRat(Fraction(1, 3))})
+        assert mukai_coeff(s, s) is ZERO
+        # e12 and e34 each pair with the other by -1
+        c = GaussRat(Fraction(2, 7), Fraction(-5, 3))
+        t, u = MixedForm(4, {0b0011: c, 0b1100: c}), MixedForm(4, {0b0011: c, 0b1100: -c})
+        assert mukai_coeff(t, u) is ZERO and mukai_loop(t, u) == ZERO
+
+    def test_empty_forms(self):
+        one = MixedForm.one(3)
+        for s, t in ((MixedForm.zero(3), MixedForm.zero(3)), (MixedForm.zero(3), one),
+                     (one, MixedForm.zero(3)), (one, one)):
+            assert mukai_coeff(s, t) is ZERO
+
+    def test_dense_m12_spinor(self):
+        from gcgeo.randgen import Rng
+
+        rng = Rng(21)
+        phi = rng.two_form(12, complex_ok=True).exp_wedge()
+        psi = rng.two_form(12, complex_ok=True).exp_wedge()
+        assert min(len(phi.terms), len(psi.terms)) > 2000  # of the 2^11 even blades
+        for s, t in ((phi, phi.conj()), (phi, psi), (psi, phi)):
+            got = mukai_coeff(s, t)
+            assert got == mukai_loop(s, t) and type(got) is GaussRat and got
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_poly_and_mixed_forms_take_the_loop(self, data):
+        from gcgeo.charts import Chart
+        from gcgeo.randgen import Rng
+
+        chart = Chart.real("x", "y")
+        rng = Rng(data.draw(st.integers(0, 10**6)))
+        polys = st.builds(lambda: rng.poly(chart, 2, 2, complex_ok=True))
+        coeffs = st.one_of(polys, gauss_rats()) if data.draw(st.booleans()) else polys
+        s, t = data.draw(mukai_pairs(coeffs, max_dim=5))
+        if all(type(c) is GaussRat for c in (*s.terms.values(), *t.terms.values())):
+            return
+        want = mukai_loop(s, t)
+        with patch("gcgeo.forms._mukai_lane", _no_lane):
+            got = mukai_coeff(s, t)
         assert got == want and type(got) is type(want)
 
     def test_mismatch_rejected(self):

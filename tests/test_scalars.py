@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gcgeo import scalars
 from gcgeo.scalars import (
     GaussRat,
     MismatchedVariables,
@@ -12,6 +14,7 @@ from gcgeo.scalars import (
     Poly,
     IUNIT,
     ONE,
+    QuotientTooLarge,
     ZERO,
     sqrt_exact,
 )
@@ -333,6 +336,29 @@ class TestDivide:
             x.divide(Poly.zero(VARS))
         with pytest.raises(MismatchedVariables):
             x.divide(Poly.var(("z",), "z"))
+
+    def test_quotient_cap(self, monkeypatch):
+        # (x^n - 1) / (x - 1) has n quotient terms, 2n products with x - 1
+        x = P(x=1)
+        monkeypatch.setattr(scalars, "DIVIDE_CAP", 8)
+        assert (x ** 4 - ONE).divide(x - ONE) == x ** 3 + x ** 2 + x + ONE
+        with pytest.raises(QuotientTooLarge):
+            (x ** 5 - ONE).divide(x - ONE)
+        # a divisor that does not divide is refused at the cap as well
+        with pytest.raises(QuotientTooLarge):
+            (x ** 5).divide(x - ONE)
+        assert (x ** 3 + P(y=1)).divide(x - ONE) is None
+        assert issubclass(QuotientTooLarge, ValueError)
+
+    def test_long_division_refused_in_bounded_time(self):
+        # x^(2^20) / (x + 1) would step down through every power of x
+        x, y = P(x=1), P(y=1)
+        start = time.perf_counter()
+        with pytest.raises(QuotientTooLarge):
+            (x ** (1 << 20) * y).divide(x + ONE)
+        assert time.perf_counter() - start < 30
+        g = x + y + ONE
+        assert (x ** 40 * g).divide(g) == x ** 40
 
     def test_constant_divisor(self):
         # a GaussRat divisor is exact division by a constant
