@@ -270,18 +270,18 @@ class BraneReport(Record, frozen=True):
 
 
 def _sample_block(tau, jtau, p, m: int, ds: int):
-    """(coisotropic there, characteristic rows, ell frame) at the sample p.
+    """(characteristic rows, ell frame) at the sample p.
 
     tau holds the ds tangent rows, then the conormal rows; jtau their images
-    under J.
+    under J.  The characteristic rows are the nonzero vector parts of the
+    conormal images there, and the ell frame spans ker(J - i) cap (tau x C).
     """
     rows = linalg.eval_matrix(tau, p)
     images = linalg.eval_matrix(jtau, p)
     p_images = [img[:m] for img in images[ds:]]
-    resid = linalg.mat_mul(p_images, linalg.transpose([r[m:] for r in rows[ds:]]))
     char = tuple(tuple(v) for v in p_images if any(v))
     ker = linalg.integer_kernel(_ell_rows(images, rows), len(rows))
-    return not any(map(any, resid)), char, tuple(map(tuple, linalg.mat_mul(ker, rows)))
+    return char, tuple(map(tuple, linalg.mat_mul(ker, rows)))
 
 
 def _ell_rows(images, rows):
@@ -316,12 +316,14 @@ def brane_check(
     identities.  Case certificates are attached where the ambient structure
     is of pure symplectic or complex block type.
 
-    At each sample the report records whether P(N*S) lies in TS, the
-    characteristic rows and a frame of ell = ker(J - i) cap (tau x C).  When
-    tau and J tau hold no Poly, the sample block is decided once and every
-    sample gets its result; otherwise it is evaluated sample by sample.  The
-    rows of (J tau - i tau)^T go to `linalg.integer_kernel` as gaussian
-    integers built from the lanes of their columns (`_ell_rows`).
+    Whether P(N*S) lies in TS is decided once, as polynomial identities:
+    the conormals annihilate the vector parts of their images under J.  At
+    each sample the report records the characteristic rows and a frame of
+    ell = ker(J - i) cap (tau x C).  When tau and J tau hold no Poly, the
+    sample block is decided once and every sample gets its result;
+    otherwise it is evaluated sample by sample.  The rows of
+    (J tau - i tau)^T go to `linalg.integer_kernel` as gaussian integers
+    built from the lanes of their columns (`_ell_rows`).
     """
     s_chart = sub.chart_s()
     m = sub.ambient.dim
@@ -341,18 +343,21 @@ def brane_check(
     blocks = structure.blocks()
     symplectic_type = not any(map(any, blocks.a))
     complex_type = not any(map(any, blocks.b_map + blocks.beta_map))
-    # at each sample: the conormal rows of tau are (0, xi), so the vector
-    # parts of their images are P(N*S), in TS iff the conormals annihilate
-    # them; nonzero ones span the characteristic distribution.  ell is
-    # ker(J - i) cap (tau x C).  Without a Poly in tau and J tau every
-    # sample gives the same matrices, so the block is decided once
+    # the conormal rows of tau are (0, xi), so the vector parts of their
+    # images are P(N*S), in TS iff the conormals annihilate them
+    resid = linalg.mat_mul(
+        [img[:m] for img in jtau[ds:]], linalg.transpose([r[m:] for r in tau[ds:]])
+    )
+    # at each sample: the nonzero images span the characteristic
+    # distribution, and ell is ker(J - i) cap (tau x C).  Without a Poly in
+    # tau and J tau every sample gives the same matrices, so the block is
+    # decided once
     if any(type(x) is Poly for row in tau + jtau for x in row):
         decided = [_sample_block(tau, jtau, p, m, ds) for p in samples]
     else:
         decided = [_sample_block(tau, jtau, samples[0], m, ds)] * len(samples) if samples else []
-    coiso = all(ok for ok, _, _ in decided)
-    char_samples = [char for _, char, _ in decided]
-    ell_samples = [ell for _, _, ell in decided]
+    char_samples = [char for char, _ in decided]
+    ell_samples = [ell for _, ell in decided]
     lagrangian = None
     sigma_basic = None
     complex_stable = None
@@ -402,7 +407,7 @@ def brane_check(
     return BraneReport(
         compatible=not failures,
         failures=tuple(failures[:8]),
-        coisotropic=coiso,
+        coisotropic=not any(map(any, resid)),
         lagrangian=lagrangian,
         complex_stable=complex_stable,
         f_type_11=f_type_11,

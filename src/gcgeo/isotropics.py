@@ -289,11 +289,10 @@ def null_space(phi: MixedForm):
     When the check fails, each blade of v . phi gives a row {column: (a, b)}
     of gaussian integers over the 2m columns of V + V*, read straight from
     phi (`_action_rows`), and `linalg.integer_kernel` eliminates them into
-    the smaller null space, dropping most of them on its packed pivot tails
-    (see `linalg`).  `max_isotropic_from_spinor` (so `gcs.gc_from_pure_spinor`
-    and the spinor round trips), `SpinorLine` and the `null-space` and
-    `type-map` commands all come here.  A coefficient that is a non-constant
-    Poly raises ValueError.
+    the smaller null space.  `max_isotropic_from_spinor` (so
+    `gcs.gc_from_pure_spinor` and the spinor round trips), `SpinorLine` and
+    the `null-space` and `type-map` commands all come here.  A coefficient
+    that is a non-constant Poly raises ValueError.
     """
     dim = phi.dim
     terms = _lane_terms(phi)
@@ -520,7 +519,12 @@ def dual_spinor_of(iso: MaxIsotropic) -> MixedForm:
 
 
 def tensor_product(l1: MaxIsotropic, l2: MaxIsotropic) -> MaxIsotropic:
-    """L1 x L2 = {X + xi + eta : X + xi in L1, X + eta in L2}."""
+    """L1 x L2 = {X + xi + eta : X + xi in L1, X + eta in L2}.
+
+    The pairing of two such vectors is the sum of their pairings in L1 and
+    in L2, so the span is isotropic and needs no check; `row_space_basis`
+    already gives it in reduced row echelon form for `reduced_form`.
+    """
     if l1.dim != l2.dim:
         raise ValueError("dimension mismatch")
     m = l1.dim
@@ -536,7 +540,7 @@ def tensor_product(l1: MaxIsotropic, l2: MaxIsotropic) -> MaxIsotropic:
         raise NotIsotropic(
             f"tensor product span has rank {len(basis_rows)}, expected {m}"
         )
-    return canonical_form([GenVector.from_coords(r) for r in basis_rows], m)
+    return reduced_form(basis_rows, m)
 
 
 def transverse(l1: MaxIsotropic, l2: MaxIsotropic) -> bool:

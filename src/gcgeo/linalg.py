@@ -39,24 +39,8 @@ pullback (`branes`), the witness's sample systems, and the rows of
 (J tau - i tau)^T whose kernel gives the ell frame of `branes.brane_check`,
 built from the lanes of the columns of J tau and tau.  `integer_solve`
 builds one `GaussRat._raw` per pivot, from the right-hand entry of its row.
-
-Once a system of at most 24 columns has cleared twice as many dependent
-rows as it has columns, it also keeps each pivot tail as two ints, real and
-imaginary parts, with the entry at free column j in a slot of W = 160 bits
-(Kronecker substitution), packed again after each new pivot.  A later row
-is then dropped on four big-integer products per pivot it meets, when its
-packed residue is 0 and the bit lengths of its factors prove every slot
-below 2^W, which makes the test exact; any other row takes the integer
-step, so the result is the same.  Over two seeded cycles of each in-process
-benchmark workload, the systems that pack are the 9-column solves of
-`integrability.check_spinor_integrability` (16 at degree 2, 6 at degree 3)
-and the kernels of the transverse splitting in `gcs.canonical_spinor` (4,
-at m = 6 and 8); the rows of v . phi = 0 for a non-pure spinor pack too,
-while a pure spinor's null space comes from m rows (`isotropics.null_space`).
-Short systems and the wide ansatz systems of the witness and pullback
-solvers never pack.  `det` keeps its own dense loop.  Nothing here inverts
-a Poly matrix: a space-filling brane reads omega^-1 off the Poisson block
-of J.
+`det` keeps its own dense loop.  Nothing here inverts a Poly matrix: a
+space-filling brane reads omega^-1 off the Poisson block of J.
 """
 
 from __future__ import annotations
@@ -335,22 +319,11 @@ def _rows(m, ncols=None):
     return map(_row, entries), ncols
 
 
-# Only a system at most this wide packs its pivot tails (`_packing`): the
-# tall 9-column solves of the spinor witness, the splitting kernels of
-# `darboux_point` and the null space of a non-pure spinor (24 columns at
-# m = 12) do, while the sparse ansatz systems of the witness and pullback
-# solvers have hundreds, and packing them costs more than it saves.
-_NARROW = 24
-# bits per slot of a packed tail; the dependent rows of generic spinors up to
-# m = 12 need at most about 140
-_SLOT = 160
-
-
-def _eliminate(rows, ncols):
+def _eliminate(rows):
     """Fraction-free Gauss-Jordan elimination over integer sparse rows.
 
-    rows are {column: (a, b)} maps of nonzero gaussian integers a + bi over
-    ncols columns, each standing for the line it spans; they are consumed.
+    rows are {column: (a, b)} maps of nonzero gaussian integers a + bi, each
+    standing for the line it spans; they are consumed.
     Returns {pivot column: (p, tail)}: the reduced row echelon form, pivot
     row by pivot row, where the row is (p at the pivot column + tail) / p, p
     is a positive integer and the tail holds the other nonzero entries.
@@ -367,30 +340,12 @@ def _eliminate(rows, ncols):
     of the denominators of the reduced row, and entries do not grow with
     the number of rows.  The reduced row echelon form is unique, so the
     result does not depend on the order of the rows.
-
-    A narrow system (at most `_NARROW` columns) is tall once the step has
-    cleared twice as many rows as it has columns, as it soon has in the
-    2^m rows over 2m columns of a spinor's null space.  From then on the
-    next cleared row packs the pivot tails (`_packing`) whenever they are
-    not packed, and until a new pivot comes a row is dropped without the
-    step when `_dependent` proves that the step would clear it.  Every
-    other row takes the step, so pivots and tails are the same either way.
-    A short system never packs: its few dependent rows would not pay for
-    the packing.
     """
     pivots = {}
-    packing = None
-    cleared = 0
     for r in rows:
         hits = [(c, *pivots[c]) for c in r if c in pivots]
         if hits:
-            if packing is not None and _dependent(r, hits, *packing):
-                continue
             r = _reduce(r, hits)
-            if not r:
-                cleared += 1
-                if packing is None and ncols <= _NARROW and cleared >= 2 * ncols:
-                    packing = _packing(pivots, ncols)
         if not r:
             continue
         c = min(r)
@@ -404,71 +359,7 @@ def _eliminate(rows, ncols):
             if c in t:
                 pivots[d] = _primitive(p * q, _reduce(t, [(c, p, r)]))
         pivots[c] = p, r
-        packing = None
     return pivots
-
-
-def _packing(pivots, ncols):
-    """(shifts, packed): the pivot tails of `_eliminate` packed into ints.
-
-    The columns below ncols or in a tail that are not pivots get one slot
-    each, in order: shifts maps such a column to _SLOT times its slot.
-    packed maps each pivot column to (re, im, bits): re and im are the sums
-    of x << shift and y << shift over the entries x + yi of its tail, which
-    has entries only at those columns, and every |x| and |y| is below
-    2^bits.
-    """
-    free = sorted({j for _, t in pivots.values() for j in t}.union(range(ncols)).difference(pivots))
-    shifts = dict(zip(free, range(0, _SLOT * len(free), _SLOT)))
-    packed = {}
-    for c, (_, t) in pivots.items():
-        re = im = top = 0
-        for j, (x, y) in t.items():
-            s = shifts[j]
-            re += x << s
-            im += y << s
-            top |= abs(x) | abs(y)
-        packed[c] = re, im, top.bit_length()
-    return shifts, packed
-
-
-def _dependent(r, hits, shifts, packed):
-    """Whether `_reduce(r, hits)` is empty, decided on the packed tails.
-
-    The packed residue L r - sum (L / p) r[c] tail_c holds the entry s_j of
-    the reduced row at column j in the slot of j, as sum s_j 2^(shift of j),
-    real and imaginary parts apart; it takes four products of an integer
-    and a packed tail per hit.  The answer is yes only when both parts are
-    0 and every |s_j| is proven below 2^_SLOT: then the lowest nonzero s_j
-    would be a multiple of 2^_SLOT, so every s_j is 0.  The proof bounds
-    each of the 1 + 2 len(hits) products that add up to s_j by the bit
-    lengths of its factors; a row it fails for takes the exact step.
-    """
-    lc = lcm(*(p for _, p, _ in hits))
-    limit = _SLOT - (2 * len(hits) + 1).bit_length()
-    re = im = top = 0
-    for j, (x, y) in r.items():
-        s = shifts.get(j)
-        if s is not None:
-            re += x << s
-            im += y << s
-            top |= abs(x) | abs(y)
-        elif j not in packed:
-            return False  # a column with no slot
-    if lc.bit_length() + top.bit_length() > limit:
-        return False
-    re *= lc
-    im *= lc
-    for c, p, _ in hits:
-        k = lc // p
-        x, y = r[c]
-        x, y = k * x, k * y
-        tr, ti, bits = packed[c]
-        if (abs(x) | abs(y)).bit_length() + bits > limit:
-            return False
-        re -= x * tr - y * ti
-        im -= x * ti + y * tr
-    return not (re or im)
 
 
 def _reduce(r, hits):
@@ -511,11 +402,11 @@ def _primitive(p, t):
     return p, t
 
 
-def _reduced(rows, ncols):
+def _reduced(rows):
     """{pivot column: tail}: the reduced rows, tails as GaussRat entries."""
     return {
         c: {j: GaussRat._raw(x, y, p) for j, (x, y) in t.items()}
-        for c, (p, t) in _eliminate(rows, ncols).items()
+        for c, (p, t) in _eliminate(rows).items()
     }
 
 
@@ -530,10 +421,11 @@ def integer_rref(rows, ncols):
     """`rref` of gaussian-integer rows {column: (a, b)} over ncols columns.
 
     Each row stands for the line it spans and has no zero entry, as in
-    `_eliminate`.  Only the nonzero rows of the reduced form are returned,
-    dense, with their pivot columns.
+    `_eliminate`, which consumes the rows: a row that becomes a pivot loses
+    its leading entry, so a caller must not reuse them.  Only the nonzero
+    rows of the reduced form are returned, dense, with their pivot columns.
     """
-    tails = _reduced(rows, ncols)
+    tails = _reduced(rows)
     piv = sorted(tails)
     red = []
     for c in piv:
@@ -546,7 +438,7 @@ def integer_rref(rows, ncols):
 
 
 def rank(m) -> int:
-    return len(_eliminate(*_rows(m)))
+    return len(_eliminate(_rows(m)[0]))
 
 
 def kernel(m, ncols=None, cap=None):
@@ -565,13 +457,14 @@ def integer_kernel(rows, ncols, cap=None):
     """`kernel` of gaussian-integer rows {column: (a, b)} over ncols columns.
 
     Each row stands for the line it spans and has no zero entry, as in
-    `_eliminate`.  `isotropics.null_space` builds its rows this way: m rows
-    for a pure spinor, which never pack, and the 2^(m-1) or so rows of
-    v . phi = 0 for any other, most of them dropped on the packed tails;
+    `_eliminate`, which consumes the rows: a row that becomes a pivot loses
+    its leading entry, so a caller must not reuse them.
+    `isotropics.null_space` builds its rows this way: m rows for a pure
+    spinor and the 2^(m-1) or so rows of v . phi = 0 for any other;
     `branes.brane_check` builds the 2m rows of (J tau - i tau)^T over m
     columns that give its ell frame.
     """
-    tails = _eliminate(rows, ncols)
+    tails = _eliminate(rows)
     nullity = ncols - len(tails)
     if cap is not None and nullity * ncols > cap:
         raise CapacityError(
@@ -608,13 +501,14 @@ def integer_solve(rows, ncols):
 
     Each row is augmented: its entry at column ncols, if any, is the right
     hand side, and it stands for the line it spans with no zero entry, as in
-    `_eliminate`.  None when the right-hand column becomes a pivot; else
+    `_eliminate`, which consumes the rows: a row that becomes a pivot loses
+    its leading entry, so a caller must not reuse them.  None when the right-hand column becomes a pivot; else
     x_c = (that pivot row's right-hand entry) / p at each pivot c, one
     `GaussRat._raw` each, and 0 at every free column.  The witness of
     `integrability.check_spinor_integrability` passes its sample and ansatz
     rows this way.
     """
-    pivots = _eliminate(rows, ncols + 1)
+    pivots = _eliminate(rows)
     if ncols in pivots:
         return None
     x = [ZERO] * ncols
@@ -629,7 +523,7 @@ def integer_solve(rows, ncols):
 def inverse(m):
     n = len(m)
     rows = (_row(chain(enumerate(row), [(n + i, ONE)])) for i, row in enumerate(m))
-    tails = _reduced(rows, 2 * n)
+    tails = _reduced(rows)
     if sorted(tails) != list(range(n)):
         raise ValueError("matrix is singular")
     out = []

@@ -464,18 +464,18 @@ def ref_brane_check(structure, sub, samples=None):
     blocks = structure.blocks()
     symplectic_type = not any(map(any, blocks.a))
     complex_type = not any(map(any, blocks.b_map + blocks.beta_map))
-    coiso = True
-    char_samples = []
     pmap_r = sub.restrict_matrix(blocks.beta_map)
+    # P(N*S) in TS on the whole chart, as polynomial identities
+    coiso = not any(
+        any(ref_normal_residues(sub, linalg.mat_vec(pmap_r, conormal)))
+        for conormal in ref_conormals(sub)
+    )
+    char_samples = []
     for p in samples:
         pm = linalg.eval_matrix(pmap_r, p)
         char_rows = []
         for conormal in ref_conormals(sub):
-            xi = [c.eval(p) for c in conormal]
-            img = linalg.mat_vec(pm, xi)
-            resid = ref_normal_residues(sub, [Poly.const(s_chart.names, c) for c in img])
-            if any(r.eval(p) for r in resid):
-                coiso = False
+            img = linalg.mat_vec(pm, [c.eval(p) for c in conormal])
             if any(img):
                 char_rows.append(tuple(img))
         char_samples.append(tuple(char_rows))

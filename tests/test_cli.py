@@ -622,6 +622,21 @@ class TestFlagOverrides:
         assert code == 2
         assert json.loads(out)["counterexample"]["error"].startswith("samples[0]: ")
 
+    def test_coisotropic_decided_off_the_samples(self, tmp_path, capsys):
+        # S is p1 = x2 x1 (x1 - 1), p2 = 0 in the standard symplectic R^4: it
+        # is Lagrangian, so coisotropic, only where x1 is 0 or 1, as at both
+        # default samples
+        with open(case("brane_lagrangian.json")) as f:
+            doc = json.load(f)
+        doc["submanifold"]["graph"]["p1"] = "x2*x1*(x1-1)"
+        p = tmp_path / "brane_bent.json"
+        p.write_text(json.dumps(doc))
+        for extra in ([], ["--samples", '[["2","1"]]']):
+            code, out = run_cli(["brane-check", str(p), *extra], capsys)
+            report = json.loads(out)
+            assert code == 1 and report["verdict"] == "fail"
+            assert report["counterexample"]["coisotropic"] is False
+
     @pytest.mark.parametrize("command_name,filename", [
         ("mukai", "mukai_even_m4.json"), ("modular", "modular_poisson.json"),
         ("axiom-suite", "axiom_suite_r3.json"),

@@ -302,7 +302,7 @@ def slot_reads(source: str, names):
     ]
 
 
-POLY_SLOTS = private_slots((SRC / "scalars.py").read_text(), "Poly")
+POLY_PRIVATE = private_slots((SRC / "scalars.py").read_text(), "Poly")
 
 
 def test_detects_poly_slot_reads():
@@ -312,7 +312,7 @@ def test_detects_poly_slot_reads():
     )
     assert private_slots(src, "Poly") == {"_q", "_nums"}
     assert slot_reads(src, {"_q", "_nums"}) == [("_nums", 6)]
-    assert {"_q", "_nums"} <= POLY_SLOTS
+    assert {"_q", "_nums"} <= POLY_PRIVATE
 
 
 @pytest.mark.parametrize(
@@ -320,4 +320,4 @@ def test_detects_poly_slot_reads():
 )
 def test_poly_storage_is_read_through_the_accessor(path):
     # a Poly's integers are read outside scalars only through `poly_lane`
-    assert slot_reads(path.read_text(), POLY_SLOTS) == []
+    assert slot_reads(path.read_text(), POLY_PRIVATE) == []

@@ -263,6 +263,23 @@ class TestGraphOverCotangent:
 
 
 class TestTensorProduct:
+    def test_no_pairing_check(self, monkeypatch):
+        # the pairing on L1 x L2 is the sum of the pairings on L1 and L2, so
+        # the product's rows are read off unchecked, and canonical_form of
+        # them, which checks them, gives the same data
+        from gcgeo import isotropics
+
+        rng = Rng(47)
+        pairs = [(rng.isotropic(m), rng.isotropic(m)) for m in (2, 4, 6) for _ in range(4)]
+        wants = [canonical_form(list(tensor_product(l1, l2).basis), l1.dim) for l1, l2 in pairs]
+
+        def refuse(*_):
+            raise AssertionError("the tensor product was checked for isotropy")
+
+        monkeypatch.setattr(isotropics, "pairing_matrix", refuse)
+        for (l1, l2), want in zip(pairs, wants):
+            assert tensor_product(l1, l2) == want
+
     def test_cotangent_is_zero_element(self):
         m = 3
         rng = Rng(41)

@@ -6,8 +6,7 @@ numerators up to 10^6 and denominators up to 50, so that the integer rows
 of the elimination carry content to remove.  `rref` is compared with sympy and
 with the plain dense Gauss-Jordan loop below; kernels, solves and inverses
 are checked by their defining equations.  Tall systems, many combinations of
-a few rows, take the packed dependence test of narrow eliminations, and
-spinor null spaces are checked against the dense loop.
+a few rows, and spinor null spaces are checked against the dense loop.
 """
 
 from fractions import Fraction
@@ -346,7 +345,7 @@ def kernel_from_rref(red, piv, ncols):
     return out
 
 
-# combination coefficients this large make a row's slot bound fail
+# combination coefficients this large put entries above 2^200
 HUGE = 2**205
 
 
@@ -355,10 +354,9 @@ def tall_systems(draw):
     """A few base rows and many gaussian-integer combinations of them.
 
     Most rows are dependent, more than twice as many as there are columns,
-    so the elimination drops them on its packed pivot tails.  Some
+    so the elimination clears them against its pivot rows.  Some
     combinations take a coefficient above 2^205, which puts entries above
-    2^200 and past the slot bound of `linalg._SLOT` bits, so those rows take
-    the exact step.
+    2^200 into the rows that are cleared.
     """
     cols = draw(st.integers(1, 8))
     base = [[draw(gauss_rats()) for _ in range(cols)] for _ in range(draw(st.integers(1, 4)))]
@@ -376,8 +374,8 @@ def tall_systems(draw):
     return rows
 
 
-class TestPackedDependence:
-    """Dependent rows of narrow systems dropped on packed pivot tails."""
+class TestTallSystems:
+    """Systems with many more dependent rows than columns."""
 
     @settings(max_examples=60, deadline=None)
     @given(tall_systems())
@@ -388,46 +386,6 @@ class TestPackedDependence:
         want = kernel_from_rref(red, piv, ncols)
         assert linalg.kernel(m) == want
         assert linalg.kernel(dict_rows(m), ncols) == want
-
-    @pytest.mark.parametrize("huge", [False, True], ids=["small", "huge"])
-    def test_drops_only_under_the_slot_bound(self, huge, monkeypatch):
-        rng = Rng(3)
-        base = [[rng.gauss(3) for _ in range(8)] for _ in range(3)]
-        k = GaussRat(HUGE if huge else 2, 1)
-        m = list(base)
-        for _ in range(40):
-            g = rng.gauss(2)
-            m.append([k * x + g * y - z for x, y, z in zip(*base)])
-        seen = []
-        dependent = linalg._dependent
-
-        def spy(*args):
-            seen.append(dependent(*args))
-            return seen[-1]
-
-        monkeypatch.setattr(linalg, "_dependent", spy)
-        assert linalg.rref(m) == dense_rref(m)
-        # the first 2 * 8 dependent rows take the step, then the system packs
-        assert seen == [not huge] * (40 - 2 * 8)
-
-    def test_a_carry_between_slots_is_not_a_zero(self):
-        # pivot row e0 + e1; the row x e0 + (2^W + x) e1 - e2 leaves the
-        # residue 2^W at column 1 and -1 at column 2, whose packed sum
-        # 2^W * 2^0 - 1 * 2^W is 0: only the slot bound refuses it
-        w = linalg._SLOT
-        pivots = {0: (1, {1: (1, 0)})}
-        r = {0: (5, 0), 1: ((1 << w) + 5, 0), 2: (-1, 0)}
-        hits = [(0, 1, pivots[0][1])]
-        assert linalg._reduce(r, hits) == {1: (1 << w, 0), 2: (-1, 0)}
-        assert not linalg._dependent(r, hits, *linalg._packing(pivots, 3))
-
-    def test_a_column_without_a_slot_is_not_dropped(self):
-        # column 5 lies past the 3 columns that have slots
-        pivots = {0: (1, {1: (1, 0)})}
-        r = {0: (1, 0), 1: (1, 0), 5: (1, 0)}
-        hits = [(0, 1, pivots[0][1])]
-        assert linalg._reduce(r, hits) == {5: (1, 0)}
-        assert not linalg._dependent(r, hits, *linalg._packing(pivots, 3))
 
     def test_rows_longer_than_the_first(self):
         # dense rows read ncols off the first row; entries past it still count
@@ -459,17 +417,21 @@ class TestNullSpaceLane:
         rng = Rng(seed)
         pure = pure_spinor_line(rng.isotropic(10))
         noisy = pure + rng.form(10, terms=6)
-        for phi, want_pure in ((pure, True), (noisy, False)):
+        # dx1 ^ dx2 ^ psi with psi over the other coordinates is not pure,
+        # and its null space is spanned by dx1 and dx2
+        psi = MixedForm(10, {k << 2: c for k, c in rng.form(8, terms=12).terms.items()})
+        wedged = MixedForm(10, {0b11: ONE}).wedge(psi)
+        for phi, want_pure in ((pure, True), (noisy, False), (wedged, False)):
             vecs, is_pure = null_space(phi)
             assert vecs == dense_loop_null_space(phi)
             assert is_pure == want_pure
+        assert len(null_space(wedged)[0]) == 2
 
     @pytest.mark.parametrize("m", [4, 6])
     def test_large_distinct_denominators(self, m):
         # each B_ij has two primes of its own as denominators, so the
         # coefficients of e^-B have many distinct denominators, and one lane
-        # for all of phi is far from the lane of any one row; at m = 6 its
-        # numerators are past the slot bound of the packed test
+        # for all of phi is far from the lane of any one row
         primes = iter(p for p in range(9001, 10200, 2) if all(p % d for d in range(3, 101, 2)))
         b = MixedForm(m, {
             (1 << i) | (1 << j): GaussRat(Fraction(1, next(primes)), Fraction(1, next(primes)))
