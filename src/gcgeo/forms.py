@@ -500,21 +500,6 @@ def covector_form(dim: int, coeffs, variance="form") -> MixedForm:
     return MixedForm(dim, {1 << i: c for i, c in enumerate(coeffs) if c}, variance)
 
 
-def coefficient_rows(columns, target=None):
-    """Rows of sum_j x_j columns[j] = target, one per blade that any reaches.
-
-    A row is {j: coefficient of the blade in columns[j]}, as `linalg.kernel`
-    and `linalg.solve` take them with ncols = len(columns); rhs holds the
-    target's coefficient of each row's blade.  Returns (rows, rhs).
-    """
-    t = target.terms if target is not None else {}
-    rows = {mask: {} for mask in t}
-    for j, f in enumerate(columns):
-        for mask, c in f.terms.items():
-            rows.setdefault(mask, {})[j] = c
-    return list(rows.values()), [t.get(mask, ZERO) for mask in rows]
-
-
 def two_form_from_map(m, variance="form") -> MixedForm:
     """2-form (or bivector) whose induced shear map is the given matrix.
 

@@ -4,8 +4,9 @@ Validation, the +i eigenbundle, type and canonical spinor extraction, the
 spinorial Z-grading, the Poisson block, and the constructive pointwise
 decomposition into a complex times a symplectic piece.  The symplectic
 distribution Delta is the image of the Poisson block beta, and the canonical
-exponent is read off phi by contraction with a frame of N_{1,0}; the Darboux
-normal form is its blocks over the adapted basis (Delta, N_{1,0}, N_{0,1})
+exponent is built from L's own data: the Gram matrix of eps on
+E = pi_T(L) = Delta + N_{0,1}, placed over the coframe dual to the adapted
+basis (Delta, N_{1,0}, N_{0,1}); the Darboux normal form is its blocks
 recombined.  The canonical rows of L = ker(J - i) come from one elimination
 of J - i, its columns reversed (`eigenbundle`).
 
@@ -16,11 +17,11 @@ The verdicts are exact identities, each stated on data already held:
   [R; conj R] has rank m + rank(Im R).
 - The type is half of m - rank(beta), from the same reduction of beta that
   gives Delta = im beta (`_symplectic_distribution`).
-- The canonical exponent A = B + i omega, read off as
-  A = i_{v_k}...i_{v_1} phi_{k+2} / i_{v_k}...i_{v_1} Omega, is verified by
-  e^A ^ Omega = phi, decided on its degree-(k+2) part A ^ Omega = phi_{k+2}
-  by Cartan's lemma (`_check_exponent`), and the nondegeneracy by
-  omega^{n-k} ^ Omega ^ conj Omega != 0.
+- The canonical exponent A = B + i omega is the unique 2-form that equals
+  B' on E x E and kills N_{1,0}, for phi = e^{B'} ^ Omega; it is verified
+  by e^A ^ Omega = phi, decided on its degree-(k+2) part
+  A ^ Omega = phi_{k+2} by Cartan's lemma (`_check_exponent`), and the
+  nondegeneracy by omega^{n-k} ^ Omega ^ conj Omega != 0.
 - The Darboux form keeps the spinor line exactly when X ^ Omega = 0 for
   X = conj(a101) + conj(a002) (see `darboux_point`).
 
@@ -36,13 +37,11 @@ from itertools import chain
 
 from .record import Record
 from .scalars import GaussRat, ONE, ZERO, IUNIT, HALF, as_gauss, is_real
-from .forms import (
-    MixedForm, check_dim, coefficient_rows, map_from_two_form, mukai_coeff, two_form_from_map,
-)
+from .forms import MixedForm, check_dim, covector_form, mukai_coeff, two_form_from_map
 from .clifford import GenVector, SoElement
 from .isotropics import (
-    MaxIsotropic, coframe, isotropic_rows, max_isotropic_from_spinor, pure_spinor_line,
-    reduced_form,
+    MaxIsotropic, _ann_basis, coframe, isotropic_rows, max_isotropic_from_spinor,
+    pure_spinor_line, reduced_form,
 )
 from . import linalg
 
@@ -276,7 +275,7 @@ class CanonicalSpinorData(Record, frozen=True):
     omega_k: MixedForm  # the decomposable lowest piece
     b2: MixedForm  # real 2-form
     om2: MixedForm  # real 2-form
-    a2: MixedForm  # b2 + i om2, the exponent read off phi: a200 + a101 + a002
+    a2: MixedForm  # b2 + i om2, the exponent built from L: a200 + a101 + a002
     a200: MixedForm  # the (2,0,0) block, on Delta x Delta
     a101: MixedForm  # the (1,0,1) block, on Delta x N_{0,1}
     a002: MixedForm  # the (0,0,2) block, on N_{0,1} x N_{0,1}
@@ -284,23 +283,6 @@ class CanonicalSpinorData(Record, frozen=True):
     delta_basis: tuple  # real basis of the symplectic distribution
     n_complement: tuple  # real coordinate indices spanning the transverse N
     n10: tuple  # complex basis of N_{1,0}
-
-
-def _transverse_splitting(omega_k: MixedForm, comp):
-    """N_{1,0} and N_{0,1} in the span N of the unit vectors e_c, c in comp.
-
-    By the convention Omega spans det N*_{1,0}, N_{0,1} is the space of
-    vectors of N x C that kill Omega.  Returns (n10, n01).
-    """
-    m = omega_k.dim
-    rows, _ = coefficient_rows([omega_k.contract_blade(1 << c) for c in comp])
-    n01 = []
-    for v in linalg.kernel(rows, len(comp)):
-        full = [ZERO] * m
-        for coeff, c in zip(v, comp):
-            full[c] = coeff
-        n01.append(full)
-    return [[c.conj() for c in v] for v in n01], n01
 
 
 def _check_exponent(a2: MixedForm, omega_k: MixedForm, phi: MixedForm, k: int):
@@ -319,23 +301,35 @@ def _check_exponent(a2: MixedForm, omega_k: MixedForm, phi: MixedForm, k: int):
 
 
 def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
-    """Type and the canonical generator, read off as exp(B + i omega) ^ Omega.
+    """Type and the canonical generator, as exp(B + i omega) ^ Omega.
 
-    The adapted basis is (Delta, N_{1,0}, N_{0,1}), with e'^a its dual
-    coframe.  Delta is the image of the Poisson structure beta (Gualtieri,
+    Delta is the image of the Poisson structure beta (Gualtieri,
     arXiv:math/0703298, relation to Poisson geometry), reduced once
-    (`_symplectic_distribution`).  The exponent
-    A = a200 + a101 + a002 has no e'^a dual to the frame v_1..v_k of
-    N_{1,0}, so i_v A = 0 and i_v(A ^ Omega) = A ^ i_v Omega for each v_j
-    (A is even); hence
-    A = i_{v_k}...i_{v_1} phi_{k+2} / i_{v_k}...i_{v_1} Omega.  The blocks
-    a200 and a002 are the congruences P^T M_A P = E^T (F M_A F^T) E by the
-    projectors P = F^T E = sum_a v_a e'^a onto Delta and onto N_{0,1}, and
-    a101 is the rest.  Only those coframe rows E are built.  Delta is in
-    reduced rows and N is spanned by unit vectors off its pivots p_a, so
-    e'^a = dx^{p_a} on Delta.  On N_{0,1}, e'^a is the coframe of N on the
-    complement columns (a 2k x 2k inverse) extended by e'^a(Delta_b) = 0,
-    which puts minus its pairing with Delta_b at the pivot p_b.
+    (`_symplectic_distribution`); N is spanned by the unit vectors off its
+    pivots p_a.  phi = e^{B'} ^ Omega is `pure_spinor_line` of L =
+    ker(J - i), with Omega = theta_1 ^ ... ^ theta_k for the annihilator
+    theta of E = pi_T(L).  N_{0,1} is the part of N that kills Omega, so
+    the kernel of theta on the complement columns, and N_{1,0} its
+    conjugate.  The exponent A is read off L, with no contraction of phi:
+
+    - A is the unique 2-form with A = B' on E x E and i_v A = 0 for v in
+      N_{1,0}, since T_C = E + N_{1,0} and E = Delta + N_{0,1}.  The
+      exponent read off phi by contraction, i_{v_k}...i_{v_1} phi_{k+2} /
+      i_{v_k}...i_{v_1} Omega, has both properties (i_v^2 = 0; A - B' lies
+      in the ideal of the theta's by Cartan's lemma, see `_check_exponent`),
+      so it is this A.
+    - On the basis f = (Delta rows, N_{0,1}) of E, A(f_x, f_y) = G[y][x]
+      for G = X eps X^T, where X[r] is f_r at the pivot columns of L's
+      Delta, since f_r is X[r] in that reduced basis, B' = -eps on it and
+      G is antisymmetric.
+    - A = sum_{x<y} G[y][x] e'^x ^ e'^y over the coframe e' dual to
+      (Delta, N_{1,0}, N_{0,1}).  e'^a = dx^{p_a} on Delta, so a200 is G
+      scattered at the pivot pairs; on N_{0,1}, e'^a is the coframe of N on
+      the complement columns (a 2k x 2k inverse) extended by
+      e'^a(Delta_b) = 0, which puts minus its pairing with Delta_b at p_b.
+      a101 is a unit covector wedged with a sum of those rows and a002 at
+      most k - 1 wedges of them.
+
     Two identities are verified exactly:
 
     - e^A ^ Omega = phi, decided on its degree-(k+2) part (`_check_exponent`);
@@ -351,33 +345,45 @@ def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
         raise InvalidStructure("degenerate structure: (phi, conj phi) = 0")
     m = s.dim
     omega_k = phi.degree_part(k)
-    n10, n01 = _transverse_splitting(omega_k, comp)
+    theta = _ann_basis(lft.delta_basis, m)
+    n01 = []
+    for v in linalg.kernel([[th[c] for c in comp] for th in theta]):
+        full = [ZERO] * m
+        for c, x in zip(comp, v):
+            full[c] = x
+        n01.append(full)
+    n10 = [[c.conj() for c in v] for v in n01]
     nd, kk = len(delta_rows), len(n10)
     if nd + 2 * kk != m:
         raise InvalidStructure(f"adapted basis has {nd + 2 * kk} vectors, expected {m}")
-    top, low = phi.degree_part(k + 2), omega_k
-    for v in n10:
-        top, low = top.contract(v), low.contract(v)
-    a2 = top.scale(ONE / low.coeff(0))
-    _check_exponent(a2, omega_k, phi, k)
-    amap = map_from_two_form(a2)
-
-    def block(f, e):
-        if not f:
-            return MixedForm.zero(m)
-        g = linalg.mat_mul(f, linalg.mat_mul(amap, linalg.transpose(f)))
-        return two_form_from_map(linalg.mat_mul(linalg.transpose(e), linalg.mat_mul(g, e)))
-
     piv = [c for c in range(m) if c not in comp]
-    units = [[ONE if c == p else ZERO for c in range(m)] for p in piv]
     on_comp = coframe([[v[c] for c in comp] for v in n10 + n01])[kk:]
     at_piv = linalg.mat_mul(on_comp, [[-d[c] for d in delta_rows] for c in comp])
     e01 = [[ZERO] * m for _ in on_comp]
     for full, row, at in zip(e01, on_comp, at_piv):
         for c, x in zip(comp + piv, row + at):
             full[c] = x
-    a200, a002 = block(delta_rows, units), block(n01, e01)
-    a101 = a2 - a200 - a002
+    lpiv = [next(c for c, x in enumerate(r) if x) for r in lft.delta_basis]
+    coords = [[f[p] for p in lpiv] for f in delta_rows + n01]
+    gram = linalg.mat_mul(coords, linalg.mat_mul(lft.eps, linalg.transpose(coords)))
+    a200 = MixedForm(m, {
+        1 << piv[a] | 1 << piv[b]: gram[b][a] for a in range(nd) for b in range(a + 1, nd)
+    })
+    # h[x] = sum_{y > x in N_{0,1}} G[y][x] e'^y, so A - a200 = sum_x e'^x ^ h[x]
+    h = linalg.mat_mul(
+        [[gram[nd + j][r] if nd + j > r else ZERO for j in range(kk)] for r in range(nd + kk)], e01
+    )
+
+    def wedges(lefts, rights):
+        acc = MixedForm.zero(m)
+        for u, w in zip(lefts, rights):
+            acc = acc + covector_form(m, u).wedge(covector_form(m, w))
+        return acc
+
+    a101 = wedges([[ONE if c == p else ZERO for c in range(m)] for p in piv], h[:nd])
+    a002 = wedges(e01, h[nd:])
+    a2 = a200 + a101 + a002
+    _check_exponent(a2, omega_k, phi, k)
     b2 = (a2 + a2.conj()).scale(HALF)
     om2 = (a2 - a2.conj()).scale(GaussRat(0, Fraction(-1, 2)))
     power = omega_k.wedge(omega_k.conj())

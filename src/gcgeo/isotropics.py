@@ -245,14 +245,16 @@ def _extension_of_eps(iso: MaxIsotropic, variance="form"):
 def pure_spinor_line(iso: MaxIsotropic) -> MixedForm:
     """Generator of the pure spinor line K_L = e^B theta_1 ^ ... ^ theta_k.
 
-    B extends -eps off Delta, vanishing on a pivot-selected complement; the
-    exponential is grown on Omega = theta_1 ^ ... ^ theta_k (`exp_wedge_on`).
+    B extends -eps off Delta, vanishing on a pivot-selected complement.  e^B
+    is formed first, each coefficient a Pfaffian of B by the recursion that
+    `null_space` proves (`_exp_two_form`), so no power of B is computed;
+    Omega = theta_1 ^ ... ^ theta_k is then wedged on once.
     """
     dim = iso.dim
     omega = MixedForm.one(dim)
     for th in _ann_basis(iso.delta_basis, dim):
         omega = omega.wedge(covector_form(dim, th))
-    return (-_extension_of_eps(iso)).exp_wedge_on(omega)
+    return _exp_two_form(-_extension_of_eps(iso)).wedge(omega)
 
 
 def null_space(phi: MixedForm):
@@ -423,6 +425,64 @@ def _is_exp_two_form(psi, dim):
         if acc % mod:
             return False
     return True
+
+
+def _exp_two_form(b_form: MixedForm) -> MixedForm:
+    """e^B for a 2-form B with constant coefficients, by the Pfaffian recursion.
+
+    The twin of `_is_exp_two_form`: the coefficient of e^I in e^B is
+    Pf(B_I), so e_0 = 1 and, for even I with j0 = min I,
+        e_I = sum_{k in I, k > j0} (-1)^#{I strictly between j0 and k} B_{j0 k} e_{I - {j0, k}}.
+    B goes on one lane, B = N / q with N gaussian integers, so e_I is an
+    integer pair over q^(|I| / 2).  Only the columns that B reaches are
+    walked, as the bits of a local mask.  Raises ValueError unless B is a
+    2-form.
+    """
+    if any(mask.bit_count() != 2 for mask in b_form.terms):
+        raise ValueError("the Pfaffian recursion needs a 2-form")
+    q, nums = lane([as_gauss(c) for c in b_form.terms.values()])
+    support = 0
+    for mask in b_form.terms:
+        support |= mask
+    cols = [i for i in range(b_form.dim) if support >> i & 1]
+    full = [0] * (1 << len(cols))  # local mask -> blade
+    for mask in range(1, len(full)):
+        low = mask & -mask
+        full[mask] = full[mask ^ low] | 1 << cols[low.bit_length() - 1]
+    bit = {c: 1 << i for i, c in enumerate(cols)}
+    pairs = {}
+    for mask, x in zip(b_form.terms, nums):
+        low = mask & -mask
+        pairs[bit[low.bit_length() - 1] | bit[(mask ^ low).bit_length() - 1]] = x
+    vals = [None] * len(full)
+    vals[0] = 1, 0
+    for mask in range(3, len(full)):
+        if mask.bit_count() & 1:
+            continue
+        low = mask & -mask
+        rest = mask ^ low
+        u = v = 0
+        neg = False
+        rem = rest
+        while rem:
+            k = rem & -rem
+            rem ^= k
+            x, y = pairs.get(low | k), vals[rest ^ k]
+            if x is not None and y is not None:
+                (a, b), (c, d) = x, y
+                if neg:
+                    u, v = u - a * c + b * d, v - a * d - b * c
+                else:
+                    u, v = u + a * c - b * d, v + a * d + b * c
+            neg = not neg
+        if u or v:
+            vals[mask] = u, v
+    terms = {
+        full[mask]: GaussRat._raw(x[0], x[1], q ** (mask.bit_count() >> 1))
+        for mask, x in enumerate(vals)
+        if x is not None
+    }
+    return MixedForm._raw(b_form.dim, terms, b_form.variance)
 
 
 def _action_rows(terms, dim, rhs=None):

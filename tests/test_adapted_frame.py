@@ -2,14 +2,16 @@
 
 `canonical_spinor`, `darboux_point`, `pure_spinor_line`,
 `graph_over_cotangent` and `dual_spinor_of` read every 2-form off the
-coframe dual to an adapted basis, and solve their mask systems through
-`forms.coefficient_rows`.  The references below are the earlier dense
-constructions, kept here as oracles: 2-forms conjugated by the inverse
-change of basis with two m x m products, and one dense matrix per system
-with a row per blade.  `canonical_spinor` takes Delta = im beta and reads
-its exponent off phi by contraction; its reference is the solve it
-replaced, with Delta = ker(Omega ^ conj Omega), the exponent solved over
-the coframe images e'^a ^ e'^b ^ Omega, and the blocks summed.  The data
+coframe dual to an adapted basis.  The references below are the earlier
+dense constructions, kept here as oracles: 2-forms conjugated by the
+inverse change of basis with two m x m products, and one dense matrix per
+system with a row per blade (or the sparse rows of `blade_rows`).
+`canonical_spinor` takes Delta = im beta, N_{0,1} as the kernel of the
+annihilator of pi_T(L) on the complement columns, and its exponent as the
+Gram of eps on Delta + N_{0,1}; its reference is the solve it replaced,
+with Delta = ker(Omega ^ conj Omega), N_{0,1} the vectors of N that kill
+Omega, the exponent solved over the coframe images e'^a ^ e'^b ^ Omega,
+and the blocks summed.  The data
 read off canonical rows is checked the same way: `MaxIsotropic.conj`
 against re-reducing the conjugated rows, the rank-of-Im test against
 `intersection_dim` with that conjugate, `_extension_of_eps` against its
@@ -27,7 +29,7 @@ import pytest
 from gcgeo import gcs, linalg
 from gcgeo.charts import Chart
 from gcgeo.clifford import BlockTransform, GenVector
-from gcgeo.forms import MixedForm, coefficient_rows, covector_form, map_from_two_form, two_form_from_map
+from gcgeo.forms import MixedForm, covector_form, map_from_two_form, two_form_from_map
 from gcgeo.gcs import canonical_spinor, darboux_point, eigenbundle, validate_gc
 from gcgeo.isotropics import (
     _extension_of_eps,
@@ -87,6 +89,21 @@ def dense_beta(iso):
     swapped = canonical_form([GenVector(dim, v.covec, v.vec) for v in iso.basis], dim)
     bcomp = dense_extension_of_eps(swapped.delta_basis, [list(r) for r in swapped.eps], dim)
     return two_form_from_map(linalg.transpose(bcomp), "mv")
+
+
+def blade_rows(columns, target=None):
+    """Rows of sum_j x_j columns[j] = target, one per blade that any reaches.
+
+    A row is {j: coefficient of the blade in columns[j]}, as `linalg.kernel`
+    and `linalg.solve` take them with ncols = len(columns); rhs holds the
+    target's coefficient of each row's blade.  Returns (rows, rhs).
+    """
+    t = target.terms if target is not None else {}
+    rows = {mask: {} for mask in t}
+    for j, f in enumerate(columns):
+        for mask, c in f.terms.items():
+            rows.setdefault(mask, {})[j] = c
+    return list(rows.values()), [t.get(mask, ZERO) for mask in rows]
 
 
 def dense_kernel(cols, empty):
@@ -261,14 +278,14 @@ def test_canonical_spinor_and_darboux_match_dense_construction(s):
 @settings(max_examples=40, deadline=None)
 @given(structures())
 def test_adapted_splitting_matches_dense_kernels(s):
-    omega_k = canonical_spinor(s).omega_k
-    delta_rows, comp, _ = gcs._symplectic_distribution(s)
-    n10, n01 = gcs._transverse_splitting(omega_k, comp)
-    want = dense_adapted_splitting(omega_k)
-    assert [[list(r) for r in part] for part in (delta_rows, n10, n01)] == [
+    data = canonical_spinor(s)
+    n10 = [list(v) for v in data.n10]
+    n01 = [[c.conj() for c in v] for v in n10]
+    want = dense_adapted_splitting(data.omega_k)
+    assert [[list(r) for r in part] for part in (data.delta_basis, n10, n01)] == [
         [list(r) for r in part] for part in (want[0], want[2], want[3])
     ]
-    assert list(comp) == list(want[1])
+    assert list(data.n_complement) == list(want[1])
 
 
 def solved_canonical(s):
@@ -293,7 +310,7 @@ def solved_canonical(s):
         [e[o + i].wedge(e[o + j]) for i in range(kk) for j in range(i + 1, kk)],
     ]
     images = [f.wedge(omega_k) for block in blocks for f in block]
-    rows, rhs = coefficient_rows(images, phi.degree_part(k + 2))
+    rows, rhs = blade_rows(images, phi.degree_part(k + 2))
     sol = linalg.solve(rows, rhs, len(images))
     assert sol is not None
     coeffs = iter(sol)
@@ -426,13 +443,13 @@ def form_systems(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(form_systems())
-def test_coefficient_rows_match_dense_mask_matrix(system):
+def test_blade_rows_match_dense_mask_matrix(system):
     cols, target = system
     n = len(cols)
-    rows, rhs = coefficient_rows(cols)
+    rows, rhs = blade_rows(cols)
     assert linalg.kernel(rows, n) == dense_kernel(cols, linalg.identity(n))
     assert not any(rhs)
-    rows, rhs = coefficient_rows(cols, target)
+    rows, rhs = blade_rows(cols, target)
     masks = sorted(set(target.terms).union(*[set(c.terms) for c in cols]))
     mat = [[c.coeff(mask) for c in cols] for mask in masks]
     want = linalg.solve(mat, [target.coeff(mask) for mask in masks]) if mat else [ZERO] * n

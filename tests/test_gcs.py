@@ -14,6 +14,7 @@ from gcgeo.integrability import deform_by_bivector, holomorphic_bivector
 from gcgeo.isotropics import (
     _ann_basis,
     canonical_form,
+    coframe,
     cotangent_space,
     max_isotropic_from_spinor,
     pure_spinor_line,
@@ -45,8 +46,9 @@ from gcgeo.gcs import (
     validate_gc,
 )
 from gcgeo.randgen import Rng
-from gcgeo import linalg
+from gcgeo import gcs, linalg
 
+from test_adapted_frame import blade_rows
 from test_forms import blade
 
 
@@ -151,6 +153,15 @@ class TestValidation:
             assert gc_type(s) in (0, 1, 2)
 
 
+GRID = [(m, k) for m in range(2, 13, 2) for k in range(m // 2 + 1)]
+
+
+def grid_structure(m, k, dense):
+    if dense:
+        return dense_structure(m, k, seed=m + k)
+    return Rng(10 * m + k).gc_structure(m, k, conjugations=3, kinds=("B", "gl"))
+
+
 class TestEigenbundle:
     def test_symplectic_eigenbundle(self):
         n = 2
@@ -209,13 +220,10 @@ class TestEigenbundle:
         assert str(err.value) == message
 
     @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
-    @pytest.mark.parametrize("m,k", [(m, k) for m in range(2, 13, 2) for k in range(m // 2 + 1)])
+    @pytest.mark.parametrize("m,k", GRID)
     def test_one_elimination_equals_the_reduced_kernel(self, m, k, dense):
         # the reference reduces twice: the kernel of J - i, then its rref
-        if dense:
-            s = dense_structure(m, k, seed=m + k)
-        else:
-            s = Rng(10 * m + k).gc_structure(m, k, conjugations=3, kinds=("B", "gl"))
+        s = grid_structure(m, k, dense)
         a = [list(row) for row in s.j]
         for i, row in enumerate(a):
             row[i] = row[i] - IUNIT
@@ -402,7 +410,9 @@ class TestDarboux:
         d1 = darboux_point(cx(2))
         assert d1.k == 2 and not d1.btilde and not d1.omega0
 
-    @pytest.mark.parametrize("m,k", [(2, 0), (2, 1), (4, 1), (4, 0), (6, 1), (8, 2)])
+    @pytest.mark.parametrize(
+        "m,k", [(2, 0), (2, 1), (4, 1), (4, 0), (6, 1), (8, 2), (6, 3), (8, 3), (8, 4)]
+    )
     def test_random_conjugates_keep_line(self, m, k):
         if 2 * k > m:
             pytest.skip("type too large")
@@ -413,6 +423,69 @@ class TestDarboux:
             assert data.k == k
             regen = (data.btilde + data.omega0.scale(IUNIT)).exp_wedge().wedge(data.omega_k)
             assert regen.proportional_to(data.generator)
+
+
+def ref_canonical_exponent(s):
+    """(a2, a200, a101, a002, n10, delta_rows), read off phi as `canonical_spinor` once did.
+
+    N_{0,1} is the kernel of the rows of the contractions i_{e_c} Omega, c
+    off the pivots of Delta = im beta; A = i_{v_k}...i_{v_1} phi_{k+2} /
+    i_{v_k}...i_{v_1} Omega over the frame v of N_{1,0}; a200 and a002 are
+    the congruences E^T (F M_A F^T) E by the projectors F^T E onto Delta and
+    onto N_{0,1}, and a101 is the rest.
+    """
+    lft = eigenbundle(s)
+    k = lft.type
+    delta_rows, comp, _ = gcs._symplectic_distribution(s)
+    phi = pure_spinor_line(lft)
+    m = s.dim
+    omega_k = phi.degree_part(k)
+    rows, _ = blade_rows([omega_k.contract_blade(1 << c) for c in comp])
+    n01 = []
+    for v in linalg.kernel(rows, len(comp)):
+        full = [ZERO] * m
+        for coeff, c in zip(v, comp):
+            full[c] = coeff
+        n01.append(full)
+    n10 = [[c.conj() for c in v] for v in n01]
+    kk = len(n10)
+    top, low = phi.degree_part(k + 2), omega_k
+    for v in n10:
+        top, low = top.contract(v), low.contract(v)
+    a2 = top.scale(ONE / low.coeff(0))
+    amap = map_from_two_form(a2)
+
+    def block(f, e):
+        if not f:
+            return MixedForm.zero(m)
+        g = linalg.mat_mul(f, linalg.mat_mul(amap, linalg.transpose(f)))
+        return two_form_from_map(linalg.mat_mul(linalg.transpose(e), linalg.mat_mul(g, e)))
+
+    piv = [c for c in range(m) if c not in comp]
+    units = [[ONE if c == p else ZERO for c in range(m)] for p in piv]
+    on_comp = coframe([[v[c] for c in comp] for v in n10 + n01])[kk:]
+    at_piv = linalg.mat_mul(on_comp, [[-d[c] for d in delta_rows] for c in comp])
+    e01 = [[ZERO] * m for _ in on_comp]
+    for full, row, at in zip(e01, on_comp, at_piv):
+        for c, x in zip(comp + piv, row + at):
+            full[c] = x
+    a200, a002 = block(delta_rows, units), block(n01, e01)
+    return a2, a200, a2 - a200 - a002, a002, n10, delta_rows
+
+
+class TestCanonicalExponent:
+    """The exponent as the Gram of eps on Delta + N_{0,1}, against the read-off of phi."""
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("m,k", GRID)
+    def test_gram_equals_the_contraction_read_off(self, m, k, dense):
+        s = grid_structure(m, k, dense)
+        data = canonical_spinor(s)
+        a2, a200, a101, a002, n10, delta_rows = ref_canonical_exponent(s)
+        assert (data.a2, data.a200, data.a101, data.a002) == (a2, a200, a101, a002)
+        assert [list(v) for v in data.n10] == n10
+        assert [list(r) for r in data.delta_basis] == [list(r) for r in delta_rows]
+        assert data.k == k and len(n10) == k
 
 
 class TestExponentCheck:
@@ -531,8 +604,8 @@ def dense_structure(m, k, seed):
 
 
 class TestDarbouxAtM12:
-    # darboux_point takes about 0.1-0.25 s at every k on a shared 2-core
-    # machine, against the bound of 20 s
+    # darboux_point takes about 0.08-0.15 s at every k on a shared 2-core
+    # machine (best of 3 in one process), against the bound of 20 s
     BOUND_S = 20.0
 
     @pytest.mark.parametrize("k", range(7))

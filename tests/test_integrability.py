@@ -212,8 +212,6 @@ class TestIntegerLane:
     """The witness's systems go to the elimination as gaussian-integer rows."""
 
     def test_no_scalar_rows_before_the_witness_check(self, monkeypatch):
-        from gcgeo import forms
-
         def refuse(name):
             def call(*_, **__):
                 raise AssertionError(f"the witness called {name}")
@@ -231,7 +229,6 @@ class TestIntegerLane:
             return act(self, phi)
 
         monkeypatch.setattr(linalg, "_row", refuse("linalg._row"))
-        monkeypatch.setattr(forms, "coefficient_rows", refuse("forms.coefficient_rows"))
         monkeypatch.setattr(linalg, "integer_solve", logged_solve)
         monkeypatch.setattr(GenVector, "act", logged_act)
         beta = holomorphic_bivector(C2, {(0, 1): C2.z(0) * C2.z(0)})
@@ -243,8 +240,8 @@ class TestIntegerLane:
 
     def test_sample_rows_match_the_action_columns(self):
         from gcgeo.fields import d_twisted
-        from gcgeo.forms import coefficient_rows
         from gcgeo.integrability import _basis_frame, _default_samples, _sample_rows
+        from test_adapted_frame import blade_rows
 
         seen = set()
         for chart, phi, h in lane_cases():
@@ -257,7 +254,7 @@ class TestIntegerLane:
                     continue
                 # reference: the columns u . phi_p of the frame, as GaussRat rows
                 want = linalg.solve(
-                    *coefficient_rows([u.act(phi_p) for u in frame], target_p), 2 * m
+                    *blade_rows([u.act(phi_p) for u in frame], target_p), 2 * m
                 )
                 got = linalg.integer_solve(_sample_rows(phi_p, target_p), 2 * m)
                 assert got == want

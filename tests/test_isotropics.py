@@ -8,13 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcgeo.charts import Chart
-from gcgeo.scalars import GaussRat, IUNIT, ONE, ZERO
-from gcgeo.forms import MixedForm, map_from_two_form, mukai_coeff
+from gcgeo.scalars import HALF, GaussRat, IUNIT, ONE, ZERO
+from gcgeo.forms import MixedForm, covector_form, map_from_two_form, mukai_coeff
 from gcgeo.clifford import BlockTransform, GenVector
+from gcgeo.gcs import eigenbundle
 from gcgeo.isotropics import (
     MaxIsotropic,
     NotIsotropic,
     NotPure,
+    _ann_basis,
+    _exp_two_form,
+    _extension_of_eps,
     canonical_form,
     cotangent_space,
     dual_spinor_of,
@@ -32,7 +36,7 @@ from gcgeo.isotropics import (
 from gcgeo.randgen import Rng
 from gcgeo import linalg
 
-from conftest import gauss_rats
+from conftest import gauss_rats, wide_gauss_rats
 from test_forms import blade
 
 
@@ -701,3 +705,58 @@ class TestCanonicalDataOfASpinor:
         with pytest.raises(NotPure) as err:
             max_isotropic_from_spinor(phi)
         assert str(err.value) == f"null space has dimension {len(null_space(phi)[0])}, expected 3"
+
+
+@st.composite
+def two_forms(draw, coeffs):
+    """A 2-form at m <= 12 on at most 8 drawn columns, so its support may skip some."""
+    m = draw(st.integers(1, 12))
+    cols = sorted(draw(st.sets(st.integers(0, m - 1), max_size=8)))
+    terms = {}
+    for a, i in enumerate(cols):
+        for j in cols[a + 1:]:
+            if draw(st.booleans()):
+                terms[1 << i | 1 << j] = draw(coeffs)
+    return MixedForm(m, terms, draw(st.sampled_from(["form", "mv"])))
+
+
+def series_pure_spinor_line(iso):
+    """e^B grown on Omega term by term, as `pure_spinor_line` once did."""
+    omega = MixedForm.one(iso.dim)
+    for th in _ann_basis(iso.delta_basis, iso.dim):
+        omega = omega.wedge(covector_form(iso.dim, th))
+    return (-_extension_of_eps(iso)).exp_wedge_on(omega)
+
+
+class TestExpByPfaffians:
+    """`pure_spinor_line` forms e^B by the Pfaffian recursion (`_exp_two_form`)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(two_forms(gauss_rats()), two_forms(wide_gauss_rats())))
+    def test_recursion_equals_the_series(self, b):
+        assert _exp_two_form(b) == b.exp_wedge()
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_zero_gives_one(self, m):
+        for variance in ("form", "mv"):
+            assert _exp_two_form(MixedForm.zero(m, variance)) == MixedForm.one(m, variance)
+
+    @pytest.mark.parametrize(
+        "terms", [{0b1: ONE}, {0b100: HALF}, {0b1111: ONE}, {0b11: ONE, 0b111100: IUNIT}]
+    )
+    def test_refuses_what_is_not_a_two_form(self, terms):
+        with pytest.raises(ValueError, match="^the Pfaffian recursion needs a 2-form$"):
+            _exp_two_form(MixedForm(6, terms))
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_isotropics_match_the_series(self, m):
+        for seed in range(4):
+            iso = Rng(10 * m + seed).isotropic(m, steps=3, complex_ok=seed % 2 == 0)
+            assert pure_spinor_line(iso) == series_pure_spinor_line(iso)
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
+    def test_eigenbundles_of_every_type_match_the_series(self, m):
+        for k in range(m // 2 + 1):
+            lft = eigenbundle(Rng(m + k).gc_structure(m, k, kinds=("B", "gl")))
+            assert lft.type == k
+            assert pure_spinor_line(lft) == series_pure_spinor_line(lft)
