@@ -304,10 +304,14 @@ def cmd_type_map(doc):
     from .forms import mukai_coeff
     from .gcs import gc_type
     from .isotropics import null_space
+    from .scalars import is_real
     chart = _chart_of(doc)
     samples = _samples_of(doc, chart)
     if samples is None:
         raise JobError("type-map needs samples", "samples")
+    for i, p in enumerate(samples):  # off the real chart J(p) is not real
+        if not all(map(is_real, p.values())):
+            raise JobError("type-map needs real points", f"samples[{i}]")
     out = []
     if "form" in doc:
         phi = parse_form(doc["form"], chart.dim, chart.names, "form", "form")
@@ -482,8 +486,9 @@ def cmd_ham_symmetry(doc):
     else:
         if not s.is_constant():
             raise JobError("non-constant structures need an explicit l_frame", "l_frame")
+        # a constant J's eigenbundle is maximal isotropic by proof (gcs.eigenbundle)
         lft = eigenbundle(s.eval_at(chart.point(*([0] * chart.dim))))
-        frame = DiracFrame(chart, lft.basis)
+        frame = DiracFrame._trusted(chart, lft.basis)
     ok = is_symmetry(chart, df, frame, _twist_of(doc, chart))
     return "pass", {"section": section_json(df), "symmetry": ok}
 

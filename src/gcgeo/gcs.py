@@ -10,18 +10,21 @@ basis (Delta, N_{1,0}, N_{0,1}); the Darboux normal form is its blocks
 recombined.  The canonical rows of L = ker(J - i) come from one elimination
 of J - i, its columns reversed (`eigenbundle`).
 
-The verdicts are exact identities, each stated on data already held:
+Input is checked where it enters, a J when its GCStructure is built; what
+follows by proof is not checked again, and a structure built from such data
+is `Record._trusted`:
 
-- L cap conj L = 0 for the eigenbundle L is decided as rank(Im R) = m on its
-  canonical rows R (`MaxIsotropic.conj_intersection_dim`), since
-  [R; conj R] has rank m + rank(Im R).
+- J is real, J^2 = -1 and orthogonal, so L = ker(J - i) has dimension m, is
+  isotropic and meets conj L only in 0 (`eigenbundle`); by Chevalley's
+  criterion, then, (phi, conj phi) != 0 for its pure spinor phi.
+- L cap conj L = 0 for the null space L of an input spinor is decided as
+  rank(Im R) = m on its canonical rows R (`gc_from_pure_spinor`).
 - The type is half of m - rank(beta), from the same reduction of beta that
   gives Delta = im beta (`_symplectic_distribution`).
 - The canonical exponent A = B + i omega is the unique 2-form that equals
   B' on E x E and kills N_{1,0}, for phi = e^{B'} ^ Omega; it is verified
   by e^A ^ Omega = phi, decided on its degree-(k+2) part
-  A ^ Omega = phi_{k+2} by Cartan's lemma (`_check_exponent`), and the
-  nondegeneracy by omega^{n-k} ^ Omega ^ conj Omega != 0.
+  A ^ Omega = phi_{k+2} by Cartan's lemma (`_check_exponent`).
 - The Darboux form keeps the spinor line exactly when X ^ Omega = 0 for
   X = conj(a101) + conj(a002) (see `darboux_point`).
 
@@ -37,11 +40,11 @@ from itertools import chain
 
 from .record import Record
 from .scalars import GaussRat, ONE, ZERO, IUNIT, HALF, as_gauss, is_real
-from .forms import MixedForm, check_dim, covector_form, mukai_coeff, two_form_from_map
+from .forms import MixedForm, check_dim, covector_form, two_form_from_map
 from .clifford import GenVector, SoElement
 from .isotropics import (
-    MaxIsotropic, _ann_basis, coframe, isotropic_rows, max_isotropic_from_spinor,
-    pure_spinor_line, reduced_form,
+    MaxIsotropic, _ann_basis, coframe, max_isotropic_from_spinor, pure_spinor_line,
+    reduced_form,
 )
 from . import linalg
 
@@ -51,10 +54,40 @@ class InvalidStructure(ValueError):
 
 
 class GCStructure(Record, frozen=True):
-    """A validated orthogonal complex structure on (V + V*)."""
+    """An orthogonal complex structure J on (V + V*), checked when it is built.
+
+    The constructor checks that J is real, J^2 = -1 and orthogonality, naming
+    the failure; polynomial entries as exact identities.  Given J^2 = -1, J
+    is orthogonal exactly when it lies in so(T + T*): J = [[A, beta],
+    [B, -A^T]] with beta and B antisymmetric.  `_trusted` skips the checks.
+    """
 
     dim: int  # m = 2n
     j: tuple
+
+    def __post_init__(self):
+        j, side = self.j, 2 * self.dim
+        if len(j) != side or any(len(r) != side for r in j):
+            raise InvalidStructure("J must be a square matrix of even side")
+        check_dim(self.dim)
+        if not all(map(is_real, chain.from_iterable(j))):
+            i, k = next((i, k) for i, row in enumerate(j) for k, x in enumerate(row) if not is_real(x))
+            raise InvalidStructure(f"J is not real: entry ({i},{k}) is {j[i][k]!r}")
+        j2 = linalg.mat_mul(j, j)
+        for i in range(side):
+            for k in range(side):
+                want = -ONE if i == k else ZERO
+                if j2[i][k] != want:
+                    raise InvalidStructure(
+                        f"J^2 != -1: entry ({i},{k}) is {j2[i][k]!r}"
+                    )
+        a, beta, b, d = linalg.blocks(j)
+        if not linalg.is_antisymmetric(beta):
+            raise InvalidStructure("J is not orthogonal: upper-right block beta is not antisymmetric")
+        if not linalg.is_antisymmetric(b):
+            raise InvalidStructure("J is not orthogonal: lower-left block B is not antisymmetric")
+        if not linalg.mat_eq(d, [[-x for x in col] for col in zip(*a)]):
+            raise InvalidStructure("J is not orthogonal: lower-right block is not -A^T")
 
     @property
     def half_dim(self) -> int:
@@ -67,7 +100,10 @@ class GCStructure(Record, frozen=True):
         return all(x.is_const for r in self.j for x in r)
 
     def eval_at(self, point: dict) -> "GCStructure":
-        return GCStructure(self.dim, tuple(tuple(x.eval(point) for x in row) for row in self.j))
+        """J at a real point: J's identities hold there and its values are real, so `_trusted`."""
+        if not all(map(is_real, point.values())):
+            raise InvalidStructure("J is evaluated only at real points")
+        return GCStructure._trusted(self.dim, tuple(tuple(x.eval(point) for x in row) for row in self.j))
 
     def blocks(self) -> SoElement:
         a, beta, b, _ = linalg.blocks(self.j)
@@ -78,37 +114,8 @@ class GCStructure(Record, frozen=True):
 
 
 def validate_gc(j) -> GCStructure:
-    """Check that J is real, J^2 = -1 and orthogonality, naming the failure.
-
-    Given J^2 = -1, J is orthogonal for the pairing exactly when it lies in
-    so(T + T*): J = [[A, beta], [B, -A^T]] with beta and B antisymmetric.
-    Polynomial entries are checked as exact polynomial identities.
-    """
-    side = len(j)
-    if side % 2 or any(len(r) != side for r in j):
-        raise InvalidStructure("J must be a square matrix of even side")
-    m = side // 2
-    check_dim(m)
-    j = [list(r) for r in j]
-    if not all(map(is_real, chain.from_iterable(j))):
-        i, k = next((i, k) for i, row in enumerate(j) for k, x in enumerate(row) if not is_real(x))
-        raise InvalidStructure(f"J is not real: entry ({i},{k}) is {j[i][k]!r}")
-    j2 = linalg.mat_mul(j, j)
-    for i in range(side):
-        for k in range(side):
-            want = -ONE if i == k else ZERO
-            if j2[i][k] != want:
-                raise InvalidStructure(
-                    f"J^2 != -1: entry ({i},{k}) is {j2[i][k]!r}"
-                )
-    a, beta, b, d = linalg.blocks(j)
-    if not linalg.is_antisymmetric(beta):
-        raise InvalidStructure("J is not orthogonal: upper-right block beta is not antisymmetric")
-    if not linalg.is_antisymmetric(b):
-        raise InvalidStructure("J is not orthogonal: lower-left block B is not antisymmetric")
-    if not linalg.mat_eq(d, [[-x for x in col] for col in zip(*a)]):
-        raise InvalidStructure("J is not orthogonal: lower-right block is not -A^T")
-    return GCStructure(m, tuple(tuple(r) for r in j))
+    """The GCStructure of the matrix J given as rows; its constructor checks J."""
+    return GCStructure(len(j) // 2, tuple(tuple(r) for r in j))
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +137,18 @@ def j_complex(jmat) -> GCStructure:
 
 
 def direct_sum(s1: GCStructure, s2: GCStructure) -> GCStructure:
-    """J1 + J2 on (V1 + V2) + (V1 + V2)*: each block of J is diag(block of J1, block of J2)."""
+    """J1 + J2 on (V1 + V2) + (V1 + V2)*: each block of J is diag(block of J1, block of J2).
+
+    It is `_trusted`: real, J^2 = -1 and orthogonal because J1 and J2 are.
+    """
     m1, m2 = s1.dim, s2.dim
 
     def diag(x, y):
         return linalg.from_blocks(x, linalg.zeros(m1, m2), linalg.zeros(m2, m1), y)
 
     pairs = zip(linalg.blocks(s1.j), linalg.blocks(s2.j))
-    return validate_gc(linalg.from_blocks(*(diag(x, y) for x, y in pairs)))
+    j = linalg.from_blocks(*(diag(x, y) for x, y in pairs))
+    return GCStructure._trusted(m1 + m2, tuple(tuple(r) for r in j))
 
 
 def standard_complex_endo(n: int):
@@ -191,7 +202,12 @@ def hyperkahler_interpolation(a, b) -> GCStructure:
 def eigenbundle(s: GCStructure) -> MaxIsotropic:
     """The +i eigenbundle as a maximal isotropic over the gaussian rationals.
 
-    L = ker(J - i) must have dimension m and meet its conjugate only in 0.
+    L = ker(J - i) needs no check.  J is real with J^2 = -1, so it is
+    diagonalizable with eigenvalues +-i, conjugation swaps the two
+    eigenspaces, and each has dimension m.  J is orthogonal, so for x, y in
+    L, <x, y> = <Jx, Jy> = <ix, iy> = -<x, y> = 0.  conj L = ker(J + i), so
+    L cap conj L = 0.
+
     Its canonical rows come from one elimination, of J - i with its 2m
     columns in reverse order.  The kernel basis of that elimination has one
     vector per free column f' of the reversed matrix, with a 1 at f', 0 at
@@ -201,23 +217,13 @@ def eigenbundle(s: GCStructure) -> MaxIsotropic:
     free columns and nonzeros only after f; ordered by f, the vectors are in
     reduced row echelon form, which is unique, so they are the canonical
     rows of L (`isotropics.reduced_form`), with no second reduction.
-    L cap conj L = 0 is read off those rows R: [R; conj R] spans Re R and
-    Im R, Re R keeps the unit pivots of R and Im R vanishes on them, so
-    dim(L cap conj L) = m - rank(Im R), and L cap conj L = 0 exactly when
-    rank(Im R) = m.
     """
     m = s.dim
     last = 2 * m - 1
     a = [[as_gauss(x) for x in reversed(row)] for row in s.j]
     for i, row in enumerate(a):
         row[last - i] = row[last - i] - IUNIT
-    ker = linalg.kernel(a)
-    if len(ker) != m:
-        raise InvalidStructure(f"+i eigenspace has dimension {len(ker)}, expected {m}")
-    lft = reduced_form(isotropic_rows([v[::-1] for v in reversed(ker)]), m)
-    if lft.conj_intersection_dim():
-        raise InvalidStructure("eigenbundle meets its conjugate")
-    return lft
+    return reduced_form([v[::-1] for v in reversed(linalg.kernel(a))], m)
 
 
 def _symplectic_distribution(s: GCStructure):
@@ -228,15 +234,13 @@ def _symplectic_distribution(s: GCStructure):
     Poisson geometry).  beta is antisymmetric, so its rows span im beta too.
     J(0, xi) = (beta xi, -A^T xi) lies in T* exactly when beta xi = 0, and J
     is injective, so T* cap J(T*) has the dimension of ker beta, twice the
-    type.  Returns (delta_rows, comp, type).
+    type; it is J-invariant with J^2 = -1 on it, so that dimension is even.
+    Returns (delta_rows, comp, type).
     """
     m = s.dim
     _, beta, _, _ = linalg.blocks(s.j)
     red, piv = linalg.rref([[as_gauss(x) for x in row] for row in beta])
-    inter = m - len(piv)
-    if inter % 2:
-        raise InvalidStructure("T* cap J T* has odd dimension")
-    return red[: len(piv)], [c for c in range(m) if c not in piv], inter // 2
+    return red[: len(piv)], [c for c in range(m) if c not in piv], (m - len(piv)) // 2
 
 
 def gc_type(s: GCStructure) -> int:
@@ -245,27 +249,33 @@ def gc_type(s: GCStructure) -> int:
 
 
 def gc_from_pure_spinor(phi: MixedForm) -> GCStructure:
-    """The structure whose +i eigenbundle is the null space of phi.
+    """The structure whose +i eigenbundle is the null space L of phi.
 
-    The null space L must meet its conjugate only in 0, decided as
-    rank(Im R) = m on its canonical rows R (see `eigenbundle`).
+    L must meet its conjugate only in 0, decided as rank(Im R) = m on its
+    canonical rows R (see `MaxIsotropic.conj_intersection_dim`).  By
+    Chevalley's criterion that is (phi, conj phi) != 0, so the Mukai pairing
+    is not formed.
     """
     lft = max_isotropic_from_spinor(phi)
-    m = phi.dim
     if lft.conj_intersection_dim():
         raise InvalidStructure("null space meets its conjugate; spinor not of complex type")
-    if not mukai_coeff(phi, phi.conj()):
-        raise InvalidStructure("degenerate spinor: (phi, conj phi) = 0")
-    cols = [v.coords() for v in lft.basis] + [v.conj().coords() for v in lft.basis]
-    u = linalg.transpose(cols)
-    zero = linalg.zeros(m, m)
-    d = linalg.from_blocks(linalg.identity(m, IUNIT), zero, zero, linalg.identity(m, -IUNIT))
-    j = linalg.mat_mul(u, linalg.mat_mul(d, linalg.inverse(u)))
-    for row in j:
-        for x in row:
-            if x.im != 0:
-                raise InvalidStructure("reconstructed J is not real")
-    return validate_gc(j)
+    return _structure_of(lft)
+
+
+def _structure_of(lft: MaxIsotropic) -> GCStructure:
+    """J = U D U^-1, i on L and -i on conj L, for a maximal isotropic L with L cap conj L = 0.
+
+    U has the canonical rows of L and their conjugates as columns, and
+    D = diag(i, -i).  J is real: conj U = U P for the permutation P that
+    swaps the halves and conj D = P D P, so conj J = U D U^-1.  J^2 = -1,
+    and J is orthogonal because L and conj L are isotropic: <Jx, Jy> =
+    <x, y> for x, y in L, in conj L, or one in each.  So J is `_trusted`.
+    """
+    m = lft.dim
+    rows = lft.rows()
+    u = linalg.transpose(rows + [[x.conj() for x in r] for r in rows])
+    ud = [[x * IUNIT for x in row[:m]] + [x * -IUNIT for x in row[m:]] for row in u]
+    return GCStructure._trusted(m, tuple(map(tuple, linalg.mat_mul(ud, linalg.inverse(u)))))
 
 
 class CanonicalSpinorData(Record, frozen=True):
@@ -330,19 +340,16 @@ def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
       a101 is a unit covector wedged with a sum of those rows and a002 at
       most k - 1 wedges of them.
 
-    Two identities are verified exactly:
-
-    - e^A ^ Omega = phi, decided on its degree-(k+2) part (`_check_exponent`);
-    - omega^{n-k} ^ Omega ^ conj Omega != 0.
+    e^A ^ Omega = phi is verified exactly, on its degree-(k+2) part
+    (`_check_exponent`).  The rest holds by proof and is not checked: L's
+    type is the type of beta, so Delta has m - 2k rows and N_{0,1} k; and
+    omega^{n-k} ^ Omega ^ conj Omega is, up to a nonzero factor, the top part
+    of (phi, conj phi), which is nonzero (module docstring).
     """
     lft = eigenbundle(s)
     k = lft.type
-    delta_rows, comp, k_beta = _symplectic_distribution(s)
-    if k != k_beta:
-        raise InvalidStructure("eigenbundle type disagrees with dim(T* cap JT*)/2")
+    delta_rows, comp, _ = _symplectic_distribution(s)
     phi = pure_spinor_line(lft)
-    if not mukai_coeff(phi, phi.conj()):
-        raise InvalidStructure("degenerate structure: (phi, conj phi) = 0")
     m = s.dim
     omega_k = phi.degree_part(k)
     theta = _ann_basis(lft.delta_basis, m)
@@ -354,8 +361,6 @@ def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
         n01.append(full)
     n10 = [[c.conj() for c in v] for v in n01]
     nd, kk = len(delta_rows), len(n10)
-    if nd + 2 * kk != m:
-        raise InvalidStructure(f"adapted basis has {nd + 2 * kk} vectors, expected {m}")
     piv = [c for c in range(m) if c not in comp]
     on_comp = coframe([[v[c] for c in comp] for v in n10 + n01])[kk:]
     at_piv = linalg.mat_mul(on_comp, [[-d[c] for d in delta_rows] for c in comp])
@@ -386,11 +391,6 @@ def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
     _check_exponent(a2, omega_k, phi, k)
     b2 = (a2 + a2.conj()).scale(HALF)
     om2 = (a2 - a2.conj()).scale(GaussRat(0, Fraction(-1, 2)))
-    power = omega_k.wedge(omega_k.conj())
-    for _ in range(s.half_dim - k):
-        power = power.wedge(om2)
-    if not power:
-        raise InvalidStructure("omega^{n-k} ^ Omega ^ conj(Omega) vanishes")
     return CanonicalSpinorData(
         k=k,
         omega_k=omega_k,

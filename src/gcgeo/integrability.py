@@ -34,8 +34,8 @@ from .fields import (
     d_twisted,
     schouten,
 )
-from .gcs import GCStructure, validate_gc
-from .isotropics import _action_rows
+from .gcs import GCStructure, _structure_of, eigenbundle
+from .isotropics import _action_rows, _reduced_span
 from . import linalg
 
 
@@ -361,8 +361,11 @@ def deform_by_bivector(
 ) -> DeformationResult:
     """J_beta = exp(beta + conj beta) J exp(-(beta + conj beta)), plus spinor and frame.
 
-    The base structure must be of complex type (diagonal blocks only) and the
-    bivector of type (2,0) with respect to the chart pairing.
+    The chart must be fully complex-paired, the base structure of complex
+    type (diagonal blocks only) and the bivector of type (2,0) with respect
+    to the chart pairing.  Both results are `_trusted`: J_beta is J
+    conjugated by an orthogonal, real transform, and the m sections of the
+    frame pair to 0 as beta is antisymmetric.
     """
     m = chart.dim
     real_mv = beta_mv + beta_mv.conj()
@@ -371,7 +374,7 @@ def deform_by_bivector(
     e = linalg.from_blocks(one, bmap, zero, one)
     einv = linalg.from_blocks(one, [[-x for x in row] for row in bmap], zero, one)
     jb = linalg.mat_mul(e, linalg.mat_mul(base.matrix(), einv))
-    s = validate_gc(jb)
+    s = GCStructure._trusted(m, tuple(tuple(r) for r in jb))
     # canonical spinor of the base complex structure, deformed by contraction
     omega = MixedForm.one(m)
     for k in range(chart.n_complex):
@@ -385,51 +388,38 @@ def deform_by_bivector(
         vec_part = beta_mv.contract(cov)
         vec = [vec_part.coeff(1 << i) for i in range(m)]
         sections.append(GenVector(m, vec, cov))
-    frame = DiracFrame(chart, tuple(sections))
+    frame = DiracFrame._trusted(chart, tuple(sections))
     return DeformationResult(structure=s, spinor=spinor, frame=frame, beta_mv=beta_mv)
 
 
 def deform_graph_pointwise(s: GCStructure, eps_matrix) -> GCStructure:
     """Deform a constant structure by eps in Lambda^2 L*, as the graph (1+eps)L.
 
-    eps_matrix is antisymmetric over an eigenbundle frame; the invertibility of
-    the induced endomorphism (1 on L, eps off-diagonal) is checked exactly.
+    eps_matrix is antisymmetric over the eigenbundle frame b_j.  L* is conj L
+    by the pairing: d = G^-1 conj b, for G[t][j] = <conj b_t, b_j>, has
+    <d_k, b_j> = delta_kj, so w_j = b_j + sum_k eps[j][k] d_k pair to
+    eps[j][l] + eps[l][j] = 0 and span a maximal isotropic, unchecked.  Its
+    meeting its conjugate only in 0 is checked exactly, and J is built from
+    it (`gcs._structure_of`).
     """
-    from .isotropics import canonical_form
-    from .gcs import eigenbundle, gc_from_pure_spinor
-    from .isotropics import pure_spinor_line
-
     lft = eigenbundle(s)
     m = s.dim
-    basis = list(lft.basis)
     if len(eps_matrix) != m or any(len(r) != m for r in eps_matrix):
         raise ValueError("eps must be m x m over the eigenbundle frame")
     if not linalg.is_antisymmetric(eps_matrix):
         raise ValueError("eps must be antisymmetric")
+    basis = lft.basis
     conj_basis = [v.conj() for v in basis]
-    # dual frame of conj_basis against basis: <conj_i, basis_j> gram
     gram = [[cb.pair(b) for b in basis] for cb in conj_basis]
-    ginv = linalg.inverse(gram)
-    # eps sends basis_j to sum_k eps(j, k) lambda^k, lambda^k realized in conj frame
-    dual = []
-    for k in range(m):
-        coords = [ZERO] * (2 * m)
-        for t in range(m):
-            for c_idx in range(2 * m):
-                coords[c_idx] = coords[c_idx] + ginv[t][k] * conj_basis[t].coords()[c_idx]
-        dual.append(GenVector.from_coords(coords))
-    new_basis = []
-    for j in range(m):
-        w = basis[j]
-        for k in range(m):
-            if eps_matrix[j][k]:
-                w = w + dual[k].scale(eps_matrix[j][k])
-        new_basis.append(w)
-    new_l = canonical_form(new_basis, m)
+    dual = linalg.mat_mul(linalg.inverse(gram), [v.coords() for v in conj_basis])
+    rows = [
+        [x + y for x, y in zip(b.coords(), shift)]
+        for b, shift in zip(basis, linalg.mat_mul(eps_matrix, dual))
+    ]
+    new_l = _reduced_span(rows, m)
     if new_l.conj_intersection_dim():
         raise ValueError("deformation is singular: graph meets its conjugate")
-    phi = pure_spinor_line(new_l)
-    return gc_from_pure_spinor(phi)
+    return _structure_of(new_l)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Everything here is pointwise linear algebra over gaussian rationals: canonical
 (Delta, eps) data, spinor lines in both directions, single-block transforms,
 and the tensor product of linear Dirac structures.  `canonical_form` checks
-and reduces a spanning set; `reduced_form` reads the canonical data off rows
-already reduced, as `gcs.eigenbundle` gets them from one elimination.  A
+and reduces a spanning set from outside.  `reduced_form` reads the canonical
+data off rows already reduced: by `gcs.eigenbundle`'s one elimination, or by
+one `linalg.rref` of a span maximal isotropic by proof (`_reduced_span`),
+as images of L under orthogonal maps and (X, xi) -> (xi, X) are.  A
 2-form given by its components on a basis is built over the dual coframe
 (`coframe`); on the canonical Delta, in reduced row echelon form, that
 coframe is the pivot coordinates (`_extension_of_eps`).
@@ -66,8 +68,8 @@ class MaxIsotropic(Record, frozen=True):
         )
 
     def flip(self) -> "MaxIsotropic":
-        """Reversal L -> L^T = {X - xi}."""
-        return canonical_form([v.flip() for v in self.basis], self.dim)
+        """Reversal L -> L^T = {X - xi}, maximal isotropic since X - xi negates the pairing."""
+        return _reduced_span([v.flip().coords() for v in self.basis], self.dim)
 
     def contains(self, v: GenVector) -> bool:
         return linalg.span_contains(self.rows(), [as_gauss(c) for c in v.coords()])
@@ -122,35 +124,30 @@ def _conj_rows(rows):
 
 
 def spinor_line_of(iso: "MaxIsotropic") -> SpinorLine:
-    return SpinorLine(pure_spinor_line(iso))
+    """The line of `pure_spinor_line(iso)`, which is pure and nonzero: `_trusted`."""
+    return SpinorLine._trusted(pure_spinor_line(iso))
 
 
 def canonical_form(vectors, dim: int) -> MaxIsotropic:
     """Validate a spanning set and compute canonical (Delta, eps, type, parity).
 
-    Raises NotIsotropic naming the offending pair, or on rank deficiency.
-    The rows are reduced once and read off by `reduced_form`.
+    The checked path for vectors from outside, as the CLI's job vectors are;
+    tests compare this package's constructions with it.  Raises NotIsotropic
+    naming the first pair (i, j), i <= j, that does not pair to 0, or on
+    rank deficiency.  The rows are reduced once and read off by `reduced_form`.
     """
     check_dim(dim)
-    red, piv = linalg.rref(isotropic_rows([v.coords() for v in vectors]))
-    if len(piv) != dim:
-        raise NotIsotropic(f"spanning set has rank {len(piv)}, expected {dim}")
-    return reduced_form(red[:dim], dim)
-
-
-def isotropic_rows(coords):
-    """The coordinate rows as GaussRats, once every pair is checked to pair to 0.
-
-    Raises NotIsotropic naming the first pair (i, j), i <= j, that does not.
-    """
-    gram = pairing_matrix(coords, coords)
-    for i, row in enumerate(gram):
+    coords = [v.coords() for v in vectors]
+    for i, row in enumerate(pairing_matrix(coords, coords)):
         for j in range(i, len(coords)):
             if as_gauss(row[j]):
                 raise NotIsotropic(
                     f"basis vectors {i} and {j} have inner product {HALF * row[j]!r}, not 0"
                 )
-    return [[as_gauss(c) for c in r] for r in coords]
+    red, piv = linalg.rref(coords)
+    if len(piv) != dim:
+        raise NotIsotropic(f"spanning set has rank {len(piv)}, expected {dim}")
+    return reduced_form(red[:dim], dim)
 
 
 def reduced_form(rows, dim: int) -> MaxIsotropic:
@@ -177,12 +174,19 @@ def reduced_form(rows, dim: int) -> MaxIsotropic:
     )
 
 
+def _reduced_span(rows, dim: int) -> MaxIsotropic:
+    """`reduced_form` of dim independent rows spanning a maximal isotropic, reduced once."""
+    return reduced_form(linalg.rref(rows)[0][:dim], dim)
+
+
 def tangent_space(dim: int) -> MaxIsotropic:
-    return canonical_form([GenVector.basis_vector(dim, i) for i in range(dim)], dim)
+    check_dim(dim)
+    return reduced_form(linalg.identity(2 * dim)[:dim], dim)  # unit rows: already reduced
 
 
 def cotangent_space(dim: int) -> MaxIsotropic:
-    return canonical_form([GenVector.basis_covector(dim, i) for i in range(dim)], dim)
+    check_dim(dim)
+    return reduced_form(linalg.identity(2 * dim)[dim:], dim)
 
 
 def graph_of_two_form(b_form: MixedForm) -> MaxIsotropic:
@@ -198,11 +202,9 @@ def graph_of_bivector(b_mv: MixedForm) -> MaxIsotropic:
 
 
 def transform(iso: MaxIsotropic, t: BlockTransform) -> MaxIsotropic:
+    """t(L), maximal isotropic since t is orthogonal and invertible."""
     mat = t.orth_matrix()
-    return canonical_form(
-        [GenVector.from_coords(linalg.mat_vec(mat, v.coords())) for v in iso.basis],
-        iso.dim,
-    )
+    return _reduced_span([linalg.mat_vec(mat, v.coords()) for v in iso.basis], iso.dim)
 
 
 def _ann_basis(delta_rows, dim):
@@ -554,12 +556,11 @@ def graph_over_cotangent(iso: MaxIsotropic):
     Returns (f_basis, gamma, beta_witness) where F = pi_{V*} L, gamma is the
     induced 2-form on F, and exp(beta).det(Ann(L cap V)) spans the same spinor
     line as pure_spinor_line(L).  The witness is one representative of the
-    class fixed only modulo directions along L cap V.
+    class fixed only modulo directions along L cap V.  The swap
+    (X, xi) -> (xi, X) is orthogonal, so the swapped L needs no check.
     """
     dim = iso.dim
-    swapped = canonical_form(
-        [GenVector(dim, v.covec, v.vec) for v in iso.basis], dim
-    )
+    swapped = _reduced_span([list(v.covec) + list(v.vec) for v in iso.basis], dim)
     f_basis = swapped.delta_basis
     gamma = swapped.eps
     beta_mv = _extension_of_eps(swapped, "mv")

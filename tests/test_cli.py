@@ -991,6 +991,25 @@ class TestMatrixRoundTrip:
 
 
 class TestTypeMapMatrixInput:
+    @pytest.mark.parametrize("filename", ["type_map_matrix.json", "type_map_grid.json"])
+    def test_non_real_sample_exit_2(self, filename, tmp_path, capsys):
+        # J(p) is not real off the real chart, so no type is reported there
+        with open(case(filename)) as f:
+            doc = json.load(f)
+        doc["samples"] = [["0", "0", "1", "0"], ["i", "1", "0", "0"]]
+        p = tmp_path / filename
+        p.write_text(json.dumps(doc))
+        code, out = run_cli(["type-map", str(p)], capsys)
+        assert code == 2
+        assert json.loads(out)["counterexample"]["error"] == (
+            "samples[1]: type-map needs real points"
+        )
+
+    def test_other_commands_keep_non_real_samples(self, capsys):
+        code, out = run_cli(["deform", case("deform_z1.json"), "--samples", '[["i","0","0","0"]]'], capsys)
+        assert code == 0
+        assert json.loads(out)["certificate"]["types"] == [{"point": ["i", "0", "0", "0"], "type": 0}]
+
     def test_matrix_driven_type_map(self, capsys):
         code, out = run_cli(["type-map", case("type_map_matrix.json")], capsys)
         assert code == 0

@@ -140,6 +140,34 @@ class TestValidation:
         assert validate_gc(s.matrix()).j == s.j
         assert gram_orthogonal(s.matrix())
 
+    @pytest.mark.parametrize(
+        "dim,diagonal,message",
+        [
+            (2, (IUNIT,) * 4, "J is not real: entry (0,0) is i"),
+            (2, (ZERO,) * 4, "J^2 != -1: entry (0,0) is 0"),
+            (2, (IUNIT, IUNIT, -IUNIT, -IUNIT), "J is not real: entry (0,0) is i"),
+            (1, (IUNIT,) * 4, "J must be a square matrix of even side"),
+        ],
+        ids=["i-id", "zero", "real-eigenbundle", "side"],
+    )
+    def test_raw_structure_refused_when_built(self, dim, diagonal, message):
+        # i Id and 0 once reached eigenbundle with a +i eigenspace of the
+        # wrong dimension, and diag(i, i, -i, -i) with the real eigenbundle V;
+        # the constructor refuses each, and a J whose side is not 2 dim
+        j = tuple(tuple(d if r == c else ZERO for c in range(4)) for r, d in enumerate(diagonal))
+        with pytest.raises(InvalidStructure) as err:
+            GCStructure(dim, j)
+        assert str(err.value) == message
+
+    def test_eval_at_refuses_a_non_real_point(self):
+        c2 = Chart.complex_plane(2)
+        beta = holomorphic_bivector(c2, {(0, 1): c2.z(0)})
+        s = deform_by_bivector(c2, cx(2), beta).structure
+        at = s.eval_at(c2.point(1, 0, 2, -1))
+        assert at == validate_gc(at.matrix())
+        with pytest.raises(InvalidStructure, match="^J is evaluated only at real points$"):
+            s.eval_at(c2.point(IUNIT, 0, 0, 0))
+
     def test_j_squared_diagnostic(self):
         m = 2
         j = linalg.identity(2 * m)
@@ -202,23 +230,6 @@ class TestEigenbundle:
         assert L.type == 1
         assert L.intersection_dim(L.conj()) == 0
 
-    @pytest.mark.parametrize(
-        "diagonal,message",
-        [
-            ((IUNIT,) * 4, "+i eigenspace has dimension 4, expected 2"),
-            ((ZERO,) * 4, "+i eigenspace has dimension 0, expected 2"),
-            ((IUNIT, IUNIT, -IUNIT, -IUNIT), "eigenbundle meets its conjugate"),
-        ],
-    )
-    def test_unvalidated_structure_refused(self, diagonal, message):
-        # a raw GCStructure skips validate_gc, so both eigenbundle checks are
-        # reachable: i Id and 0 give the wrong dimension, and diag(i, i, -i, -i)
-        # has the real eigenbundle V, which is its own conjugate
-        j = tuple(tuple(d if r == c else ZERO for c in range(4)) for r, d in enumerate(diagonal))
-        with pytest.raises(InvalidStructure) as err:
-            eigenbundle(GCStructure(2, j))
-        assert str(err.value) == message
-
     @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
     @pytest.mark.parametrize("m,k", GRID)
     def test_one_elimination_equals_the_reduced_kernel(self, m, k, dense):
@@ -231,6 +242,56 @@ class TestEigenbundle:
         got = eigenbundle(s)
         assert got == want and repr(got) == repr(want)
         assert got.type == k
+
+
+class TestFactsNoLongerChecked:
+    """What `eigenbundle`, `canonical_spinor` and `gc_from_pure_spinor` hold by
+    proof and no longer check, asserted on the grid."""
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("m,k", GRID)
+    def test_eigenbundle_spinor_and_round_trip(self, m, k, dense):
+        s = grid_structure(m, k, dense)
+        lft = eigenbundle(s)
+        # dimension m and isotropic (the checked reduction), L cap conj L = 0
+        assert canonical_form(lft.basis, m) == lft
+        assert lft.intersection_dim(lft.conj()) == 0
+        data = canonical_spinor(s)
+        phi = data.generator
+        assert data.k == gc_type(s) == k
+        assert mukai_coeff(phi, phi.conj())
+        assert len(data.delta_basis) + 2 * len(data.n10) == m
+        power = data.omega_k.wedge(data.omega_k.conj())
+        for _ in range(m // 2 - k):
+            power = power.wedge(data.om2)
+        assert power
+        # J read back from phi is real and passes the constructor
+        back = gc_from_pure_spinor(phi)
+        assert back == s == validate_gc(back.matrix())
+
+    def test_the_constructions_run_no_check(self, monkeypatch):
+        # eigenbundle, the images of L and the graph deformation reduce their
+        # rows unchecked; the graph's J is built from L, not from its spinor
+        from gcgeo import isotropics
+        from gcgeo.integrability import deform_graph_pointwise
+        from gcgeo.isotropics import graph_over_cotangent
+
+        s = grid_structure(6, 1, dense=True)
+        rng = Rng(3)
+        eps, t = rng.antisym_map(6, 1, complex_ok=True), rng.block_transform(6, complex_ok=True)
+
+        def refuse(*_):
+            raise AssertionError("a check that cannot fail ran")
+
+        for name in ("pairing_matrix", "canonical_form", "pure_spinor_line"):
+            monkeypatch.setattr(isotropics, name, refuse)
+        lft = eigenbundle(s)
+        lft.flip()
+        transform(lft, t)
+        graph_over_cotangent(lft)
+        tangent_space(6)
+        cotangent_space(6)
+        deform_graph_pointwise(s, eps)
 
 
 class TestTypeAndSpinor:

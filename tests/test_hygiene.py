@@ -321,3 +321,34 @@ def test_detects_poly_slot_reads():
 def test_poly_storage_is_read_through_the_accessor(path):
     # a Poly's integers are read outside scalars only through `poly_lane`
     assert slot_reads(path.read_text(), POLY_PRIVATE) == []
+
+
+def bare_calls(source: str, name: str):
+    """The lines that call the class `name` itself, not one of its methods."""
+    return [
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call)
+        and (
+            isinstance(n.func, ast.Name) and n.func.id == name
+            or isinstance(n.func, ast.Attribute) and n.func.attr == name
+        )
+    ]
+
+
+def test_detects_bare_structure_calls():
+    src = (
+        "def f(j):\n    return GCStructure(2, j)\n\n"
+        "def g(j):\n    return GCStructure._trusted(2, j), gcs.GCStructure(2, j)\n\n"
+        "def h(j):\n    return validate_gc(j), GCStructure\n"
+    )
+    assert bare_calls(src, "GCStructure") == [2, 5]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "gcs.py"], ids=lambda p: p.name
+)
+def test_structures_are_built_in_gcs(path):
+    # outside gcs a GCStructure comes from validate_gc, which checks its input,
+    # or from a gcs construction that is valid by proof
+    assert bare_calls(path.read_text(), "GCStructure") == []

@@ -2,6 +2,8 @@ import time
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcgeo.scalars import GaussRat, IUNIT, ONE, ZERO
 from gcgeo.forms import MixedForm, map_from_two_form, two_form_from_map
@@ -42,6 +44,8 @@ from gcgeo.integrability import (
 )
 from gcgeo.randgen import Rng
 from gcgeo import linalg
+
+from test_gcs import GRID, grid_structure
 
 
 C2 = Chart.complex_plane(2)
@@ -803,3 +807,72 @@ class TestDeformationSurfacesAgree:
             got = deform_graph_pointwise(base, eps)
             want = res.structure.eval_at(p)
             assert linalg.mat_eq(got.matrix(), want.matrix())
+
+
+def graph_round_trip(s, eps):
+    """(1+eps)L through the checked path: the graph spanned vector by vector,
+    `canonical_form` (which checks isotropy), its spinor and the structure
+    read back from it; None when the graph meets its conjugate."""
+    from gcgeo.gcs import gc_from_pure_spinor
+    from gcgeo.isotropics import canonical_form, pure_spinor_line
+
+    m = s.dim
+    basis = list(eigenbundle(s).basis)
+    conj_basis = [v.conj() for v in basis]
+    ginv = linalg.inverse([[cb.pair(b) for b in basis] for cb in conj_basis])
+    # d_k = sum_t ginv[k][t] conj b_t has <d_k, b_j> = delta_kj
+    dual = []
+    for k in range(m):
+        d_k = GenVector(m, [ZERO] * m, [ZERO] * m)
+        for t in range(m):
+            d_k = d_k + conj_basis[t].scale(ginv[k][t])
+        dual.append(d_k)
+    graph = []
+    for j in range(m):
+        w = basis[j]
+        for k in range(m):
+            w = w + dual[k].scale(eps[j][k])
+        graph.append(w)
+    new_l = canonical_form(graph, m)
+    if new_l.conj_intersection_dim():
+        return None
+    return gc_from_pure_spinor(pure_spinor_line(new_l))
+
+
+class TestTrustedDeformations:
+    """The deformations are built without the checks; the checked paths agree."""
+
+    @pytest.mark.parametrize("n,degree", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+    def test_bivector_deformation_passes_the_checks(self, n, degree):
+        chart = Chart.complex_plane(n)
+        rng = Rng(10 * n + degree)
+        comps = {
+            (a, b): rng.poly(chart, degree, 2, complex_ok=True)
+            for a in range(n) for b in range(a + 1, n)
+        }
+        res = deform_by_bivector(chart, j_complex(standard_complex_endo(n)), holomorphic_bivector(chart, comps))
+        assert validate_gc(res.structure.matrix()) == res.structure
+        assert DiracFrame(chart, res.frame.sections) == res.frame
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(GRID), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_graph_deformation_equals_the_spinor_round_trip(self, m_k, dense, seed):
+        m, k = m_k
+        s = grid_structure(m, k, dense)
+        eps = Rng(seed).antisym_map(m, 1, complex_ok=True)
+        want = graph_round_trip(s, eps)
+        if want is None:
+            with pytest.raises(ValueError, match="graph meets its conjugate"):
+                deform_graph_pointwise(s, eps)
+        else:
+            assert deform_graph_pointwise(s, eps) == want
+
+    def test_symplectic_graph_is_deformed_by_eps_not_minus_eps(self):
+        # the Gram matrix <conj b_t, b_j> of a symplectic L is antisymmetric,
+        # so the dual frame G^-1 conj b, transposed, is minus the true one
+        s = j_symplectic(standard_symplectic_map(2))
+        eps = linalg.zeros(4, 4)
+        eps[0][1], eps[1][0] = GaussRat(1, 1), GaussRat(-1, -1)
+        got = deform_graph_pointwise(s, eps)
+        assert got == graph_round_trip(s, eps)
+        assert got != graph_round_trip(s, [[-x for x in row] for row in eps])

@@ -38,6 +38,7 @@ from gcgeo import linalg
 
 from conftest import gauss_rats, wide_gauss_rats
 from test_forms import blade
+from test_gcs import GRID
 
 
 class TestCanonicalForm:
@@ -760,3 +761,35 @@ class TestExpByPfaffians:
             lft = eigenbundle(Rng(m + k).gc_structure(m, k, kinds=("B", "gl")))
             assert lft.type == k
             assert pure_spinor_line(lft) == series_pure_spinor_line(lft)
+
+
+class TestReductionWithoutCheck:
+    """flip, transform, graph_over_cotangent and the unit spaces reduce their
+    rows with no isotropy check; the checked path (`canonical_form`) agrees."""
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_unit_spaces(self, m):
+        assert tangent_space(m) == canonical_form([GenVector.basis_vector(m, i) for i in range(m)], m)
+        assert cotangent_space(m) == canonical_form(
+            [GenVector.basis_covector(m, i) for i in range(m)], m
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(GRID), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_flip_transform_and_swap(self, m_k, dense, seed):
+        m, k = m_k
+        rng = Rng(seed)
+        iso = rng.isotropic(m, steps=3 if dense else 1, start=typed_isotropic(m, k, rng, []))
+        assert canonical_form(iso.basis, m) == iso
+        assert iso.flip() == canonical_form([v.flip() for v in iso.basis], m)
+        t = rng.block_transform(m, complex_ok=True)
+        mat = t.orth_matrix()
+        assert transform(iso, t) == canonical_form(
+            [GenVector.from_coords(linalg.mat_vec(mat, v.coords())) for v in iso.basis], m
+        )
+        swapped = canonical_form([GenVector(m, v.covec, v.vec) for v in iso.basis], m)
+        assert graph_over_cotangent(iso) == (
+            list(swapped.delta_basis),
+            [list(r) for r in swapped.eps],
+            _extension_of_eps(swapped, "mv"),
+        )

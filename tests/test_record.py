@@ -43,7 +43,8 @@ SAMPLES = [
     (Chart, (("x", "y"),), {}),
     (Chart, (("x1", "x2"),), {"complex_pairs": ((0, 1),)}),
     (Chart, (), {"names": ("a",)}),
-    (GCStructure, (2, ((0, -1), (1, 0))), {}),
+    # the symplectic J on R^2: a GCStructure checks J when it is built
+    (GCStructure, (2, ((0, 0, 0, -1), (0, 0, 1, 0), (0, -1, 0, 0), (1, 0, 0, 0))), {}),
     (Report, ("mukai", "pass"), {"certificate": {"pairing": "1"}, "seed": 3}),
     (Report, ("mukai", "error"), {}),
     (SuiteResult, (5,), {}),
