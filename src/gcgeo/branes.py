@@ -101,15 +101,25 @@ class SubmanifoldData(Record, frozen=True):
         return p.subs_into(names, {self.ambient.names[j]: g for j, g in self.graph.items()})
 
     def pull_form(self, phi: MixedForm) -> MixedForm:
-        """i* of an ambient form: substitute coordinates and dx_i = sum_a (dx_i/dt_a) dt_a."""
-        ds = self.dim_s
-        images = [covector_form(ds, row) for row in self._jac]
+        """i* of an ambient form: substitute coordinates and dx_i = sum_a (dx_i/dt_a) dt_a.
+
+        dx_i is dt_a for a parameter t_a = x_i, so those factors are relabelled: keyed a,
+        before the graphed x_i keyed ds + i, and sorted with the sign of sorting the keys.
+        The graphed gradients are then wedged on in ascending order.
+        """
+        ds, params = self.dim_s, self.param_indices
+        images = {i: covector_form(ds, self._jac[i]) for i in self.graph}
+        key = [params.index(i) if i in params else ds + i for i in range(self.ambient.dim)]
         acc = MixedForm.zero(ds)
         for mask, c in phi.terms.items():
-            term = MixedForm(ds, {0: self.restrict_scalar(c)})
-            for i in range(self.ambient.dim):
-                if mask & (1 << i):
-                    term = term.wedge(images[i])
+            keys = [key[i] for i in range(self.ambient.dim) if mask >> i & 1]
+            swaps = sum(x > y for n, x in enumerate(keys) for y in keys[n + 1:])
+            c = self.restrict_scalar(c)
+            blade = sum(1 << a for a in keys if a < ds)
+            term = MixedForm(ds, {blade: -c if swaps & 1 else c})
+            for a in keys:
+                if a >= ds:
+                    term = term.wedge(images[a - ds])
             acc = acc + term
         return acc
 

@@ -5,10 +5,11 @@ spinorial Z-grading, the Poisson block, and the constructive pointwise
 decomposition into a complex times a symplectic piece.  The symplectic
 distribution Delta is the image of the Poisson block beta, and the canonical
 exponent is built from L's own data: the Gram matrix of eps on
-E = pi_T(L) = Delta + N_{0,1}, placed over the coframe dual to the adapted
-basis (Delta, N_{1,0}, N_{0,1}); the Darboux normal form is its blocks
-recombined.  The canonical rows of L = ker(J - i) come from one elimination
-of J - i, its columns reversed (`eigenbundle`).
+E = pi_T(L) = Delta + N_{0,1}, written term by term over the coframe dual
+to the adapted basis (Delta, N_{1,0}, N_{0,1}); the Darboux normal form is
+its blocks' real and imaginary parts, coefficient by coefficient.  The
+canonical rows of L = ker(J - i) come from one elimination of J - i, its
+columns reversed, stopped at its rank m (`eigenbundle`).
 
 Input is checked where it enters, a J when its GCStructure is built; what
 follows by proof is not checked again, and a structure built from such data
@@ -35,16 +36,14 @@ linalg.from_blocks and linalg.blocks.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 from .record import Record
-from .scalars import GaussRat, ONE, ZERO, IUNIT, HALF, as_gauss, is_real
-from .forms import MixedForm, check_dim, covector_form, two_form_from_map
-from .clifford import GenVector, SoElement
+from .scalars import GaussRat, ONE, ZERO, IUNIT, add_term, as_gauss, is_real
+from .forms import MixedForm, check_dim, map_from_two_form, two_form_from_map
+from .clifford import SoElement
 from .isotropics import (
-    MaxIsotropic, _ann_basis, coframe, max_isotropic_from_spinor, pure_spinor_line,
-    reduced_form,
+    MaxIsotropic, _ann_basis, _pure_spinor, coframe, max_isotropic_from_spinor, reduced_form,
 )
 from . import linalg
 
@@ -74,13 +73,9 @@ class GCStructure(Record, frozen=True):
             i, k = next((i, k) for i, row in enumerate(j) for k, x in enumerate(row) if not is_real(x))
             raise InvalidStructure(f"J is not real: entry ({i},{k}) is {j[i][k]!r}")
         j2 = linalg.mat_mul(j, j)
-        for i in range(side):
-            for k in range(side):
-                want = -ONE if i == k else ZERO
-                if j2[i][k] != want:
-                    raise InvalidStructure(
-                        f"J^2 != -1: entry ({i},{k}) is {j2[i][k]!r}"
-                    )
+        for i, k in product(range(side), repeat=2):
+            if j2[i][k] != (-ONE if i == k else ZERO):
+                raise InvalidStructure(f"J^2 != -1: entry ({i},{k}) is {j2[i][k]!r}")
         a, beta, b, d = linalg.blocks(j)
         if not linalg.is_antisymmetric(beta):
             raise InvalidStructure("J is not orthogonal: upper-right block beta is not antisymmetric")
@@ -108,9 +103,6 @@ class GCStructure(Record, frozen=True):
     def blocks(self) -> SoElement:
         a, beta, b, _ = linalg.blocks(self.j)
         return SoElement(self.dim, a=a, b_map=b, beta_map=beta)
-
-    def apply(self, v: GenVector) -> GenVector:
-        return GenVector.from_coords(linalg.mat_vec(self.matrix(), v.coords()))
 
 
 def validate_gc(j) -> GCStructure:
@@ -187,12 +179,7 @@ def hyperkahler_interpolation(a, b) -> GCStructure:
     i_mat, j_mat, _ = quaternion_triple()
     ji = j_complex(i_mat)
     jw = j_symplectic(j_mat)  # omega_J has shear map equal to L_j
-    m = 4
-    j = [
-        [a * ji.j[r][c] + b * jw.j[r][c] for c in range(2 * m)]
-        for r in range(2 * m)
-    ]
-    return validate_gc(j)
+    return validate_gc([[a * x + b * y for x, y in zip(rx, ry)] for rx, ry in zip(ji.j, jw.j)])
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +203,16 @@ def eigenbundle(s: GCStructure) -> MaxIsotropic:
     back, with f = 2m - 1 - f', each vector has a 1 at f, 0 at the other
     free columns and nonzeros only after f; ordered by f, the vectors are in
     reduced row echelon form, which is unique, so they are the canonical
-    rows of L (`isotropics.reduced_form`), with no second reduction.
+    rows of L (`isotropics.reduced_form`), with no second reduction.  J - i
+    has rank m, so the elimination stops at m pivots (rank=m); it counts
+    pivots, not rows, as the first m rows have rank m/2 for complex type.
     """
     m = s.dim
     last = 2 * m - 1
     a = [[as_gauss(x) for x in reversed(row)] for row in s.j]
     for i, row in enumerate(a):
         row[last - i] = row[last - i] - IUNIT
-    return reduced_form([v[::-1] for v in reversed(linalg.kernel(a))], m)
+    return reduced_form([v[::-1] for v in reversed(linalg.kernel(a, rank=m))], m)
 
 
 def _symplectic_distribution(s: GCStructure):
@@ -318,9 +307,10 @@ def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
     (`_symplectic_distribution`); N is spanned by the unit vectors off its
     pivots p_a.  phi = e^{B'} ^ Omega is `pure_spinor_line` of L =
     ker(J - i), with Omega = theta_1 ^ ... ^ theta_k for the annihilator
-    theta of E = pi_T(L).  N_{0,1} is the part of N that kills Omega, so
-    the kernel of theta on the complement columns, and N_{1,0} its
-    conjugate.  The exponent A is read off L, with no contraction of phi:
+    theta of E = pi_T(L), reduced once for both (`isotropics._pure_spinor`).
+    N_{0,1} is the part of N that kills Omega, so the kernel of theta on the
+    complement columns, and N_{1,0} its conjugate.  The exponent A is read
+    off L, with no contraction of phi:
 
     - A is the unique 2-form with A = B' on E x E and i_v A = 0 for v in
       N_{1,0}, since T_C = E + N_{1,0} and E = Delta + N_{0,1}.  The
@@ -337,8 +327,10 @@ def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
       scattered at the pivot pairs; on N_{0,1}, e'^a is the coframe of N on
       the complement columns (a 2k x 2k inverse) extended by
       e'^a(Delta_b) = 0, which puts minus its pairing with Delta_b at p_b.
-      a101 is a unit covector wedged with a sum of those rows and a002 at
-      most k - 1 wedges of them.
+      The rest, sum_x e'^x ^ h[x], is written term by term: a101 has
+      +-h_p[j] on e^p ^ e^j, minus when p > j, and a002 has P[i][j] -
+      P[j][i] on e^i ^ e^j for P = e01^T h[N_{0,1}], one product.  b2 and
+      om2 are the real and imaginary parts of A, coefficient by coefficient.
 
     e^A ^ Omega = phi is verified exactly, on its degree-(k+2) part
     (`_check_exponent`).  The rest holds by proof and is not checked: L's
@@ -349,25 +341,20 @@ def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
     lft = eigenbundle(s)
     k = lft.type
     delta_rows, comp, _ = _symplectic_distribution(s)
-    phi = pure_spinor_line(lft)
     m = s.dim
-    omega_k = phi.degree_part(k)
     theta = _ann_basis(lft.delta_basis, m)
-    n01 = []
-    for v in linalg.kernel([[th[c] for c in comp] for th in theta]):
-        full = [ZERO] * m
-        for c, x in zip(comp, v):
-            full[c] = x
-        n01.append(full)
-    n10 = [[c.conj() for c in v] for v in n01]
-    nd, kk = len(delta_rows), len(n10)
+    phi, omega_k = _pure_spinor(lft, theta)
     piv = [c for c in range(m) if c not in comp]
+    nd = len(piv)
+    n01 = [
+        [x for _, x in sorted(zip(comp + piv, v + [ZERO] * nd))]
+        for v in linalg.kernel([[th[c] for c in comp] for th in theta])
+    ]
+    n10 = [[c.conj() for c in v] for v in n01]
+    kk = len(n10)
     on_comp = coframe([[v[c] for c in comp] for v in n10 + n01])[kk:]
     at_piv = linalg.mat_mul(on_comp, [[-d[c] for d in delta_rows] for c in comp])
-    e01 = [[ZERO] * m for _ in on_comp]
-    for full, row, at in zip(e01, on_comp, at_piv):
-        for c, x in zip(comp + piv, row + at):
-            full[c] = x
+    e01 = [[x for _, x in sorted(zip(comp + piv, row + at))] for row, at in zip(on_comp, at_piv)]
     lpiv = [next(c for c, x in enumerate(r) if x) for r in lft.delta_basis]
     coords = [[f[p] for p in lpiv] for f in delta_rows + n01]
     gram = linalg.mat_mul(coords, linalg.mat_mul(lft.eps, linalg.transpose(coords)))
@@ -378,19 +365,17 @@ def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
     h = linalg.mat_mul(
         [[gram[nd + j][r] if nd + j > r else ZERO for j in range(kk)] for r in range(nd + kk)], e01
     )
-
-    def wedges(lefts, rights):
-        acc = MixedForm.zero(m)
-        for u, w in zip(lefts, rights):
-            acc = acc + covector_form(m, u).wedge(covector_form(m, w))
-        return acc
-
-    a101 = wedges([[ONE if c == p else ZERO for c in range(m)] for p in piv], h[:nd])
-    a002 = wedges(e01, h[nd:])
+    a101 = {}
+    for p, hp in zip(piv, h):
+        for j, x in enumerate(hp):
+            if x and j != p:
+                add_term(a101, 1 << p | 1 << j, x if p < j else -x)
+    pm = linalg.mat_mul(linalg.transpose(e01), h[nd:]) if kk else []
+    a002 = {1 << i | 1 << j: c for j in range(len(pm)) for i in range(j) if (c := pm[i][j] - pm[j][i])}
+    a101, a002 = MixedForm._raw(m, a101, "form"), MixedForm._raw(m, a002, "form")
     a2 = a200 + a101 + a002
     _check_exponent(a2, omega_k, phi, k)
-    b2 = (a2 + a2.conj()).scale(HALF)
-    om2 = (a2 - a2.conj()).scale(GaussRat(0, Fraction(-1, 2)))
+    b2, om2 = _re_im(a2)
     return CanonicalSpinorData(
         k=k,
         omega_k=omega_k,
@@ -405,6 +390,14 @@ def canonical_spinor(s: GCStructure) -> CanonicalSpinorData:
         n_complement=tuple(comp),
         n10=tuple(tuple(v) for v in n10),
     )
+
+
+def _re_im(f: MixedForm, factor=1):
+    """factor Re f and factor Im f, coefficient by coefficient (GaussRat coefficients)."""
+    raw, ts = GaussRat._raw, f.terms.items()
+    re = {x: raw(factor * c.a, 0, c.q) for x, c in ts if c.a}
+    im = {x: raw(factor * c.b, 0, c.q) for x, c in ts if c.b}
+    return MixedForm._raw(f.dim, re, "form"), MixedForm._raw(f.dim, im, "form")
 
 
 def type_and_canonical_spinor(s: GCStructure):
@@ -480,19 +473,19 @@ def darboux_point(s: GCStructure) -> DarbouxData:
     is c phi, then e^{a2} ^ (e^X ^ Omega - c Omega) = 0, and e^{a2} is
     invertible, so e^X ^ Omega = c Omega; its degree-k part gives c = 1 and
     its degree-(k+2) part X ^ Omega = 0.
+
+    Btilde = Re a200 + 2 Re (a101 + a002) and omega0 = Im a200, coefficient
+    by coefficient; D W D^T is minus omega0's Gram on Delta's rows D, for
+    W = `map_from_two_form`(omega0).
     """
     data = canonical_spinor(s)
-    a200, a101, a002 = data.a200, data.a101, data.a002
-    btilde = (
-        (a200 + a200.conj()).scale(HALF)
-        + (a101 + a101.conj())
-        + (a002 + a002.conj())
-    )
-    omega0 = (a200 - a200.conj()).scale(GaussRat(0, Fraction(-1, 2)))
+    a101, a002 = data.a101, data.a002
+    re200, omega0 = _re_im(data.a200)
+    btilde = re200 + _re_im(a101 + a002, 2)[0]
     if (a101.conj() + a002.conj()).wedge(data.omega_k):
         raise InvalidStructure("darboux normal form lost the spinor line")
     delta = data.delta_basis
-    gram = [[iu.contract(v).coeff(0) for v in delta] for iu in map(omega0.contract, delta)]
+    gram = linalg.mat_mul(delta, linalg.mat_mul(map_from_two_form(omega0), linalg.transpose(delta)))
     if linalg.rank(gram) != len(delta):
         raise InvalidStructure("omega0 is degenerate on the symplectic distribution")
     return DarbouxData(

@@ -252,11 +252,15 @@ def pure_spinor_line(iso: MaxIsotropic) -> MixedForm:
     `null_space` proves (`_exp_two_form`), so no power of B is computed;
     Omega = theta_1 ^ ... ^ theta_k is then wedged on once.
     """
-    dim = iso.dim
-    omega = MixedForm.one(dim)
-    for th in _ann_basis(iso.delta_basis, dim):
-        omega = omega.wedge(covector_form(dim, th))
-    return _exp_two_form(-_extension_of_eps(iso)).wedge(omega)
+    return _pure_spinor(iso, _ann_basis(iso.delta_basis, iso.dim))[0]
+
+
+def _pure_spinor(iso: MaxIsotropic, theta):
+    """(e^B ^ Omega, Omega) of `pure_spinor_line`, for theta the `_ann_basis` of its Delta."""
+    omega = MixedForm.one(iso.dim)
+    for th in theta:
+        omega = omega.wedge(covector_form(iso.dim, th))
+    return _exp_two_form(-_extension_of_eps(iso)).wedge(omega), omega
 
 
 def null_space(phi: MixedForm):
@@ -584,7 +588,10 @@ def tensor_product(l1: MaxIsotropic, l2: MaxIsotropic) -> MaxIsotropic:
 
     The pairing of two such vectors is the sum of their pairings in L1 and
     in L2, so the span is isotropic and needs no check; `row_space_basis`
-    already gives it in reduced row echelon form for `reduced_form`.
+    already gives it in reduced row echelon form for `reduced_form`.  Its
+    rank m is not checked either: for E_j = pi_T(L_j), the pairs (x1, x2) in
+    L1 x L2 with pi_T x1 = pi_T x2 span 2m - dim(E1 + E2), and the map to
+    X + xi + eta has kernel Ann(E1 + E2), the pairs (-eta, eta).
     """
     if l1.dim != l2.dim:
         raise ValueError("dimension mismatch")
@@ -596,12 +603,7 @@ def tensor_product(l1: MaxIsotropic, l2: MaxIsotropic) -> MaxIsotropic:
     ]
     # a kernel vector (c1, c2) gives sum c1 rows1 + (0, sum c2 covec of rows2)
     stacked = rows1 + [[ZERO] * m + row[m:] for row in rows2]
-    basis_rows = linalg.row_space_basis(linalg.mat_mul(linalg.kernel(constraint), stacked))
-    if len(basis_rows) != m:
-        raise NotIsotropic(
-            f"tensor product span has rank {len(basis_rows)}, expected {m}"
-        )
-    return reduced_form(basis_rows, m)
+    return reduced_form(linalg.row_space_basis(linalg.mat_mul(linalg.kernel(constraint), stacked)), m)
 
 
 def transverse(l1: MaxIsotropic, l2: MaxIsotropic) -> bool:

@@ -31,16 +31,15 @@ never visits a zero entry, and rows are read as it consumes them.  `rref`,
 and return what a dense elimination returns.  `kernel` and `solve` also take
 dict rows plus a column count.  `integer_kernel`, `integer_rref` and
 `integer_solve` are `kernel`, `rref` and `solve` for rows that are already
-gaussian integers; `isotropics.null_space` builds its rows that way, from
-one lane for all the coefficients of the spinor, and so do the polynomial
-ansatz of `integrability.ansatz_system`, whose tall, almost empty systems
-go to `integer_solve` in the spinor witness and to `integer_kernel` in the
-pullback (`branes`), the witness's sample systems, and the rows of
-(J tau - i tau)^T whose kernel gives the ell frame of `branes.brane_check`,
-built from the lanes of the columns of J tau and tau.  `integer_solve`
-builds one `GaussRat._raw` per pivot, from the right-hand entry of its row.
-`det` keeps its own dense loop.  Nothing here inverts a Poly matrix: a
-space-filling brane reads omega^-1 off the Poisson block of J.
+gaussian integers, as `_eliminate` takes them and consumes them: a caller
+must not reuse them.  `isotropics.null_space` builds its rows that way, and
+so do `integrability.ansatz_system` (solved by `integer_solve` in the spinor
+witness, its kernel taken in the pullback) and `branes.brane_check` for its
+ell frame.  A kernel whose rank is known by proof stops its elimination at
+that many pivots and reads no further row (`gcs.eigenbundle`, m of the 2m
+rows of J - i); no other caller passes a rank.  `det` keeps its own dense
+loop.  Nothing here inverts a Poly matrix: a space-filling brane reads
+omega^-1 off the Poisson block of J.
 """
 
 from __future__ import annotations
@@ -319,14 +318,17 @@ def _rows(m, ncols=None):
     return map(_row, entries), ncols
 
 
-def _eliminate(rows):
+def _eliminate(rows, rank=None):
     """Fraction-free Gauss-Jordan elimination over integer sparse rows.
 
     rows are {column: (a, b)} maps of nonzero gaussian integers a + bi, each
-    standing for the line it spans; they are consumed.
-    Returns {pivot column: (p, tail)}: the reduced row echelon form, pivot
-    row by pivot row, where the row is (p at the pivot column + tail) / p, p
-    is a positive integer and the tail holds the other nonzero entries.
+    standing for the line it spans; they are consumed.  Given their rank,
+    known by proof, it returns at that many pivots and reads no further row:
+    the rows left lie in the span of the pivot rows, whose reduced form is
+    unique.  Returns {pivot column: (p, tail)}: the reduced row echelon
+    form, pivot row by pivot row, where the row is (p at the pivot column +
+    tail) / p, p is a positive integer and the tail holds the other nonzero
+    entries.
 
     Rows are added one at a time to the reduced form of the rows before
     them.  An added row r is cleared at the pivot columns it has entries in
@@ -359,6 +361,8 @@ def _eliminate(rows):
             if c in t:
                 pivots[d] = _primitive(p * q, _reduce(t, [(c, p, r)]))
         pivots[c] = p, r
+        if len(pivots) == rank:
+            break
     return pivots
 
 
@@ -420,10 +424,8 @@ def rref(m):
 def integer_rref(rows, ncols):
     """`rref` of gaussian-integer rows {column: (a, b)} over ncols columns.
 
-    Each row stands for the line it spans and has no zero entry, as in
-    `_eliminate`, which consumes the rows: a row that becomes a pivot loses
-    its leading entry, so a caller must not reuse them.  Only the nonzero
-    rows of the reduced form are returned, dense, with their pivot columns.
+    Only the nonzero rows of the reduced form are returned, dense, with
+    their pivot columns.
     """
     tails = _reduced(rows)
     piv = sorted(tails)
@@ -441,30 +443,26 @@ def rank(m) -> int:
     return len(_eliminate(_rows(m)[0]))
 
 
-def kernel(m, ncols=None, cap=None):
+def kernel(m, ncols=None, cap=None, rank=None):
     """Basis of the right kernel of m, as a list of vectors.
 
     m is dense, or an iterable of dict rows over ncols columns.  There is one
     vector per non-pivot column f, with a 1 at f and 0 at the other
     non-pivot columns.  With a cap, a basis of more than cap entries
     (nullity x ncols) raises CapacityError once the elimination gives the
-    nullity, before any vector is built.
+    nullity, before any vector is built.  A rank known by proof stops the
+    elimination at that many pivots (`_eliminate`), with the same basis.
     """
-    return integer_kernel(*_rows(m, ncols), cap)
+    return integer_kernel(*_rows(m, ncols), cap, rank)
 
 
-def integer_kernel(rows, ncols, cap=None):
+def integer_kernel(rows, ncols, cap=None, rank=None):
     """`kernel` of gaussian-integer rows {column: (a, b)} over ncols columns.
 
-    Each row stands for the line it spans and has no zero entry, as in
-    `_eliminate`, which consumes the rows: a row that becomes a pivot loses
-    its leading entry, so a caller must not reuse them.
-    `isotropics.null_space` builds its rows this way: m rows for a pure
-    spinor and the 2^(m-1) or so rows of v . phi = 0 for any other;
-    `branes.brane_check` builds the 2m rows of (J tau - i tau)^T over m
-    columns that give its ell frame.
+    `isotropics.null_space` passes m rows for a pure spinor and
+    `branes.brane_check` the 2m rows of (J tau - i tau)^T over m columns.
     """
-    tails = _eliminate(rows)
+    tails = _eliminate(rows, rank)
     nullity = ncols - len(tails)
     if cap is not None and nullity * ncols > cap:
         raise CapacityError(
@@ -500,13 +498,9 @@ def integer_solve(rows, ncols):
     """`solve` of gaussian-integer rows {column: (a, b)} over ncols unknowns.
 
     Each row is augmented: its entry at column ncols, if any, is the right
-    hand side, and it stands for the line it spans with no zero entry, as in
-    `_eliminate`, which consumes the rows: a row that becomes a pivot loses
-    its leading entry, so a caller must not reuse them.  None when the right-hand column becomes a pivot; else
-    x_c = (that pivot row's right-hand entry) / p at each pivot c, one
-    `GaussRat._raw` each, and 0 at every free column.  The witness of
-    `integrability.check_spinor_integrability` passes its sample and ansatz
-    rows this way.
+    hand side.  None when that column becomes a pivot; else x_c = (that
+    pivot row's right-hand entry) / p at each pivot c, one `GaussRat._raw`
+    each, and 0 at every free column.
     """
     pivots = _eliminate(rows)
     if ncols in pivots:

@@ -79,6 +79,31 @@ class TestSubmanifoldData:
         pulled = sub.pull_form(MixedForm(4, {1 << 2: ONE}))
         assert pulled == MixedForm(2, {1 << 0: GaussRat(2) * x1})
 
+    def test_pull_form_relabels_parameters(self):
+        # the reference wedges one image covector per coordinate, the unit
+        # dt_a of a parameter included; parameters out of order and graphs
+        # with constant and polynomial gradients
+        r = Rng(61)
+        ch = Chart.real("x1", "x2", "x3", "x4", "x5")
+        for params in [(0, 1, 2, 3, 4), (3, 0, 4, 1, 2), (2, 0), (4, 1, 3), (1,)]:
+            s_chart = Chart(tuple(ch.names[i] for i in params))
+            for _ in range(3):
+                graph = {
+                    j: r.poly(s_chart, degree=2, terms=2) for j in range(5) if j not in params
+                }
+                sub = SubmanifoldData(ch, params, graph)
+                images = [MixedForm(len(params), {1 << a: c for a, c in enumerate(row) if c})
+                          for row in sub._jac]
+                phi = r.form(5, terms=12) + r.poly_two_form(ch)
+                want = MixedForm.zero(len(params))
+                for mask, c in phi.terms.items():
+                    term = MixedForm(len(params), {0: sub.restrict_scalar(c)})
+                    for i in range(5):
+                        if mask >> i & 1:
+                            term = term.wedge(images[i])
+                    want = want + term
+                assert sub.pull_form(phi) == want
+
     def test_tangent_and_conormal_annihilate(self):
         s_names = SN
         x1 = Poly.var(s_names, "x1")
@@ -654,9 +679,9 @@ class TestSampleBlock:
         calls = []
         kernel = linalg.integer_kernel
 
-        def counted(rows, ncols, cap=None):
+        def counted(rows, ncols, cap=None, rank=None):
             calls.append(ncols)
-            return kernel(rows, ncols, cap)
+            return kernel(rows, ncols, cap, rank)
 
         monkeypatch.setattr(linalg, "integer_kernel", counted)
         return brane_check(structure, sub, samples=samples), len(calls)

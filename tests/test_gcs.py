@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcgeo.scalars import GaussRat, IUNIT, ONE, ZERO
+from gcgeo.scalars import GaussRat, HALF, IUNIT, ONE, ZERO
 from gcgeo.forms import MixedForm, covector_form, map_from_two_form, mukai_coeff, two_form_from_map
 from gcgeo.clifford import BlockTransform, GenVector
 from gcgeo.charts import Chart
@@ -23,6 +23,7 @@ from gcgeo.isotropics import (
     transform,
 )
 from gcgeo.gcs import (
+    DarbouxData,
     GCStructure,
     _check_exponent,
     InvalidStructure,
@@ -534,6 +535,39 @@ def ref_canonical_exponent(s):
     return a2, a200, a2 - a200 - a002, a002, n10, delta_rows
 
 
+def ref_darboux_point(s):
+    """(b2, om2, DarbouxData) as `canonical_spinor` and `darboux_point` once built them.
+
+    b2, om2, Btilde and omega0 come from conj, add and scale of the blocks of
+    the exponent, and the Gram matrix of omega0 on Delta from nd + nd^2
+    contractions; it is also checked to be minus D W D^T, for D the rows of
+    Delta and W = map_from_two_form(omega0).
+    """
+    data = canonical_spinor(s)
+    a2, a200, a101, a002 = data.a2, data.a200, data.a101, data.a002
+    minus_half_i = GaussRat(0, Fraction(-1, 2))
+    b2 = (a2 + a2.conj()).scale(HALF)
+    om2 = (a2 - a2.conj()).scale(minus_half_i)
+    btilde = (a200 + a200.conj()).scale(HALF) + (a101 + a101.conj()) + (a002 + a002.conj())
+    omega0 = (a200 - a200.conj()).scale(minus_half_i)
+    assert not (a101.conj() + a002.conj()).wedge(data.omega_k)
+    delta = data.delta_basis
+    gram = [[iu.contract(v).coeff(0) for v in delta] for iu in map(omega0.contract, delta)]
+    assert linalg.rank(gram) == len(delta)
+    dwd = linalg.mat_mul(delta, linalg.mat_mul(map_from_two_form(omega0), linalg.transpose(delta)))
+    assert dwd == [[-x for x in row] for row in gram]
+    return b2, om2, DarbouxData(
+        k=data.k,
+        btilde=btilde,
+        omega0=omega0,
+        delta_frame=data.delta_basis,
+        n_complement=data.n_complement,
+        n10_frame=data.n10,
+        generator=data.generator,
+        omega_k=data.omega_k,
+    )
+
+
 class TestCanonicalExponent:
     """The exponent as the Gram of eps on Delta + N_{0,1}, against the read-off of phi."""
 
@@ -547,6 +581,16 @@ class TestCanonicalExponent:
         assert [list(v) for v in data.n10] == n10
         assert [list(r) for r in data.delta_basis] == [list(r) for r in delta_rows]
         assert data.k == k and len(n10) == k
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("m,k", GRID)
+    def test_parts_term_by_term_equal_conj_add_scale(self, m, k, dense):
+        s = grid_structure(m, k, dense)
+        data, got = canonical_spinor(s), darboux_point(s)
+        b2, om2, want = ref_darboux_point(s)
+        assert (data.b2, data.om2) == (b2, om2)
+        assert repr((data.b2, data.om2)) == repr((b2, om2))
+        assert got == want and repr(got) == repr(want)
 
 
 class TestExponentCheck:

@@ -271,7 +271,7 @@ class TestTensorProduct:
     def test_no_pairing_check(self, monkeypatch):
         # the pairing on L1 x L2 is the sum of the pairings on L1 and L2, so
         # the product's rows are read off unchecked, and canonical_form of
-        # them, which checks them, gives the same data
+        # them, which checks them and their rank, gives the same data
         from gcgeo import isotropics
 
         rng = Rng(47)
@@ -283,7 +283,9 @@ class TestTensorProduct:
 
         monkeypatch.setattr(isotropics, "pairing_matrix", refuse)
         for (l1, l2), want in zip(pairs, wants):
-            assert tensor_product(l1, l2) == want
+            got = tensor_product(l1, l2)
+            # dim L1 x L2 = m by proof, so the rank is not checked either
+            assert got == want and len(got.basis) == l1.dim
 
     def test_cotangent_is_zero_element(self):
         m = 3

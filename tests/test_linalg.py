@@ -166,6 +166,64 @@ class TestKernel:
 
 
 @st.composite
+def rows_of_known_rank(draw):
+    """(rows, r): r independent rows and combinations of them, placed first, last or interleaved."""
+    base = draw(matrices(entries=draw(st.sampled_from([gauss_rats(), wide_gauss_rats()]))))
+    indep = []
+    for row in base:
+        if linalg.rank(indep + [row]) > len(indep):
+            indep.append(row)
+    r = len(indep)
+    dep = []
+    if r:
+        coeffs = draw(matrices(rows=draw(st.integers(1, 4)), cols=r))
+        dep = linalg.mat_mul(coeffs, indep)
+    place = draw(st.sampled_from(["first", "last", "interleaved"]))
+    if place == "first":
+        rows = dep + indep
+    elif place == "last":
+        rows = indep + dep
+    else:
+        rows = [x for i in range(max(len(dep), r)) for x in dep[i : i + 1] + indep[i : i + 1]]
+    return rows, r
+
+
+class TestKnownRank:
+    """A rank known by proof stops the elimination at that many pivots.
+
+    The rows after the stop lie in the span of the pivot rows and the
+    reduced form is unique, so the kernel basis is the same; no row after
+    the stop is read.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows_of_known_rank())
+    def test_same_basis_as_without_rank(self, rows_r):
+        rows, r = rows_r
+        want = linalg.kernel(rows)
+        assert linalg.kernel(rows, rank=r) == want
+        assert linalg.kernel(dict_rows(rows), ncols_of(rows), rank=r) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows_of_known_rank())
+    def test_rows_after_the_stop_are_not_read(self, rows_r):
+        rows, r = rows_r
+        if not r:
+            return
+        read = []
+
+        def stream():
+            for i, row in enumerate(dict_rows(rows)):
+                read.append(i)
+                yield row
+
+        got = linalg.kernel(stream(), ncols_of(rows), rank=r)
+        assert got == linalg.kernel(rows)
+        assert linalg.rank([rows[i] for i in read]) == r
+        assert linalg.rank([rows[i] for i in read[:-1]]) == r - 1
+
+
+@st.composite
 def low_rank_matrices(draw):
     """A product of an r x t and a t x c matrix, t below min(r, c): rank deficient."""
     r, c = draw(st.integers(2, 6)), draw(st.integers(2, 7))
